@@ -9,6 +9,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from threshkit.limits import Limits
 from threshkit.verify import SUITE_NAMES, run_suite
 
 
@@ -19,10 +20,11 @@ def main() -> int:
                         choices=SUITE_NAMES, metavar="SUITE")
     args = parser.parse_args()
 
+    limits = Limits.from_env()
     args.out_dir.mkdir(parents=True, exist_ok=True)
     failures = 0
     for name in args.suites:
-        report = run_suite(name)
+        report = run_suite(name, limits=limits)
         path = args.out_dir / f"{name}.report.txt"
         path.write_text(report.to_text(), encoding="ascii")
         status = "ok" if report.ok else f"FAIL ({len(report.witnesses)} witnesses)"

@@ -14,7 +14,6 @@ in the data files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from typing import Callable, Optional, Union
@@ -22,6 +21,7 @@ from typing import Callable, Optional, Union
 from .graphs import Graph, ColoredGraph
 from .graph6 import decode_graph6, parse_color_string
 from .canonical import canonical_form, canonical_colored_form
+from .records import frozen
 
 FAMILIES = (
     "threshold",
@@ -34,7 +34,7 @@ FAMILIES = (
 )
 
 
-@dataclass(frozen=True)
+@frozen
 class CatalogEntry:
     name: str
     graph: Graph
@@ -51,7 +51,7 @@ class CatalogEntry:
         return ColoredGraph(self.graph, colors)
 
 
-@dataclass(frozen=True)
+@frozen
 class Catalog:
     family: str
     entries: tuple[CatalogEntry, ...]
@@ -92,7 +92,7 @@ def load_catalog(family: str) -> Catalog:
 Member = Callable[[Union[Graph, ColoredGraph]], bool]
 
 
-@dataclass(frozen=True)
+@frozen
 class CatalogProblem:
     entry: str
     condition: str

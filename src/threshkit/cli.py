@@ -39,7 +39,7 @@ from .obstructions import (
 )
 from .canonical import canonical_colored_form, canonical_form
 from .sequences import format_sequence
-from .switching import has_cograph_switch, switch, switch_to_threshold
+from .switching import has_cograph_switch, is_switch_cograph, switch, switch_to_threshold
 from .threshold import build_threshold_tree, is_threshold
 from .verify import SUITE_NAMES, run_suite
 
@@ -175,8 +175,9 @@ def cmd_recognize(args, limits: Limits) -> int:
         elif method == "elimination":
             member, detail = _recognize_elimination(cls, g, args.k, limits)
         else:
-            res = fis(g)
+            # the constructive side first, so a capacity error precedes the FIS scan
             member, detail = _recognize_elimination(cls, g, args.k, limits)
+            res = fis(g)
             if member != res.accepted:
                 print(f"{line}: DISAGREEMENT elimination={member} fis={res.accepted}")
                 return DISAGREE
@@ -230,7 +231,7 @@ def _family_member(kind: str, limits: Limits):
     if kind == "switch-threshold":
         return lambda g: switch_to_threshold(g, limits) is not None
     if kind == "switch-cograph":
-        return lambda g: has_cograph_switch(g, limits) is not None
+        return is_switch_cograph
     raise UsageError(f"no brute-force recognizer for family {kind!r}")
 
 
@@ -330,7 +331,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE if exc.code else OK
-    limits = Limits.from_env()
     dispatch = {
         "recognize": cmd_recognize,
         "verify": cmd_verify,
@@ -338,7 +338,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         "switch": cmd_switch,
     }
     try:
-        return dispatch[args.command](args, limits)
+        return dispatch[args.command](args, Limits.from_env())
     except (GraphParseError, UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE

@@ -8,7 +8,6 @@ the two are cross-checked in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 
@@ -16,6 +15,7 @@ from .canonical import canonical_colored_graph, canonical_graph
 from .graph6 import color_string, encode_graph6
 from .graphs import ColoredGraph, Graph, bits
 from .limits import DEFAULT_LIMITS, CapacityError, Limits
+from .records import frozen
 
 __all__ = [
     "EnumerationConfig",
@@ -27,7 +27,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@frozen
 class EnumerationConfig:
     n: int
     colored: bool = False

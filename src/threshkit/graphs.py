@@ -6,12 +6,12 @@ All graph values are immutable and hashable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .gf2 import gf2_rank
 from .limits import CapacityError
+from .records import frozen
 
 MAX_VERTICES = 64
 
@@ -35,7 +35,7 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-@dataclass(frozen=True)
+@frozen
 class Graph:
     n: int
     rows: tuple[int, ...]
@@ -166,7 +166,7 @@ class Graph:
         return Graph(self.n, tuple(rows))
 
 
-@dataclass(frozen=True)
+@frozen
 class ColoredGraph:
     """A graph with one color index per vertex."""
 

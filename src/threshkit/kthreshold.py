@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from .graphs import ColoredGraph, Graph, bits
 from .limits import DEFAULT_LIMITS, CapacityError, Limits
+from .records import frozen
 from .sequences import ADD, BLACK, JOIN_ALL, WHITE, BuildSequence, Op, Step, join_color
 from .threshold import is_threshold
 
@@ -17,6 +17,7 @@ __all__ = [
     "RESTRICTED",
     "EXTENDED",
     "eliminate",
+    "brute_coloring_search",
     "is_k_threshold",
     "is_special",
     "is_restricted",
@@ -26,7 +27,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@frozen
 class Dialect:
     """An allowed operator set, listed in elimination preference order."""
 
@@ -92,11 +93,24 @@ def eliminate(cg: ColoredGraph, dialect: Dialect) -> BuildSequence | None:
     return BuildSequence(dialect.k, tuple(reversed(steps_rev)), tuple(reversed(order_rev)))
 
 
-def _check_budget(n: int, k: int, limits: Limits) -> None:
+def _check_size(n: int, limits: Limits) -> None:
     if n > limits.elimination_max_n:
         raise CapacityError(f"elimination on {n} vertices exceeds bound {limits.elimination_max_n}")
-    if k ** max(0, n - 1) > limits.coloring_budget:
-        raise CapacityError(f"{k}^{n - 1} colorings exceed budget {limits.coloring_budget}")
+
+
+def _check_budget(n: int, k: int, free: int, limits: Limits) -> None:
+    """Guard a search over k^free colorings of an n-vertex graph."""
+    _check_size(n, limits)
+    if k ** free > limits.coloring_budget:
+        raise CapacityError(f"{k}^{free} colorings exceed budget {limits.coloring_budget}")
+
+
+def _first_eliminated(g: Graph, dialect: Dialect, colorings):
+    for coloring in colorings:
+        seq = eliminate(ColoredGraph(g, coloring), dialect)
+        if seq is not None:
+            return coloring, seq
+    return None
 
 
 def _prefix_colorings(n: int, k: int):
@@ -108,28 +122,71 @@ def _prefix_colorings(n: int, k: int):
             yield coloring
 
 
-def is_k_threshold(
-    g: Graph, k: int, limits: Limits = DEFAULT_LIMITS
+def brute_coloring_search(
+    g: Graph, dialect: Dialect, limits: Limits = DEFAULT_LIMITS
 ) -> tuple[tuple[int, ...], BuildSequence] | None:
-    """Search colorings modulo color permutation, eliminate with General(k)."""
-    _check_budget(g.n, k, limits)
-    dialect = general_dialect(k)
-    for coloring in _prefix_colorings(g.n, k):
-        seq = eliminate(ColoredGraph(g, coloring), dialect)
-        if seq is not None:
-            return coloring, seq
-    return None
+    """Oracle: the first of all k^n colorings, in product order, that eliminates."""
+    _check_budget(g.n, dialect.k, g.n, limits)
+    return _first_eliminated(g, dialect, product(range(dialect.k), repeat=g.n))
+
+
+def _candidate_colorings(g: Graph, dialect: Dialect) -> list[tuple[int, ...]]:
+    """Sorted 2-colorings, one of which is the least valid coloring if any is.
+
+    Vertices removable under every coloring (isolated ones with add,
+    universal ones with join_all) are dropped greedily; their colors are
+    free. In what is left, H, the first removal of a valid coloring is a
+    join_c of some vertex x, which forces every other vertex of H: its
+    neighbours get c, the rest the other color. Setting the free colors
+    (x and the dropped vertices) to BLACK gives a valid coloring no greater
+    than the original, so the least valid coloring is a candidate.
+    """
+    kinds = {op.kind for op in dialect.ops}
+    alive = g.full_mask
+    dropped = True
+    while dropped and alive.bit_count() > 1:
+        dropped = False
+        for v in bits(alive):
+            nb = g.rows[v] & alive
+            if ("add" in kinds and nb == 0) or ("join_all" in kinds and nb == alive ^ (1 << v)):
+                alive ^= 1 << v
+                dropped = True
+    if alive.bit_count() <= 1:
+        return [(BLACK,) * g.n]
+    joins = [op.color for op in dialect.ops if op.kind == "join_color"]
+    candidates = set()
+    for x in bits(alive):
+        nb = g.rows[x]
+        for c in joins:
+            coloring = [BLACK] * g.n
+            for v in bits(alive ^ (1 << x)):
+                coloring[v] = c if nb >> v & 1 else 1 - c
+            candidates.add(tuple(coloring))
+    return sorted(candidates)
 
 
 def _search_two_colored(
     g: Graph, dialect: Dialect, limits: Limits
 ) -> tuple[tuple[int, ...], BuildSequence] | None:
-    _check_budget(g.n + 1, 2, limits)  # all 2^n colorings, no symmetry break
-    for coloring in product((BLACK, WHITE), repeat=g.n):
-        seq = eliminate(ColoredGraph(g, coloring), dialect)
-        if seq is not None:
-            return coloring, seq
-    return None
+    """Same result as brute_coloring_search, with at most 2n eliminations."""
+    _check_size(g.n, limits)
+    return _first_eliminated(g, dialect, _candidate_colorings(g, dialect))
+
+
+def is_k_threshold(
+    g: Graph, k: int, limits: Limits = DEFAULT_LIMITS
+) -> tuple[tuple[int, ...], BuildSequence] | None:
+    """Search colorings modulo color permutation, eliminate with General(k).
+
+    For k = 2 the dialect is symmetric under swapping the colors, so the
+    least valid coloring has vertex 0 black and the polynomial two-color
+    search finds the coloring the prefix order would find first.
+    """
+    dialect = general_dialect(k)
+    if k == 2:
+        return _search_two_colored(g, dialect, limits)
+    _check_budget(g.n, k, g.n - 1, limits)
+    return _first_eliminated(g, dialect, _prefix_colorings(g.n, k))
 
 
 def is_special(g: Graph, limits: Limits = DEFAULT_LIMITS):

@@ -3,20 +3,23 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+
+from .records import frozen
 
 
 class CapacityError(Exception):
     """A requested computation exceeds the configured exact-search limits."""
 
 
-@dataclass(frozen=True)
+@frozen
 class Limits:
     """Bounds for the exhaustive parts of the toolkit.
 
     canonical_max_n: largest graph the canonical-form search will accept
     elimination_max_n: largest graph the coloring searches will eliminate
-    coloring_budget: maximum number of colorings a search may enumerate
+    coloring_budget: maximum number of colorings or switch sets an
+        exponential search may enumerate (k-threshold for k >= 3, the
+        brute-force oracles, the switch-cograph certificate search)
     enumeration_max_n: largest size the isomorph-free generator will produce
     """
 
@@ -27,9 +30,23 @@ class Limits:
 
     @classmethod
     def from_env(cls) -> Limits:
+        """The defaults, overridden by THRESHKIT_* variables.
+
+        Raises ValueError naming the variable when a value is not a
+        non-negative integer.
+        """
+
         def pick(name: str, default: int) -> int:
             raw = os.environ.get(name)
-            return default if raw is None else int(raw)
+            if raw is None:
+                return default
+            try:
+                value = int(raw)
+            except ValueError:
+                value = -1
+            if value < 0:
+                raise ValueError(f"{name} must be a non-negative integer, got {raw!r}")
+            return value
 
         return cls(
             canonical_max_n=pick("THRESHKIT_CANONICAL_MAX_N", cls.canonical_max_n),
@@ -39,4 +56,14 @@ class Limits:
         )
 
 
-DEFAULT_LIMITS = Limits.from_env()
+def _default_limits() -> Limits:
+    # A bad value must not break the import: the CLI reads the environment
+    # again and reports it as a usage error, and library callers that want
+    # the error call Limits.from_env() themselves.
+    try:
+        return Limits.from_env()
+    except ValueError:
+        return Limits()
+
+
+DEFAULT_LIMITS = _default_limits()

@@ -14,7 +14,6 @@ machine verification of the characterizations at small n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Sequence, Union
 
@@ -25,6 +24,7 @@ from .graphs import ColoredGraph, Graph
 from .enumeration import EnumerationConfig, all_colored_graphs, all_graphs
 from .limits import DEFAULT_LIMITS, Limits
 from .named import named_graphs
+from .records import frozen
 from .switching import switching_class_graphs
 
 __all__ = [
@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@frozen
 class FisResult:
     accepted: bool
     pattern: Optional[str] = None
@@ -128,6 +128,11 @@ def recognize_partitioned_fis(cg: ColoredGraph) -> FisResult:
     return FisResult(True)
 
 
+def _check_range(n_max: int) -> None:
+    if n_max < 1:
+        raise ValueError(f"obstruction search needs a bound of at least 1, got {n_max}")
+
+
 def find_minimal_obstructions(
     member: Callable[[Graph], bool],
     n_max: int,
@@ -135,6 +140,7 @@ def find_minimal_obstructions(
 ) -> list[Graph]:
     """All canonical non-members with <= n_max vertices whose every
     one-vertex deletion is a member. Sorted by canonical form per level."""
+    _check_range(n_max)
     verdicts: dict[str, bool] = {}
     out: list[Graph] = []
     for n in range(1, n_max + 1):
@@ -154,6 +160,7 @@ def find_minimal_colored_obstructions(
     limits: Limits = DEFAULT_LIMITS,
 ) -> list[ColoredGraph]:
     """Colored variant of find_minimal_obstructions, color-preserving dedup."""
+    _check_range(n_max)
     verdicts: dict[str, bool] = {}
     out: list[ColoredGraph] = []
     for n in range(1, n_max + 1):

@@ -9,9 +9,8 @@ exact labeled graph they came from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .graphs import ColoredGraph, Graph, bits
+from .records import frozen
 
 __all__ = [
     "BLACK",
@@ -31,7 +30,7 @@ BLACK = 0
 WHITE = 1
 
 
-@dataclass(frozen=True)
+@frozen
 class Op:
     kind: str  # "add" | "join_color" | "join_all"
     color: int | None = None
@@ -51,13 +50,13 @@ def join_color(color: int) -> Op:
     return Op("join_color", color)
 
 
-@dataclass(frozen=True)
+@frozen
 class Step:
     color: int
     op: Op
 
 
-@dataclass(frozen=True)
+@frozen
 class BuildSequence:
     k: int
     steps: tuple[Step, ...]

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Callable
 
 from .canonical import canonical_form, canonical_graph
-from .embed import find_induced_embedding
 from .graph6 import encode_graph6
 from .graphs import Graph
 from .limits import DEFAULT_LIMITS, CapacityError, Limits
-from .named import bull, cogem, cycle_graph, gem
+from .records import frozen
 from .threshold import is_threshold
 
 __all__ = [
@@ -17,6 +16,7 @@ __all__ = [
     "switching_class",
     "switching_class_graphs",
     "SwitchCertificate",
+    "brute_switch_search",
     "switch_to_threshold",
     "is_cograph",
     "is_switch_cograph",
@@ -36,17 +36,53 @@ def switch(g: Graph, s: int) -> Graph:
     return Graph(g.n, tuple(rows))
 
 
-@dataclass(frozen=True)
+@frozen
 class SwitchCertificate:
     set: int
     target: Graph
 
 
-def switch_to_threshold(g: Graph, limits: Limits = DEFAULT_LIMITS) -> SwitchCertificate | None:
-    """First switch set (ascending masks, vertex 0 excluded) giving a threshold graph."""
+def brute_switch_search(
+    g: Graph, accept: Callable[[Graph], bool], limits: Limits = DEFAULT_LIMITS
+) -> SwitchCertificate | None:
+    """Oracle: first switch set (ascending masks, vertex 0 excluded) whose switch is accepted."""
     if 1 << max(0, g.n - 1) > limits.coloring_budget:
         raise CapacityError(f"2^{g.n - 1} switch sets exceed budget {limits.coloring_budget}")
     for s in range(0, 1 << g.n, 2):
+        target = switch(g, s)
+        if accept(target):
+            return SwitchCertificate(s, target)
+    return None
+
+
+def _threshold_switch_sets(g: Graph) -> list[int]:
+    """Sorted switch sets without vertex 0 that include the least threshold one.
+
+    Switching by the white class of a restricted 2-threshold coloring gives
+    a threshold graph, and conversely: a vertex removed by join_c becomes
+    dominating when c is its own color and isolated otherwise. The first
+    removal join_c of x fixes every other color (neighbours of x get c),
+    and the color of x is free, so the least threshold switch set has
+    vertex 0 and x outside it.
+    """
+    sets = {0}  # the all-black coloring, the only one when n = 1
+    for x in range(1, g.n):
+        # c is the color that leaves vertex 0 black
+        white = ~g.rows[x] if g.rows[x] & 1 else g.rows[x]
+        sets.add(white & g.full_mask & ~(1 << x))
+    nb = g.rows[0]
+    sets.update((nb, g.full_mask & ~nb & ~1))  # x = 0, c = WHITE or BLACK
+    return sorted(sets)
+
+
+def switch_to_threshold(g: Graph, limits: Limits = DEFAULT_LIMITS) -> SwitchCertificate | None:
+    """First switch set (ascending masks, vertex 0 excluded) giving a threshold graph.
+
+    Same result as brute_switch_search with is_threshold, from at most n + 2
+    switches instead of 2^(n-1). The search is polynomial, so no limit
+    applies; limits is accepted like the other recognizers'.
+    """
+    for s in _threshold_switch_sets(g):
         target = switch(g, s)
         if is_threshold(target) is not None:
             return SwitchCertificate(s, target)
@@ -68,19 +104,6 @@ def switching_class_graphs(g: Graph, limits: Limits = DEFAULT_LIMITS) -> tuple[G
     return tuple(reps[form] for form in sorted(reps))
 
 
-_COGRAPH_SWITCH_PATTERNS: tuple[Graph, ...] | None = None
-
-
-def is_switch_cograph(g: Graph) -> bool:
-    """No induced C5, bull, gem, or cogem."""
-    global _COGRAPH_SWITCH_PATTERNS
-    if _COGRAPH_SWITCH_PATTERNS is None:
-        _COGRAPH_SWITCH_PATTERNS = (cycle_graph(5), bull(), gem(), cogem())
-    return all(
-        find_induced_embedding(g, pattern) is None for pattern in _COGRAPH_SWITCH_PATTERNS
-    )
-
-
 def is_cograph(g: Graph) -> bool:
     """Every induced subgraph with >= 2 vertices splits under union or join."""
     stack = [g]
@@ -97,12 +120,22 @@ def is_cograph(g: Graph) -> bool:
     return True
 
 
+def is_switch_cograph(g: Graph) -> bool:
+    """Some switch of g is a cograph.
+
+    Equivalent to: the switch isolating vertex 0 is a cograph. A cograph
+    switch rules out the cogem (P4 + K1) throughout the switching class, so
+    the switch in which vertex 0 is isolated has no P4 either.
+    """
+    return is_cograph(switch(g, g.rows[0]))
+
+
 def has_cograph_switch(g: Graph, limits: Limits = DEFAULT_LIMITS) -> SwitchCertificate | None:
-    """First switch of g that is a cograph, if any."""
-    if 1 << max(0, g.n - 1) > limits.coloring_budget:
-        raise CapacityError(f"2^{g.n - 1} switch sets exceed budget {limits.coloring_budget}")
-    for s in range(0, 1 << g.n, 2):
-        target = switch(g, s)
-        if is_cograph(target):
-            return SwitchCertificate(s, target)
-    return None
+    """First switch of g that is a cograph, if any.
+
+    Non-members are rejected in polynomial time; the certificate of a
+    member comes from the brute-force search.
+    """
+    if not is_switch_cograph(g):
+        return None
+    return brute_switch_search(g, is_cograph, limits)

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .graphs import Graph, bits
+from .records import frozen
 from .sequences import ADD, JOIN_ALL, BuildSequence, Step
 
 __all__ = ["ThresholdCertificate", "is_threshold", "threshold_order", "build_threshold_tree"]
@@ -13,7 +12,7 @@ ISOLATED = "isolated"
 UNIVERSAL = "universal"
 
 
-@dataclass(frozen=True)
+@frozen
 class ThresholdCertificate:
     """Vertices in removal order, each isolated or universal at its turn."""
 

@@ -12,7 +12,6 @@ to an equal report (see to_text / from_text).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 from .canonical import canonical_form
 from .catalogs import FAMILIES, load_catalog, validate_catalog
@@ -20,6 +19,8 @@ from .enumeration import EnumerationConfig, all_colored_graphs, all_graphs
 from .graph6 import encode_graph6
 from .graphs import Graph, is_distance_hereditary
 from .kthreshold import (
+    SPECIAL,
+    brute_coloring_search,
     eliminate,
     general_dialect,
     is_good,
@@ -39,8 +40,15 @@ from .obstructions import (
     recognize_switch_threshold_fis,
     recognize_threshold_fis,
 )
+from .records import frozen
 from .sequences import evaluate
-from .switching import has_cograph_switch, switch_to_threshold, switching_class_graphs
+from .switching import (
+    brute_switch_search,
+    is_cograph,
+    is_switch_cograph,
+    switch_to_threshold,
+    switching_class_graphs,
+)
 from .threshold import build_threshold_tree, is_threshold
 
 __all__ = [
@@ -56,7 +64,7 @@ SCHEMA = "threshkit-report/1"
 ENUMERATION_COUNTS = (1, 2, 4, 11, 34, 156, 1044)
 
 
-@dataclass(frozen=True)
+@frozen
 class Witness:
     """One failing case: the graph, its coloring ("-" if none), the verdicts."""
 
@@ -70,7 +78,7 @@ class Witness:
                 raise ValueError("witness fields may not contain tabs or newlines")
 
 
-@dataclass(frozen=True)
+@frozen
 class VerificationReport:
     suite: str
     n_max: int
@@ -184,6 +192,13 @@ def _agree(run: _Run, prefix: str, graph, verdicts: dict[str, bool]) -> None:
         run.witness(graph, f"{prefix}: {detail}")
 
 
+def _same_certificate(run: _Run, prefix: str, graph, oracle, fast) -> None:
+    """Members on both sides must carry the oracle's certificate exactly."""
+    if oracle is not None and fast is not None and oracle != fast:
+        run.bump(f"{prefix}.certificate.disagree")
+        run.witness(graph, f"{prefix}: fast certificate differs from the brute-force one")
+
+
 def _check_discovery(run: _Run, prefix: str, found, expected_forms: dict[str, str], colored: bool) -> None:
     """Compare discovered minimal obstructions against a catalog, both ways."""
     from .canonical import canonical_colored_form
@@ -227,15 +242,19 @@ def suite_thresholds(n_max: int, limits: Limits) -> VerificationReport:
 
 
 def suite_special(n_max: int, limits: Limits) -> VerificationReport:
-    """Brute coloring search vs the eight-pattern FIS, plus rediscovery."""
+    """Brute coloring search vs the fast search vs the eight-pattern FIS, plus rediscovery."""
     run = _Run("special", n_max)
     member = lambda g: is_special(g, limits) is not None
     for g in _graphs_upto(n_max, limits):
         run.bump("graphs.checked")
+        oracle = brute_coloring_search(g, SPECIAL, limits)
+        fast = is_special(g, limits)
         _agree(run, "special", g, {
-            "elimination": member(g),
+            "brute": oracle is not None,
+            "elimination": fast is not None,
             "fis": recognize_special_fis(g).accepted,
         })
+        _same_certificate(run, "special", g, oracle, fast)
     cat = load_catalog("special2t")
     expected = {canonical_form(e.graph): e.name for e in cat.entries if e.graph.n <= n_max}
     found = find_minimal_obstructions(member, n_max, limits)
@@ -285,17 +304,23 @@ def suite_partitioned(n_max: int, limits: Limits) -> VerificationReport:
 
 
 def suite_switching(n_max: int, limits: Limits) -> VerificationReport:
-    """Switch search vs restricted elimination vs FIS, and the cograph analog."""
+    """Brute and fast switch search vs restricted elimination vs FIS, and the cograph analog."""
     run = _Run("switching", n_max)
+    threshold = lambda h: is_threshold(h) is not None
     for g in _graphs_upto(n_max, limits):
         run.bump("graphs.checked")
+        oracle = brute_switch_search(g, threshold, limits)
+        fast = switch_to_threshold(g, limits)
         _agree(run, "switch_threshold", g, {
-            "switch_search": switch_to_threshold(g, limits) is not None,
+            "brute": oracle is not None,
+            "switch_search": fast is not None,
             "elimination": is_restricted(g, limits) is not None,
             "fis": recognize_switch_threshold_fis(g).accepted,
         })
+        _same_certificate(run, "switch_threshold", g, oracle, fast)
         _agree(run, "switch_cograph", g, {
-            "switch_search": has_cograph_switch(g, limits) is not None,
+            "brute": brute_switch_search(g, is_cograph, limits) is not None,
+            "switch_search": is_switch_cograph(g),
             "fis": recognize_switch_cograph_fis(g).accepted,
         })
     return run.report()
@@ -310,7 +335,7 @@ def _catalog_members(limits: Limits):
         "two_threshold_listed": (lambda g: is_k_threshold(g, 2, limits) is not None, False),
         "partitioned2t": (lambda cg: eliminate(cg, dialect) is not None, True),
         "switch_threshold": (lambda g: switch_to_threshold(g, limits) is not None, False),
-        "switch_cograph": (lambda g: has_cograph_switch(g, limits) is not None, False),
+        "switch_cograph": (is_switch_cograph, False),
     }
 
 
@@ -394,4 +419,10 @@ def run_suite(name: str, n_max: int | None = None, limits: Limits = DEFAULT_LIMI
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     fn, default_n = _SUITES[name]
-    return fn(default_n if n_max is None else n_max, limits)
+    if n_max is None:
+        n_max = default_n
+    # every suite but catalogs (default bound 0) enumerates 1..n_max and
+    # would pass vacuously on an empty range
+    if default_n > 0 and n_max < 1:
+        raise ValueError(f"suite {name} needs a bound of at least 1, got {n_max}")
+    return fn(n_max, limits)

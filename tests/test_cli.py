@@ -110,9 +110,60 @@ def test_partitioned_colored_non_member(tmp_path, capsys):
 def test_capacity_exit_via_env_budget(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("THRESHKIT_COLORING_BUDGET", "1")
     path = _input_file(tmp_path, encode_graph6(cycle_graph(5)))
-    args = ["recognize", "--class", "kthreshold", "--k", "2", "--input", path]
+    args = ["recognize", "--class", "kthreshold", "--k", "3", "--input", path]
     assert cli.main(args) == cli.CAPACITY
     assert "capacity:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw", ["many", "1.5", "-1", ""])
+def test_bad_env_limit_exits_two_naming_the_variable(tmp_path, monkeypatch, capsys, raw):
+    monkeypatch.setenv("THRESHKIT_COLORING_BUDGET", raw)
+    path = _input_file(tmp_path, encode_graph6(cycle_graph(4)))
+    assert cli.main(["recognize", "--class", "threshold", "--input", path]) == cli.USAGE
+    assert "THRESHKIT_COLORING_BUDGET" in capsys.readouterr().err
+
+
+def test_bad_env_limit_at_import_exits_two(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    import threshkit
+
+    env = dict(os.environ, THRESHKIT_ENUMERATION_MAX_N="eight")
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(threshkit.__file__))
+    code = "import sys; from threshkit.cli import main; sys.exit(main(['verify', '--suite', 'counts']))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == cli.USAGE
+    assert "THRESHKIT_ENUMERATION_MAX_N" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("suite", ["thresholds", "special", "good", "partitioned", "switching", "counts"])
+@pytest.mark.parametrize("nmax", ["0", "-3"])
+def test_verify_empty_range_exits_two(capsys, suite, nmax):
+    assert cli.main(["verify", "--suite", suite, "--nmax", nmax]) == cli.USAGE
+    assert "at least 1" in capsys.readouterr().err
+
+
+def test_catalogs_suite_ignores_the_bound(capsys):
+    assert cli.main(["verify", "--suite", "catalogs", "--nmax", "0"]) == cli.OK
+
+
+@pytest.mark.parametrize("nmax", ["0", "-3"])
+def test_obstructions_empty_range_exits_two(capsys, nmax):
+    assert cli.main(["obstructions", "--family", "threshold", "--nmax", nmax]) == cli.USAGE
+    assert "at least 1" in capsys.readouterr().err
+
+
+def test_capacity_exit_precedes_fis_under_both(tmp_path, monkeypatch, capsys):
+    scanned = []
+    monkeypatch.setitem(cli._FIS_RECOGNIZERS, "special", lambda g: scanned.append(g))
+    monkeypatch.setenv("THRESHKIT_ELIMINATION_MAX_N", "4")
+    path = _input_file(tmp_path, encode_graph6(cycle_graph(5)))
+    args = ["recognize", "--class", "special", "--method", "both", "--input", path]
+    assert cli.main(args) == cli.CAPACITY
+    assert scanned == []
 
 
 def test_verify_capacity_exit_via_env(monkeypatch, capsys):

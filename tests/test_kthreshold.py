@@ -10,6 +10,7 @@ from threshkit.kthreshold import (
     EXTENDED,
     RESTRICTED,
     SPECIAL,
+    brute_coloring_search,
     eliminate,
     general_dialect,
     is_extended,
@@ -165,7 +166,9 @@ def test_color_hierarchy_is_strict():
 def test_coloring_budget_enforced():
     tight = Limits(coloring_budget=4)
     with pytest.raises(CapacityError):
-        is_special(path_graph(5), tight)
+        brute_coloring_search(path_graph(5), SPECIAL, tight)
+    with pytest.raises(CapacityError):
+        is_k_threshold(path_graph(5), 3, tight)
 
 
 def test_neighborhood_shapes():

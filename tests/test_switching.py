@@ -17,7 +17,9 @@ from threshkit.named import (
     path_graph,
 )
 from threshkit.graphs import disjoint_union
+from threshkit.obstructions import recognize_switch_cograph_fis
 from threshkit.switching import (
+    brute_switch_search,
     has_cograph_switch,
     is_cograph,
     is_switch_cograph,
@@ -109,7 +111,8 @@ def test_is_cograph_matches_p4_free():
 def test_cograph_switch_search_agrees_with_fis():
     for n in range(1, 7):
         for g in all_graphs(EnumerationConfig(n)):
-            assert (has_cograph_switch(g) is not None) == is_switch_cograph(g)
+            brute = brute_switch_search(g, is_cograph) is not None
+            assert brute == is_switch_cograph(g) == recognize_switch_cograph_fis(g).accepted
 
 
 def test_cograph_switch_certificates_verify():
@@ -124,6 +127,7 @@ def test_cograph_switch_certificates_verify():
 def test_search_budget_enforced():
     tight = Limits(coloring_budget=2)
     with pytest.raises(CapacityError):
-        switch_to_threshold(matching(3), tight)
+        brute_switch_search(matching(3), lambda h: is_threshold(h) is not None, tight)
+    # 3K2 is a cograph, so the certificate search runs and is guarded
     with pytest.raises(CapacityError):
         has_cograph_switch(matching(3), tight)
