@@ -1,10 +1,25 @@
 """Canonical forms via exact search for the minimal adjacency bit-string.
 
 The canonical representative is the relabeling that minimizes the
-column-major upper-triangle bit-string (the graph6 body), found by a
-level-wise search that keeps every prefix-minimal partial order. For
-colored graphs the color sequence is minimized first, so equal forms mean
+column-major upper-triangle bit-string (the graph6 body). For colored
+graphs the sorted color sequence comes first, so equal forms mean
 color-preserving isomorphism, not isomorphism up to color renaming.
+
+The search places one vertex per level and keeps every partial order whose
+columns so far are minimal. A state is an ordered partition of the
+unplaced vertices: cells of vertices with equal profiles (adjacency to the
+placed vertices, earliest placed in the most significant bit), sorted by
+ascending profile. The next column is the profile of the vertex placed
+next, so the candidates are the vertices of the wanted color in the first
+cell that has any. Placing u splits every cell into its non-neighbors
+(profile p << 1) and its neighbors (p << 1 | 1) of u, which keeps the cells
+sorted. States with equal cells have equal futures and merge, and of twin
+candidates (whose transposition is an automorphism) only the lowest is
+tried. This is the ordered-partition view of individualization (McKay and
+Piperno, "Practical graph isomorphism, II", 2014) without refinement to an
+equitable partition, which the minimal-string definition does not allow;
+the search stays exponential on highly symmetric graphs, hence the
+canonical_max_n bound.
 """
 
 from __future__ import annotations
@@ -24,46 +39,67 @@ __all__ = [
 def _min_order(n: int, rows: tuple[int, ...], colors: tuple[int, ...] | None) -> tuple[int, ...]:
     if n == 1:
         return (0,)
-    want = sorted(colors) if colors is not None else [0] * n
-    # A state is (order, profiles): profiles[v] packs v's adjacency to the
-    # placed vertices, earliest placed in the most significant bit. All live
-    # states realize the same minimal (colors, columns) prefix.
-    states: list[tuple[tuple[int, ...], dict[int, int]]] = [((), {v: 0 for v in range(n)})]
+    full = (1 << n) - 1
+    if colors is None:
+        want = [0] * n
+        color_masks = {0: full}
+    else:
+        want = sorted(colors)
+        color_masks = {}
+        for v, c in enumerate(colors):
+            color_masks[c] = color_masks.get(c, 0) | 1 << v
+    # twins[u]: the vertices whose transposition with u is an automorphism.
+    # A vertex cannot have both a true and a false twin, so this is an
+    # equivalence and only the lowest candidate of each class is tried.
+    twins = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rows[u] & ~(1 << v) == rows[v] & ~(1 << u):
+                twins[u] |= 1 << v
+                twins[v] |= 1 << u
+    # states maps cells to the order that reached them first. Cells
+    # partition the unplaced vertices by profile, ascending, where a profile
+    # packs adjacency to the placed vertices, earliest placed in the most
+    # significant bit. All live states realize the same minimal
+    # (colors, columns) prefix.
+    states: dict[tuple[tuple[int, int], ...], tuple[int, ...]] = {((0, full),): ()}
     for level in range(n):
-        target = want[level]
-        picks: list[tuple[int, int, int]] = []
-        best: int | None = None
-        for si, (_, prof) in enumerate(states):
-            ranked = sorted(
-                (p, u) for u, p in prof.items() if colors is None or colors[u] == target
-            )
-            kept: list[tuple[int, int]] = []
-            for p, u in ranked:
-                if best is not None and p > best:
+        target = color_masks[want[level]]
+        best = -1
+        live: list[tuple[tuple[tuple[int, int], ...], tuple[int, ...], int]] = []
+        for cells, order in states.items():
+            # the next column is the first profile that has the wanted color
+            for p, mask in cells:
+                if mask & target:
                     break
-                twin = False
-                for p2, u2 in kept:
-                    # a transposition automorphism makes the branches identical
-                    if p2 == p and rows[u] & ~(1 << u2) == rows[u2] & ~(1 << u):
-                        twin = True
-                        break
-                if twin:
-                    continue
-                kept.append((p, u))
-                picks.append((p, si, u))
-                if best is None or p < best:
-                    best = p
-        merged: dict[tuple, tuple[tuple[int, ...], dict[int, int]]] = {}
-        for p, si, u in picks:
-            if p != best:
+            if best < 0 or p < best:
+                best = p
+                live = []
+            elif p > best:
                 continue
-            order, prof = states[si]
-            nprof = {v: (q << 1) | (rows[v] >> u & 1) for v, q in prof.items() if v != u}
-            key = tuple(sorted(nprof.items()))
-            if key not in merged:
-                merged[key] = (order + (u,), nprof)
-        states = list(merged.values())
-    return states[0][0]
+            live.append((cells, order, mask & target))
+        merged: dict[tuple[tuple[int, int], ...], tuple[int, ...]] = {}
+        for cells, order, cand in live:
+            rest = cand
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                u = low.bit_length() - 1
+                if twins[u] & cand & (low - 1):
+                    continue
+                row = rows[u]
+                other = ~(row | low)  # u itself leaves its cell
+                split: list[tuple[int, int]] = []
+                for p, mask in cells:
+                    if mask & other:
+                        split.append((p << 1, mask & other))
+                    if mask & row:
+                        split.append((p << 1 | 1, mask & row))
+                key = tuple(split)
+                if key not in merged:
+                    merged[key] = order + (u,)
+        states = merged
+    return states[()]
 
 
 def _check_size(n: int, limits: Limits) -> None:

@@ -1,7 +1,8 @@
 """Command-line surface: recognize, verify, obstructions, switch.
 
 Exit codes are a contract: 0 ok or member, 1 non-member or suite failure,
-2 parse or usage error, 3 method disagreement, 4 capacity exceeded.
+2 parse or usage error or a file that cannot be opened, 3 method
+disagreement, 4 capacity exceeded.
 Inputs come from a file or standard input, one graph per line, either
 "<graph6>" or "<graph6> <colorstring>".
 """
@@ -339,7 +340,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     }
     try:
         return dispatch[args.command](args, Limits.from_env())
-    except (GraphParseError, UsageError, ValueError) as exc:
+    except (GraphParseError, UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
     except CapacityError as exc:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .graphs import ColoredGraph, Graph
+from .graphs import Graph
 
 __all__ = ["find_induced_embedding"]
 
@@ -70,8 +70,3 @@ def find_induced_embedding(
         if depth < 0:
             return None
         used ^= 1 << mapping[depth]
-
-
-def embeds_colored(host: ColoredGraph, pattern: ColoredGraph) -> tuple[int, ...] | None:
-    """Convenience wrapper for two ColoredGraph values."""
-    return find_induced_embedding(host.graph, pattern.graph, host.colors, pattern.colors)

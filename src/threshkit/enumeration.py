@@ -13,7 +13,7 @@ from itertools import combinations, product
 
 from .canonical import canonical_colored_graph, canonical_graph
 from .graph6 import color_string, encode_graph6
-from .graphs import ColoredGraph, Graph, bits
+from .graphs import ColoredGraph, Graph, _unchecked_graph, bits
 from .limits import DEFAULT_LIMITS, CapacityError, Limits
 from .records import frozen
 
@@ -49,7 +49,7 @@ def _extend(g: Graph, mask: int) -> Graph:
     for v in bits(mask):
         rows[v] |= 1 << g.n
     rows.append(mask)
-    return Graph(g.n + 1, tuple(rows))
+    return _unchecked_graph(g.n + 1, tuple(rows))
 
 
 @lru_cache(maxsize=None)

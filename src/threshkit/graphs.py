@@ -104,14 +104,15 @@ class Graph:
             for i, u in enumerate(keep):
                 packed |= (row >> u & 1) << i
             rows.append(packed)
-        return Graph(len(keep), tuple(rows))
+        return _unchecked_graph(len(keep), tuple(rows))
 
     def delete_vertex(self, v: int) -> Graph:
         return self.induced(self.full_mask ^ (1 << v))
 
     def complement(self) -> Graph:
         full = self.full_mask
-        return Graph(self.n, tuple(full ^ row ^ (1 << v) for v, row in enumerate(self.rows)))
+        rows = tuple(full ^ row ^ (1 << v) for v, row in enumerate(self.rows))
+        return _unchecked_graph(self.n, rows)
 
     def local_complement(self, x: int) -> Graph:
         """Complement the edges among the neighbors of x."""
@@ -163,7 +164,20 @@ class Graph:
             for u in bits(self.rows[v]):
                 packed |= 1 << pos[u]
             rows[i] = packed
-        return Graph(self.n, tuple(rows))
+        return _unchecked_graph(self.n, tuple(rows))
+
+
+def _unchecked_graph(n: int, rows: tuple[int, ...]) -> Graph:
+    """Graph(n, rows) without validation, for rows valid by construction.
+
+    Only derivations of an already valid graph use it; every graph that
+    enters from outside goes through Graph(...), from_edges or graph6.
+    """
+    g = object.__new__(Graph)
+    fields = g.__dict__
+    fields["n"] = n
+    fields["rows"] = rows
+    return g
 
 
 @frozen

@@ -6,7 +6,7 @@ from typing import Callable
 
 from .canonical import canonical_form, canonical_graph
 from .graph6 import encode_graph6
-from .graphs import Graph
+from .graphs import Graph, _unchecked_graph
 from .limits import DEFAULT_LIMITS, CapacityError, Limits
 from .records import frozen
 from .threshold import is_threshold
@@ -33,7 +33,7 @@ def switch(g: Graph, s: int) -> Graph:
     for v, row in enumerate(g.rows):
         flip = (out if s >> v & 1 else s) & ~(1 << v)
         rows.append(row ^ flip)
-    return Graph(g.n, tuple(rows))
+    return _unchecked_graph(g.n, tuple(rows))
 
 
 @frozen

@@ -197,6 +197,30 @@ def test_verify_failing_report_exits_one(monkeypatch, capsys):
     assert "boom" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["recognize", "--class", "threshold", "--input"],
+        ["switch", "--set", "search", "--input"],
+    ],
+)
+def test_missing_input_file_exits_two(tmp_path, capsys, argv):
+    missing = str(tmp_path / "absent.txt")
+    assert cli.main(argv + [missing]) == cli.USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "absent.txt" in err
+    assert "Traceback" not in err
+
+
+def test_unwritable_verify_out_exits_two(tmp_path, capsys):
+    out_file = tmp_path / "no-such-dir" / "report.txt"
+    args = ["verify", "--suite", "thresholds", "--nmax", "3", "--out", str(out_file)]
+    assert cli.main(args) == cli.USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "report.txt" in err
+    assert not out_file.exists()
+
+
 def test_obstructions_threshold(capsys):
     assert cli.main(["obstructions", "--family", "threshold", "--nmax", "4"]) == cli.OK
     out = capsys.readouterr().out.splitlines()

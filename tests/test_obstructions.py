@@ -2,7 +2,7 @@
 
 from threshkit.canonical import canonical_colored_form, canonical_form
 from threshkit.catalogs import load_catalog
-from threshkit.embed import embeds_colored, find_induced_embedding
+from threshkit.embed import find_induced_embedding
 from threshkit.graphs import ColoredGraph, disjoint_union
 from threshkit.kthreshold import eliminate, general_dialect, is_good, is_special
 from threshkit.named import (
@@ -183,4 +183,6 @@ def test_embed_helpers_agree_with_recognizers():
     assert find_induced_embedding(host, matching(2)) is not None
     colored_host = ColoredGraph(host, (0, 0, 0, 0, 1))
     pattern = ColoredGraph(matching(2), (0, 0, 0, 0))
-    assert embeds_colored(colored_host, pattern)
+    assert find_induced_embedding(
+        colored_host.graph, pattern.graph, colored_host.colors, pattern.colors
+    )

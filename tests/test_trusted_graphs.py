@@ -1,0 +1,98 @@
+"""Unchecked construction of derived graphs, and validation at the boundary.
+
+switch, induced, delete_vertex, relabel, complement and _extend build their
+results without validation, because rows derived from a valid graph are
+valid. Each result must equal the graph the validating constructor builds
+from the same rows; the public constructors must still reject bad rows.
+"""
+
+from itertools import permutations
+
+import pytest
+
+from threshkit.enumeration import EnumerationConfig, _extend, all_graphs
+from threshkit.graph6 import GraphParseError, decode_graph6, encode_graph6
+from threshkit.graphs import Graph
+from threshkit.limits import CapacityError
+from threshkit.named import path_graph
+from threshkit.switching import switch
+
+
+def assert_valid(h: Graph) -> None:
+    assert type(h.n) is int and type(h.rows) is tuple
+    assert h == Graph(h.n, h.rows)
+    assert hash(h) == hash(Graph(h.n, h.rows))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_derived_graphs_equal_validated_graphs(n):
+    for g in all_graphs(EnumerationConfig(n)):
+        assert_valid(g.complement())
+        for mask in range(1, 1 << n):
+            assert_valid(g.induced(mask))
+        for mask in range(1 << n):
+            assert_valid(switch(g, mask))
+            assert_valid(_extend(g, mask))
+        for v in range(n if n > 1 else 0):  # K1 has no nonempty vertex-deleted subgraph
+            assert_valid(g.delete_vertex(v))
+        for order in permutations(range(n)):
+            assert_valid(g.relabel(order))
+
+
+def test_derived_graph_argument_checks_remain():
+    g = path_graph(3)
+    with pytest.raises(ValueError):
+        g.induced(0)
+    with pytest.raises(ValueError):
+        g.induced(0b1000)
+    with pytest.raises(ValueError):
+        g.relabel((0, 0, 1))
+
+
+@pytest.mark.parametrize(
+    "n, rows",
+    [
+        (3, (0b110, 0b001, 0)),  # 0 lists 2 but 2 does not list 0
+        (2, (0b11, 0b01)),  # loop beside a symmetric edge
+        (2, (0b100, 0)),  # row mentions vertex 2
+        (2, (0b10,)),  # too few rows
+        (0, ()),  # no vertices
+        (65, (0,) * 65),  # more than MAX_VERTICES
+    ],
+)
+def test_public_constructor_rejects_bad_rows(n, rows):
+    with pytest.raises(ValueError):
+        Graph(n, rows)
+
+
+def test_from_edges_rejects_loops_and_out_of_range():
+    with pytest.raises(ValueError):
+        Graph.from_edges(3, [(1, 1)])
+    with pytest.raises(ValueError):
+        Graph.from_edges(3, [(0, 3)])
+    with pytest.raises(ValueError):
+        Graph.from_edges(3, [(-1, 2)])
+
+
+def test_boundary_constructors_validate(monkeypatch):
+    text = encode_graph6(path_graph(4))
+    checked = []
+    validate = Graph.__post_init__
+
+    def spy(self):
+        checked.append(self.rows)
+        validate(self)
+
+    monkeypatch.setattr(Graph, "__post_init__", spy)
+    Graph.from_edges(3, [(0, 1)])
+    decode_graph6(text)
+    assert checked == [(0b010, 0b001, 0), (0b0010, 0b0101, 0b1010, 0b0100)]
+
+
+def test_graph6_rejects_what_it_cannot_represent():
+    with pytest.raises(GraphParseError):
+        decode_graph6("?")  # zero vertices
+    with pytest.raises(GraphParseError):
+        decode_graph6("BF")  # nonzero padding bits
+    with pytest.raises(CapacityError):
+        decode_graph6("~?@A" + "?" * 358)  # 65 vertices
