@@ -11,14 +11,15 @@ complete characterization).
 import argparse
 import sys
 
-from threshkit.cli import FAMILY_TABLE, cmd_obstructions
+from threshkit.classes import BY_FAMILY
+from threshkit.cli import cmd_obstructions
 from threshkit.limits import Limits
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--families", nargs="*", default=list(FAMILY_TABLE),
-                        choices=tuple(FAMILY_TABLE), metavar="FAMILY")
+    parser.add_argument("--families", nargs="*", default=list(BY_FAMILY),
+                        choices=tuple(BY_FAMILY), metavar="FAMILY")
     parser.add_argument("--nmax", type=int, default=6)
     args = parser.parse_args()
 

@@ -1,0 +1,181 @@
+"""The classes of `threshkit recognize`, one row each.
+
+A row holds everything the toolkit knows about a class, so adding a class
+means adding a row. Rows call the recognizers through this module's
+globals at call time, so a test or a tracer that replaces a module global
+sees every call a row makes.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Optional
+
+from .graph6 import color_string, encode_graph6
+from .graphs import bits, is_distance_hereditary
+from .kthreshold import (
+    eliminate,
+    general_dialect,
+    is_extended,
+    is_good,
+    is_k_threshold,
+    is_restricted,
+    is_special,
+    neighborhood_shape,
+)
+from .obstructions import (
+    recognize_good_fis,
+    recognize_partitioned_fis,
+    recognize_special_fis,
+    recognize_switch_cograph_fis,
+    recognize_switch_threshold_fis,
+    recognize_threshold_fis,
+)
+from .records import frozen
+from .sequences import format_sequence
+from .switching import has_cograph_switch, is_switch_cograph, switch_to_threshold
+from .threshold import build_threshold_tree, is_threshold
+
+__all__ = ["GraphClass", "ROWS", "BY_NAME", "BY_FAMILY", "BY_CATALOG"]
+
+
+@frozen
+class GraphClass:
+    name: str  # the --class value
+    recognize: Callable  # (graph, k, limits) -> certificate lines of a member, None otherwise
+    fis: Optional[Callable] = None  # graph -> FisResult of the forbidden-subgraph scan
+    family: Optional[str] = None  # the `obstructions --family` value
+    member: Optional[Callable] = None  # limits -> membership predicate at k = 2, for discovery
+    catalog: Optional[str] = None  # names the obstructions discovery finds
+    validates_catalog: bool = True  # member validates catalog; False where a class shares one
+    colored: bool = False  # input is a 2-colored graph
+    takes_k: bool = False  # recognize needs --k
+
+
+def _sequence_lines(seq) -> list[str]:
+    lines = format_sequence(seq).splitlines()
+    if seq.order is not None:
+        lines.append("order " + ",".join(str(v) for v in seq.order))
+    return lines
+
+
+def _coloring_and_sequence(result) -> Optional[list[str]]:
+    if result is None:
+        return None
+    coloring, seq = result
+    return [f"coloring {color_string(coloring)}"] + _sequence_lines(seq)
+
+
+def _switch_cert_lines(cert) -> Optional[list[str]]:
+    if cert is None:
+        return None
+    members = ",".join(str(v) for v in bits(cert.set)) or "-"
+    return [f"switch set {members}", f"target {encode_graph6(cert.target)}"]
+
+
+def _threshold(g, k, limits):
+    if is_threshold(g) is None:
+        return None
+    return _sequence_lines(build_threshold_tree(g))
+
+
+def _partitioned(cg, k, limits):
+    seq = eliminate(cg, general_dialect(2))
+    return None if seq is None else _sequence_lines(seq)
+
+
+def _partitioned_member(limits):
+    dialect = general_dialect(2)
+    return lambda cg: eliminate(cg, dialect) is not None
+
+
+def _good(g, k, limits):
+    if not is_good(g):
+        return None
+    return [f"vertex {x} neighborhood {neighborhood_shape(g, x)}" for x in range(g.n)]
+
+
+ROWS = (
+    GraphClass(
+        "threshold",
+        recognize=_threshold,
+        fis=lambda g: recognize_threshold_fis(g),
+        family="threshold",
+        member=lambda limits: lambda g: is_threshold(g) is not None,
+        catalog="threshold",
+    ),
+    GraphClass(
+        "kthreshold",
+        recognize=lambda g, k, limits: _coloring_and_sequence(is_k_threshold(g, k, limits)),
+        family="kthreshold2",
+        member=lambda limits: lambda g: is_k_threshold(g, 2, limits) is not None,
+        catalog="two_threshold_listed",
+        takes_k=True,
+    ),
+    GraphClass(
+        "special",
+        recognize=lambda g, k, limits: _coloring_and_sequence(is_special(g, limits)),
+        fis=lambda g: recognize_special_fis(g),
+        family="special",
+        member=lambda limits: lambda g: is_special(g, limits) is not None,
+        catalog="special2t",
+    ),
+    # Restricted 2-threshold graphs are the switching class of threshold
+    # graphs, so this class shares the switch-threshold patterns and
+    # catalog; that catalog is validated with the switch search.
+    GraphClass(
+        "restricted",
+        recognize=lambda g, k, limits: _coloring_and_sequence(is_restricted(g, limits)),
+        fis=lambda g: recognize_switch_threshold_fis(g),
+        family="restricted",
+        member=lambda limits: lambda g: is_restricted(g, limits) is not None,
+        catalog="switch_threshold",
+        validates_catalog=False,
+    ),
+    GraphClass(
+        "extended",
+        recognize=lambda g, k, limits: _coloring_and_sequence(is_extended(g, limits)),
+        family="extended",
+        member=lambda limits: lambda g: is_extended(g, limits) is not None,
+    ),
+    GraphClass(
+        "partitioned",
+        recognize=_partitioned,
+        fis=lambda cg: recognize_partitioned_fis(cg),
+        family="partitioned",
+        member=_partitioned_member,
+        catalog="partitioned2t",
+        colored=True,
+    ),
+    GraphClass(
+        "good",
+        recognize=_good,
+        fis=lambda g: recognize_good_fis(g),
+        family="good",
+        member=lambda limits: is_good,
+        catalog="good",
+    ),
+    GraphClass(
+        "switch-threshold",
+        recognize=lambda g, k, limits: _switch_cert_lines(switch_to_threshold(g, limits)),
+        fis=lambda g: recognize_switch_threshold_fis(g),
+        family="switch-threshold",
+        member=lambda limits: lambda g: switch_to_threshold(g, limits) is not None,
+        catalog="switch_threshold",
+    ),
+    GraphClass(
+        "switch-cograph",
+        recognize=lambda g, k, limits: _switch_cert_lines(has_cograph_switch(g, limits)),
+        fis=lambda g: recognize_switch_cograph_fis(g),
+        family="switch-cograph",
+        member=lambda limits: is_switch_cograph,
+        catalog="switch_cograph",
+    ),
+    GraphClass(
+        "distance-hereditary",
+        recognize=lambda g, k, limits: [] if is_distance_hereditary(g) else None,
+    ),
+)
+
+BY_NAME = {row.name: row for row in ROWS}
+BY_FAMILY = {row.family: row for row in ROWS if row.family is not None}
+BY_CATALOG = {row.catalog: row for row in ROWS if row.catalog is not None and row.validates_catalog}

@@ -21,6 +21,7 @@ __all__ = [
     "EnumerationConfig",
     "all_graphs",
     "all_colored_graphs",
+    "check_range",
     "baseline_graphs",
     "raw_extensions",
     "count_family",
@@ -41,6 +42,14 @@ class EnumerationConfig:
 def _check_bound(n: int, limits: Limits) -> None:
     if n > limits.enumeration_max_n:
         raise CapacityError(f"enumeration at n={n} exceeds bound {limits.enumeration_max_n}")
+
+
+def check_range(what: str, n_max: int, limits: Limits = DEFAULT_LIMITS) -> None:
+    """Reject the sizes 1..n_max before any work: an empty range proves
+    nothing, and a size above the bound raises the generator's CapacityError."""
+    if n_max < 1:
+        raise ValueError(f"{what} needs a bound of at least 1, got {n_max}")
+    _check_bound(min(n_max, limits.enumeration_max_n + 1), limits)
 
 
 def _extend(g: Graph, mask: int) -> Graph:

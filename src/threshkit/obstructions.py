@@ -15,13 +15,13 @@ machine verification of the characterizations at small n.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 from .canonical import canonical_colored_form, canonical_form
-from .catalogs import CatalogEntry, load_catalog
+from .catalogs import load_catalog
 from .embed import find_induced_embedding
 from .graphs import ColoredGraph, Graph
-from .enumeration import EnumerationConfig, all_colored_graphs, all_graphs
+from .enumeration import EnumerationConfig, all_colored_graphs, all_graphs, check_range
 from .limits import DEFAULT_LIMITS, Limits
 from .named import named_graphs
 from .records import frozen
@@ -128,11 +128,6 @@ def recognize_partitioned_fis(cg: ColoredGraph) -> FisResult:
     return FisResult(True)
 
 
-def _check_range(n_max: int) -> None:
-    if n_max < 1:
-        raise ValueError(f"obstruction search needs a bound of at least 1, got {n_max}")
-
-
 def find_minimal_obstructions(
     member: Callable[[Graph], bool],
     n_max: int,
@@ -140,7 +135,7 @@ def find_minimal_obstructions(
 ) -> list[Graph]:
     """All canonical non-members with <= n_max vertices whose every
     one-vertex deletion is a member. Sorted by canonical form per level."""
-    _check_range(n_max)
+    check_range("obstruction search", n_max, limits)
     verdicts: dict[str, bool] = {}
     out: list[Graph] = []
     for n in range(1, n_max + 1):
@@ -160,7 +155,7 @@ def find_minimal_colored_obstructions(
     limits: Limits = DEFAULT_LIMITS,
 ) -> list[ColoredGraph]:
     """Colored variant of find_minimal_obstructions, color-preserving dedup."""
-    _check_range(n_max)
+    check_range("obstruction search", n_max, limits)
     verdicts: dict[str, bool] = {}
     out: list[ColoredGraph] = []
     for n in range(1, n_max + 1):

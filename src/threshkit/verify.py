@@ -13,33 +13,16 @@ from __future__ import annotations
 
 import time
 
-from .canonical import canonical_form
+from .canonical import canonical_colored_form, canonical_form
 from .catalogs import FAMILIES, load_catalog, validate_catalog
-from .enumeration import EnumerationConfig, all_colored_graphs, all_graphs
+from .classes import BY_CATALOG, BY_NAME
+from .enumeration import EnumerationConfig, all_colored_graphs, all_graphs, check_range
 from .graph6 import encode_graph6
-from .graphs import Graph, is_distance_hereditary
-from .kthreshold import (
-    SPECIAL,
-    brute_coloring_search,
-    eliminate,
-    general_dialect,
-    is_good,
-    is_k_threshold,
-    is_restricted,
-    is_special,
-)
+from .graphs import Graph
+from .kthreshold import SPECIAL, brute_coloring_search, is_good, is_restricted, is_special
 from .limits import DEFAULT_LIMITS, Limits
 from .named import cycle_graph, disjoint_union, empty_graph, matching
-from .obstructions import (
-    find_minimal_colored_obstructions,
-    find_minimal_obstructions,
-    recognize_good_fis,
-    recognize_partitioned_fis,
-    recognize_special_fis,
-    recognize_switch_cograph_fis,
-    recognize_switch_threshold_fis,
-    recognize_threshold_fis,
-)
+from .obstructions import find_minimal_colored_obstructions, find_minimal_obstructions
 from .records import frozen
 from .sequences import evaluate
 from .switching import (
@@ -199,12 +182,15 @@ def _same_certificate(run: _Run, prefix: str, graph, oracle, fast) -> None:
         run.witness(graph, f"{prefix}: fast certificate differs from the brute-force one")
 
 
-def _check_discovery(run: _Run, prefix: str, found, expected_forms: dict[str, str], colored: bool) -> None:
-    """Compare discovered minimal obstructions against a catalog, both ways."""
-    from .canonical import canonical_colored_form
-
-    form_of = canonical_colored_form if colored else canonical_form
-    found_forms = {form_of(g): g for g in found}
+def _rediscover(run: _Run, cls: str, member, n_max: int, limits: Limits) -> None:
+    """Discover the class's minimal obstructions with at most n_max vertices
+    and compare them with its catalog, both ways."""
+    row, prefix = BY_NAME[cls], f"{cls}.obstructions"
+    form_of = canonical_colored_form if row.colored else canonical_form
+    entries = [e for e in load_catalog(row.catalog).entries if e.graph.n <= n_max]
+    expected_forms = {form_of(e.colored_graph if row.colored else e.graph): e.name for e in entries}
+    find = find_minimal_colored_obstructions if row.colored else find_minimal_obstructions
+    found_forms = {form_of(g): g for g in find(member, n_max, limits)}
     run.set(f"{prefix}.found", len(found_forms))
     run.set(f"{prefix}.expected", len(expected_forms))
     for form, g in sorted(found_forms.items()):
@@ -231,7 +217,7 @@ def suite_thresholds(n_max: int, limits: Limits) -> VerificationReport:
         cert = is_threshold(g)
         _agree(run, "threshold", g, {
             "elimination": cert is not None,
-            "fis": recognize_threshold_fis(g).accepted,
+            "fis": BY_NAME["threshold"].fis(g).accepted,
         })
         if cert is not None:
             rebuilt = evaluate(build_threshold_tree(g))
@@ -244,7 +230,6 @@ def suite_thresholds(n_max: int, limits: Limits) -> VerificationReport:
 def suite_special(n_max: int, limits: Limits) -> VerificationReport:
     """Brute coloring search vs the fast search vs the eight-pattern FIS, plus rediscovery."""
     run = _Run("special", n_max)
-    member = lambda g: is_special(g, limits) is not None
     for g in _graphs_upto(n_max, limits):
         run.bump("graphs.checked")
         oracle = brute_coloring_search(g, SPECIAL, limits)
@@ -252,13 +237,10 @@ def suite_special(n_max: int, limits: Limits) -> VerificationReport:
         _agree(run, "special", g, {
             "brute": oracle is not None,
             "elimination": fast is not None,
-            "fis": recognize_special_fis(g).accepted,
+            "fis": BY_NAME["special"].fis(g).accepted,
         })
         _same_certificate(run, "special", g, oracle, fast)
-    cat = load_catalog("special2t")
-    expected = {canonical_form(e.graph): e.name for e in cat.entries if e.graph.n <= n_max}
-    found = find_minimal_obstructions(member, n_max, limits)
-    _check_discovery(run, "special.obstructions", found, expected, colored=False)
+    _rediscover(run, "special", BY_NAME["special"].member(limits), n_max, limits)
     return run.report()
 
 
@@ -269,37 +251,24 @@ def suite_good(n_max: int, limits: Limits) -> VerificationReport:
         run.bump("graphs.checked")
         _agree(run, "good", g, {
             "shape": is_good(g),
-            "fis": recognize_good_fis(g).accepted,
+            "fis": BY_NAME["good"].fis(g).accepted,
         })
-    cat = load_catalog("good")
-    expected = {canonical_form(e.graph): e.name for e in cat.entries if e.graph.n <= n_max}
-    found = find_minimal_obstructions(is_good, n_max, limits)
-    _check_discovery(run, "good.obstructions", found, expected, colored=False)
+    _rediscover(run, "good", BY_NAME["good"].member(limits), n_max, limits)
     return run.report()
 
 
 def suite_partitioned(n_max: int, limits: Limits) -> VerificationReport:
     """Colored elimination vs the colored FIS on every 2-colored graph."""
     run = _Run("partitioned", n_max)
-    dialect = general_dialect(2)
-    member = lambda cg: eliminate(cg, dialect) is not None
+    member = BY_NAME["partitioned"].member(limits)
     for n in range(1, n_max + 1):
         for cg in all_colored_graphs(n, limits):
             run.bump("graphs.checked")
             _agree(run, "partitioned", cg, {
                 "elimination": member(cg),
-                "fis": recognize_partitioned_fis(cg).accepted,
+                "fis": BY_NAME["partitioned"].fis(cg).accepted,
             })
-    from .canonical import canonical_colored_form
-
-    cat = load_catalog("partitioned2t")
-    expected = {
-        canonical_colored_form(e.colored_graph): e.name
-        for e in cat.entries
-        if e.graph.n <= n_max
-    }
-    found = find_minimal_colored_obstructions(member, n_max, limits)
-    _check_discovery(run, "partitioned.obstructions", found, expected, colored=True)
+    _rediscover(run, "partitioned", member, n_max, limits)
     return run.report()
 
 
@@ -315,43 +284,29 @@ def suite_switching(n_max: int, limits: Limits) -> VerificationReport:
             "brute": oracle is not None,
             "switch_search": fast is not None,
             "elimination": is_restricted(g, limits) is not None,
-            "fis": recognize_switch_threshold_fis(g).accepted,
+            "fis": BY_NAME["switch-threshold"].fis(g).accepted,
         })
         _same_certificate(run, "switch_threshold", g, oracle, fast)
         _agree(run, "switch_cograph", g, {
             "brute": brute_switch_search(g, is_cograph, limits) is not None,
             "switch_search": is_switch_cograph(g),
-            "fis": recognize_switch_cograph_fis(g).accepted,
+            "fis": BY_NAME["switch-cograph"].fis(g).accepted,
         })
     return run.report()
-
-
-def _catalog_members(limits: Limits):
-    dialect = general_dialect(2)
-    return {
-        "threshold": (lambda g: is_threshold(g) is not None, False),
-        "special2t": (lambda g: is_special(g, limits) is not None, False),
-        "good": (is_good, False),
-        "two_threshold_listed": (lambda g: is_k_threshold(g, 2, limits) is not None, False),
-        "partitioned2t": (lambda cg: eliminate(cg, dialect) is not None, True),
-        "switch_threshold": (lambda g: switch_to_threshold(g, limits) is not None, False),
-        "switch_cograph": (is_switch_cograph, False),
-    }
 
 
 def suite_catalogs(n_max: int, limits: Limits) -> VerificationReport:
     """validate_catalog for every shipped family, plus the switching-class cross-check."""
     run = _Run("catalogs", n_max)
-    members = _catalog_members(limits)
     for family in FAMILIES:
-        cat = load_catalog(family)
-        member, colored = members[family]
+        cat, row = load_catalog(family), BY_CATALOG[family]
         run.set(f"catalog.{family}.entries", len(cat.entries))
-        problems = validate_catalog(cat, member, colored=colored)
+        problems = validate_catalog(cat, row.member(limits), colored=row.colored)
         run.set(f"catalog.{family}.problems", len(problems))
         for p in problems:
-            run.witness(p.entry.colored_graph if colored else p.entry.graph,
-                        f"catalog.{family}: {p.entry.name} {p.condition}: {p.detail}")
+            entry = cat.lookup(p.entry)
+            run.witness(entry.colored_graph if row.colored else entry.graph,
+                        f"catalog.{family}: {p.entry} {p.condition}: {p.detail}")
     # The switch-threshold patterns are also computable from first principles:
     # the switching classes of 3K2, C5 and C4+2K1.
     seeds = [matching(3), cycle_graph(5), disjoint_union(cycle_graph(4), empty_graph(2))]
@@ -423,6 +378,6 @@ def run_suite(name: str, n_max: int | None = None, limits: Limits = DEFAULT_LIMI
         n_max = default_n
     # every suite but catalogs (default bound 0) enumerates 1..n_max and
     # would pass vacuously on an empty range
-    if default_n > 0 and n_max < 1:
-        raise ValueError(f"suite {name} needs a bound of at least 1, got {n_max}")
+    if default_n > 0:
+        check_range(f"suite {name}", n_max, limits)
     return fn(n_max, limits)

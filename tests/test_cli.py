@@ -4,6 +4,7 @@ import io
 
 import pytest
 
+import threshkit.classes as classes
 import threshkit.cli as cli
 from threshkit.canonical import canonical_form
 from threshkit.graph6 import encode_graph6
@@ -158,7 +159,7 @@ def test_obstructions_empty_range_exits_two(capsys, nmax):
 
 def test_capacity_exit_precedes_fis_under_both(tmp_path, monkeypatch, capsys):
     scanned = []
-    monkeypatch.setitem(cli._FIS_RECOGNIZERS, "special", lambda g: scanned.append(g))
+    monkeypatch.setattr(classes, "recognize_special_fis", lambda g: scanned.append(g))
     monkeypatch.setenv("THRESHKIT_ELIMINATION_MAX_N", "4")
     path = _input_file(tmp_path, encode_graph6(cycle_graph(5)))
     args = ["recognize", "--class", "special", "--method", "both", "--input", path]
@@ -173,7 +174,7 @@ def test_verify_capacity_exit_via_env(monkeypatch, capsys):
 
 def test_disagreement_exit_three(tmp_path, monkeypatch, capsys):
     lying = lambda g: FisResult(False, "p4", (0, 1))
-    monkeypatch.setitem(cli._FIS_RECOGNIZERS, "threshold", lying)
+    monkeypatch.setattr(classes, "recognize_threshold_fis", lying)
     path = _input_file(tmp_path, encode_graph6(complete_graph(2)))
     assert cli.main(["recognize", "--class", "threshold", "--input", path]) == cli.DISAGREE
     assert "DISAGREEMENT" in capsys.readouterr().out
@@ -212,13 +213,16 @@ def test_missing_input_file_exits_two(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
-def test_unwritable_verify_out_exits_two(tmp_path, capsys):
+def test_unwritable_verify_out_exits_two(tmp_path, monkeypatch, capsys):
+    ran = []
+    monkeypatch.setattr(cli, "run_suite", lambda *args: ran.append(args))
     out_file = tmp_path / "no-such-dir" / "report.txt"
     args = ["verify", "--suite", "thresholds", "--nmax", "3", "--out", str(out_file)]
     assert cli.main(args) == cli.USAGE
     err = capsys.readouterr().err
     assert err.startswith("error:") and "report.txt" in err
     assert not out_file.exists()
+    assert ran == []  # the path is opened before the suite runs
 
 
 def test_obstructions_threshold(capsys):

@@ -2,6 +2,12 @@
 
 import pytest
 
+import threshkit.classes as classes
+import threshkit.obstructions as obstructions
+import threshkit.verify as verify
+from threshkit.catalogs import load_catalog
+from threshkit.graph6 import encode_graph6
+from threshkit.limits import CapacityError, Limits
 from threshkit.named import complete_graph, path_graph
 from threshkit.graphs import ColoredGraph
 from threshkit.verify import (
@@ -157,3 +163,47 @@ def test_counts_suite_reports_both_derivations():
     assert rep.count("enumeration.n4") == 11
     assert rep.count("threshold.generated.n5") == 16
     assert rep.count("threshold.recognized.n4") == 8
+
+
+@pytest.fixture
+def enumerations(monkeypatch):
+    """Records every call that enumerates graphs, in the suites and in discovery."""
+    calls = []
+    for module in (verify, obstructions):
+        for name in ("all_graphs", "all_colored_graphs"):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *args, _real=real, _name=name: calls.append(_name) or _real(*args))
+    return calls
+
+
+@pytest.mark.parametrize("name", [name for name in SUITE_NAMES if name != "catalogs"])
+def test_suite_capacity_error_precedes_enumeration(enumerations, name):
+    with pytest.raises(CapacityError, match="^enumeration at n=7 exceeds bound 6$"):
+        run_suite(name, 9, Limits(enumeration_max_n=6))
+    assert enumerations == []
+
+
+@pytest.mark.parametrize("find", [obstructions.find_minimal_obstructions,
+                                  obstructions.find_minimal_colored_obstructions])
+def test_discovery_capacity_error_precedes_enumeration(enumerations, find):
+    with pytest.raises(CapacityError, match="^enumeration at n=7 exceeds bound 6$"):
+        find(lambda g: True, 7, Limits(enumeration_max_n=6))
+    assert enumerations == []
+
+
+def test_enumeration_within_the_bound_still_runs(enumerations):
+    assert run_suite("thresholds", 3, Limits(enumeration_max_n=3)).ok
+    assert enumerations == ["all_graphs"] * 3
+
+
+def test_catalog_problems_become_witnesses(monkeypatch):
+    # a predicate that accepts every graph rejects no catalog entry
+    monkeypatch.setattr(classes, "is_good", lambda g: True)
+    rep = run_suite("catalogs")
+    cat = load_catalog("good")
+    assert rep.count("catalog.good.problems") == len(cat.entries)
+    assert {(w.graph6, w.detail) for w in rep.witnesses} == {
+        (encode_graph6(e.graph), f"catalog.good: {e.name} rejected: entry accepted by recognizer")
+        for e in cat.entries
+    }
