@@ -36,6 +36,21 @@ __all__ = [
 ]
 
 
+def _twin_masks(n: int, rows: tuple[int, ...]) -> list[int]:
+    """twins[u]: the vertices whose transposition with u is an automorphism.
+
+    A vertex cannot have both a true and a false twin, so twinhood is an
+    equivalence, and twins[u] | 1 << u is the twin class of u.
+    """
+    twins = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rows[u] & ~(1 << v) == rows[v] & ~(1 << u):
+                twins[u] |= 1 << v
+                twins[v] |= 1 << u
+    return twins
+
+
 def _min_order(n: int, rows: tuple[int, ...], colors: tuple[int, ...] | None) -> tuple[int, ...]:
     if n == 1:
         return (0,)
@@ -48,15 +63,8 @@ def _min_order(n: int, rows: tuple[int, ...], colors: tuple[int, ...] | None) ->
         color_masks = {}
         for v, c in enumerate(colors):
             color_masks[c] = color_masks.get(c, 0) | 1 << v
-    # twins[u]: the vertices whose transposition with u is an automorphism.
-    # A vertex cannot have both a true and a false twin, so this is an
-    # equivalence and only the lowest candidate of each class is tried.
-    twins = [0] * n
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rows[u] & ~(1 << v) == rows[v] & ~(1 << u):
-                twins[u] |= 1 << v
-                twins[v] |= 1 << u
+    # only the lowest candidate of each twin class is tried
+    twins = _twin_masks(n, rows)
     # states maps cells to the order that reached them first. Cells
     # partition the unplaced vertices by profile, ascending, where a profile
     # packs adjacency to the placed vertices, earliest placed in the most

@@ -65,9 +65,9 @@ def cmd_recognize(args, limits: Limits) -> int:
         g = parse_graph_line(line)
         colored = isinstance(g, ColoredGraph)
         if colored and not row.colored:
-            raise GraphParseError(f"class {cls} takes uncolored input")
+            raise UsageError(f"class {cls} takes uncolored input")
         if not colored and row.colored:
-            raise GraphParseError(f"class {cls} needs '<graph6> <colorstring>' input")
+            raise UsageError(f"class {cls} needs '<graph6> <colorstring>' input")
 
         if method == "fis":
             res = fis(g)
@@ -141,7 +141,7 @@ def cmd_switch(args, limits: Limits) -> int:
     for line in _read_lines(args.input):
         g = parse_graph_line(line)
         if isinstance(g, ColoredGraph):
-            raise GraphParseError("switch takes uncolored input")
+            raise UsageError("switch takes uncolored input")
         if args.set == "search":
             certificate = BY_NAME["switch-threshold"].recognize(g, None, limits)
             if certificate is None:

@@ -1,4 +1,12 @@
-"""Induced-subgraph embedding search, optionally color-preserving."""
+"""Induced-subgraph embedding search, optionally color-preserving.
+
+Each pattern vertex keeps its host candidates as one bitmask (Ullmann, "An
+algorithm for subgraph isomorphism", 1976): the host vertices of large
+enough degree and matching color, narrowed by the image of each earlier
+pattern vertex to its neighbours or non-neighbours. Neither narrowing keeps
+the image itself, so no used-vertex set is needed. Candidates are tried
+lowest first, so the first embedding found is the lexicographically first.
+"""
 
 from __future__ import annotations
 
@@ -23,50 +31,40 @@ def find_induced_embedding(
     p, h = pattern.n, host.n
     if p > h:
         return None
-    hdeg = host.degrees
-    pdeg = pattern.degrees
+    hrows, prows = host.rows, pattern.rows
+    full = host.full_mask
+    # at_least[k]: the host vertices of degree >= k
+    at_least = [0] * (h + 1)
+    for v, k in enumerate(host.degrees):
+        at_least[k] |= 1 << v
+    for k in range(h - 1, -1, -1):
+        at_least[k] |= at_least[k + 1]
+    base = [at_least[k] for k in pattern.degrees]
+    if host_coloring is not None:
+        by_color: dict[int, int] = {}
+        for v, c in enumerate(host_coloring):
+            by_color[c] = by_color.get(c, 0) | 1 << v
+        base = [mask & by_color.get(c, 0) for mask, c in zip(base, pattern_coloring)]
+    # non_rows[v]: the host vertices other than v that v is not adjacent to
+    non_rows = [full ^ row ^ (1 << v) for v, row in enumerate(hrows)]
     mapping = [0] * p
-    used = 0
-    # per-depth host masks implied by the pattern adjacency so far
-    need = [0] * p
-    forbid = [0] * p
+    left = [0] * p  # the candidates of each depth not tried yet
+    left[0] = base[0]
     depth = 0
-    cursor = [0] * p
-    while True:
-        if cursor[depth] == 0 and depth > 0:
-            prow = pattern.rows[depth]
-            na = nf = 0
-            for j in range(depth):
-                if prow >> j & 1:
-                    na |= 1 << mapping[j]
-                else:
-                    nf |= 1 << mapping[j]
-            need[depth] = na
-            forbid[depth] = nf
-        placed = False
-        v = cursor[depth]
-        while v < h:
-            if (
-                not used >> v & 1
-                and hdeg[v] >= pdeg[depth]
-                and (host_coloring is None or host_coloring[v] == pattern_coloring[depth])
-            ):
-                row = host.rows[v]
-                if row & need[depth] == need[depth] and not row & forbid[depth]:
-                    mapping[depth] = v
-                    cursor[depth] = v + 1
-                    used |= 1 << v
-                    placed = True
-                    break
-            v += 1
-        if placed:
-            if depth == p - 1:
-                return tuple(mapping)
-            depth += 1
-            cursor[depth] = 0
+    while depth >= 0:
+        cand = left[depth]
+        if not cand:
+            depth -= 1
             continue
-        cursor[depth] = 0
-        depth -= 1
-        if depth < 0:
-            return None
-        used ^= 1 << mapping[depth]
+        low = cand & -cand
+        left[depth] = cand ^ low
+        mapping[depth] = low.bit_length() - 1
+        if depth == p - 1:
+            return tuple(mapping)
+        depth += 1
+        prow = prows[depth]
+        mask = base[depth]
+        for j in range(depth):
+            mask &= hrows[mapping[j]] if prow >> j & 1 else non_rows[mapping[j]]
+        left[depth] = mask
+    return None

@@ -1,9 +1,13 @@
 """Isomorph-free exhaustive generation of small graphs and 2-colored graphs.
 
 The production generator extends each canonical (n-1)-vertex representative
-by every neighbor subset for a new vertex and dedups by canonical form; the
-edge-subset baseline generator exists as the trivially correct oracle and
-the two are cross-checked in the test suite.
+by a new vertex and dedups by canonical form. It skips two kinds of
+neighbor subsets whose extension is isomorphic to a kept one: those that
+are not lowest-first within a twin class, and those that leave the new
+vertex short of maximum degree; colorings are likewise sorted within twin
+classes. The edge-subset baseline generator exists as the trivially correct
+oracle, raw_extensions keeps every subset, and the test suite cross-checks
+them.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, product
 
-from .canonical import canonical_colored_graph, canonical_graph
+from .canonical import _twin_masks, canonical_colored_graph, canonical_graph
 from .graph6 import color_string, encode_graph6
 from .graphs import ColoredGraph, Graph, _unchecked_graph, bits
 from .limits import DEFAULT_LIMITS, CapacityError, Limits
@@ -61,13 +65,45 @@ def _extend(g: Graph, mask: int) -> Graph:
     return _unchecked_graph(g.n + 1, tuple(rows))
 
 
+def _twin_classes(g: Graph) -> list[int]:
+    """The twin classes of g with two or more vertices, as vertex masks."""
+    return list({t | 1 << u for u, t in enumerate(_twin_masks(g.n, g.rows)) if t})
+
+
+def _extension_masks(h: Graph) -> list[int]:
+    """Neighbour sets of a new vertex whose extensions of h still reach
+    every isomorphism class that all 2^n of them reach.
+
+    Twins of h can be exchanged, so within each twin class the chosen
+    vertices are the lowest of the class. Every graph extends one of its
+    vertex-deleted subgraphs by a vertex of maximum degree, so the new
+    vertex has maximum degree in the child: no vertex of h has degree
+    above |mask|, and none of degree |mask| is chosen. Neither rule changes
+    the other's verdict, because exchanging twins keeps every degree.
+    """
+    top = max(h.degrees)
+    of_degree = [0] * (h.n + 1)
+    for v, d in enumerate(h.degrees):
+        of_degree[d] |= 1 << v
+    classes = _twin_classes(h)
+    out = []
+    for mask in range(1 << h.n):
+        k = mask.bit_count()
+        if k < top or mask & of_degree[k]:
+            continue
+        # an unchosen vertex of a class below a chosen one
+        if not any(cls & ~mask & ((1 << (mask & cls).bit_length()) - 1) for cls in classes):
+            out.append(mask)
+    return out
+
+
 @lru_cache(maxsize=None)
 def _representatives(n: int) -> tuple[Graph, ...]:
     if n == 1:
         return (Graph(1, (0,)),)
     seen: dict[str, Graph] = {}
     for h in _representatives(n - 1):
-        for mask in range(1 << h.n):
+        for mask in _extension_masks(h):
             canon = canonical_graph(_extend(h, mask))
             seen.setdefault(encode_graph6(canon), canon)
     return tuple(seen[form] for form in sorted(seen))
@@ -88,11 +124,23 @@ def all_graphs(cfg: EnumerationConfig, limits: Limits = DEFAULT_LIMITS) -> tuple
     return reps
 
 
+def _twin_sorted_colorings(g: Graph) -> list[tuple[int, ...]]:
+    """The 2-colorings of g that are non-decreasing within every twin
+    class; exchanging twins turns any other coloring into one of these."""
+    classes = _twin_classes(g)
+    out = []
+    for white in range(1 << g.n):
+        # -chosen: the bits from the lowest white vertex of the class up
+        if not any(cls & ~white & -(white & cls) for cls in classes):
+            out.append(tuple(white >> v & 1 for v in range(g.n)))
+    return out
+
+
 @lru_cache(maxsize=None)
 def _colored_representatives(n: int) -> tuple[ColoredGraph, ...]:
     seen: dict[str, ColoredGraph] = {}
     for g in _representatives(n):
-        for colors in product((0, 1), repeat=n):
+        for colors in _twin_sorted_colorings(g):
             canon = canonical_colored_graph(ColoredGraph(g, colors))
             form = f"{encode_graph6(canon.graph)} {color_string(canon.colors)}"
             seen.setdefault(form, canon)

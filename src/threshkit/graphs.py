@@ -131,22 +131,7 @@ class Graph:
 
     def components(self) -> list[int]:
         """Connected components as vertex masks, ordered by lowest vertex."""
-        comps = []
-        seen = 0
-        for v in range(self.n):
-            if seen >> v & 1:
-                continue
-            comp = 0
-            frontier = 1 << v
-            while frontier:
-                comp |= frontier
-                grow = 0
-                for u in bits(frontier):
-                    grow |= self.rows[u]
-                frontier = grow & ~comp
-            comps.append(comp)
-            seen |= comp
-        return comps
+        return _components(self.rows, self.full_mask)
 
     def is_connected(self) -> bool:
         return len(self.components()) == 1
@@ -165,6 +150,26 @@ class Graph:
                 packed |= 1 << pos[u]
             rows[i] = packed
         return _unchecked_graph(self.n, tuple(rows))
+
+
+def _components(rows: Sequence[int], mask: int) -> list[int]:
+    """Components of the subgraph that rows induce on the vertices of mask,
+    as vertex masks ordered by lowest vertex."""
+    comps = []
+    while mask:
+        comp = 0
+        frontier = mask & -mask
+        while frontier:
+            comp |= frontier
+            grow = 0
+            while frontier:
+                low = frontier & -frontier
+                grow |= rows[low.bit_length() - 1]
+                frontier ^= low
+            frontier = grow & mask & ~comp
+        comps.append(comp)
+        mask ^= comp
+    return comps
 
 
 def _unchecked_graph(n: int, rows: tuple[int, ...]) -> Graph:
@@ -190,7 +195,7 @@ class ColoredGraph:
     def __post_init__(self) -> None:
         if len(self.colors) != self.graph.n:
             raise ValueError("color count does not match vertex count")
-        if any(c < 0 for c in self.colors):
+        if min(self.colors) < 0:
             raise ValueError("negative color index")
 
     @property

@@ -56,7 +56,7 @@ def eliminate(cg: ColoredGraph, dialect: Dialect) -> BuildSequence | None:
     correct rejection. The returned sequence evaluates back to cg exactly.
     """
     g, colors = cg.graph, cg.colors
-    if any(c >= dialect.k for c in colors):
+    if max(colors) >= dialect.k:
         raise ValueError(f"colors exceed dialect color count {dialect.k}")
     by_color = [0] * dialect.k
     for v, c in enumerate(colors):

@@ -20,6 +20,7 @@ from typing import Callable, Optional, Sequence
 from .canonical import canonical_colored_form, canonical_form
 from .catalogs import load_catalog
 from .embed import find_induced_embedding
+from .graph6 import color_string, encode_graph6
 from .graphs import ColoredGraph, Graph
 from .enumeration import EnumerationConfig, all_colored_graphs, all_graphs, check_range
 from .limits import DEFAULT_LIMITS, Limits
@@ -58,6 +59,7 @@ def _scan(g: Graph, patterns: Sequence[tuple[str, Graph]]) -> FisResult:
     return FisResult(True)
 
 
+@lru_cache(maxsize=None)
 def _catalog_patterns(family: str) -> tuple[tuple[str, Graph], ...]:
     cat = load_catalog(family)
     return tuple(sorted(((e.name, e.graph) for e in cat.entries),
@@ -141,7 +143,7 @@ def find_minimal_obstructions(
     for n in range(1, n_max + 1):
         for g in all_graphs(EnumerationConfig(n), limits):
             ok = bool(member(g))
-            verdicts[canonical_form(g)] = ok
+            verdicts[encode_graph6(g)] = ok  # g is canonical, so this is its form
             if ok or n == 1:
                 continue
             if all(verdicts[canonical_form(g.delete_vertex(v))] for v in range(n)):
@@ -161,7 +163,8 @@ def find_minimal_colored_obstructions(
     for n in range(1, n_max + 1):
         for cg in all_colored_graphs(n, limits):
             ok = bool(member(cg))
-            verdicts[canonical_colored_form(cg)] = ok
+            # cg is canonical, so this is its form
+            verdicts[f"{encode_graph6(cg.graph)} {color_string(cg.colors)}"] = ok
             if ok or n == 1:
                 continue
             if all(verdicts[canonical_colored_form(cg.delete_vertex(v))]

@@ -6,7 +6,7 @@ from typing import Callable
 
 from .canonical import canonical_form, canonical_graph
 from .graph6 import encode_graph6
-from .graphs import Graph, _unchecked_graph
+from .graphs import Graph, _components, _unchecked_graph
 from .limits import DEFAULT_LIMITS, CapacityError, Limits
 from .records import frozen
 from .threshold import is_threshold
@@ -105,18 +105,24 @@ def switching_class_graphs(g: Graph, limits: Limits = DEFAULT_LIMITS) -> tuple[G
 
 
 def is_cograph(g: Graph) -> bool:
-    """Every induced subgraph with >= 2 vertices splits under union or join."""
-    stack = [g]
+    """Every induced subgraph with >= 2 vertices splits under union or join.
+
+    The parts are vertex masks of g itself: the components of a part under
+    g's rows, or else its co-components under the complement's rows.
+    """
+    full = g.full_mask
+    co_rows = [full ^ row ^ (1 << v) for v, row in enumerate(g.rows)]
+    stack = [full]
     while stack:
-        h = stack.pop()
-        if h.n == 1:
+        mask = stack.pop()
+        if not mask & (mask - 1):
             continue
-        parts = h.components()
+        parts = _components(g.rows, mask)
         if len(parts) == 1:
-            parts = h.complement().components()
+            parts = _components(co_rows, mask)
             if len(parts) == 1:
                 return False
-        stack.extend(h.induced(p) for p in parts)
+        stack.extend(parts)
     return True
 
 

@@ -86,12 +86,19 @@ def test_partitioned_needs_colored_input(tmp_path, capsys):
     path = _input_file(tmp_path, encode_graph6(path_graph(3)))
     args = ["recognize", "--class", "partitioned", "--input", path]
     assert cli.main(args) == cli.USAGE
+    # a usage error, not a parse error with a byte offset
+    assert capsys.readouterr().err == (
+        "error: class partitioned needs '<graph6> <colorstring>' input\n"
+    )
 
 
 def test_colored_input_rejected_elsewhere(tmp_path, capsys):
     path = _input_file(tmp_path, encode_graph6(path_graph(3)) + " bww")
     args = ["recognize", "--class", "threshold", "--input", path]
     assert cli.main(args) == cli.USAGE
+    assert capsys.readouterr().err == "error: class threshold takes uncolored input\n"
+    assert cli.main(["switch", "--set", "0", "--input", path]) == cli.USAGE
+    assert capsys.readouterr().err == "error: switch takes uncolored input\n"
 
 
 def test_partitioned_colored_member(tmp_path, capsys):

@@ -1,15 +1,84 @@
-"""Induced-subgraph search against a brute-force permutation oracle."""
+"""Induced-subgraph search against a brute-force permutation oracle, and
+against the vertex-by-vertex scan it replaced."""
 
 from itertools import combinations, permutations
 
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from threshkit.catalogs import FAMILIES, load_catalog
 from threshkit.embed import find_induced_embedding
+from threshkit.enumeration import EnumerationConfig, all_colored_graphs, all_graphs
 from threshkit.graphs import ColoredGraph
 from threshkit.named import complete_graph, cycle_graph, empty_graph, path_graph
+from threshkit.obstructions import switch_threshold_patterns
 
 from strategies import colored_graphs, graphs
+
+
+def oracle_find_induced_embedding(host, pattern, host_coloring=None, pattern_coloring=None):
+    """The earlier search: at each depth, test every host vertex in turn for
+    being unused, of large enough degree, of the right color, and adjacent
+    to exactly the images of the earlier pattern neighbours."""
+    p, h = pattern.n, host.n
+    if p > h:
+        return None
+    hdeg = host.degrees
+    pdeg = pattern.degrees
+    mapping = [0] * p
+    used = 0
+    need = [0] * p
+    forbid = [0] * p
+    depth = 0
+    cursor = [0] * p
+    while True:
+        if cursor[depth] == 0 and depth > 0:
+            prow = pattern.rows[depth]
+            na = nf = 0
+            for j in range(depth):
+                if prow >> j & 1:
+                    na |= 1 << mapping[j]
+                else:
+                    nf |= 1 << mapping[j]
+            need[depth] = na
+            forbid[depth] = nf
+        placed = False
+        v = cursor[depth]
+        while v < h:
+            if (
+                not used >> v & 1
+                and hdeg[v] >= pdeg[depth]
+                and (host_coloring is None or host_coloring[v] == pattern_coloring[depth])
+            ):
+                row = host.rows[v]
+                if row & need[depth] == need[depth] and not row & forbid[depth]:
+                    mapping[depth] = v
+                    cursor[depth] = v + 1
+                    used |= 1 << v
+                    placed = True
+                    break
+            v += 1
+        if placed:
+            if depth == p - 1:
+                return tuple(mapping)
+            depth += 1
+            cursor[depth] = 0
+            continue
+        cursor[depth] = 0
+        depth -= 1
+        if depth < 0:
+            return None
+        used ^= 1 << mapping[depth]
+
+
+def _catalog_graphs():
+    """Every catalog pattern, uncolored, plus the computed switch-threshold ones."""
+    out = [e.graph for family in FAMILIES for e in load_catalog(family).entries]
+    return out + [g for _, g in switch_threshold_patterns()]
+
+
+def _colored_catalog_graphs():
+    return [e.colored_graph for e in load_catalog("partitioned2t").entries]
 
 
 def brute_embedding_exists(host, pattern):
@@ -71,3 +140,35 @@ def test_colored_embedding_blocks_on_color():
         find_induced_embedding(recolored.graph, pattern.graph, recolored.colors, pattern.colors)
         is not None
     )
+
+
+def test_equals_oracle_on_every_small_host():
+    patterns = _catalog_graphs()
+    patterns += [g for n in range(1, 5) for g in all_graphs(EnumerationConfig(n))]
+    for n in range(1, 7):
+        for host in all_graphs(EnumerationConfig(n)):
+            for pattern in patterns:
+                assert find_induced_embedding(host, pattern) == oracle_find_induced_embedding(
+                    host, pattern
+                )
+
+
+def test_colored_equals_oracle_on_every_small_host():
+    patterns = _colored_catalog_graphs()
+    patterns += [cg for n in range(1, 4) for cg in all_colored_graphs(n)]
+    for n in range(1, 6):
+        for host in all_colored_graphs(n):
+            for pattern in patterns:
+                args = (host.graph, pattern.graph, host.colors, pattern.colors)
+                assert find_induced_embedding(*args) == oracle_find_induced_embedding(*args)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(min_n=8, max_n=14), graphs(max_n=6), st.randoms(use_true_random=False))
+def test_equals_oracle_on_larger_hosts(host, drawn, rnd):
+    for pattern in _catalog_graphs() + [drawn]:
+        assert find_induced_embedding(host, pattern) == oracle_find_induced_embedding(host, pattern)
+    host_colors = tuple(rnd.randrange(2) for _ in range(host.n))
+    for pattern in _colored_catalog_graphs() + [ColoredGraph(drawn, (0,) * drawn.n)]:
+        args = (host, pattern.graph, host_colors, pattern.colors)
+        assert find_induced_embedding(*args) == oracle_find_induced_embedding(*args)

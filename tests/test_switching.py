@@ -16,7 +16,7 @@ from threshkit.named import (
     matching,
     path_graph,
 )
-from threshkit.graphs import disjoint_union
+from threshkit.graphs import Graph, disjoint_union, join
 from threshkit.obstructions import recognize_switch_cograph_fis
 from threshkit.switching import (
     brute_switch_search,
@@ -99,6 +99,54 @@ def test_switch_certificates_verify():
             if cert is not None:
                 assert switch(g, cert.set) == cert.target
                 assert is_threshold(cert.target) is not None
+
+
+def oracle_is_cograph(g):
+    """The earlier test: split induced Graph objects into components, or
+    into the components of their complement."""
+    stack = [g]
+    while stack:
+        h = stack.pop()
+        if h.n == 1:
+            continue
+        parts = h.components()
+        if len(parts) == 1:
+            parts = h.complement().components()
+            if len(parts) == 1:
+                return False
+        stack.extend(h.induced(p) for p in parts)
+    return True
+
+
+@st.composite
+def cographs_with_a_flip(draw, max_n=14):
+    """A random cograph built by unions and joins, relabeled, then with
+    one vertex pair toggled when the flag drawn says so."""
+    parts = [Graph(1, (0,))] * draw(st.integers(1, max_n))
+    while len(parts) > 1:
+        i = draw(st.integers(0, len(parts) - 2))
+        combine = join if draw(st.booleans()) else disjoint_union
+        parts[i : i + 2] = [combine(parts[i], parts[i + 1])]
+    g = parts[0].relabel(draw(st.permutations(range(parts[0].n))))
+    if g.n >= 2 and draw(st.booleans()):
+        u, v = draw(st.lists(st.integers(0, g.n - 1), min_size=2, max_size=2, unique=True))
+        rows = list(g.rows)
+        rows[u] ^= 1 << v
+        rows[v] ^= 1 << u
+        g = Graph(g.n, tuple(rows))
+    return g
+
+
+def test_is_cograph_equals_oracle_up_to_n7():
+    for n in range(1, 8):
+        for g in all_graphs(EnumerationConfig(n)):
+            assert is_cograph(g) == oracle_is_cograph(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(graphs(min_n=8, max_n=14), cographs_with_a_flip()))
+def test_is_cograph_equals_oracle_on_larger_graphs(g):
+    assert is_cograph(g) == oracle_is_cograph(g)
 
 
 def test_is_cograph_matches_p4_free():
