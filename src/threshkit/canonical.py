@@ -25,7 +25,7 @@ canonical_max_n bound.
 from __future__ import annotations
 
 from .graph6 import color_string, encode_graph6
-from .graphs import ColoredGraph, Graph
+from .graphs import ColoredGraph, Graph, _unchecked_colored
 from .limits import DEFAULT_LIMITS, CapacityError, Limits
 
 __all__ = [
@@ -128,7 +128,7 @@ def canonical_form(g: Graph, limits: Limits = DEFAULT_LIMITS) -> str:
 def canonical_colored_graph(cg: ColoredGraph, limits: Limits = DEFAULT_LIMITS) -> ColoredGraph:
     _check_size(cg.n, limits)
     order = _min_order(cg.n, cg.graph.rows, cg.colors)
-    return ColoredGraph(cg.graph.relabel(order), tuple(cg.colors[v] for v in order))
+    return _unchecked_colored(cg.graph.relabel(order), tuple(cg.colors[v] for v in order))
 
 
 def canonical_colored_form(cg: ColoredGraph, limits: Limits = DEFAULT_LIMITS) -> str:

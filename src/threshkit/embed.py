@@ -6,32 +6,40 @@ enough degree and matching color, narrowed by the image of each earlier
 pattern vertex to its neighbours or non-neighbours. Neither narrowing keeps
 the image itself, so no used-vertex set is needed. Candidates are tried
 lowest first, so the first embedding found is the lexicographically first.
+
+A forbidden-subgraph scan tries a whole pattern list against one host, so
+find_first_embedding builds the host's tables (vertices by least degree, by
+color, and non-neighbour rows) once for the list. A pattern with a vertex
+whose starting candidate mask is empty cannot embed and is skipped without
+a search.
 """
 
 from __future__ import annotations
 
+from typing import Optional, Sequence
+
 from .graphs import Graph
 
-__all__ = ["find_induced_embedding"]
+__all__ = ["find_first_embedding", "find_induced_embedding"]
+
+# (name, pattern graph, pattern colors or None)
+Pattern = tuple[Optional[str], Graph, Optional[tuple[int, ...]]]
 
 
-def find_induced_embedding(
+def find_first_embedding(
     host: Graph,
-    pattern: Graph,
+    patterns: Sequence[Pattern],
     host_coloring: tuple[int, ...] | None = None,
-    pattern_coloring: tuple[int, ...] | None = None,
-) -> tuple[int, ...] | None:
-    """First injective map (in lexicographic order) realizing pattern as an
-    induced subgraph of host; None if there is none.
+) -> tuple[Optional[str], tuple[int, ...]] | None:
+    """(name, embedding) for the first pattern in list order that embeds in
+    host as an induced subgraph, with its lexicographically first
+    embedding; None if no pattern does.
 
-    With both colorings supplied the embedding must preserve colors exactly.
+    Pattern colors are given exactly when host_coloring is, and then every
+    embedding must preserve colors exactly.
     """
-    if (host_coloring is None) != (pattern_coloring is None):
-        raise ValueError("supply both colorings or neither")
-    p, h = pattern.n, host.n
-    if p > h:
-        return None
-    hrows, prows = host.rows, pattern.rows
+    h = host.n
+    hrows = host.rows
     full = host.full_mask
     # at_least[k]: the host vertices of degree >= k
     at_least = [0] * (h + 1)
@@ -39,14 +47,34 @@ def find_induced_embedding(
         at_least[k] |= 1 << v
     for k in range(h - 1, -1, -1):
         at_least[k] |= at_least[k + 1]
-    base = [at_least[k] for k in pattern.degrees]
+    by_color: dict[int, int] = {}
     if host_coloring is not None:
-        by_color: dict[int, int] = {}
         for v, c in enumerate(host_coloring):
             by_color[c] = by_color.get(c, 0) | 1 << v
-        base = [mask & by_color.get(c, 0) for mask, c in zip(base, pattern_coloring)]
     # non_rows[v]: the host vertices other than v that v is not adjacent to
     non_rows = [full ^ row ^ (1 << v) for v, row in enumerate(hrows)]
+    for name, pattern, colors in patterns:
+        if (colors is None) != (host_coloring is None):
+            raise ValueError("supply both colorings or neither")
+        if pattern.n > h:
+            continue
+        if colors is None:
+            base = [at_least[k] for k in pattern.degrees]
+        else:
+            base = [at_least[k] & by_color.get(c, 0) for k, c in zip(pattern.degrees, colors)]
+        if not all(base):
+            continue
+        embedding = _search(hrows, non_rows, pattern.rows, base)
+        if embedding is not None:
+            return name, embedding
+    return None
+
+
+def _search(
+    hrows: tuple[int, ...], non_rows: list[int], prows: tuple[int, ...], base: list[int]
+) -> tuple[int, ...] | None:
+    """The lowest-first search of one pattern, from its starting masks."""
+    p = len(prows)
     mapping = [0] * p
     left = [0] * p  # the candidates of each depth not tried yet
     left[0] = base[0]
@@ -68,3 +96,18 @@ def find_induced_embedding(
             mask &= hrows[mapping[j]] if prow >> j & 1 else non_rows[mapping[j]]
         left[depth] = mask
     return None
+
+
+def find_induced_embedding(
+    host: Graph,
+    pattern: Graph,
+    host_coloring: tuple[int, ...] | None = None,
+    pattern_coloring: tuple[int, ...] | None = None,
+) -> tuple[int, ...] | None:
+    """First injective map (in lexicographic order) realizing pattern as an
+    induced subgraph of host; None if there is none.
+
+    With both colorings supplied the embedding must preserve colors exactly.
+    """
+    hit = find_first_embedding(host, ((None, pattern, pattern_coloring),), host_coloring)
+    return None if hit is None else hit[1]

@@ -17,7 +17,7 @@ from itertools import combinations, product
 
 from .canonical import _twin_masks, canonical_colored_graph, canonical_graph
 from .graph6 import color_string, encode_graph6
-from .graphs import ColoredGraph, Graph, _unchecked_graph, bits
+from .graphs import ColoredGraph, Graph, _unchecked_colored, _unchecked_graph, bits
 from .limits import DEFAULT_LIMITS, CapacityError, Limits
 from .records import frozen
 
@@ -141,7 +141,7 @@ def _colored_representatives(n: int) -> tuple[ColoredGraph, ...]:
     seen: dict[str, ColoredGraph] = {}
     for g in _representatives(n):
         for colors in _twin_sorted_colorings(g):
-            canon = canonical_colored_graph(ColoredGraph(g, colors))
+            canon = canonical_colored_graph(_unchecked_colored(g, colors))
             form = f"{encode_graph6(canon.graph)} {color_string(canon.colors)}"
             seen.setdefault(form, canon)
     return tuple(seen[form] for form in sorted(seen))

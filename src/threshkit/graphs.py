@@ -146,8 +146,11 @@ class Graph:
         rows = [0] * self.n
         for i, v in enumerate(order):
             packed = 0
-            for u in bits(self.rows[v]):
-                packed |= 1 << pos[u]
+            row = self.rows[v]
+            while row:
+                low = row & -row
+                packed |= 1 << pos[low.bit_length() - 1]
+                row ^= low
             rows[i] = packed
         return _unchecked_graph(self.n, tuple(rows))
 
@@ -172,16 +175,22 @@ def _components(rows: Sequence[int], mask: int) -> list[int]:
     return comps
 
 
+_new = object.__new__
+# setting the fields one by one, as __init__ does, keeps the instance's
+# compact attribute storage; writing to g.__dict__ would give each
+# instance a dict of its own, 64 bytes more
+_set = object.__setattr__
+
+
 def _unchecked_graph(n: int, rows: tuple[int, ...]) -> Graph:
     """Graph(n, rows) without validation, for rows valid by construction.
 
     Only derivations of an already valid graph use it; every graph that
     enters from outside goes through Graph(...), from_edges or graph6.
     """
-    g = object.__new__(Graph)
-    fields = g.__dict__
-    fields["n"] = n
-    fields["rows"] = rows
+    g = _new(Graph)
+    _set(g, "n", n)
+    _set(g, "rows", rows)
     return g
 
 
@@ -211,13 +220,26 @@ class ColoredGraph:
 
     def delete_vertex(self, v: int) -> ColoredGraph:
         colors = self.colors[:v] + self.colors[v + 1 :]
-        return ColoredGraph(self.graph.delete_vertex(v), colors)
+        return _unchecked_colored(self.graph.delete_vertex(v), colors)
 
     def swapped(self) -> ColoredGraph:
         """Exchange the two colors of a 2-colored graph."""
         if any(c > 1 for c in self.colors):
             raise ValueError("color swap is defined for 2-colored graphs only")
-        return ColoredGraph(self.graph, tuple(1 - c for c in self.colors))
+        return _unchecked_colored(self.graph, tuple(1 - c for c in self.colors))
+
+
+def _unchecked_colored(graph: Graph, colors: tuple[int, ...]) -> ColoredGraph:
+    """ColoredGraph(graph, colors) without validation, for colors valid by
+    construction: one non-negative color per vertex of graph.
+
+    Like _unchecked_graph, only derivations use it; colored graphs from
+    outside go through ColoredGraph(...) or graph6 with colors.
+    """
+    cg = _new(ColoredGraph)
+    _set(cg, "graph", graph)
+    _set(cg, "colors", colors)
+    return cg
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import product
 
-from .graphs import ColoredGraph, Graph, bits
+from .graphs import ColoredGraph, Graph, _unchecked_colored, bits
 from .limits import DEFAULT_LIMITS, CapacityError, Limits
 from .records import frozen
 from .sequences import ADD, BLACK, JOIN_ALL, WHITE, BuildSequence, Op, Step, join_color
@@ -27,6 +28,10 @@ __all__ = [
 ]
 
 
+ADD_CODE = -1
+JOIN_ALL_CODE = -2
+
+
 @frozen
 class Dialect:
     """An allowed operator set, listed in elimination preference order."""
@@ -34,6 +39,13 @@ class Dialect:
     name: str
     k: int
     ops: tuple[Op, ...]
+
+    @cached_property
+    def codes(self) -> tuple[int, ...]:
+        """The ops as eliminate reads them: join color c as c, add as
+        ADD_CODE and join_all as JOIN_ALL_CODE."""
+        return tuple(ADD_CODE if op.kind == "add" else JOIN_ALL_CODE if op.kind == "join_all"
+                     else op.color for op in self.ops)
 
 
 def general_dialect(k: int) -> Dialect:
@@ -56,41 +68,44 @@ def eliminate(cg: ColoredGraph, dialect: Dialect) -> BuildSequence | None:
     correct rejection. The returned sequence evaluates back to cg exactly.
     """
     g, colors = cg.graph, cg.colors
-    if max(colors) >= dialect.k:
-        raise ValueError(f"colors exceed dialect color count {dialect.k}")
-    by_color = [0] * dialect.k
+    k = dialect.k
+    if max(colors) >= k:
+        raise ValueError(f"colors exceed dialect color count {k}")
+    by_color = [0] * k
     for v, c in enumerate(colors):
         by_color[c] |= 1 << v
-    alive = g.full_mask
-    steps_rev: list[Step] = []
-    order_rev: list[int] = []
-    while alive.bit_count() > 1:
-        pick = None
-        for x in bits(alive):
-            rest = alive ^ (1 << x)
-            nb = g.rows[x] & alive
-            for op in dialect.ops:
-                if op.kind == "add":
-                    ok = nb == 0
-                elif op.kind == "join_all":
-                    ok = nb == rest
-                else:
-                    ok = nb == by_color[op.color] & rest
-                if ok:
-                    pick = (x, op)
+    full = g.full_mask
+    # op i removes x when the alive neighbours of x are exactly the alive
+    # vertices of masks[i] other than x
+    masks = [0 if code == ADD_CODE else full if code == JOIN_ALL_CODE else by_color[code]
+             for code in dialect.codes]
+    rows = g.rows
+    alive = full
+    picks: list[tuple[int, int]] = []  # (vertex, op index) in removal order
+    while alive & (alive - 1):
+        pick = -1
+        left = alive
+        while left:
+            low = left & -left
+            x = low.bit_length() - 1
+            nb = rows[x] & alive
+            rest = alive ^ low
+            for i, mask in enumerate(masks):
+                if nb == mask & rest:
+                    pick = i
                     break
-            if pick:
+            if pick >= 0:
                 break
-        if pick is None:
+            left ^= low
+        if pick < 0:
             return None
-        x, op = pick
-        steps_rev.append(Step(colors[x], op))
-        order_rev.append(x)
-        alive ^= 1 << x
+        picks.append((x, pick))
+        alive ^= low
     seed = alive.bit_length() - 1
-    steps_rev.append(Step(colors[seed], ADD))
-    order_rev.append(seed)
-    return BuildSequence(dialect.k, tuple(reversed(steps_rev)), tuple(reversed(order_rev)))
+    picks.reverse()
+    ops = dialect.ops
+    steps = (Step(colors[seed], ADD),) + tuple(Step(colors[x], ops[i]) for x, i in picks)
+    return BuildSequence(k, steps, (seed,) + tuple(x for x, _ in picks))
 
 
 def _check_size(n: int, limits: Limits) -> None:
@@ -107,7 +122,7 @@ def _check_budget(n: int, k: int, free: int, limits: Limits) -> None:
 
 def _first_eliminated(g: Graph, dialect: Dialect, colorings):
     for coloring in colorings:
-        seq = eliminate(ColoredGraph(g, coloring), dialect)
+        seq = eliminate(_unchecked_colored(g, coloring), dialect)
         if seq is not None:
             return coloring, seq
     return None

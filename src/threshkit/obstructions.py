@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 
 from .canonical import canonical_colored_form, canonical_form
 from .catalogs import load_catalog
-from .embed import find_induced_embedding
+from .embed import Pattern, find_first_embedding
 from .graph6 import color_string, encode_graph6
 from .graphs import ColoredGraph, Graph
 from .enumeration import EnumerationConfig, all_colored_graphs, all_graphs, check_range
@@ -49,20 +49,18 @@ class FisResult:
     embedding: Optional[tuple[int, ...]] = None
 
 
-def _scan(g: Graph, patterns: Sequence[tuple[str, Graph]]) -> FisResult:
-    for name, pat in patterns:
-        if pat.n > g.n:
-            continue
-        emb = find_induced_embedding(g, pat)
-        if emb is not None:
-            return FisResult(False, name, emb)
-    return FisResult(True)
+def _scan(host: Graph, patterns: Sequence[Pattern],
+          host_coloring: Optional[tuple[int, ...]] = None) -> FisResult:
+    hit = find_first_embedding(host, patterns, host_coloring)
+    if hit is None:
+        return FisResult(True)
+    return FisResult(False, *hit)
 
 
 @lru_cache(maxsize=None)
-def _catalog_patterns(family: str) -> tuple[tuple[str, Graph], ...]:
+def _catalog_patterns(family: str) -> tuple[Pattern, ...]:
     cat = load_catalog(family)
-    return tuple(sorted(((e.name, e.graph) for e in cat.entries),
+    return tuple(sorted(((e.name, e.graph, None) for e in cat.entries),
                         key=lambda p: (p[1].n, p[0])))
 
 
@@ -101,33 +99,30 @@ def switch_threshold_patterns() -> tuple[tuple[str, Graph], ...]:
     return tuple(sorted(pats, key=lambda p: (p[1].n, p[0])))
 
 
+@lru_cache(maxsize=1)
+def _switch_threshold_scan() -> tuple[Pattern, ...]:
+    return tuple((name, h, None) for name, h in switch_threshold_patterns())
+
+
 def recognize_switch_threshold_fis(g: Graph) -> FisResult:
-    return _scan(g, switch_threshold_patterns())
+    return _scan(g, _switch_threshold_scan())
 
 
 @lru_cache(maxsize=1)
-def _partitioned_patterns() -> tuple[tuple[str, ColoredGraph], ...]:
+def _partitioned_patterns() -> tuple[Pattern, ...]:
     """Catalogued colored patterns plus color swaps where they differ."""
-    pats: list[tuple[str, ColoredGraph]] = []
+    pats: list[Pattern] = []
     for e in load_catalog("partitioned2t").entries:
         cg = e.colored_graph
-        pats.append((e.name, cg))
+        pats.append((e.name, cg.graph, cg.colors))
         swapped = cg.swapped()
         if canonical_colored_form(swapped) != canonical_colored_form(cg):
-            pats.append((e.name + ":swapped", swapped))
-    return tuple(sorted(pats, key=lambda p: (p[1].graph.n, p[0])))
+            pats.append((e.name + ":swapped", swapped.graph, swapped.colors))
+    return tuple(sorted(pats, key=lambda p: (p[1].n, p[0])))
 
 
 def recognize_partitioned_fis(cg: ColoredGraph) -> FisResult:
-    for name, pat in _partitioned_patterns():
-        if pat.graph.n > cg.graph.n:
-            continue
-        emb = find_induced_embedding(cg.graph, pat.graph,
-                                     host_coloring=cg.colors,
-                                     pattern_coloring=pat.colors)
-        if emb is not None:
-            return FisResult(False, name, emb)
-    return FisResult(True)
+    return _scan(cg.graph, _partitioned_patterns(), cg.colors)
 
 
 def find_minimal_obstructions(

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .graphs import Graph, bits
+from .graphs import Graph
 from .records import frozen
 from .sequences import ADD, JOIN_ALL, BuildSequence, Step
 
@@ -24,23 +24,26 @@ def is_threshold(g: Graph) -> ThresholdCertificate | None:
 
     The defining property is hereditary, so any greedy choice is safe.
     """
+    rows = g.rows
     alive = g.full_mask
     removed: list[tuple[int, str]] = []
     while alive:
-        count = alive.bit_count()
-        pick = None
-        for v in bits(alive):
-            deg = (g.rows[v] & alive).bit_count()
+        top = alive.bit_count() - 1
+        rest = alive
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            deg = (rows[v] & alive).bit_count()
             if deg == 0:
-                pick = (v, ISOLATED)
+                removed.append((v, ISOLATED))
                 break
-            if deg == count - 1:
-                pick = (v, UNIVERSAL)
+            if deg == top:
+                removed.append((v, UNIVERSAL))
                 break
-        if pick is None:
+            rest ^= low
+        else:
             return None
-        removed.append(pick)
-        alive ^= 1 << pick[0]
+        alive ^= low
     return ThresholdCertificate(tuple(removed))
 
 

@@ -1,5 +1,6 @@
 """Induced-subgraph search against a brute-force permutation oracle, and
-against the vertex-by-vertex scan it replaced."""
+against the vertex-by-vertex scan it replaced; the whole-list scan against
+a loop of single-pattern searches."""
 
 from itertools import combinations, permutations
 
@@ -7,11 +8,19 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from threshkit.catalogs import FAMILIES, load_catalog
-from threshkit.embed import find_induced_embedding
+import pytest
+
+from threshkit import embed
+from threshkit.embed import find_first_embedding, find_induced_embedding
 from threshkit.enumeration import EnumerationConfig, all_colored_graphs, all_graphs
-from threshkit.graphs import ColoredGraph
+from threshkit.graphs import ColoredGraph, Graph
 from threshkit.named import complete_graph, cycle_graph, empty_graph, path_graph
-from threshkit.obstructions import switch_threshold_patterns
+from threshkit.obstructions import (
+    _catalog_patterns,
+    _partitioned_patterns,
+    _switch_threshold_scan,
+    switch_threshold_patterns,
+)
 
 from strategies import colored_graphs, graphs
 
@@ -172,3 +181,71 @@ def test_equals_oracle_on_larger_hosts(host, drawn, rnd):
     for pattern in _colored_catalog_graphs() + [ColoredGraph(drawn, (0,) * drawn.n)]:
         args = (host, pattern.graph, host_colors, pattern.colors)
         assert find_induced_embedding(*args) == oracle_find_induced_embedding(*args)
+
+
+# the pattern lists of the five uncolored FIS scans
+UNCOLORED_SCANS = [_catalog_patterns(family)
+                   for family in ("threshold", "special2t", "good", "switch_cograph")]
+UNCOLORED_SCANS.append(_switch_threshold_scan())
+
+
+def oracle_first_embedding(host, patterns, host_coloring=None):
+    """The scan as a loop of single-pattern searches, each building its own
+    host tables and searching whatever the candidate masks hold."""
+    for name, pattern, colors in patterns:
+        embedding = find_induced_embedding(host, pattern, host_coloring, colors)
+        if embedding is not None:
+            return name, embedding
+    return None
+
+
+def test_scan_equals_pattern_loop_on_every_small_host():
+    for n in range(1, 8):
+        for host in all_graphs(EnumerationConfig(n)):
+            for patterns in UNCOLORED_SCANS:
+                assert find_first_embedding(host, patterns) == oracle_first_embedding(host, patterns)
+
+
+def test_colored_scan_equals_pattern_loop_on_every_small_host():
+    patterns = _partitioned_patterns()
+    for n in range(1, 7):
+        for host in all_colored_graphs(n):
+            assert find_first_embedding(host.graph, patterns, host.colors) == oracle_first_embedding(
+                host.graph, patterns, host.colors
+            )
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(min_n=8, max_n=14), st.randoms(use_true_random=False))
+def test_scan_equals_pattern_loop_on_larger_hosts(host, rnd):
+    for patterns in UNCOLORED_SCANS:
+        assert find_first_embedding(host, patterns) == oracle_first_embedding(host, patterns)
+    host_colors = tuple(rnd.randrange(2) for _ in range(host.n))
+    patterns = _partitioned_patterns()
+    assert find_first_embedding(host, patterns, host_colors) == oracle_first_embedding(
+        host, patterns, host_colors
+    )
+
+
+def test_scan_skips_patterns_that_cannot_embed(monkeypatch):
+    searched = []
+    search = embed._search
+    monkeypatch.setattr(embed, "_search", lambda *args: searched.append(args[2]) or search(*args))
+    # the claw needs a vertex of degree 3 and P2 a white vertex: neither is searched
+    host = ColoredGraph(path_graph(4), (0, 0, 0, 0))
+    patterns = [
+        ("claw", Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)]), (0, 0, 0, 0)),
+        ("bw", path_graph(2), (0, 1)),
+        ("p3", path_graph(3), (0, 0, 0)),
+    ]
+    assert find_first_embedding(host.graph, patterns, host.colors) == ("p3", (0, 1, 2))
+    assert searched == [path_graph(3).rows]
+
+
+def test_scan_requires_colorings_on_both_sides():
+    with pytest.raises(ValueError):
+        find_first_embedding(path_graph(3), [("p2", path_graph(2), (0, 0))])
+    with pytest.raises(ValueError):
+        find_first_embedding(path_graph(3), [("p2", path_graph(2), None)], (0, 0, 0))
+    with pytest.raises(ValueError):
+        find_induced_embedding(path_graph(3), path_graph(2), (0, 0, 0))

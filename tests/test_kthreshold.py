@@ -1,11 +1,14 @@
-"""Colored elimination dialects: roundtrips, closures, neighborhood shapes."""
+"""Colored elimination dialects: roundtrips, closures, neighborhood shapes,
+and eliminate against the generator-driven loop it replaced."""
+
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from threshkit.enumeration import EnumerationConfig, all_graphs
-from threshkit.graphs import ColoredGraph, cutrank_profile
+from threshkit.graphs import ColoredGraph, bits, cutrank_profile
 from threshkit.kthreshold import (
     EXTENDED,
     RESTRICTED,
@@ -33,9 +36,73 @@ from threshkit.named import (
 from threshkit.sequences import ADD, BuildSequence, Step, evaluate
 from threshkit.threshold import is_threshold
 
-from strategies import colored_graphs
+from strategies import colored_graphs, graphs
 
 DIALECTS = (general_dialect(2), SPECIAL, RESTRICTED, EXTENDED)
+
+
+def oracle_eliminate(cg, dialect):
+    """The earlier eliminate: walks the alive vertices with bits() and
+    compares operator kinds, building the steps as it goes."""
+    g, colors = cg.graph, cg.colors
+    if max(colors) >= dialect.k:
+        raise ValueError(f"colors exceed dialect color count {dialect.k}")
+    by_color = [0] * dialect.k
+    for v, c in enumerate(colors):
+        by_color[c] |= 1 << v
+    alive = g.full_mask
+    steps_rev = []
+    order_rev = []
+    while alive.bit_count() > 1:
+        pick = None
+        for x in bits(alive):
+            rest = alive ^ (1 << x)
+            nb = g.rows[x] & alive
+            for op in dialect.ops:
+                if op.kind == "add":
+                    ok = nb == 0
+                elif op.kind == "join_all":
+                    ok = nb == rest
+                else:
+                    ok = nb == by_color[op.color] & rest
+                if ok:
+                    pick = (x, op)
+                    break
+            if pick:
+                break
+        if pick is None:
+            return None
+        x, op = pick
+        steps_rev.append(Step(colors[x], op))
+        order_rev.append(x)
+        alive ^= 1 << x
+    seed = alive.bit_length() - 1
+    steps_rev.append(Step(colors[seed], ADD))
+    order_rev.append(seed)
+    return BuildSequence(dialect.k, tuple(reversed(steps_rev)), tuple(reversed(order_rev)))
+
+
+ORACLE_DIALECTS = (SPECIAL, RESTRICTED, EXTENDED, general_dialect(2), general_dialect(3))
+
+
+@pytest.mark.parametrize("dialect", ORACLE_DIALECTS, ids=lambda d: f"{d.name}{d.k}")
+def test_eliminate_equals_oracle_on_every_small_coloring(dialect):
+    for n in range(1, 7):
+        for g in all_graphs(EnumerationConfig(n)):
+            for colors in product(range(dialect.k), repeat=n):
+                cg = ColoredGraph(g, colors)
+                assert eliminate(cg, dialect) == oracle_eliminate(cg, dialect)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(min_n=8, max_n=12), st.sampled_from(ORACLE_DIALECTS), st.randoms(use_true_random=False))
+def test_eliminate_equals_oracle_on_larger_graphs(g, dialect, rnd):
+    for _ in range(20):
+        cg = ColoredGraph(g, tuple(rnd.randrange(dialect.k) for _ in range(g.n)))
+        assert eliminate(cg, dialect) == oracle_eliminate(cg, dialect)
+    # members, which the random colorings above seldom are
+    cg = _random_member(rnd, dialect, g.n)
+    assert eliminate(cg, dialect) == oracle_eliminate(cg, dialect)
 
 
 def test_general_dialect_validation():

@@ -1,9 +1,11 @@
-"""Threshold recognition, orders and build trees."""
+"""Threshold recognition, orders and build trees, and is_threshold against
+the generator-driven loop it replaced."""
 
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from threshkit.enumeration import EnumerationConfig, all_graphs
+from threshkit.graphs import bits
 from threshkit.named import (
     complete_graph,
     cycle_graph,
@@ -12,7 +14,58 @@ from threshkit.named import (
     path_graph,
 )
 from threshkit.sequences import ADD, JOIN_ALL, BuildSequence, Step, evaluate
-from threshkit.threshold import build_threshold_tree, is_threshold, threshold_order
+from threshkit.threshold import (
+    ThresholdCertificate,
+    build_threshold_tree,
+    is_threshold,
+    threshold_order,
+)
+
+from strategies import graphs
+
+
+def oracle_is_threshold(g):
+    """The earlier is_threshold, walking the alive vertices with bits()."""
+    alive = g.full_mask
+    removed = []
+    while alive:
+        count = alive.bit_count()
+        pick = None
+        for v in bits(alive):
+            deg = (g.rows[v] & alive).bit_count()
+            if deg == 0:
+                pick = (v, "isolated")
+                break
+            if deg == count - 1:
+                pick = (v, "universal")
+                break
+        if pick is None:
+            return None
+        removed.append(pick)
+        alive ^= 1 << pick[0]
+    return ThresholdCertificate(tuple(removed))
+
+
+def test_equals_oracle_on_every_small_graph():
+    for n in range(1, 8):
+        for g in all_graphs(EnumerationConfig(n)):
+            assert is_threshold(g) == oracle_is_threshold(g)
+
+
+@settings(deadline=None)
+@given(st.lists(st.booleans(), min_size=7, max_size=13), st.randoms(use_true_random=False),
+       graphs(min_n=8, max_n=14))
+def test_equals_oracle_on_larger_graphs(word, rnd, g):
+    assert is_threshold(g) == oracle_is_threshold(g)
+    # members, relabeled so that removals do not follow the build order
+    steps = (Step(0, ADD),) + tuple(Step(0, JOIN_ALL if b else ADD) for b in word)
+    member = evaluate(BuildSequence(1, steps)).graph
+    order = list(range(member.n))
+    rnd.shuffle(order)
+    member = member.relabel(order)
+    cert = is_threshold(member)
+    assert cert is not None
+    assert cert == oracle_is_threshold(member)
 
 
 def test_known_members():

@@ -4,15 +4,28 @@ switch, induced, delete_vertex, relabel, complement and _extend build their
 results without validation, because rows derived from a valid graph are
 valid. Each result must equal the graph the validating constructor builds
 from the same rows; the public constructors must still reject bad rows.
+The same holds for colored graphs: canonical_colored_graph, delete_vertex,
+swapped, the colored enumeration and the coloring searches derive theirs
+unchecked, and ColoredGraph(...) and colored graph6 lines still validate.
 """
 
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
-from threshkit.enumeration import EnumerationConfig, _extend, all_graphs
-from threshkit.graph6 import GraphParseError, decode_graph6, encode_graph6
-from threshkit.graphs import Graph
+from threshkit import kthreshold
+from threshkit.canonical import canonical_colored_graph
+from threshkit.enumeration import EnumerationConfig, _extend, all_colored_graphs, all_graphs
+from threshkit.graph6 import GraphParseError, decode_graph6, encode_graph6, parse_graph_line
+from threshkit.graphs import ColoredGraph, Graph
+from threshkit.kthreshold import (
+    SPECIAL,
+    brute_coloring_search,
+    is_extended,
+    is_k_threshold,
+    is_restricted,
+    is_special,
+)
 from threshkit.limits import CapacityError
 from threshkit.named import path_graph
 from threshkit.switching import switch
@@ -37,6 +50,61 @@ def test_derived_graphs_equal_validated_graphs(n):
             assert_valid(g.delete_vertex(v))
         for order in permutations(range(n)):
             assert_valid(g.relabel(order))
+
+
+def assert_valid_colored(cg: ColoredGraph) -> None:
+    assert_valid(cg.graph)
+    assert type(cg.colors) is tuple
+    assert cg == ColoredGraph(cg.graph, cg.colors)
+    assert hash(cg) == hash(ColoredGraph(cg.graph, cg.colors))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_derived_colored_graphs_equal_validated_ones(n, monkeypatch):
+    for cg in all_colored_graphs(n):
+        assert_valid_colored(cg)
+        assert_valid_colored(cg.swapped())
+        for v in range(n if n > 1 else 0):
+            assert_valid_colored(cg.delete_vertex(v))
+    for g in all_graphs(EnumerationConfig(n)):
+        for colors in product((0, 1), repeat=n):
+            assert_valid_colored(canonical_colored_graph(ColoredGraph(g, colors)))
+    # the graphs the coloring searches hand to eliminate
+    seen = []
+    eliminate = kthreshold.eliminate
+    monkeypatch.setattr(kthreshold, "eliminate",
+                        lambda cg, dialect: seen.append(cg) or eliminate(cg, dialect))
+    for g in all_graphs(EnumerationConfig(n)):
+        brute_coloring_search(g, SPECIAL)
+        for search in (is_special, is_restricted, is_extended):
+            search(g)
+        for k in (2, 3):
+            is_k_threshold(g, k)
+    assert seen
+    for cg in seen:
+        assert_valid_colored(cg)
+
+
+@pytest.mark.parametrize("colors", [(0, 1), (0, 1, 1, 0), (0, -1, 0)])
+def test_colored_constructor_rejects_bad_colors(colors):
+    with pytest.raises(ValueError):
+        ColoredGraph(path_graph(3), colors)
+
+
+def test_colored_graph6_lines_validate(monkeypatch):
+    checked = []
+    validate = ColoredGraph.__post_init__
+
+    def spy(self):
+        checked.append(self.colors)
+        validate(self)
+
+    monkeypatch.setattr(ColoredGraph, "__post_init__", spy)
+    text = encode_graph6(path_graph(3))
+    parse_graph_line(f"{text} bwb")
+    assert checked == [(0, 1, 0)]
+    with pytest.raises(GraphParseError):
+        parse_graph_line(f"{text} bw")
 
 
 def test_derived_graph_argument_checks_remain():

@@ -3,6 +3,7 @@
 import pytest
 
 import threshkit.classes as classes
+import threshkit.kthreshold as kthreshold
 import threshkit.obstructions as obstructions
 import threshkit.verify as verify
 from threshkit.catalogs import load_catalog
@@ -149,6 +150,32 @@ def test_suites_pass_at_reduced_scale(name, n_max):
     assert rep.suite == name
     assert rep.elapsed >= 0.0
     assert VerificationReport.from_text(rep.to_text()) == rep
+
+
+@pytest.mark.parametrize("name, n_max, eliminations, scans", [
+    ("special", 5, 717, 52),
+    ("partitioned", 4, 236, 118),
+])
+def test_suite_work_goes_through_the_traced_functions(monkeypatch, name, n_max, eliminations, scans):
+    """Every coloring a search tries is one call of kthreshold.eliminate and
+    every FIS scan one call of find_first_embedding, through the module
+    globals a tracer replaces. A change that moves work off those calls
+    changes these counts."""
+    calls = {"eliminate": 0, "scan": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    eliminate = counted("eliminate", kthreshold.eliminate)
+    monkeypatch.setattr(kthreshold, "eliminate", eliminate)
+    monkeypatch.setattr(classes, "eliminate", eliminate)
+    monkeypatch.setattr(obstructions, "find_first_embedding",
+                        counted("scan", obstructions.find_first_embedding))
+    assert run_suite(name, n_max).ok
+    assert calls == {"eliminate": eliminations, "scan": scans}
 
 
 def test_thresholds_suite_counts_small():
