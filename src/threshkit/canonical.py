@@ -24,7 +24,7 @@ canonical_max_n bound.
 
 from __future__ import annotations
 
-from .graph6 import color_string, encode_graph6
+from .graph6 import encode_graph6, format_graph_line
 from .graphs import ColoredGraph, Graph, _unchecked_colored
 from .limits import DEFAULT_LIMITS, CapacityError, Limits
 
@@ -120,8 +120,11 @@ def canonical_graph(g: Graph, limits: Limits = DEFAULT_LIMITS) -> Graph:
     return g.relabel(_min_order(g.n, g.rows, None))
 
 
-def canonical_form(g: Graph, limits: Limits = DEFAULT_LIMITS) -> str:
-    """Total isomorphism invariant, printable as graph6."""
+def canonical_form(g: Graph | ColoredGraph, limits: Limits = DEFAULT_LIMITS) -> str:
+    """Total isomorphism invariant, printable as graph6; for a ColoredGraph
+    the color-preserving canonical_colored_form."""
+    if isinstance(g, ColoredGraph):
+        return canonical_colored_form(g, limits)
     return encode_graph6(canonical_graph(g, limits))
 
 
@@ -132,5 +135,4 @@ def canonical_colored_graph(cg: ColoredGraph, limits: Limits = DEFAULT_LIMITS) -
 
 
 def canonical_colored_form(cg: ColoredGraph, limits: Limits = DEFAULT_LIMITS) -> str:
-    canon = canonical_colored_graph(cg, limits)
-    return f"{encode_graph6(canon.graph)} {color_string(canon.colors)}"
+    return format_graph_line(canonical_colored_graph(cg, limits))

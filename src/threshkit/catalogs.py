@@ -1,9 +1,10 @@
 """Obstruction catalogs shipped as data files.
 
 Each family of graphs handled by this package has a catalog of minimal
-obstructions: graphs (optionally colored) that are not in the family but
-whose every one-vertex deletion is. Catalogs are loaded from TSV files
-shipped with the package, one entry per line:
+obstructions: graphs, colored exactly when the color column is not "-",
+that are not in the family but whose every one-vertex deletion is.
+Catalogs are loaded from TSV files shipped with the package, one entry
+per line:
 
     <name> TAB <graph6> TAB <colorstring or -> TAB <source>
 
@@ -20,7 +21,7 @@ from typing import Callable, Optional, Union
 
 from .graphs import Graph, ColoredGraph
 from .graph6 import decode_graph6, parse_color_string
-from .canonical import canonical_form, canonical_colored_form
+from .canonical import canonical_form
 from .records import frozen
 
 FAMILIES = (
@@ -46,9 +47,9 @@ class CatalogEntry:
             raise ValueError(f"{self.name}: coloring length != n")
 
     @property
-    def colored_graph(self) -> ColoredGraph:
-        colors = self.coloring if self.coloring is not None else (0,) * self.graph.n
-        return ColoredGraph(self.graph, colors)
+    def obstruction(self) -> Graph | ColoredGraph:
+        """The ColoredGraph when the entry has colors, the Graph otherwise."""
+        return self.graph if self.coloring is None else ColoredGraph(self.graph, self.coloring)
 
 
 @frozen
@@ -99,8 +100,8 @@ class CatalogProblem:
     detail: str
 
 
-def validate_catalog(cat: Catalog, member: Member, colored: bool = False) -> list[CatalogProblem]:
-    """Check every entry against the family's membership predicate.
+def validate_catalog(cat: Catalog, member: Member) -> list[CatalogProblem]:
+    """Check every entry's obstruction against the family's membership predicate.
 
     Conditions per entry: (a) the entry itself is rejected, (b) every
     one-vertex deletion is accepted, (c) no two entries are isomorphic
@@ -110,8 +111,8 @@ def validate_catalog(cat: Catalog, member: Member, colored: bool = False) -> lis
     problems = []
     seen: dict[str, str] = {}
     for e in cat.entries:
-        obj = e.colored_graph if colored else e.graph
-        form = canonical_colored_form(obj) if colored else canonical_form(e.graph)
+        obj = e.obstruction
+        form = canonical_form(obj)
         if form in seen:
             problems.append(CatalogProblem(e.name, "distinct", f"isomorphic to {seen[form]}"))
         else:

@@ -22,7 +22,10 @@ from .kthreshold import (
     is_special,
     neighborhood_shape,
 )
+from .limits import Limits
 from .obstructions import (
+    find_minimal_colored_obstructions,
+    find_minimal_obstructions,
     recognize_good_fis,
     recognize_partitioned_fis,
     recognize_special_fis,
@@ -49,6 +52,11 @@ class GraphClass:
     validates_catalog: bool = True  # member validates catalog; False where a class shares one
     colored: bool = False  # input is a 2-colored graph
     takes_k: bool = False  # recognize needs --k
+
+    def find_obstructions(self, n_max: int, limits: Limits) -> list:
+        """Discovery with member: the minimal obstructions with <= n_max vertices."""
+        find = find_minimal_colored_obstructions if self.colored else find_minimal_obstructions
+        return find(self.member(limits), n_max, limits)
 
 
 def _sequence_lines(seq) -> list[str]:

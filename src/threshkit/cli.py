@@ -14,13 +14,13 @@ import sys
 from contextlib import nullcontext
 from typing import Optional
 
-from .canonical import canonical_colored_form, canonical_form
+from .canonical import canonical_form
 from .catalogs import load_catalog
 from .classes import BY_FAMILY, BY_NAME, ROWS
 from .graph6 import GraphParseError, encode_graph6, parse_graph_line
 from .graphs import ColoredGraph
 from .limits import CapacityError, Limits
-from .obstructions import FisResult, find_minimal_colored_obstructions, find_minimal_obstructions
+from .obstructions import FisResult
 from .switching import switch
 from .verify import SUITE_NAMES, run_suite
 
@@ -63,11 +63,9 @@ def cmd_recognize(args, limits: Limits) -> int:
     exit_code = OK
     for line in _read_lines(args.input):
         g = parse_graph_line(line)
-        colored = isinstance(g, ColoredGraph)
-        if colored and not row.colored:
-            raise UsageError(f"class {cls} takes uncolored input")
-        if not colored and row.colored:
-            raise UsageError(f"class {cls} needs '<graph6> <colorstring>' input")
+        if isinstance(g, ColoredGraph) != row.colored:
+            need = "needs '<graph6> <colorstring>'" if row.colored else "takes uncolored"
+            raise UsageError(f"class {cls} {need} input")
 
         if method == "fis":
             res = fis(g)
@@ -106,14 +104,12 @@ def cmd_verify(args, limits: Limits) -> int:
 def cmd_obstructions(args, limits: Limits) -> int:
     row = BY_FAMILY[args.family]
     # discovery first, so that a bad bound fails before any other work
-    find = find_minimal_colored_obstructions if row.colored else find_minimal_obstructions
-    found = find(row.member(limits), args.nmax, limits)
-    form_of = canonical_colored_form if row.colored else canonical_form
+    found = row.find_obstructions(args.nmax, limits)
     names: dict[str, str] = {}
     if row.catalog is not None:
         for e in load_catalog(row.catalog).entries:
-            names[form_of(e.colored_graph if row.colored else e.graph, limits)] = e.name
-    keyed = [(form_of(g, limits), g) for g in found]
+            names[canonical_form(e.obstruction, limits)] = e.name
+    keyed = [(canonical_form(g, limits), g) for g in found]
 
     catalogued = 0
     for form, g in keyed:

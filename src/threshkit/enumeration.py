@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import combinations, product
 
 from .canonical import _twin_masks, canonical_colored_graph, canonical_graph
-from .graph6 import color_string, encode_graph6
+from .graph6 import encode_graph6, format_graph_line
 from .graphs import ColoredGraph, Graph, _unchecked_colored, _unchecked_graph, bits
 from .limits import DEFAULT_LIMITS, CapacityError, Limits
 from .records import frozen
@@ -112,15 +112,9 @@ def _representatives(n: int) -> tuple[Graph, ...]:
 def all_graphs(cfg: EnumerationConfig, limits: Limits = DEFAULT_LIMITS) -> tuple[Graph, ...] | tuple[ColoredGraph, ...]:
     """Every isomorphism class on cfg.n vertices, canonical, sorted by form."""
     _check_bound(cfg.n, limits)
-    if cfg.colored:
-        reps = _colored_representatives(cfg.n)
-    else:
-        reps = _representatives(cfg.n)
+    reps = _colored_representatives(cfg.n) if cfg.colored else _representatives(cfg.n)
     if cfg.connected:
-        if cfg.colored:
-            reps = tuple(cg for cg in reps if cg.graph.is_connected())
-        else:
-            reps = tuple(g for g in reps if g.is_connected())
+        reps = tuple(g for g in reps if (g.graph if cfg.colored else g).is_connected())
     return reps
 
 
@@ -142,8 +136,7 @@ def _colored_representatives(n: int) -> tuple[ColoredGraph, ...]:
     for g in _representatives(n):
         for colors in _twin_sorted_colorings(g):
             canon = canonical_colored_graph(_unchecked_colored(g, colors))
-            form = f"{encode_graph6(canon.graph)} {color_string(canon.colors)}"
-            seen.setdefault(form, canon)
+            seen.setdefault(format_graph_line(canon), canon)
     return tuple(seen[form] for form in sorted(seen))
 
 

@@ -134,9 +134,8 @@ def parse_graph_line(line: str) -> Graph | ColoredGraph:
     g = decode_graph6(parts[0])
     if len(parts) == 1:
         return g
-    colors = parse_color_string(parts[1], offset=line.index(parts[1]))
+    offset = line.index(parts[1], line.index(parts[0]) + len(parts[0]))
+    colors = parse_color_string(parts[1], offset)
     if len(colors) != g.n:
-        raise GraphParseError(
-            f"color string length {len(colors)} does not match n={g.n}", line.index(parts[1])
-        )
+        raise GraphParseError(f"color string length {len(colors)} does not match n={g.n}", offset)
     return ColoredGraph(g, colors)

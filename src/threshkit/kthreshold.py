@@ -108,14 +108,8 @@ def eliminate(cg: ColoredGraph, dialect: Dialect) -> BuildSequence | None:
     return BuildSequence(k, steps, (seed,) + tuple(x for x, _ in picks))
 
 
-def _check_size(n: int, limits: Limits) -> None:
-    if n > limits.elimination_max_n:
-        raise CapacityError(f"elimination on {n} vertices exceeds bound {limits.elimination_max_n}")
-
-
-def _check_budget(n: int, k: int, free: int, limits: Limits) -> None:
-    """Guard a search over k^free colorings of an n-vertex graph."""
-    _check_size(n, limits)
+def _check_budget(k: int, free: int, limits: Limits) -> None:
+    """Guard a search over k^free colorings."""
     if k ** free > limits.coloring_budget:
         raise CapacityError(f"{k}^{free} colorings exceed budget {limits.coloring_budget}")
 
@@ -141,7 +135,7 @@ def brute_coloring_search(
     g: Graph, dialect: Dialect, limits: Limits = DEFAULT_LIMITS
 ) -> tuple[tuple[int, ...], BuildSequence] | None:
     """Oracle: the first of all k^n colorings, in product order, that eliminates."""
-    _check_budget(g.n, dialect.k, g.n, limits)
+    _check_budget(dialect.k, g.n, limits)
     return _first_eliminated(g, dialect, product(range(dialect.k), repeat=g.n))
 
 
@@ -180,11 +174,9 @@ def _candidate_colorings(g: Graph, dialect: Dialect) -> list[tuple[int, ...]]:
     return sorted(candidates)
 
 
-def _search_two_colored(
-    g: Graph, dialect: Dialect, limits: Limits
-) -> tuple[tuple[int, ...], BuildSequence] | None:
-    """Same result as brute_coloring_search, with at most 2n eliminations."""
-    _check_size(g.n, limits)
+def _search_two_colored(g: Graph, dialect: Dialect) -> tuple[tuple[int, ...], BuildSequence] | None:
+    """Same result as brute_coloring_search from at most 2n eliminations,
+    so no limit applies; the public searches accept limits all the same."""
     return _first_eliminated(g, dialect, _candidate_colorings(g, dialect))
 
 
@@ -199,21 +191,21 @@ def is_k_threshold(
     """
     dialect = general_dialect(k)
     if k == 2:
-        return _search_two_colored(g, dialect, limits)
-    _check_budget(g.n, k, g.n - 1, limits)
+        return _search_two_colored(g, dialect)
+    _check_budget(k, g.n - 1, limits)
     return _first_eliminated(g, dialect, _prefix_colorings(g.n, k))
 
 
 def is_special(g: Graph, limits: Limits = DEFAULT_LIMITS):
-    return _search_two_colored(g, SPECIAL, limits)
+    return _search_two_colored(g, SPECIAL)
 
 
 def is_restricted(g: Graph, limits: Limits = DEFAULT_LIMITS):
-    return _search_two_colored(g, RESTRICTED, limits)
+    return _search_two_colored(g, RESTRICTED)
 
 
 def is_extended(g: Graph, limits: Limits = DEFAULT_LIMITS):
-    return _search_two_colored(g, EXTENDED, limits)
+    return _search_two_colored(g, EXTENDED)
 
 
 EMPTY = "empty"

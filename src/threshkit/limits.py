@@ -16,15 +16,14 @@ class Limits:
     """Bounds for the exhaustive parts of the toolkit.
 
     canonical_max_n: largest graph the canonical-form search will accept
-    elimination_max_n: largest graph the coloring searches will eliminate
     coloring_budget: maximum number of colorings or switch sets an
         exponential search may enumerate (k-threshold for k >= 3, the
-        brute-force oracles, the switch-cograph certificate search)
+        brute-force oracles, the switch-cograph certificate search);
+        the polynomial searches, 2-colored ones included, need no bound
     enumeration_max_n: largest size the isomorph-free generator will produce
     """
 
     canonical_max_n: int = 10
-    elimination_max_n: int = 20
     coloring_budget: int = 1 << 20
     enumeration_max_n: int = 8
 
@@ -50,7 +49,6 @@ class Limits:
 
         return cls(
             canonical_max_n=pick("THRESHKIT_CANONICAL_MAX_N", cls.canonical_max_n),
-            elimination_max_n=pick("THRESHKIT_ELIMINATION_MAX_N", cls.elimination_max_n),
             coloring_budget=pick("THRESHKIT_COLORING_BUDGET", cls.coloring_budget),
             enumeration_max_n=pick("THRESHKIT_ENUMERATION_MAX_N", cls.enumeration_max_n),
         )

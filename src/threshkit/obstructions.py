@@ -5,9 +5,10 @@ obstruction patterns with the induced-embedding search. Acceptance means
 no pattern embeds; rejection carries the first pattern found together
 with its embedding, which is the checkable negative certificate.
 
-find_minimal_obstructions is the discovery side: enumerate all (colored)
-graphs up to a bound, evaluate an arbitrary membership predicate, and
-report the members' minimal non-member boundary. Running it against a
+find_minimal_obstructions is the discovery side: enumerate all graphs up
+to a bound, evaluate an arbitrary membership predicate, and report the
+members' minimal non-member boundary. find_minimal_colored_obstructions is
+the same body over 2-colored graphs. Running discovery against a
 brute-force recognizer and comparing with the shipped catalog is the
 machine verification of the characterizations at small n.
 """
@@ -17,10 +18,10 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
-from .canonical import canonical_colored_form, canonical_form
+from .canonical import canonical_form
 from .catalogs import load_catalog
 from .embed import Pattern, find_first_embedding
-from .graph6 import color_string, encode_graph6
+from .graph6 import format_graph_line
 from .graphs import ColoredGraph, Graph
 from .enumeration import EnumerationConfig, all_colored_graphs, all_graphs, check_range
 from .limits import DEFAULT_LIMITS, Limits
@@ -113,16 +114,32 @@ def _partitioned_patterns() -> tuple[Pattern, ...]:
     """Catalogued colored patterns plus color swaps where they differ."""
     pats: list[Pattern] = []
     for e in load_catalog("partitioned2t").entries:
-        cg = e.colored_graph
+        cg = e.obstruction
         pats.append((e.name, cg.graph, cg.colors))
         swapped = cg.swapped()
-        if canonical_colored_form(swapped) != canonical_colored_form(cg):
+        if canonical_form(swapped) != canonical_form(cg):
             pats.append((e.name + ":swapped", swapped.graph, swapped.colors))
     return tuple(sorted(pats, key=lambda p: (p[1].n, p[0])))
 
 
 def recognize_partitioned_fis(cg: ColoredGraph) -> FisResult:
     return _scan(cg.graph, _partitioned_patterns(), cg.colors)
+
+
+def _find_minimal(member: Callable, n_max: int, limits: Limits, graphs_on: Callable) -> list:
+    """The discovery body; graphs_on(n) lists the canonical graphs on n vertices."""
+    check_range("obstruction search", n_max, limits)
+    verdicts: dict[str, bool] = {}
+    out = []
+    for n in range(1, n_max + 1):
+        for g in graphs_on(n):
+            ok = bool(member(g))
+            verdicts[format_graph_line(g)] = ok  # g is canonical, so this is its form
+            if ok or n == 1:
+                continue
+            if all(verdicts[canonical_form(g.delete_vertex(v))] for v in range(n)):
+                out.append(g)
+    return out
 
 
 def find_minimal_obstructions(
@@ -132,18 +149,7 @@ def find_minimal_obstructions(
 ) -> list[Graph]:
     """All canonical non-members with <= n_max vertices whose every
     one-vertex deletion is a member. Sorted by canonical form per level."""
-    check_range("obstruction search", n_max, limits)
-    verdicts: dict[str, bool] = {}
-    out: list[Graph] = []
-    for n in range(1, n_max + 1):
-        for g in all_graphs(EnumerationConfig(n), limits):
-            ok = bool(member(g))
-            verdicts[encode_graph6(g)] = ok  # g is canonical, so this is its form
-            if ok or n == 1:
-                continue
-            if all(verdicts[canonical_form(g.delete_vertex(v))] for v in range(n)):
-                out.append(g)
-    return out
+    return _find_minimal(member, n_max, limits, lambda n: all_graphs(EnumerationConfig(n), limits))
 
 
 def find_minimal_colored_obstructions(
@@ -151,18 +157,5 @@ def find_minimal_colored_obstructions(
     n_max: int,
     limits: Limits = DEFAULT_LIMITS,
 ) -> list[ColoredGraph]:
-    """Colored variant of find_minimal_obstructions, color-preserving dedup."""
-    check_range("obstruction search", n_max, limits)
-    verdicts: dict[str, bool] = {}
-    out: list[ColoredGraph] = []
-    for n in range(1, n_max + 1):
-        for cg in all_colored_graphs(n, limits):
-            ok = bool(member(cg))
-            # cg is canonical, so this is its form
-            verdicts[f"{encode_graph6(cg.graph)} {color_string(cg.colors)}"] = ok
-            if ok or n == 1:
-                continue
-            if all(verdicts[canonical_colored_form(cg.delete_vertex(v))]
-                   for v in range(n)):
-                out.append(cg)
-    return out
+    """find_minimal_obstructions over 2-colored graphs, color-preserving dedup."""
+    return _find_minimal(member, n_max, limits, lambda n: all_colored_graphs(n, limits))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .canonical import canonical_form, canonical_graph
+from .canonical import canonical_graph
 from .graph6 import encode_graph6
 from .graphs import Graph, _components, _unchecked_graph
 from .limits import DEFAULT_LIMITS, CapacityError, Limits
@@ -91,8 +91,7 @@ def switch_to_threshold(g: Graph, limits: Limits = DEFAULT_LIMITS) -> SwitchCert
 
 def switching_class(g: Graph, limits: Limits = DEFAULT_LIMITS) -> tuple[str, ...]:
     """Sorted canonical forms of all switches of g (vertex 0 kept outside s)."""
-    forms = {canonical_form(switch(g, s), limits) for s in range(0, 1 << g.n, 2)}
-    return tuple(sorted(forms))
+    return tuple(encode_graph6(h) for h in switching_class_graphs(g, limits))
 
 
 def switching_class_graphs(g: Graph, limits: Limits = DEFAULT_LIMITS) -> tuple[Graph, ...]:

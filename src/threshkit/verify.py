@@ -13,16 +13,15 @@ from __future__ import annotations
 
 import time
 
-from .canonical import canonical_colored_form, canonical_form
+from .canonical import canonical_form
 from .catalogs import FAMILIES, load_catalog, validate_catalog
 from .classes import BY_CATALOG, BY_NAME
 from .enumeration import EnumerationConfig, all_colored_graphs, all_graphs, check_range
-from .graph6 import encode_graph6
+from .graph6 import format_graph_line
 from .graphs import Graph
 from .kthreshold import SPECIAL, brute_coloring_search, is_good, is_restricted, is_special
 from .limits import DEFAULT_LIMITS, Limits
-from .named import cycle_graph, disjoint_union, empty_graph, matching
-from .obstructions import find_minimal_colored_obstructions, find_minimal_obstructions
+from .obstructions import switch_threshold_patterns
 from .records import frozen
 from .sequences import evaluate
 from .switching import (
@@ -30,7 +29,6 @@ from .switching import (
     is_cograph,
     is_switch_cograph,
     switch_to_threshold,
-    switching_class_graphs,
 )
 from .threshold import build_threshold_tree, is_threshold
 
@@ -142,11 +140,9 @@ class _Run:
         if graph is None:
             self.witnesses.append(("", Witness("-", "-", detail)))
             return
-        if isinstance(graph, Graph):
-            g, colors = graph, "-"
-        else:
-            g, colors = graph.graph, "".join("bw"[c] for c in graph.colors)
-        self.witnesses.append((canonical_form(g), Witness(encode_graph6(g), colors, detail)))
+        g6, _, colors = format_graph_line(graph).partition(" ")
+        g = graph if isinstance(graph, Graph) else graph.graph
+        self.witnesses.append((canonical_form(g), Witness(g6, colors or "-", detail)))
 
     def report(self) -> VerificationReport:
         witnesses = tuple(w for _, w in sorted(self.witnesses, key=lambda p: (p[0], p[1].detail)))
@@ -182,15 +178,13 @@ def _same_certificate(run: _Run, prefix: str, graph, oracle, fast) -> None:
         run.witness(graph, f"{prefix}: fast certificate differs from the brute-force one")
 
 
-def _rediscover(run: _Run, cls: str, member, n_max: int, limits: Limits) -> None:
+def _rediscover(run: _Run, cls: str, n_max: int, limits: Limits) -> None:
     """Discover the class's minimal obstructions with at most n_max vertices
     and compare them with its catalog, both ways."""
     row, prefix = BY_NAME[cls], f"{cls}.obstructions"
-    form_of = canonical_colored_form if row.colored else canonical_form
     entries = [e for e in load_catalog(row.catalog).entries if e.graph.n <= n_max]
-    expected_forms = {form_of(e.colored_graph if row.colored else e.graph): e.name for e in entries}
-    find = find_minimal_colored_obstructions if row.colored else find_minimal_obstructions
-    found_forms = {form_of(g): g for g in find(member, n_max, limits)}
+    expected_forms = {canonical_form(e.obstruction): e.name for e in entries}
+    found_forms = {canonical_form(g): g for g in row.find_obstructions(n_max, limits)}
     run.set(f"{prefix}.found", len(found_forms))
     run.set(f"{prefix}.expected", len(expected_forms))
     for form, g in sorted(found_forms.items()):
@@ -240,7 +234,7 @@ def suite_special(n_max: int, limits: Limits) -> VerificationReport:
             "fis": BY_NAME["special"].fis(g).accepted,
         })
         _same_certificate(run, "special", g, oracle, fast)
-    _rediscover(run, "special", BY_NAME["special"].member(limits), n_max, limits)
+    _rediscover(run, "special", n_max, limits)
     return run.report()
 
 
@@ -253,7 +247,7 @@ def suite_good(n_max: int, limits: Limits) -> VerificationReport:
             "shape": is_good(g),
             "fis": BY_NAME["good"].fis(g).accepted,
         })
-    _rediscover(run, "good", BY_NAME["good"].member(limits), n_max, limits)
+    _rediscover(run, "good", n_max, limits)
     return run.report()
 
 
@@ -268,7 +262,7 @@ def suite_partitioned(n_max: int, limits: Limits) -> VerificationReport:
                 "elimination": member(cg),
                 "fis": BY_NAME["partitioned"].fis(cg).accepted,
             })
-    _rediscover(run, "partitioned", member, n_max, limits)
+    _rediscover(run, "partitioned", n_max, limits)
     return run.report()
 
 
@@ -301,18 +295,14 @@ def suite_catalogs(n_max: int, limits: Limits) -> VerificationReport:
     for family in FAMILIES:
         cat, row = load_catalog(family), BY_CATALOG[family]
         run.set(f"catalog.{family}.entries", len(cat.entries))
-        problems = validate_catalog(cat, row.member(limits), colored=row.colored)
+        problems = validate_catalog(cat, row.member(limits))
         run.set(f"catalog.{family}.problems", len(problems))
         for p in problems:
-            entry = cat.lookup(p.entry)
-            run.witness(entry.colored_graph if row.colored else entry.graph,
+            run.witness(cat.lookup(p.entry).obstruction,
                         f"catalog.{family}: {p.entry} {p.condition}: {p.detail}")
     # The switch-threshold patterns are also computable from first principles:
     # the switching classes of 3K2, C5 and C4+2K1.
-    seeds = [matching(3), cycle_graph(5), disjoint_union(cycle_graph(4), empty_graph(2))]
-    computed = set()
-    for seed in seeds:
-        computed.update(canonical_form(h) for h in switching_class_graphs(seed, limits))
+    computed = {canonical_form(h, limits) for _, h in switch_threshold_patterns()}
     catalogued = {canonical_form(e.graph) for e in load_catalog("switch_threshold").entries}
     run.set("catalog.switch_threshold.computed", len(computed))
     if computed != catalogued:

@@ -5,6 +5,7 @@ from collections import deque
 import hypothesis.strategies as st
 
 from threshkit.graphs import ColoredGraph, Graph, bits
+from threshkit.sequences import ADD, BuildSequence, Step, evaluate
 
 
 def graph_from_mask(n: int, mask: int) -> Graph:
@@ -31,6 +32,14 @@ def colored_graphs(draw, min_n=1, max_n=6, k=2):
     g = draw(graphs(min_n, max_n))
     colors = draw(st.tuples(*[st.integers(0, k - 1)] * g.n))
     return ColoredGraph(g, colors)
+
+
+def random_member(rnd, dialect, n):
+    """The colored graph of a random n-step build sequence of the dialect."""
+    steps = [Step(rnd.randrange(dialect.k), ADD)]
+    for _ in range(n - 1):
+        steps.append(Step(rnd.randrange(dialect.k), rnd.choice(dialect.ops)))
+    return evaluate(BuildSequence(dialect.k, tuple(steps)))
 
 
 @st.composite

@@ -9,7 +9,8 @@ from threshkit.catalogs import (
     load_catalog,
     validate_catalog,
 )
-from threshkit.graphs import ColoredGraph
+from threshkit.classes import BY_CATALOG
+from threshkit.graphs import ColoredGraph, Graph
 from threshkit.named import complete_graph, cycle_graph, path_graph
 from threshkit.threshold import is_threshold
 
@@ -50,16 +51,10 @@ def test_partitioned_catalog_is_colored_and_swap_closed():
     from threshkit.canonical import canonical_colored_form
 
     cat = load_catalog("partitioned2t")
-    forms = {canonical_colored_form(e.colored_graph) for e in cat.entries}
+    forms = {canonical_colored_form(e.obstruction) for e in cat.entries}
     for e in cat.entries:
         assert e.coloring is not None
-        assert canonical_colored_form(e.colored_graph.swapped()) in forms
-
-
-def test_uncolored_entries_default_to_black():
-    entry = load_catalog("threshold").lookup("c4")
-    assert entry.coloring is None
-    assert entry.colored_graph.colors == (0, 0, 0, 0)
+        assert canonical_colored_form(e.obstruction.swapped()) in forms
 
 
 def test_lookup_unknown_name():
@@ -112,5 +107,13 @@ def test_colored_validation_uses_colored_isomorphism():
     from threshkit.kthreshold import eliminate, general_dialect
 
     member = lambda cg: eliminate(cg, general_dialect(2)) is not None
-    problems = validate_catalog(bogus, member, colored=True)
+    problems = validate_catalog(bogus, member)
     assert any(p.condition == "distinct" for p in problems)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_color_column_decides_the_catalog_kind(family):
+    # all entries colored or none, and colored exactly for a colored class
+    entries, colored = load_catalog(family).entries, BY_CATALOG[family].colored
+    assert {e.coloring is not None for e in entries} == {colored}
+    assert {type(e.obstruction) for e in entries} == {ColoredGraph if colored else Graph}

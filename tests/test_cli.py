@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, including the exit-code contract."""
 
 import io
+import random
 
 import pytest
 
@@ -9,6 +10,7 @@ import threshkit.cli as cli
 from threshkit.canonical import canonical_form
 from threshkit.graph6 import encode_graph6
 from threshkit.graphs import disjoint_union
+from threshkit.kthreshold import EXTENDED, RESTRICTED, SPECIAL, general_dialect
 from threshkit.named import (
     complete_graph,
     cycle_graph,
@@ -19,6 +21,8 @@ from threshkit.named import (
 )
 from threshkit.obstructions import FisResult
 from threshkit.verify import VerificationReport, Witness
+
+from strategies import random_member
 
 
 def _input_file(tmp_path, *lines):
@@ -165,13 +169,28 @@ def test_obstructions_empty_range_exits_two(capsys, nmax):
 
 
 def test_capacity_exit_precedes_fis_under_both(tmp_path, monkeypatch, capsys):
+    # 3K2 is a member, so the budgeted certificate search runs
     scanned = []
-    monkeypatch.setattr(classes, "recognize_special_fis", lambda g: scanned.append(g))
-    monkeypatch.setenv("THRESHKIT_ELIMINATION_MAX_N", "4")
-    path = _input_file(tmp_path, encode_graph6(cycle_graph(5)))
-    args = ["recognize", "--class", "special", "--method", "both", "--input", path]
+    monkeypatch.setattr(classes, "recognize_switch_cograph_fis", lambda g: scanned.append(g))
+    monkeypatch.setenv("THRESHKIT_COLORING_BUDGET", "1")
+    path = _input_file(tmp_path, encode_graph6(matching(3)))
+    args = ["recognize", "--class", "switch-cograph", "--method", "both", "--input", path]
     assert cli.main(args) == cli.CAPACITY
     assert scanned == []
+
+
+@pytest.mark.parametrize("cls, dialect", [
+    ("special", SPECIAL),
+    ("restricted", RESTRICTED),
+    ("extended", EXTENDED),
+    ("kthreshold", general_dialect(2)),
+], ids=["special", "restricted", "extended", "kthreshold"])
+def test_polynomial_searches_take_64_vertex_graphs(tmp_path, capsys, cls, dialect):
+    g = random_member(random.Random(f"{cls}:64"), dialect, 64).graph
+    path = _input_file(tmp_path, encode_graph6(g))
+    args = ["recognize", "--class", cls, "--method", "elimination", "--input", path]
+    assert cli.main(args + (["--k", "2"] if cls == "kthreshold" else [])) == cli.OK
+    assert f": member ({cls})" in capsys.readouterr().out
 
 
 def test_verify_capacity_exit_via_env(monkeypatch, capsys):

@@ -87,7 +87,7 @@ def _catalog_graphs():
 
 
 def _colored_catalog_graphs():
-    return [e.colored_graph for e in load_catalog("partitioned2t").entries]
+    return [e.obstruction for e in load_catalog("partitioned2t").entries]
 
 
 def brute_embedding_exists(host, pattern):

@@ -101,3 +101,11 @@ def test_graph_line_rejects_bad_input():
         parse_graph_line("Bg b")  # color length mismatch
     with pytest.raises(GraphParseError):
         parse_graph_line("Bg bww extra")
+
+
+@pytest.mark.parametrize("line, offset", [("Cw w", 3), ("  Cw w", 5)])
+def test_color_field_offset_is_after_the_graph6_field(line, offset):
+    # the color string "w" also occurs inside the graph6 field "Cw"
+    with pytest.raises(GraphParseError) as info:
+        parse_graph_line(line)
+    assert info.value.offset == offset

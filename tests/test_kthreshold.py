@@ -1,6 +1,7 @@
 """Colored elimination dialects: roundtrips, closures, neighborhood shapes,
 and eliminate against the generator-driven loop it replaced."""
 
+import random
 from itertools import product
 
 import pytest
@@ -36,7 +37,7 @@ from threshkit.named import (
 from threshkit.sequences import ADD, BuildSequence, Step, evaluate
 from threshkit.threshold import is_threshold
 
-from strategies import colored_graphs, graphs
+from strategies import colored_graphs, graph_from_mask, graphs, random_member
 
 DIALECTS = (general_dialect(2), SPECIAL, RESTRICTED, EXTENDED)
 
@@ -101,7 +102,7 @@ def test_eliminate_equals_oracle_on_larger_graphs(g, dialect, rnd):
         cg = ColoredGraph(g, tuple(rnd.randrange(dialect.k) for _ in range(g.n)))
         assert eliminate(cg, dialect) == oracle_eliminate(cg, dialect)
     # members, which the random colorings above seldom are
-    cg = _random_member(rnd, dialect, g.n)
+    cg = random_member(rnd, dialect, g.n)
     assert eliminate(cg, dialect) == oracle_eliminate(cg, dialect)
 
 
@@ -261,17 +262,27 @@ def test_good_examples():
     assert not is_good(cone(octahedron()))
 
 
-def _random_member(rnd, dialect, n):
-    steps = [Step(rnd.randrange(dialect.k), ADD)]
-    for _ in range(n - 1):
-        steps.append(Step(rnd.randrange(dialect.k), rnd.choice(dialect.ops)))
-    return evaluate(BuildSequence(dialect.k, tuple(steps)))
-
-
 @settings(max_examples=80)
 @given(st.randoms(use_true_random=False), st.sampled_from(DIALECTS), st.integers(2, 9))
 def test_generated_members_are_accepted(rnd, dialect, n):
-    cg = _random_member(rnd, dialect, n)
+    cg = random_member(rnd, dialect, n)
     seq = eliminate(cg, dialect)
     assert seq is not None
     assert evaluate(seq) == cg
+
+
+@pytest.mark.parametrize("search, dialect", [
+    (is_special, SPECIAL),
+    (is_restricted, RESTRICTED),
+    (is_extended, EXTENDED),
+    (lambda g: is_k_threshold(g, 2), general_dialect(2)),
+], ids=["special", "restricted", "extended", "kthreshold2"])
+def test_polynomial_searches_need_no_size_bound(search, dialect):
+    # at default limits, on graphs well past the old 20-vertex bound
+    rnd = random.Random(f"{dialect.name}:64")
+    g = random_member(rnd, dialect, 64).graph.relabel(rnd.sample(range(64), 64))
+    coloring, seq = search(g)
+    assert evaluate(seq) == ColoredGraph(g, coloring)
+    assert {step.op for step in seq.steps[1:]} <= set(dialect.ops)
+    gnp = graph_from_mask(64, rnd.getrandbits(64 * 63 // 2))
+    assert search(gnp) is None

@@ -38,9 +38,8 @@ def _resolve_pattern(family, name):
         return dict(switch_threshold_patterns())[name]
     cat = load_catalog(family)
     if name.endswith(SWAP_SUFFIX):
-        return cat.lookup(name[: -len(SWAP_SUFFIX)]).colored_graph.swapped()
-    entry = cat.lookup(name)
-    return entry.colored_graph if family == "partitioned2t" else entry.graph
+        return cat.lookup(name[: -len(SWAP_SUFFIX)]).obstruction.swapped()
+    return cat.lookup(name).obstruction
 
 
 def _check_embedding(result, host, family, colored=False):
@@ -150,15 +149,15 @@ def test_switch_threshold_patterns_match_catalog():
 
 def test_partitioned_pattern_set_is_swap_closed():
     cat = load_catalog("partitioned2t")
-    forms = {canonical_colored_form(e.colored_graph) for e in cat.entries}
-    swapped = {canonical_colored_form(e.colored_graph.swapped()) for e in cat.entries}
+    forms = {canonical_colored_form(e.obstruction) for e in cat.entries}
+    swapped = {canonical_colored_form(e.obstruction.swapped()) for e in cat.entries}
     assert forms == swapped
 
 
 def test_each_partitioned_entry_is_its_own_witness():
     cat = load_catalog("partitioned2t")
     for e in cat.entries:
-        cg = e.colored_graph
+        cg = e.obstruction
         res = recognize_partitioned_fis(cg)
         assert not res.accepted
         assert _resolve_pattern("partitioned2t", res.pattern).graph.n == cg.graph.n
@@ -171,7 +170,7 @@ def test_colored_discovery_matches_catalog_at_small_n():
     found = find_minimal_colored_obstructions(member, 4)
     cat = load_catalog("partitioned2t")
     expected = {
-        canonical_colored_form(e.colored_graph)
+        canonical_colored_form(e.obstruction)
         for e in cat.entries
         if e.graph.n <= 4
     }
