@@ -22,6 +22,7 @@ from typing import Callable, Optional, Union
 from .graphs import Graph, ColoredGraph
 from .graph6 import decode_graph6, parse_color_string
 from .canonical import canonical_form
+from .limits import DEFAULT_LIMITS, Limits
 from .records import frozen
 
 FAMILIES = (
@@ -100,19 +101,21 @@ class CatalogProblem:
     detail: str
 
 
-def validate_catalog(cat: Catalog, member: Member) -> list[CatalogProblem]:
+def validate_catalog(cat: Catalog, member: Member,
+                     limits: Limits = DEFAULT_LIMITS) -> list[CatalogProblem]:
     """Check every entry's obstruction against the family's membership predicate.
 
     Conditions per entry: (a) the entry itself is rejected, (b) every
     one-vertex deletion is accepted, (c) no two entries are isomorphic
     (color-preservingly when colored). Returns the list of violations;
-    an empty list means the catalog is sound.
+    an empty list means the catalog is sound. Canonical forms are
+    computed under limits.
     """
     problems = []
     seen: dict[str, str] = {}
     for e in cat.entries:
         obj = e.obstruction
-        form = canonical_form(obj)
+        form = canonical_form(obj, limits)
         if form in seen:
             problems.append(CatalogProblem(e.name, "distinct", f"isomorphic to {seen[form]}"))
         else:

@@ -1,11 +1,20 @@
-"""Colored elimination and recognizers for the k-threshold dialects."""
+"""Colored elimination and recognizers for the k-threshold dialects.
+
+Elimination has two parts. The kernel, elimination_picks, works on raw
+ints: the adjacency rows, the alive vertex mask and one vertex mask per
+operator; it returns the removals or None. The certificate builder turns
+the removals into a BuildSequence. eliminate(cg, dialect) is the kernel
+plus the builder. The coloring searches, the brute-force oracle among
+them, hand the kernel each coloring's masks directly and build the
+sequence for the first coloring that eliminates only.
+"""
 
 from __future__ import annotations
 
 from functools import cached_property
 from itertools import product
 
-from .graphs import ColoredGraph, Graph, _unchecked_colored, bits
+from .graphs import ColoredGraph, Graph, bits
 from .limits import DEFAULT_LIMITS, CapacityError, Limits
 from .records import frozen
 from .sequences import ADD, BLACK, JOIN_ALL, WHITE, BuildSequence, Op, Step, join_color
@@ -18,6 +27,7 @@ __all__ = [
     "RESTRICTED",
     "EXTENDED",
     "eliminate",
+    "elimination_picks",
     "brute_coloring_search",
     "is_k_threshold",
     "is_special",
@@ -59,6 +69,62 @@ RESTRICTED = Dialect("restricted", 2, (join_color(BLACK), join_color(WHITE)))
 EXTENDED = Dialect("extended", 2, (ADD, join_color(BLACK), join_color(WHITE), JOIN_ALL))
 
 
+def elimination_picks(rows: tuple[int, ...], alive: int, masks) -> list[tuple[int, int]] | None:
+    """The elimination kernel over raw ints: the removals, as (vertex, op
+    index) pairs in removal order, that shrink alive to one vertex, or None.
+
+    rows are the adjacency rows of the graph. Op i removes x when the alive
+    neighbours of x are exactly the alive vertices of masks[i] other than x.
+    Each step removes the lowest-index vertex some op removes, preferring
+    earlier ops.
+    """
+    picks: list[tuple[int, int]] = []
+    while alive & (alive - 1):
+        left = alive
+        while left:
+            low = left & -left
+            rest = alive ^ low
+            row = rows[low.bit_length() - 1]
+            # row has no bit of its own vertex, so this is
+            # row & alive == mask & rest
+            i = 0
+            for mask in masks:
+                if not (row ^ mask) & rest:
+                    break
+                i += 1
+            else:
+                left ^= low
+                continue
+            break
+        else:
+            return None
+        picks.append((low.bit_length() - 1, i))
+        alive ^= low
+    return picks
+
+
+def _op_masks(dialect: Dialect, colors, full: int) -> list[int]:
+    """The kernel's masks for a coloring: none for add, all for join_all,
+    the color class of c for join color c."""
+    by_color = [0] * dialect.k
+    for v, c in enumerate(colors):
+        by_color[c] |= 1 << v
+    return [0 if code == ADD_CODE else full if code == JOIN_ALL_CODE else by_color[code]
+            for code in dialect.codes]
+
+
+def _sequence(dialect: Dialect, colors, full: int, picks: list[tuple[int, int]]) -> BuildSequence:
+    """The certificate builder: the build sequence that adds the one vertex
+    of full that picks leave, then undoes picks in reverse order."""
+    seed = full
+    for x, _ in picks:
+        seed ^= 1 << x
+    seed = seed.bit_length() - 1
+    built, ops = picks[::-1], dialect.ops
+    steps = (Step(colors[seed], ADD),) + tuple(Step(colors[x], ops[i]) for x, i in built)
+    return BuildSequence(dialect.k, steps, (seed,) + tuple(x for x, _ in built))
+
+
 def eliminate(cg: ColoredGraph, dialect: Dialect) -> BuildSequence | None:
     """Greedy reverse construction with the dialect's operators.
 
@@ -66,46 +132,14 @@ def eliminate(cg: ColoredGraph, dialect: Dialect) -> BuildSequence | None:
     preferring earlier operators in the dialect's list. The class property is
     hereditary, so any eligible removal is safe; failure to find one is a
     correct rejection. The returned sequence evaluates back to cg exactly.
+    This is the kernel elimination_picks followed by the certificate builder.
     """
     g, colors = cg.graph, cg.colors
-    k = dialect.k
-    if max(colors) >= k:
-        raise ValueError(f"colors exceed dialect color count {k}")
-    by_color = [0] * k
-    for v, c in enumerate(colors):
-        by_color[c] |= 1 << v
+    if max(colors) >= dialect.k:
+        raise ValueError(f"colors exceed dialect color count {dialect.k}")
     full = g.full_mask
-    # op i removes x when the alive neighbours of x are exactly the alive
-    # vertices of masks[i] other than x
-    masks = [0 if code == ADD_CODE else full if code == JOIN_ALL_CODE else by_color[code]
-             for code in dialect.codes]
-    rows = g.rows
-    alive = full
-    picks: list[tuple[int, int]] = []  # (vertex, op index) in removal order
-    while alive & (alive - 1):
-        pick = -1
-        left = alive
-        while left:
-            low = left & -left
-            x = low.bit_length() - 1
-            nb = rows[x] & alive
-            rest = alive ^ low
-            for i, mask in enumerate(masks):
-                if nb == mask & rest:
-                    pick = i
-                    break
-            if pick >= 0:
-                break
-            left ^= low
-        if pick < 0:
-            return None
-        picks.append((x, pick))
-        alive ^= low
-    seed = alive.bit_length() - 1
-    picks.reverse()
-    ops = dialect.ops
-    steps = (Step(colors[seed], ADD),) + tuple(Step(colors[x], ops[i]) for x, i in picks)
-    return BuildSequence(k, steps, (seed,) + tuple(x for x, _ in picks))
+    picks = elimination_picks(g.rows, full, _op_masks(dialect, colors, full))
+    return None if picks is None else _sequence(dialect, colors, full, picks)
 
 
 def _check_budget(k: int, free: int, limits: Limits) -> None:
@@ -115,10 +149,14 @@ def _check_budget(k: int, free: int, limits: Limits) -> None:
 
 
 def _first_eliminated(g: Graph, dialect: Dialect, colorings):
+    """The first coloring, in the given order, that eliminates, with its
+    sequence. Each coloring goes to the kernel as masks; only the hit gets
+    a BuildSequence."""
+    rows, full = g.rows, g.full_mask
     for coloring in colorings:
-        seq = eliminate(_unchecked_colored(g, coloring), dialect)
-        if seq is not None:
-            return coloring, seq
+        picks = elimination_picks(rows, full, _op_masks(dialect, coloring, full))
+        if picks is not None:
+            return coloring, _sequence(dialect, coloring, full, picks)
     return None
 
 

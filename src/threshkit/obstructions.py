@@ -3,14 +3,18 @@
 Each characterized family gets a recognizer that scans the family's
 obstruction patterns with the induced-embedding search. Acceptance means
 no pattern embeds; rejection carries the first pattern found together
-with its embedding, which is the checkable negative certificate.
+with its embedding, which is the checkable negative certificate. The
+partitioned scan keeps one pattern per color-isomorphism class of the
+catalog entries and their color swaps, the first in (n, name) order; a
+later isomorphic pattern could never be the first hit.
 
 find_minimal_obstructions is the discovery side: enumerate all graphs up
 to a bound, evaluate an arbitrary membership predicate, and report the
 members' minimal non-member boundary. find_minimal_colored_obstructions is
-the same body over 2-colored graphs. Running discovery against a
-brute-force recognizer and comparing with the shipped catalog is the
-machine verification of the characterizations at small n.
+the same body over 2-colored graphs. The predicate may be a lookup into
+verdicts already computed, as in the verification suites. Running
+discovery against a brute-force recognizer and comparing with the shipped
+catalog is the machine verification of the characterizations at small n.
 """
 
 from __future__ import annotations
@@ -111,15 +115,24 @@ def recognize_switch_threshold_fis(g: Graph) -> FisResult:
 
 @lru_cache(maxsize=1)
 def _partitioned_patterns() -> tuple[Pattern, ...]:
-    """Catalogued colored patterns plus color swaps where they differ."""
-    pats: list[Pattern] = []
+    """The catalogued colored patterns and their color swaps, sorted by
+    (n, name), keeping the first pattern of each color-preserving
+    isomorphism class.
+
+    Isomorphic patterns embed in the same hosts, so a later pattern of a
+    class is never the first hit and dropping it leaves every scan result,
+    name and embedding alike, unchanged. The catalog is swap-closed, so
+    the kept patterns are one per entry class, some under a :swapped name.
+    """
+    pats = []
     for e in load_catalog("partitioned2t").entries:
         cg = e.obstruction
-        pats.append((e.name, cg.graph, cg.colors))
-        swapped = cg.swapped()
-        if canonical_form(swapped) != canonical_form(cg):
-            pats.append((e.name + ":swapped", swapped.graph, swapped.colors))
-    return tuple(sorted(pats, key=lambda p: (p[1].n, p[0])))
+        pats.append((e.name, cg))
+        pats.append((e.name + ":swapped", cg.swapped()))
+    kept: dict[str, Pattern] = {}
+    for name, cg in sorted(pats, key=lambda p: (p[1].n, p[0])):
+        kept.setdefault(canonical_form(cg), (name, cg.graph, cg.colors))
+    return tuple(kept.values())
 
 
 def recognize_partitioned_fis(cg: ColoredGraph) -> FisResult:

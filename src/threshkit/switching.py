@@ -1,8 +1,14 @@
-"""Seidel switching, switching classes, switch-to-threshold search."""
+"""Seidel switching, switching classes, switch-to-threshold search.
+
+The brute-force oracle tries every switch set without vertex 0 in
+ascending order. brute_switch_scan runs it for several predicates in one
+pass, one switch per set, and brute_switch_search is its one-predicate
+case.
+"""
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
 from .canonical import canonical_graph
 from .graph6 import encode_graph6
@@ -17,6 +23,7 @@ __all__ = [
     "switching_class_graphs",
     "SwitchCertificate",
     "brute_switch_search",
+    "brute_switch_scan",
     "switch_to_threshold",
     "is_cograph",
     "is_switch_cograph",
@@ -46,13 +53,31 @@ def brute_switch_search(
     g: Graph, accept: Callable[[Graph], bool], limits: Limits = DEFAULT_LIMITS
 ) -> SwitchCertificate | None:
     """Oracle: first switch set (ascending masks, vertex 0 excluded) whose switch is accepted."""
+    return brute_switch_scan(g, (accept,), limits)[0]
+
+
+def brute_switch_scan(
+    g: Graph, accepts: Sequence[Callable[[Graph], bool]], limits: Limits = DEFAULT_LIMITS
+) -> tuple[SwitchCertificate | None, ...]:
+    """brute_switch_search for several predicates in one pass: each
+    predicate's first accepted switch, from one switch per set.
+
+    The sets are tried in ascending order until every predicate has its
+    hit, so each predicate sees exactly the sets its own search would.
+    """
     if 1 << max(0, g.n - 1) > limits.coloring_budget:
         raise CapacityError(f"2^{g.n - 1} switch sets exceed budget {limits.coloring_budget}")
+    hits: list[SwitchCertificate | None] = [None] * len(accepts)
+    missing = len(accepts)
     for s in range(0, 1 << g.n, 2):
+        if not missing:
+            break
         target = switch(g, s)
-        if accept(target):
-            return SwitchCertificate(s, target)
-    return None
+        for i, accept in enumerate(accepts):
+            if hits[i] is None and accept(target):
+                hits[i] = SwitchCertificate(s, target)
+                missing -= 1
+    return tuple(hits)
 
 
 def _threshold_switch_sets(g: Graph) -> list[int]:

@@ -5,6 +5,13 @@ independently implemented recognizers for the same class, and reports every
 disagreement as a witness. A clean report for a suite is the machine
 verification of the corresponding characterization at that scale.
 
+Each piece of work is done once per suite. Rediscovery runs discovery on
+the membership verdicts the suite computed for every enumerated graph,
+kept as the set of members for the suite's run only, and the switching
+suite runs its two brute-force switch oracles in one scan. Canonical
+forms are computed under the run's limits, and the catalogs suite checks
+its largest entry against the canonical bound before any of them.
+
 Reports serialize to a versioned key-value text document that parses back
 to an equal report (see to_text / from_text).
 """
@@ -13,19 +20,23 @@ from __future__ import annotations
 
 import time
 
-from .canonical import canonical_form
+from .canonical import _check_size, canonical_form
 from .catalogs import FAMILIES, load_catalog, validate_catalog
 from .classes import BY_CATALOG, BY_NAME
 from .enumeration import EnumerationConfig, all_colored_graphs, all_graphs, check_range
 from .graph6 import format_graph_line
-from .graphs import Graph
+from .graphs import ColoredGraph, Graph
 from .kthreshold import SPECIAL, brute_coloring_search, is_good, is_restricted, is_special
 from .limits import DEFAULT_LIMITS, Limits
-from .obstructions import switch_threshold_patterns
+from .obstructions import (
+    find_minimal_colored_obstructions,
+    find_minimal_obstructions,
+    switch_threshold_patterns,
+)
 from .records import frozen
 from .sequences import evaluate
 from .switching import (
-    brute_switch_search,
+    brute_switch_scan,
     is_cograph,
     is_switch_cograph,
     switch_to_threshold,
@@ -122,9 +133,10 @@ class VerificationReport:
 class _Run:
     """Accumulates counters and witnesses while a suite executes."""
 
-    def __init__(self, suite: str, n_max: int):
+    def __init__(self, suite: str, n_max: int, limits: Limits = DEFAULT_LIMITS):
         self.suite = suite
         self.n_max = n_max
+        self.limits = limits
         self.counts: dict[str, int] = {}
         self.witnesses: list[tuple[str, Witness]] = []
         self.started = time.perf_counter()
@@ -142,7 +154,7 @@ class _Run:
             return
         g6, _, colors = format_graph_line(graph).partition(" ")
         g = graph if isinstance(graph, Graph) else graph.graph
-        self.witnesses.append((canonical_form(g), Witness(g6, colors or "-", detail)))
+        self.witnesses.append((canonical_form(g, self.limits), Witness(g6, colors or "-", detail)))
 
     def report(self) -> VerificationReport:
         witnesses = tuple(w for _, w in sorted(self.witnesses, key=lambda p: (p[0], p[1].detail)))
@@ -178,13 +190,18 @@ def _same_certificate(run: _Run, prefix: str, graph, oracle, fast) -> None:
         run.witness(graph, f"{prefix}: fast certificate differs from the brute-force one")
 
 
-def _rediscover(run: _Run, cls: str, n_max: int, limits: Limits) -> None:
-    """Discover the class's minimal obstructions with at most n_max vertices
-    and compare them with its catalog, both ways."""
-    row, prefix = BY_NAME[cls], f"{cls}.obstructions"
-    entries = [e for e in load_catalog(row.catalog).entries if e.graph.n <= n_max]
-    expected_forms = {canonical_form(e.obstruction): e.name for e in entries}
-    found_forms = {canonical_form(g): g for g in row.find_obstructions(n_max, limits)}
+def _rediscover(run: _Run, cls: str, found: list) -> None:
+    """Compare the minimal obstructions that discovery found for the class,
+    up to the run's n_max, with its catalog, both ways.
+
+    The suites run discovery on the verdicts they have already computed for
+    every enumerated graph with the class's own membership predicate, kept
+    as the set of members, so no graph is classified twice.
+    """
+    row, prefix, limits = BY_NAME[cls], f"{cls}.obstructions", run.limits
+    entries = [e for e in load_catalog(row.catalog).entries if e.graph.n <= run.n_max]
+    expected_forms = {canonical_form(e.obstruction, limits): e.name for e in entries}
+    found_forms = {canonical_form(g, limits): g for g in found}
     run.set(f"{prefix}.found", len(found_forms))
     run.set(f"{prefix}.expected", len(expected_forms))
     for form, g in sorted(found_forms.items()):
@@ -205,7 +222,7 @@ def _graphs_upto(n_max: int, limits: Limits):
 
 def suite_thresholds(n_max: int, limits: Limits) -> VerificationReport:
     """Greedy elimination vs the three-pattern FIS, plus certificate replay."""
-    run = _Run("thresholds", n_max)
+    run = _Run("thresholds", n_max, limits)
     for g in _graphs_upto(n_max, limits):
         run.bump("graphs.checked")
         cert = is_threshold(g)
@@ -223,56 +240,70 @@ def suite_thresholds(n_max: int, limits: Limits) -> VerificationReport:
 
 def suite_special(n_max: int, limits: Limits) -> VerificationReport:
     """Brute coloring search vs the fast search vs the eight-pattern FIS, plus rediscovery."""
-    run = _Run("special", n_max)
+    run = _Run("special", n_max, limits)
+    members: set[Graph] = set()  # the verdicts of is_special, for rediscovery
     for g in _graphs_upto(n_max, limits):
         run.bump("graphs.checked")
         oracle = brute_coloring_search(g, SPECIAL, limits)
         fast = is_special(g, limits)
+        if fast is not None:
+            members.add(g)
         _agree(run, "special", g, {
             "brute": oracle is not None,
             "elimination": fast is not None,
             "fis": BY_NAME["special"].fis(g).accepted,
         })
         _same_certificate(run, "special", g, oracle, fast)
-    _rediscover(run, "special", n_max, limits)
+    found = find_minimal_obstructions(members.__contains__, n_max, limits)
+    _rediscover(run, "special", found)
     return run.report()
 
 
 def suite_good(n_max: int, limits: Limits) -> VerificationReport:
     """Neighborhood-shape check vs the five-pattern FIS, plus rediscovery."""
-    run = _Run("good", n_max)
+    run = _Run("good", n_max, limits)
+    members: set[Graph] = set()
     for g in _graphs_upto(n_max, limits):
         run.bump("graphs.checked")
+        ok = is_good(g)
+        if ok:
+            members.add(g)
         _agree(run, "good", g, {
-            "shape": is_good(g),
+            "shape": ok,
             "fis": BY_NAME["good"].fis(g).accepted,
         })
-    _rediscover(run, "good", n_max, limits)
+    found = find_minimal_obstructions(members.__contains__, n_max, limits)
+    _rediscover(run, "good", found)
     return run.report()
 
 
 def suite_partitioned(n_max: int, limits: Limits) -> VerificationReport:
     """Colored elimination vs the colored FIS on every 2-colored graph."""
-    run = _Run("partitioned", n_max)
+    run = _Run("partitioned", n_max, limits)
     member = BY_NAME["partitioned"].member(limits)
+    members: set[ColoredGraph] = set()
     for n in range(1, n_max + 1):
         for cg in all_colored_graphs(n, limits):
             run.bump("graphs.checked")
+            ok = member(cg)
+            if ok:
+                members.add(cg)
             _agree(run, "partitioned", cg, {
-                "elimination": member(cg),
+                "elimination": ok,
                 "fis": BY_NAME["partitioned"].fis(cg).accepted,
             })
-    _rediscover(run, "partitioned", n_max, limits)
+    found = find_minimal_colored_obstructions(members.__contains__, n_max, limits)
+    _rediscover(run, "partitioned", found)
     return run.report()
 
 
 def suite_switching(n_max: int, limits: Limits) -> VerificationReport:
     """Brute and fast switch search vs restricted elimination vs FIS, and the cograph analog."""
-    run = _Run("switching", n_max)
+    run = _Run("switching", n_max, limits)
     threshold = lambda h: is_threshold(h) is not None
     for g in _graphs_upto(n_max, limits):
         run.bump("graphs.checked")
-        oracle = brute_switch_search(g, threshold, limits)
+        oracle, cograph_oracle = brute_switch_scan(g, (threshold, is_cograph), limits)
         fast = switch_to_threshold(g, limits)
         _agree(run, "switch_threshold", g, {
             "brute": oracle is not None,
@@ -282,7 +313,7 @@ def suite_switching(n_max: int, limits: Limits) -> VerificationReport:
         })
         _same_certificate(run, "switch_threshold", g, oracle, fast)
         _agree(run, "switch_cograph", g, {
-            "brute": brute_switch_search(g, is_cograph, limits) is not None,
+            "brute": cograph_oracle is not None,
             "switch_search": is_switch_cograph(g),
             "fis": BY_NAME["switch-cograph"].fis(g).accepted,
         })
@@ -291,11 +322,13 @@ def suite_switching(n_max: int, limits: Limits) -> VerificationReport:
 
 def suite_catalogs(n_max: int, limits: Limits) -> VerificationReport:
     """validate_catalog for every shipped family, plus the switching-class cross-check."""
-    run = _Run("catalogs", n_max)
+    run = _Run("catalogs", n_max, limits)
+    # every canonical form below is of a catalog entry or a smaller graph
+    _check_size(max(e.graph.n for f in FAMILIES for e in load_catalog(f).entries), limits)
     for family in FAMILIES:
         cat, row = load_catalog(family), BY_CATALOG[family]
         run.set(f"catalog.{family}.entries", len(cat.entries))
-        problems = validate_catalog(cat, row.member(limits))
+        problems = validate_catalog(cat, row.member(limits), limits)
         run.set(f"catalog.{family}.problems", len(problems))
         for p in problems:
             run.witness(cat.lookup(p.entry).obstruction,
@@ -303,7 +336,7 @@ def suite_catalogs(n_max: int, limits: Limits) -> VerificationReport:
     # The switch-threshold patterns are also computable from first principles:
     # the switching classes of 3K2, C5 and C4+2K1.
     computed = {canonical_form(h, limits) for _, h in switch_threshold_patterns()}
-    catalogued = {canonical_form(e.graph) for e in load_catalog("switch_threshold").entries}
+    catalogued = {canonical_form(e.graph, limits) for e in load_catalog("switch_threshold").entries}
     run.set("catalog.switch_threshold.computed", len(computed))
     if computed != catalogued:
         run.witness(None, "catalog.switch_threshold: computed switching classes differ from catalog")
@@ -312,7 +345,7 @@ def suite_catalogs(n_max: int, limits: Limits) -> VerificationReport:
 
 def suite_counts(n_max: int, limits: Limits) -> VerificationReport:
     """Enumeration counts and the 2^(n-1) threshold count, two ways each."""
-    run = _Run("counts", n_max)
+    run = _Run("counts", n_max, limits)
     for n in range(1, n_max + 1):
         got = len(all_graphs(EnumerationConfig(n), limits))
         run.set(f"enumeration.n{n}", got)

@@ -1,7 +1,8 @@
 """Acceptance checks: every recognizer agrees with an independent method
 at desk scale, the catalogs are exactly the minimal obstructions, and the
 structural invariants hold. One test per criterion; each runs within its
-stated time budget on a laptop-class machine.
+stated time budget on a laptop-class machine. The suites run at their
+default bounds, once per session (the default_run fixture).
 """
 
 import random
@@ -28,7 +29,6 @@ from threshkit.kthreshold import (
 from threshkit.named import complete_graph, path_graph
 from threshkit.sequences import BuildSequence, Step, evaluate
 from threshkit.threshold import is_threshold
-from threshkit.verify import run_suite
 
 GRAPHS_UP_TO_7 = 1 + 2 + 4 + 11 + 34 + 156 + 1044  # includes all 1044 with n = 7
 
@@ -39,16 +39,16 @@ def _graphs_upto(n_max):
             yield g
 
 
-def test_01_threshold_elimination_equals_fis_up_to_n7():
-    rep = run_suite("thresholds", 7)
+def test_01_threshold_elimination_equals_fis_up_to_n7(default_run):
+    rep, _ = default_run("thresholds")
     assert rep.ok, rep.to_text()
     assert rep.count("graphs.checked") == GRAPHS_UP_TO_7
     assert rep.count("threshold.agree") == GRAPHS_UP_TO_7
     assert rep.elapsed < 10.0
 
 
-def test_02_special_brute_force_equals_eight_pattern_fis_up_to_n7():
-    rep = run_suite("special", 7)
+def test_02_special_brute_force_equals_eight_pattern_fis_up_to_n7(default_run):
+    rep, _ = default_run("special")
     assert rep.ok, rep.to_text()
     assert rep.count("special.agree") == GRAPHS_UP_TO_7
     # discovery returns exactly the eight catalogued minimal obstructions
@@ -57,16 +57,16 @@ def test_02_special_brute_force_equals_eight_pattern_fis_up_to_n7():
     assert rep.elapsed < 300.0
 
 
-def test_03_good_shape_check_equals_five_pattern_fis_up_to_n7():
-    rep = run_suite("good", 7)
+def test_03_good_shape_check_equals_five_pattern_fis_up_to_n7(default_run):
+    rep, _ = default_run("good")
     assert rep.ok, rep.to_text()
     assert rep.count("good.agree") == GRAPHS_UP_TO_7
     assert rep.count("good.obstructions.found") == 5
     assert rep.elapsed < 120.0
 
 
-def test_04_partitioned_elimination_equals_colored_fis_up_to_n6():
-    rep = run_suite("partitioned", 6)
+def test_04_partitioned_elimination_equals_colored_fis_up_to_n6(default_run):
+    rep, _ = default_run("partitioned")
     assert rep.ok, rep.to_text()
     # 5758 = 2-colored graphs with n <= 6 up to color-preserving isomorphism
     assert rep.count("partitioned.agree") == 5758
@@ -75,16 +75,16 @@ def test_04_partitioned_elimination_equals_colored_fis_up_to_n6():
     assert rep.elapsed < 600.0
 
 
-def test_05_switching_class_three_way_agreement_up_to_n7():
-    rep = run_suite("switching", 7)
+def test_05_switching_class_three_way_agreement_up_to_n7(default_run):
+    rep, _ = default_run("switching")
     assert rep.ok, rep.to_text()
     assert rep.count("switch_threshold.agree") == GRAPHS_UP_TO_7
     assert rep.count("switch_cograph.agree") == GRAPHS_UP_TO_7
     assert rep.elapsed < 600.0
 
 
-def test_06_catalog_minimality_and_negative_control():
-    rep = run_suite("catalogs")
+def test_06_catalog_minimality_and_negative_control(default_run):
+    rep, _ = default_run("catalogs")
     assert rep.ok, rep.to_text()
 
     member = lambda g: is_threshold(g) is not None
@@ -98,8 +98,8 @@ def test_06_catalog_minimality_and_negative_control():
     assert any(p.condition == "minimal" for p in validate_catalog(non_minimal, member))
 
 
-def test_07_enumeration_and_threshold_counts():
-    rep = run_suite("counts", 7)
+def test_07_enumeration_and_threshold_counts(default_run):
+    rep, _ = default_run("counts")
     assert rep.ok, rep.to_text()
     for n, expected in enumerate((1, 2, 4, 11, 34, 156, 1044), start=1):
         assert rep.count(f"enumeration.n{n}") == expected

@@ -1,5 +1,6 @@
 """Colored elimination dialects: roundtrips, closures, neighborhood shapes,
-and eliminate against the generator-driven loop it replaced."""
+and eliminate (the kernel elimination_picks plus the certificate builder)
+and brute_coloring_search against the loops they replaced."""
 
 import random
 from itertools import product
@@ -93,6 +94,23 @@ def test_eliminate_equals_oracle_on_every_small_coloring(dialect):
             for colors in product(range(dialect.k), repeat=n):
                 cg = ColoredGraph(g, colors)
                 assert eliminate(cg, dialect) == oracle_eliminate(cg, dialect)
+
+
+def oracle_coloring_search(g, dialect):
+    """The earlier brute_coloring_search: one ColoredGraph and one full
+    elimination per coloring, in product order."""
+    for coloring in product(range(dialect.k), repeat=g.n):
+        seq = oracle_eliminate(ColoredGraph(g, coloring), dialect)
+        if seq is not None:
+            return coloring, seq
+    return None
+
+
+@pytest.mark.parametrize("dialect", DIALECTS, ids=lambda d: f"{d.name}{d.k}")
+def test_brute_coloring_search_equals_per_graph_loop(dialect):
+    for n in range(1, 8):
+        for g in all_graphs(EnumerationConfig(n)):
+            assert brute_coloring_search(g, dialect) == oracle_coloring_search(g, dialect), g
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,8 +1,13 @@
 """Forbidden-induced-subgraph recognizers and obstruction discovery."""
 
+from functools import lru_cache
+
+from hypothesis import given, settings
+
 from threshkit.canonical import canonical_colored_form, canonical_form
 from threshkit.catalogs import load_catalog
-from threshkit.embed import find_induced_embedding
+from threshkit.embed import find_first_embedding, find_induced_embedding
+from threshkit.enumeration import all_colored_graphs
 from threshkit.graphs import ColoredGraph, disjoint_union
 from threshkit.kthreshold import eliminate, general_dialect, is_good, is_special
 from threshkit.named import (
@@ -15,6 +20,7 @@ from threshkit.named import (
     path_graph,
 )
 from threshkit.obstructions import (
+    _partitioned_patterns,
     find_minimal_colored_obstructions,
     find_minimal_obstructions,
     recognize_good_fis,
@@ -27,6 +33,8 @@ from threshkit.obstructions import (
 )
 from threshkit.switching import switch_to_threshold
 from threshkit.threshold import is_threshold
+
+from strategies import colored_graphs
 
 SWAP_SUFFIX = ":swapped"
 
@@ -185,3 +193,50 @@ def test_embed_helpers_agree_with_recognizers():
     assert find_induced_embedding(
         colored_host.graph, pattern.graph, colored_host.colors, pattern.colors
     )
+
+
+@lru_cache(maxsize=1)
+def all_partitioned_patterns():
+    """The earlier partitioned pattern list: every entry, plus its color
+    swap where that is not isomorphic to it, sorted by (n, name)."""
+    pats = []
+    for e in load_catalog("partitioned2t").entries:
+        cg = e.obstruction
+        pats.append((e.name, cg.graph, cg.colors))
+        swapped = cg.swapped()
+        if canonical_colored_form(swapped) != canonical_colored_form(cg):
+            pats.append((e.name + SWAP_SUFFIX, swapped.graph, swapped.colors))
+    return tuple(sorted(pats, key=lambda p: (p[1].n, p[0])))
+
+
+def _scan_pair(cg, patterns=None):
+    """(pattern name, embedding) of a partitioned scan; (None, None) when it accepts."""
+    if patterns is None:
+        res = recognize_partitioned_fis(cg)
+        return res.pattern, res.embedding
+    return find_first_embedding(cg.graph, patterns, cg.colors) or (None, None)
+
+
+def test_partitioned_patterns_keep_the_first_of_each_class():
+    every = all_partitioned_patterns()
+    kept = _partitioned_patterns()
+    assert (len(every), len(kept)) == (43, 25)
+    forms = [canonical_colored_form(ColoredGraph(g, c)) for _, g, c in kept]
+    assert len(set(forms)) == len(kept)  # no two kept patterns are isomorphic
+    first: dict[str, tuple] = {}
+    for p in every:
+        first.setdefault(canonical_colored_form(ColoredGraph(p[1], p[2])), p)
+    assert list(kept) == list(first.values())
+
+
+def test_kept_patterns_scan_like_all_patterns_on_small_hosts():
+    every = all_partitioned_patterns()
+    for n in range(1, 7):
+        for cg in all_colored_graphs(n):
+            assert _scan_pair(cg) == _scan_pair(cg, every), cg
+
+
+@settings(max_examples=150, deadline=None)
+@given(colored_graphs(min_n=7, max_n=12))
+def test_kept_patterns_scan_like_all_patterns_on_larger_hosts(cg):
+    assert _scan_pair(cg) == _scan_pair(cg, all_partitioned_patterns())

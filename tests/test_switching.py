@@ -1,9 +1,11 @@
-"""Seidel switching: algebra, classes, threshold and cograph switch search."""
+"""Seidel switching: algebra, classes, threshold and cograph switch search,
+and the multi-predicate brute_switch_scan against the loop it replaced."""
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import threshkit.switching as switching
 from threshkit.canonical import canonical_form
 from threshkit.embed import find_induced_embedding
 from threshkit.enumeration import EnumerationConfig, all_graphs
@@ -19,6 +21,8 @@ from threshkit.named import (
 from threshkit.graphs import Graph, disjoint_union, join
 from threshkit.obstructions import recognize_switch_cograph_fis
 from threshkit.switching import (
+    SwitchCertificate,
+    brute_switch_scan,
     brute_switch_search,
     has_cograph_switch,
     is_cograph,
@@ -179,3 +183,41 @@ def test_search_budget_enforced():
     # 3K2 is a cograph, so the certificate search runs and is guarded
     with pytest.raises(CapacityError):
         has_cograph_switch(matching(3), tight)
+
+
+def oracle_switch_search(g, accept):
+    """The earlier brute_switch_search loop: one switch per set, one predicate."""
+    for s in range(0, 1 << g.n, 2):
+        target = switch(g, s)
+        if accept(target):
+            return SwitchCertificate(s, target)
+    return None
+
+
+_threshold = lambda h: is_threshold(h) is not None
+
+
+def test_switch_scan_equals_separate_searches_exhaustively():
+    for n in range(1, 8):
+        for g in all_graphs(EnumerationConfig(n)):
+            assert brute_switch_scan(g, (_threshold, is_cograph)) == (
+                oracle_switch_search(g, _threshold), oracle_switch_search(g, is_cograph)), g
+            assert brute_switch_search(g, is_cograph) == oracle_switch_search(g, is_cograph), g
+
+
+@settings(max_examples=40, deadline=None)
+@given(graphs(min_n=8, max_n=10))
+def test_switch_scan_equals_separate_searches_on_larger_graphs(g):
+    assert brute_switch_scan(g, (_threshold, is_cograph)) == (
+        oracle_switch_search(g, _threshold), oracle_switch_search(g, is_cograph))
+
+
+def test_switch_scan_budget_precedes_the_first_switch(monkeypatch):
+    switched = []
+    monkeypatch.setattr(switching, "switch", lambda g, s: switched.append(s) or switch(g, s))
+    with pytest.raises(CapacityError):
+        brute_switch_scan(matching(3), (_threshold, is_cograph), Limits(coloring_budget=2))
+    assert switched == []
+    # within the budget every set up to the last first hit is switched once
+    assert brute_switch_scan(path_graph(3), (_threshold, is_cograph), Limits(coloring_budget=4))
+    assert switched == [0]

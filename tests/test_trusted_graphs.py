@@ -5,8 +5,10 @@ results without validation, because rows derived from a valid graph are
 valid. Each result must equal the graph the validating constructor builds
 from the same rows; the public constructors must still reject bad rows.
 The same holds for colored graphs: canonical_colored_graph, delete_vertex,
-swapped, the colored enumeration and the coloring searches derive theirs
-unchecked, and ColoredGraph(...) and colored graph6 lines still validate.
+swapped and the colored enumeration derive theirs unchecked, and
+ColoredGraph(...) and colored graph6 lines still validate. The coloring
+searches build no colored graph: they hand the elimination kernel the masks
+that eliminate derives from the validated ColoredGraph.
 """
 
 from itertools import permutations, product
@@ -19,8 +21,12 @@ from threshkit.enumeration import EnumerationConfig, _extend, all_colored_graphs
 from threshkit.graph6 import GraphParseError, decode_graph6, encode_graph6, parse_graph_line
 from threshkit.graphs import ColoredGraph, Graph
 from threshkit.kthreshold import (
+    EXTENDED,
+    RESTRICTED,
     SPECIAL,
     brute_coloring_search,
+    eliminate,
+    general_dialect,
     is_extended,
     is_k_threshold,
     is_restricted,
@@ -69,20 +75,38 @@ def test_derived_colored_graphs_equal_validated_ones(n, monkeypatch):
     for g in all_graphs(EnumerationConfig(n)):
         for colors in product((0, 1), repeat=n):
             assert_valid_colored(canonical_colored_graph(ColoredGraph(g, colors)))
-    # the graphs the coloring searches hand to eliminate
-    seen = []
-    eliminate = kthreshold.eliminate
-    monkeypatch.setattr(kthreshold, "eliminate",
-                        lambda cg, dialect: seen.append(cg) or eliminate(cg, dialect))
+    # what the coloring searches hand the elimination kernel: for each
+    # coloring tried, in the search's order, what eliminate hands it for
+    # the validated ColoredGraph of that coloring
+    handed = []
+    kernel = kthreshold.elimination_picks
+    monkeypatch.setattr(kthreshold, "elimination_picks",
+                        lambda *args: handed.append(args) or kernel(*args))
     for g in all_graphs(EnumerationConfig(n)):
-        brute_coloring_search(g, SPECIAL)
-        for search in (is_special, is_restricted, is_extended):
-            search(g)
-        for k in (2, 3):
-            is_k_threshold(g, k)
-    assert seen
-    for cg in seen:
-        assert_valid_colored(cg)
+        for search, dialect, colorings in COLORING_SEARCHES:
+            handed.clear()
+            found = search(g)
+            tried = list(handed)
+            order = list(colorings(g))
+            assert 0 < len(tried) <= len(order)
+            assert found is not None or len(tried) == len(order)
+            for args, coloring in zip(tried, order):
+                handed.clear()
+                eliminate(ColoredGraph(g, coloring), dialect)
+                assert handed == [args]
+
+
+# (search, its dialect, the colorings it tries in order)
+COLORING_SEARCHES = (
+    (lambda g: brute_coloring_search(g, SPECIAL), SPECIAL, lambda g: product((0, 1), repeat=g.n)),
+    (is_special, SPECIAL, lambda g: kthreshold._candidate_colorings(g, SPECIAL)),
+    (is_restricted, RESTRICTED, lambda g: kthreshold._candidate_colorings(g, RESTRICTED)),
+    (is_extended, EXTENDED, lambda g: kthreshold._candidate_colorings(g, EXTENDED)),
+    (lambda g: is_k_threshold(g, 2), general_dialect(2),
+     lambda g: kthreshold._candidate_colorings(g, general_dialect(2))),
+    (lambda g: is_k_threshold(g, 3), general_dialect(3),
+     lambda g: kthreshold._prefix_colorings(g.n, 3)),
+)
 
 
 @pytest.mark.parametrize("colors", [(0, 1), (0, 1, 1, 0), (0, -1, 0)])

@@ -2,6 +2,7 @@
 
 import pytest
 
+import threshkit.canonical as canonical
 import threshkit.classes as classes
 import threshkit.kthreshold as kthreshold
 import threshkit.obstructions as obstructions
@@ -152,16 +153,17 @@ def test_suites_pass_at_reduced_scale(name, n_max):
     assert VerificationReport.from_text(rep.to_text()) == rep
 
 
-@pytest.mark.parametrize("name, n_max, eliminations, scans", [
-    ("special", 5, 717, 52),
-    ("partitioned", 4, 236, 118),
+@pytest.mark.parametrize("name, n_max, kernel_calls, scans", [
+    ("special", 5, 609, 52),
+    ("partitioned", 4, 118, 118),
 ])
-def test_suite_work_goes_through_the_traced_functions(monkeypatch, name, n_max, eliminations, scans):
-    """Every coloring a search tries is one call of kthreshold.eliminate and
-    every FIS scan one call of find_first_embedding, through the module
-    globals a tracer replaces. A change that moves work off those calls
-    changes these counts."""
-    calls = {"eliminate": 0, "scan": 0}
+def test_suite_work_goes_through_the_traced_functions(monkeypatch, name, n_max, kernel_calls, scans):
+    """Every coloring a search tries is one call of the elimination kernel
+    kthreshold.elimination_picks and every FIS scan one call of
+    find_first_embedding, through the module globals a tracer replaces.
+    Rediscovery reads the suite's verdicts and classifies no graph again.
+    A change that moves work off those calls changes these counts."""
+    calls = {"kernel": 0, "scan": 0}
 
     def counted(key, fn):
         def wrapper(*args):
@@ -169,13 +171,12 @@ def test_suite_work_goes_through_the_traced_functions(monkeypatch, name, n_max, 
             return fn(*args)
         return wrapper
 
-    eliminate = counted("eliminate", kthreshold.eliminate)
-    monkeypatch.setattr(kthreshold, "eliminate", eliminate)
-    monkeypatch.setattr(classes, "eliminate", eliminate)
+    monkeypatch.setattr(kthreshold, "elimination_picks",
+                        counted("kernel", kthreshold.elimination_picks))
     monkeypatch.setattr(obstructions, "find_first_embedding",
                         counted("scan", obstructions.find_first_embedding))
     assert run_suite(name, n_max).ok
-    assert calls == {"eliminate": eliminations, "scan": scans}
+    assert calls == {"kernel": kernel_calls, "scan": scans}
 
 
 def test_thresholds_suite_counts_small():
@@ -222,6 +223,19 @@ def test_discovery_capacity_error_precedes_enumeration(enumerations, find):
 def test_enumeration_within_the_bound_still_runs(enumerations):
     assert run_suite("thresholds", 3, Limits(enumeration_max_n=3)).ok
     assert enumerations == ["all_graphs"] * 3
+
+
+def test_catalogs_capacity_error_precedes_canonical_work(monkeypatch):
+    """The largest catalog entry has 8 vertices; under a smaller canonical
+    bound the suite fails before its first canonical form."""
+    orders = []
+    min_order = canonical._min_order
+    monkeypatch.setattr(canonical, "_min_order", lambda *args: orders.append(args[0]) or min_order(*args))
+    with pytest.raises(CapacityError, match="^canonical form on 8 vertices exceeds bound 5$"):
+        run_suite("catalogs", None, Limits(canonical_max_n=5))
+    assert orders == []
+    assert run_suite("catalogs", None, Limits(canonical_max_n=8)).ok
+    assert max(orders) == 8
 
 
 def test_catalog_problems_become_witnesses(monkeypatch):
