@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Sweep minimal-obstruction discovery across families and sizes.
 
-For each requested family this runs the brute-force recognizer over all
-graphs up to --nmax, extracts the minimal non-members, and prints them with
+For each requested family this runs the class's membership predicate
+(GraphClass.member, polynomial for every family) over all graphs up to
+--nmax, extracts the minimal non-members, and prints them with
 their catalog names where known. Useful for spotting obstructions beyond
 the shipped catalogs (for 2-threshold the catalog is a lower bound, not a
 complete characterization).

@@ -8,7 +8,7 @@ per line:
 
     <name> TAB <graph6> TAB <colorstring or -> TAB <source>
 
-validate_catalog replays the defining properties against a brute-force
+validate_catalog replays the defining properties against the family's
 membership predicate and is the safety net against transcription errors
 in the data files.
 """

@@ -13,8 +13,8 @@ from typing import Callable, Optional
 from .graph6 import color_string, encode_graph6
 from .graphs import bits, is_distance_hereditary
 from .kthreshold import (
+    GENERAL2,
     eliminate,
-    general_dialect,
     is_extended,
     is_good,
     is_k_threshold,
@@ -47,7 +47,7 @@ class GraphClass:
     recognize: Callable  # (graph, k, limits) -> certificate lines of a member, None otherwise
     fis: Optional[Callable] = None  # graph -> FisResult of the forbidden-subgraph scan
     family: Optional[str] = None  # the `obstructions --family` value
-    member: Optional[Callable] = None  # limits -> membership predicate at k = 2, for discovery
+    member: Optional[Callable] = None  # graph -> membership at k = 2, for discovery and catalogs
     catalog: Optional[str] = None  # names the obstructions discovery finds
     validates_catalog: bool = True  # member validates catalog; False where a class shares one
     colored: bool = False  # input is a 2-colored graph
@@ -56,7 +56,7 @@ class GraphClass:
     def find_obstructions(self, n_max: int, limits: Limits) -> list:
         """Discovery with member: the minimal obstructions with <= n_max vertices."""
         find = find_minimal_colored_obstructions if self.colored else find_minimal_obstructions
-        return find(self.member(limits), n_max, limits)
+        return find(self.member, n_max, limits)
 
 
 def _sequence_lines(seq) -> list[str]:
@@ -81,19 +81,13 @@ def _switch_cert_lines(cert) -> Optional[list[str]]:
 
 
 def _threshold(g, k, limits):
-    if is_threshold(g) is None:
-        return None
-    return _sequence_lines(build_threshold_tree(g))
-
-
-def _partitioned(cg, k, limits):
-    seq = eliminate(cg, general_dialect(2))
+    seq = build_threshold_tree(g)
     return None if seq is None else _sequence_lines(seq)
 
 
-def _partitioned_member(limits):
-    dialect = general_dialect(2)
-    return lambda cg: eliminate(cg, dialect) is not None
+def _partitioned(cg, k, limits):
+    seq = eliminate(cg, GENERAL2)
+    return None if seq is None else _sequence_lines(seq)
 
 
 def _good(g, k, limits):
@@ -108,23 +102,23 @@ ROWS = (
         recognize=_threshold,
         fis=lambda g: recognize_threshold_fis(g),
         family="threshold",
-        member=lambda limits: lambda g: is_threshold(g) is not None,
+        member=lambda g: is_threshold(g) is not None,
         catalog="threshold",
     ),
     GraphClass(
         "kthreshold",
         recognize=lambda g, k, limits: _coloring_and_sequence(is_k_threshold(g, k, limits)),
         family="kthreshold2",
-        member=lambda limits: lambda g: is_k_threshold(g, 2, limits) is not None,
+        member=lambda g: is_k_threshold(g, 2) is not None,
         catalog="two_threshold_listed",
         takes_k=True,
     ),
     GraphClass(
         "special",
-        recognize=lambda g, k, limits: _coloring_and_sequence(is_special(g, limits)),
+        recognize=lambda g, k, limits: _coloring_and_sequence(is_special(g)),
         fis=lambda g: recognize_special_fis(g),
         family="special",
-        member=lambda limits: lambda g: is_special(g, limits) is not None,
+        member=lambda g: is_special(g) is not None,
         catalog="special2t",
     ),
     # Restricted 2-threshold graphs are the switching class of threshold
@@ -132,25 +126,25 @@ ROWS = (
     # catalog; that catalog is validated with the switch search.
     GraphClass(
         "restricted",
-        recognize=lambda g, k, limits: _coloring_and_sequence(is_restricted(g, limits)),
+        recognize=lambda g, k, limits: _coloring_and_sequence(is_restricted(g)),
         fis=lambda g: recognize_switch_threshold_fis(g),
         family="restricted",
-        member=lambda limits: lambda g: is_restricted(g, limits) is not None,
+        member=lambda g: is_restricted(g) is not None,
         catalog="switch_threshold",
         validates_catalog=False,
     ),
     GraphClass(
         "extended",
-        recognize=lambda g, k, limits: _coloring_and_sequence(is_extended(g, limits)),
+        recognize=lambda g, k, limits: _coloring_and_sequence(is_extended(g)),
         family="extended",
-        member=lambda limits: lambda g: is_extended(g, limits) is not None,
+        member=lambda g: is_extended(g) is not None,
     ),
     GraphClass(
         "partitioned",
         recognize=_partitioned,
         fis=lambda cg: recognize_partitioned_fis(cg),
         family="partitioned",
-        member=_partitioned_member,
+        member=lambda cg: eliminate(cg, GENERAL2) is not None,
         catalog="partitioned2t",
         colored=True,
     ),
@@ -159,15 +153,15 @@ ROWS = (
         recognize=_good,
         fis=lambda g: recognize_good_fis(g),
         family="good",
-        member=lambda limits: is_good,
+        member=lambda g: is_good(g),
         catalog="good",
     ),
     GraphClass(
         "switch-threshold",
-        recognize=lambda g, k, limits: _switch_cert_lines(switch_to_threshold(g, limits)),
+        recognize=lambda g, k, limits: _switch_cert_lines(switch_to_threshold(g)),
         fis=lambda g: recognize_switch_threshold_fis(g),
         family="switch-threshold",
-        member=lambda limits: lambda g: switch_to_threshold(g, limits) is not None,
+        member=lambda g: switch_to_threshold(g) is not None,
         catalog="switch_threshold",
     ),
     GraphClass(
@@ -175,7 +169,7 @@ ROWS = (
         recognize=lambda g, k, limits: _switch_cert_lines(has_cograph_switch(g, limits)),
         fis=lambda g: recognize_switch_cograph_fis(g),
         family="switch-cograph",
-        member=lambda limits: is_switch_cograph,
+        member=lambda g: is_switch_cograph(g),
         catalog="switch_cograph",
     ),
     GraphClass(

@@ -15,9 +15,9 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, product
 
-from .canonical import _twin_masks, canonical_colored_graph, canonical_graph
+from .canonical import _check_size, _twin_masks, canonical_colored_graph, canonical_graph
 from .graph6 import encode_graph6, format_graph_line
-from .graphs import ColoredGraph, Graph, _unchecked_colored, _unchecked_graph, bits
+from .graphs import MAX_VERTICES, ColoredGraph, Graph, _unchecked_colored, _unchecked_graph, bits
 from .limits import DEFAULT_LIMITS, CapacityError, Limits
 from .records import frozen
 
@@ -43,14 +43,21 @@ class EnumerationConfig:
             raise ValueError("n must be positive")
 
 
+# The cached builders label at this bound: the callers' limits are checked
+# before the cache, which is keyed by n alone.
+_LABELING = Limits(canonical_max_n=MAX_VERTICES)
+
+
 def _check_bound(n: int, limits: Limits) -> None:
+    """The enumeration bound, then the canonical bound of the labeling."""
     if n > limits.enumeration_max_n:
         raise CapacityError(f"enumeration at n={n} exceeds bound {limits.enumeration_max_n}")
+    _check_size(n, limits)
 
 
 def check_range(what: str, n_max: int, limits: Limits = DEFAULT_LIMITS) -> None:
     """Reject the sizes 1..n_max before any work: an empty range proves
-    nothing, and a size above the bound raises the generator's CapacityError."""
+    nothing, and a size above a bound raises the generator's CapacityError."""
     if n_max < 1:
         raise ValueError(f"{what} needs a bound of at least 1, got {n_max}")
     _check_bound(min(n_max, limits.enumeration_max_n + 1), limits)
@@ -104,7 +111,7 @@ def _representatives(n: int) -> tuple[Graph, ...]:
     seen: dict[str, Graph] = {}
     for h in _representatives(n - 1):
         for mask in _extension_masks(h):
-            canon = canonical_graph(_extend(h, mask))
+            canon = canonical_graph(_extend(h, mask), _LABELING)
             seen.setdefault(encode_graph6(canon), canon)
     return tuple(seen[form] for form in sorted(seen))
 
@@ -135,7 +142,7 @@ def _colored_representatives(n: int) -> tuple[ColoredGraph, ...]:
     seen: dict[str, ColoredGraph] = {}
     for g in _representatives(n):
         for colors in _twin_sorted_colorings(g):
-            canon = canonical_colored_graph(_unchecked_colored(g, colors))
+            canon = canonical_colored_graph(_unchecked_colored(g, colors), _LABELING)
             seen.setdefault(format_graph_line(canon), canon)
     return tuple(seen[form] for form in sorted(seen))
 
@@ -153,7 +160,7 @@ def baseline_graphs(n: int, limits: Limits = DEFAULT_LIMITS) -> tuple[Graph, ...
     seen: dict[str, Graph] = {}
     for picks in product((0, 1), repeat=len(pairs)):
         g = Graph.from_edges(n, [e for e, take in zip(pairs, picks) if take])
-        canon = canonical_graph(g)
+        canon = canonical_graph(g, limits)
         seen.setdefault(encode_graph6(canon), canon)
     return tuple(seen[form] for form in sorted(seen))
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 from .graphs import ColoredGraph, Graph, MAX_VERTICES
 from .limits import CapacityError
 
@@ -126,16 +128,16 @@ def format_graph_line(g: Graph | ColoredGraph) -> str:
 
 def parse_graph_line(line: str) -> Graph | ColoredGraph:
     """One graph per line: "<graph6>" or "<graph6> <colorstring>"."""
-    parts = line.strip().split()
-    if not parts:
+    fields = list(re.finditer(r"\S+", line))
+    if not fields:
         raise GraphParseError("blank line", 0)
-    if len(parts) > 2:
-        raise GraphParseError("too many fields on line", len(parts[0]) + 1 + len(parts[1]) + 1)
-    g = decode_graph6(parts[0])
-    if len(parts) == 1:
+    if len(fields) > 2:
+        raise GraphParseError("too many fields on line", fields[2].start())
+    g = decode_graph6(fields[0].group())
+    if len(fields) == 1:
         return g
-    offset = line.index(parts[1], line.index(parts[0]) + len(parts[0]))
-    colors = parse_color_string(parts[1], offset)
+    offset = fields[1].start()
+    colors = parse_color_string(fields[1].group(), offset)
     if len(colors) != g.n:
         raise GraphParseError(f"color string length {len(colors)} does not match n={g.n}", offset)
     return ColoredGraph(g, colors)

@@ -23,6 +23,7 @@ from .threshold import is_threshold
 __all__ = [
     "Dialect",
     "general_dialect",
+    "GENERAL2",
     "SPECIAL",
     "RESTRICTED",
     "EXTENDED",
@@ -64,6 +65,7 @@ def general_dialect(k: int) -> Dialect:
     return Dialect("general", k, (ADD,) + tuple(join_color(i) for i in range(k)))
 
 
+GENERAL2 = general_dialect(2)
 SPECIAL = Dialect("special", 2, (ADD, join_color(WHITE)))
 RESTRICTED = Dialect("restricted", 2, (join_color(BLACK), join_color(WHITE)))
 EXTENDED = Dialect("extended", 2, (ADD, join_color(BLACK), join_color(WHITE), JOIN_ALL))
@@ -214,7 +216,7 @@ def _candidate_colorings(g: Graph, dialect: Dialect) -> list[tuple[int, ...]]:
 
 def _search_two_colored(g: Graph, dialect: Dialect) -> tuple[tuple[int, ...], BuildSequence] | None:
     """Same result as brute_coloring_search from at most 2n eliminations,
-    so no limit applies; the public searches accept limits all the same."""
+    so no limit applies."""
     return _first_eliminated(g, dialect, _candidate_colorings(g, dialect))
 
 
@@ -234,15 +236,15 @@ def is_k_threshold(
     return _first_eliminated(g, dialect, _prefix_colorings(g.n, k))
 
 
-def is_special(g: Graph, limits: Limits = DEFAULT_LIMITS):
+def is_special(g: Graph):
     return _search_two_colored(g, SPECIAL)
 
 
-def is_restricted(g: Graph, limits: Limits = DEFAULT_LIMITS):
+def is_restricted(g: Graph):
     return _search_two_colored(g, RESTRICTED)
 
 
-def is_extended(g: Graph, limits: Limits = DEFAULT_LIMITS):
+def is_extended(g: Graph):
     return _search_two_colored(g, EXTENDED)
 
 

@@ -1,4 +1,4 @@
-"""Capacity limits for the exact algorithms, overridable via environment."""
+"""Capacity limits for the exact algorithms, passed in by the caller."""
 
 from __future__ import annotations
 
@@ -14,6 +14,9 @@ class CapacityError(Exception):
 @frozen
 class Limits:
     """Bounds for the exhaustive parts of the toolkit.
+
+    The caller passes them in; a library call never reads the environment.
+    The CLI and the scripts build theirs with from_env().
 
     canonical_max_n: largest graph the canonical-form search will accept
     coloring_budget: maximum number of colorings or switch sets an
@@ -54,14 +57,4 @@ class Limits:
         )
 
 
-def _default_limits() -> Limits:
-    # A bad value must not break the import: the CLI reads the environment
-    # again and reports it as a usage error, and library callers that want
-    # the error call Limits.from_env() themselves.
-    try:
-        return Limits.from_env()
-    except ValueError:
-        return Limits()
-
-
-DEFAULT_LIMITS = _default_limits()
+DEFAULT_LIMITS = Limits()

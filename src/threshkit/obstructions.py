@@ -13,8 +13,9 @@ to a bound, evaluate an arbitrary membership predicate, and report the
 members' minimal non-member boundary. find_minimal_colored_obstructions is
 the same body over 2-colored graphs. The predicate may be a lookup into
 verdicts already computed, as in the verification suites. Running
-discovery against a brute-force recognizer and comparing with the shipped
-catalog is the machine verification of the characterizations at small n.
+discovery against a recognizer that does not read the catalog and
+comparing with the shipped catalog is the machine verification of the
+characterizations at small n.
 """
 
 from __future__ import annotations
@@ -150,7 +151,7 @@ def _find_minimal(member: Callable, n_max: int, limits: Limits, graphs_on: Calla
             verdicts[format_graph_line(g)] = ok  # g is canonical, so this is its form
             if ok or n == 1:
                 continue
-            if all(verdicts[canonical_form(g.delete_vertex(v))] for v in range(n)):
+            if all(verdicts[canonical_form(g.delete_vertex(v), limits)] for v in range(n)):
                 out.append(g)
     return out
 

@@ -100,12 +100,12 @@ def _threshold_switch_sets(g: Graph) -> list[int]:
     return sorted(sets)
 
 
-def switch_to_threshold(g: Graph, limits: Limits = DEFAULT_LIMITS) -> SwitchCertificate | None:
+def switch_to_threshold(g: Graph) -> SwitchCertificate | None:
     """First switch set (ascending masks, vertex 0 excluded) giving a threshold graph.
 
     Same result as brute_switch_search with is_threshold, from at most n + 2
     switches instead of 2^(n-1). The search is polynomial, so no limit
-    applies; limits is accepted like the other recognizers'.
+    applies.
     """
     for s in _threshold_switch_sets(g):
         target = switch(g, s)

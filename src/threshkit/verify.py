@@ -19,6 +19,7 @@ to an equal report (see to_text / from_text).
 from __future__ import annotations
 
 import time
+from itertools import product
 
 from .canonical import _check_size, canonical_form
 from .catalogs import FAMILIES, load_catalog, validate_catalog
@@ -34,7 +35,7 @@ from .obstructions import (
     switch_threshold_patterns,
 )
 from .records import frozen
-from .sequences import evaluate
+from .sequences import ADD, JOIN_ALL, BuildSequence, Step, evaluate
 from .switching import (
     brute_switch_scan,
     is_cograph,
@@ -225,13 +226,13 @@ def suite_thresholds(n_max: int, limits: Limits) -> VerificationReport:
     run = _Run("thresholds", n_max, limits)
     for g in _graphs_upto(n_max, limits):
         run.bump("graphs.checked")
-        cert = is_threshold(g)
+        seq = build_threshold_tree(g)
         _agree(run, "threshold", g, {
-            "elimination": cert is not None,
+            "elimination": seq is not None,
             "fis": BY_NAME["threshold"].fis(g).accepted,
         })
-        if cert is not None:
-            rebuilt = evaluate(build_threshold_tree(g))
+        if seq is not None:
+            rebuilt = evaluate(seq)
             if rebuilt.graph != g:
                 run.bump("threshold.replay.disagree")
                 run.witness(g, "threshold: build tree does not evaluate back to the input")
@@ -245,7 +246,7 @@ def suite_special(n_max: int, limits: Limits) -> VerificationReport:
     for g in _graphs_upto(n_max, limits):
         run.bump("graphs.checked")
         oracle = brute_coloring_search(g, SPECIAL, limits)
-        fast = is_special(g, limits)
+        fast = is_special(g)
         if fast is not None:
             members.add(g)
         _agree(run, "special", g, {
@@ -280,7 +281,7 @@ def suite_good(n_max: int, limits: Limits) -> VerificationReport:
 def suite_partitioned(n_max: int, limits: Limits) -> VerificationReport:
     """Colored elimination vs the colored FIS on every 2-colored graph."""
     run = _Run("partitioned", n_max, limits)
-    member = BY_NAME["partitioned"].member(limits)
+    member = BY_NAME["partitioned"].member
     members: set[ColoredGraph] = set()
     for n in range(1, n_max + 1):
         for cg in all_colored_graphs(n, limits):
@@ -304,11 +305,11 @@ def suite_switching(n_max: int, limits: Limits) -> VerificationReport:
     for g in _graphs_upto(n_max, limits):
         run.bump("graphs.checked")
         oracle, cograph_oracle = brute_switch_scan(g, (threshold, is_cograph), limits)
-        fast = switch_to_threshold(g, limits)
+        fast = switch_to_threshold(g)
         _agree(run, "switch_threshold", g, {
             "brute": oracle is not None,
             "switch_search": fast is not None,
-            "elimination": is_restricted(g, limits) is not None,
+            "elimination": is_restricted(g) is not None,
             "fis": BY_NAME["switch-threshold"].fis(g).accepted,
         })
         _same_certificate(run, "switch_threshold", g, oracle, fast)
@@ -328,7 +329,7 @@ def suite_catalogs(n_max: int, limits: Limits) -> VerificationReport:
     for family in FAMILIES:
         cat, row = load_catalog(family), BY_CATALOG[family]
         run.set(f"catalog.{family}.entries", len(cat.entries))
-        problems = validate_catalog(cat, row.member(limits), limits)
+        problems = validate_catalog(cat, row.member, limits)
         run.set(f"catalog.{family}.problems", len(problems))
         for p in problems:
             run.witness(cat.lookup(p.entry).obstruction,
@@ -354,18 +355,11 @@ def suite_counts(n_max: int, limits: Limits) -> VerificationReport:
     # Unlabeled threshold graphs: every {add, joinall} word gives one, distinct
     # words give non-isomorphic graphs, so the count is exactly 2^(n-1). The
     # generator side is independent of the recognizer.
-    from itertools import product
-
-    from .sequences import ADD, JOIN_ALL, BuildSequence, Step
-
     for n in range(1, min(n_max + 1, 8) + 1):
-        if n == 1:
-            forms = {canonical_form(evaluate(BuildSequence(1, (Step(0, ADD),))).graph)}
-        else:
-            forms = set()
-            for word in product((ADD, JOIN_ALL), repeat=n - 1):
-                steps = (Step(0, ADD),) + tuple(Step(0, op) for op in word)
-                forms.add(canonical_form(evaluate(BuildSequence(1, steps)).graph, limits))
+        forms = set()
+        for word in product((ADD, JOIN_ALL), repeat=n - 1):
+            steps = (Step(0, ADD),) + tuple(Step(0, op) for op in word)
+            forms.add(canonical_form(evaluate(BuildSequence(1, steps)).graph, limits))
         run.set(f"threshold.generated.n{n}", len(forms))
         if len(forms) != 1 << (n - 1):
             run.witness(None, f"counts: generated threshold forms at n={n} gave {len(forms)}")

@@ -27,7 +27,7 @@ def test_member_predicate_matches_the_recognizer_at_k_two(row):
         graphs = [cg for n in range(1, 5) for cg in all_colored_graphs(n)]
     else:
         graphs = [g for n in range(1, 6) for g in all_graphs(EnumerationConfig(n))]
-    member = row.member(DEFAULT_LIMITS)
+    member = row.member
     for g in graphs:
         assert member(g) == (row.recognize(g, 2, DEFAULT_LIMITS) is not None), g
         if row.fis is not None:

@@ -330,3 +330,33 @@ def test_console_script_is_installed():
         [exe, "verify", "--suite", "catalogs"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("threshkit-report/1")
+
+
+@pytest.mark.parametrize("cls, line", [
+    ("restricted", "Cr"),
+    ("switch-threshold", "Cr"),
+    ("partitioned", "Cr bwbw"),
+])
+def test_small_canonical_bound_leaves_fis_scans_alone(cls, line):
+    """The pattern tables are the package's own work, so a canonical bound
+    below their size does not stop a scan of a 4-vertex input. Each run is
+    a fresh process, because the tables are cached."""
+    import os
+    import subprocess
+    import sys
+
+    import threshkit
+
+    code = ("import sys; from threshkit.cli import main; "
+            f"sys.exit(main(['recognize', '--class', {cls!r}, '--method', 'fis']))")
+    runs = []
+    for bound in (None, "5"):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(threshkit.__file__)))
+        env.pop("THRESHKIT_CANONICAL_MAX_N", None)
+        if bound is not None:
+            env["THRESHKIT_CANONICAL_MAX_N"] = bound
+        proc = subprocess.run([sys.executable, "-c", code], input=line + "\n", env=env,
+                              capture_output=True, text=True)
+        runs.append((proc.returncode, proc.stdout, proc.stderr))
+    assert runs[1] == runs[0]
+    assert runs[0][0] in (cli.OK, cli.NON_MEMBER) and runs[0][2] == ""

@@ -109,3 +109,15 @@ def test_color_field_offset_is_after_the_graph6_field(line, offset):
     with pytest.raises(GraphParseError) as info:
         parse_graph_line(line)
     assert info.value.offset == offset
+
+
+@pytest.mark.parametrize("line, offset", [
+    ("A_ bb x", 6),
+    (" A_  bb x", 8),
+    ("A_\tbb\t\tx y", 7),
+])
+def test_extra_field_offset_is_where_the_field_starts(line, offset):
+    with pytest.raises(GraphParseError, match="too many fields") as info:
+        parse_graph_line(line)
+    assert info.value.offset == offset
+    assert line[offset] == "x"

@@ -42,15 +42,15 @@ _threshold = lambda h: is_threshold(h) is not None
 
 # name -> (fast search, oracle), both taking (graph, limits)
 SEARCHES = {
-    "special": (is_special, lambda g, lim: brute_coloring_search(g, SPECIAL, lim)),
-    "restricted": (is_restricted, lambda g, lim: brute_coloring_search(g, RESTRICTED, lim)),
-    "extended": (is_extended, lambda g, lim: brute_coloring_search(g, EXTENDED, lim)),
+    "special": (lambda g, lim: is_special(g), lambda g, lim: brute_coloring_search(g, SPECIAL, lim)),
+    "restricted": (lambda g, lim: is_restricted(g), lambda g, lim: brute_coloring_search(g, RESTRICTED, lim)),
+    "extended": (lambda g, lim: is_extended(g), lambda g, lim: brute_coloring_search(g, EXTENDED, lim)),
     "kthreshold2": (
         lambda g, lim: is_k_threshold(g, 2, lim),
         lambda g, lim: brute_coloring_search(g, general_dialect(2), lim),
     ),
     "switch_to_threshold": (
-        switch_to_threshold,
+        lambda g, lim: switch_to_threshold(g),
         lambda g, lim: brute_switch_search(g, _threshold, lim),
     ),
     "has_cograph_switch": (
@@ -122,12 +122,12 @@ def test_fast_searches_answer_at_twenty_vertices():
               for source in ("random", "threshold-switch", "special", "restricted", "extended", "general")]
     for g in graphs:
         for search in (is_special, is_restricted, is_extended,
-                       lambda h, lim: is_k_threshold(h, 2, lim)):
-            res = search(g, DEFAULT_LIMITS)
+                       lambda h: is_k_threshold(h, 2, DEFAULT_LIMITS)):
+            res = search(g)
             if res is not None:
                 coloring, seq = res
                 assert evaluate(seq) == ColoredGraph(g, coloring)
-        cert = switch_to_threshold(g, DEFAULT_LIMITS)
+        cert = switch_to_threshold(g)
         if cert is not None:
             assert switch(g, cert.set) == cert.target and _threshold(cert.target)
         assert isinstance(is_switch_cograph(g), bool)
