@@ -1,10 +1,10 @@
 """Obstruction catalogs shipped as data files.
 
-Each family of graphs handled by this package has a catalog of minimal
-obstructions: graphs, colored exactly when the color column is not "-",
-that are not in the family but whose every one-vertex deletion is.
-Catalogs are loaded from TSV files shipped with the package, one entry
-per line:
+A catalog lists the minimal obstructions of a class: graphs, colored
+exactly when the color column is not "-", that are not in the class but
+whose every one-vertex deletion is. The class registry (classes.ROWS)
+names each catalog; the catalog itself is the TSV file of that name
+shipped with the package, one entry per line:
 
     <name> TAB <graph6> TAB <colorstring or -> TAB <source>
 
@@ -24,17 +24,6 @@ from .graph6 import decode_graph6, parse_color_string
 from .canonical import canonical_form
 from .limits import DEFAULT_LIMITS, Limits
 from .records import frozen
-
-FAMILIES = (
-    "threshold",
-    "special2t",
-    "good",
-    "two_threshold_listed",
-    "partitioned2t",
-    "switch_threshold",
-    "switch_cograph",
-)
-
 
 @frozen
 class CatalogEntry:
@@ -58,10 +47,6 @@ class Catalog:
     family: str
     entries: tuple[CatalogEntry, ...]
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-
     def names(self) -> list[str]:
         return [e.name for e in self.entries]
 
@@ -84,9 +69,11 @@ def _parse_entry(line: str) -> CatalogEntry:
 
 @lru_cache(maxsize=None)
 def load_catalog(family: str) -> Catalog:
-    if family not in FAMILIES:
+    """The catalog shipped as data/<family>.tsv."""
+    path = resources.files("threshkit.data").joinpath(f"{family}.tsv")
+    if not path.is_file():
         raise ValueError(f"unknown family {family!r}")
-    text = resources.files("threshkit.data").joinpath(f"{family}.tsv").read_text()
+    text = path.read_text()
     entries = tuple(_parse_entry(line) for line in text.splitlines() if line.strip())
     return Catalog(family, entries)
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
+from .canonical import canonical_form
+from .catalogs import load_catalog
 from .graph6 import color_string, encode_graph6
 from .graphs import bits, is_distance_hereditary
 from .kthreshold import (
@@ -57,6 +59,15 @@ class GraphClass:
         """Discovery with member: the minimal obstructions with <= n_max vertices."""
         find = find_minimal_colored_obstructions if self.colored else find_minimal_obstructions
         return find(self.member, n_max, limits)
+
+    def catalog_names(self, n_max: int, limits: Limits) -> dict[str, str]:
+        """Canonical form -> entry name for the catalog entries with <= n_max
+        vertices, the only ones an obstruction found up to n_max can match;
+        {} when the row has no catalog."""
+        if self.catalog is None:
+            return {}
+        return {canonical_form(e.obstruction, limits): e.name
+                for e in load_catalog(self.catalog).entries if e.graph.n <= n_max}
 
 
 def _sequence_lines(seq) -> list[str]:

@@ -15,7 +15,6 @@ from contextlib import nullcontext
 from typing import Optional
 
 from .canonical import canonical_form
-from .catalogs import load_catalog
 from .classes import BY_FAMILY, BY_NAME, ROWS
 from .graph6 import GraphParseError, encode_graph6, parse_graph_line
 from .graphs import ColoredGraph
@@ -105,10 +104,7 @@ def cmd_obstructions(args, limits: Limits) -> int:
     row = BY_FAMILY[args.family]
     # discovery first, so that a bad bound fails before any other work
     found = row.find_obstructions(args.nmax, limits)
-    names: dict[str, str] = {}
-    if row.catalog is not None:
-        for e in load_catalog(row.catalog).entries:
-            names[canonical_form(e.obstruction, limits)] = e.name
+    names = row.catalog_names(args.nmax, limits)
     keyed = [(canonical_form(g, limits), g) for g in found]
 
     catalogued = 0

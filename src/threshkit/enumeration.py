@@ -35,7 +35,6 @@ __all__ = [
 @frozen
 class EnumerationConfig:
     n: int
-    colored: bool = False
     connected: bool = False
 
     def __post_init__(self) -> None:
@@ -116,12 +115,14 @@ def _representatives(n: int) -> tuple[Graph, ...]:
     return tuple(seen[form] for form in sorted(seen))
 
 
-def all_graphs(cfg: EnumerationConfig, limits: Limits = DEFAULT_LIMITS) -> tuple[Graph, ...] | tuple[ColoredGraph, ...]:
-    """Every isomorphism class on cfg.n vertices, canonical, sorted by form."""
+def all_graphs(cfg: EnumerationConfig, limits: Limits = DEFAULT_LIMITS) -> tuple[Graph, ...]:
+    """Every isomorphism class on cfg.n vertices, canonical, sorted by form;
+    only the connected ones when cfg.connected. The 2-colored classes come
+    from all_colored_graphs."""
     _check_bound(cfg.n, limits)
-    reps = _colored_representatives(cfg.n) if cfg.colored else _representatives(cfg.n)
+    reps = _representatives(cfg.n)
     if cfg.connected:
-        reps = tuple(g for g in reps if (g.graph if cfg.colored else g).is_connected())
+        reps = tuple(g for g in reps if g.is_connected())
     return reps
 
 

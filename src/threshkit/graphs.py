@@ -264,8 +264,9 @@ def is_distance_hereditary(g: Graph) -> bool:
     """Prune isolated vertices, pendants and twins down to a single vertex.
 
     Each rule is tried lowest index first: isolated or pendant vertices, then
-    pairs with equal neighborhoods outside the pair (open first, then closed).
-    The class is hereditary, so greedy pruning cannot dead-end.
+    pairs with equal neighborhoods outside the pair. Outside the pair, open
+    and closed neighborhoods coincide, so one test finds false and true
+    twins alike. The class is hereditary, so greedy pruning cannot dead-end.
     """
     alive = g.full_mask
     while alive.bit_count() > 1:
@@ -276,20 +277,12 @@ def is_distance_hereditary(g: Graph) -> bool:
                 break
         if victim < 0:
             live = list(bits(alive))
-            for closed in (False, True):
-                for i, u in enumerate(live):
-                    ru = g.rows[u] & alive
-                    if closed:
-                        ru |= 1 << u
-                    for v in live[i + 1 :]:
-                        rv = g.rows[v] & alive
-                        if closed:
-                            rv |= 1 << v
-                        pair = (1 << u) | (1 << v)
-                        if ru & ~pair == rv & ~pair:
-                            victim = v
-                            break
-                    if victim >= 0:
+            for i, u in enumerate(live):
+                ru = g.rows[u] & alive
+                for v in live[i + 1 :]:
+                    pair = (1 << u) | (1 << v)
+                    if ru & ~pair == g.rows[v] & alive & ~pair:
+                        victim = v
                         break
                 if victim >= 0:
                     break

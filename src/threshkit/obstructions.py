@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence
 from .canonical import canonical_form
 from .catalogs import load_catalog
 from .embed import Pattern, find_first_embedding
-from .graph6 import format_graph_line
+from .graph6 import encode_graph6, format_graph_line
 from .graphs import ColoredGraph, Graph
 from .enumeration import EnumerationConfig, all_colored_graphs, all_graphs, check_range
 from .limits import DEFAULT_LIMITS, Limits
@@ -90,15 +90,17 @@ def recognize_switch_cograph_fis(g: Graph) -> FisResult:
 def switch_threshold_patterns() -> tuple[tuple[str, Graph], ...]:
     """Union of the computed switching classes of 3K2, C5 and C4+2K1.
 
-    Deduplicated by canonical form and named after the shipped catalog
-    where possible; the catalogs verification suite asserts the two lists
-    coincide up to isomorphism.
+    The patterns are the canonical representatives that
+    switching_class_graphs returns, so a pattern's graph6 encoding is its
+    canonical form. Deduplicated by that form and named after the shipped
+    catalog where possible; the catalogs verification suite asserts the
+    two lists coincide up to isomorphism.
     """
     reg = named_graphs()
     by_form: dict[str, Graph] = {}
     for seed in ("3k2", "c5", "c4-2k1"):
         for h in switching_class_graphs(reg[seed]):
-            by_form.setdefault(canonical_form(h), h)
+            by_form.setdefault(encode_graph6(h), h)
     names = {canonical_form(e.graph): e.name
              for e in load_catalog("switch_threshold").entries}
     pats = [(names.get(form, form), by_form[form]) for form in sorted(by_form)]

@@ -22,10 +22,10 @@ import time
 from itertools import product
 
 from .canonical import _check_size, canonical_form
-from .catalogs import FAMILIES, load_catalog, validate_catalog
+from .catalogs import load_catalog, validate_catalog
 from .classes import BY_CATALOG, BY_NAME
 from .enumeration import EnumerationConfig, all_colored_graphs, all_graphs, check_range
-from .graph6 import format_graph_line
+from .graph6 import encode_graph6, format_graph_line
 from .graphs import ColoredGraph, Graph
 from .kthreshold import SPECIAL, brute_coloring_search, is_good, is_restricted, is_special
 from .limits import DEFAULT_LIMITS, Limits
@@ -199,9 +199,8 @@ def _rediscover(run: _Run, cls: str, found: list) -> None:
     every enumerated graph with the class's own membership predicate, kept
     as the set of members, so no graph is classified twice.
     """
-    row, prefix, limits = BY_NAME[cls], f"{cls}.obstructions", run.limits
-    entries = [e for e in load_catalog(row.catalog).entries if e.graph.n <= run.n_max]
-    expected_forms = {canonical_form(e.obstruction, limits): e.name for e in entries}
+    prefix, limits = f"{cls}.obstructions", run.limits
+    expected_forms = BY_NAME[cls].catalog_names(run.n_max, limits)
     found_forms = {canonical_form(g, limits): g for g in found}
     run.set(f"{prefix}.found", len(found_forms))
     run.set(f"{prefix}.expected", len(expected_forms))
@@ -325,9 +324,9 @@ def suite_catalogs(n_max: int, limits: Limits) -> VerificationReport:
     """validate_catalog for every shipped family, plus the switching-class cross-check."""
     run = _Run("catalogs", n_max, limits)
     # every canonical form below is of a catalog entry or a smaller graph
-    _check_size(max(e.graph.n for f in FAMILIES for e in load_catalog(f).entries), limits)
-    for family in FAMILIES:
-        cat, row = load_catalog(family), BY_CATALOG[family]
+    _check_size(max(e.graph.n for f in BY_CATALOG for e in load_catalog(f).entries), limits)
+    for family, row in BY_CATALOG.items():
+        cat = load_catalog(family)
         run.set(f"catalog.{family}.entries", len(cat.entries))
         problems = validate_catalog(cat, row.member, limits)
         run.set(f"catalog.{family}.problems", len(problems))
@@ -335,8 +334,8 @@ def suite_catalogs(n_max: int, limits: Limits) -> VerificationReport:
             run.witness(cat.lookup(p.entry).obstruction,
                         f"catalog.{family}: {p.entry} {p.condition}: {p.detail}")
     # The switch-threshold patterns are also computable from first principles:
-    # the switching classes of 3K2, C5 and C4+2K1.
-    computed = {canonical_form(h, limits) for _, h in switch_threshold_patterns()}
+    # the switching classes of 3K2, C5 and C4+2K1, as canonical representatives.
+    computed = {encode_graph6(h) for _, h in switch_threshold_patterns()}
     catalogued = {canonical_form(e.graph, limits) for e in load_catalog("switch_threshold").entries}
     run.set("catalog.switch_threshold.computed", len(computed))
     if computed != catalogued:
@@ -347,6 +346,8 @@ def suite_catalogs(n_max: int, limits: Limits) -> VerificationReport:
 def suite_counts(n_max: int, limits: Limits) -> VerificationReport:
     """Enumeration counts and the 2^(n-1) threshold count, two ways each."""
     run = _Run("counts", n_max, limits)
+    generated_max = min(n_max + 1, 8)
+    _check_size(generated_max, limits)  # labels the generated threshold graphs
     for n in range(1, n_max + 1):
         got = len(all_graphs(EnumerationConfig(n), limits))
         run.set(f"enumeration.n{n}", got)
@@ -355,7 +356,7 @@ def suite_counts(n_max: int, limits: Limits) -> VerificationReport:
     # Unlabeled threshold graphs: every {add, joinall} word gives one, distinct
     # words give non-isomorphic graphs, so the count is exactly 2^(n-1). The
     # generator side is independent of the recognizer.
-    for n in range(1, min(n_max + 1, 8) + 1):
+    for n in range(1, generated_max + 1):
         forms = set()
         for word in product((ADD, JOIN_ALL), repeat=n - 1):
             steps = (Step(0, ADD),) + tuple(Step(0, op) for op in word)

@@ -5,7 +5,6 @@ import pytest
 from threshkit.catalogs import (
     Catalog,
     CatalogEntry,
-    FAMILIES,
     load_catalog,
     validate_catalog,
 )
@@ -26,8 +25,8 @@ EXPECTED_SIZES = {
 
 
 def test_every_family_loads():
-    assert set(FAMILIES) == set(EXPECTED_SIZES)
-    for family in FAMILIES:
+    assert set(BY_CATALOG) == set(EXPECTED_SIZES)
+    for family in BY_CATALOG:
         cat = load_catalog(family)
         assert cat.family == family
         assert len(cat.entries) == EXPECTED_SIZES[family]
@@ -111,7 +110,7 @@ def test_colored_validation_uses_colored_isomorphism():
     assert any(p.condition == "distinct" for p in problems)
 
 
-@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("family", BY_CATALOG)
 def test_color_column_decides_the_catalog_kind(family):
     # all entries colored or none, and colored exactly for a colored class
     entries, colored = load_catalog(family).entries, BY_CATALOG[family].colored

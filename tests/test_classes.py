@@ -1,8 +1,10 @@
 """The class registry: one row per class, and the fields of a row agree."""
 
+from importlib import resources
+
 import pytest
 
-from threshkit.catalogs import FAMILIES
+from threshkit.catalogs import load_catalog
 from threshkit.classes import BY_CATALOG, BY_FAMILY, BY_NAME, ROWS
 from threshkit.enumeration import EnumerationConfig, all_colored_graphs, all_graphs
 from threshkit.limits import DEFAULT_LIMITS
@@ -16,7 +18,12 @@ def test_each_class_and_family_has_one_row():
 
 def test_every_catalog_is_validated_by_one_row():
     validating = [row.catalog for row in ROWS if row.catalog is not None and row.validates_catalog]
-    assert sorted(validating) == sorted(FAMILIES)
+    shipped = [p.name[: -len(".tsv")] for p in resources.files("threshkit.data").iterdir()
+               if p.name.endswith(".tsv")]
+    assert sorted(validating) == sorted(shipped)
+    for row in ROWS:
+        if row.catalog is not None:
+            assert load_catalog(row.catalog).entries, row.name
     assert BY_CATALOG["switch_threshold"] is BY_NAME["switch-threshold"]
     assert BY_NAME["restricted"].catalog == "switch_threshold"
 

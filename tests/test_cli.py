@@ -332,6 +332,32 @@ def test_console_script_is_installed():
     assert proc.stdout.startswith("threshkit-report/1")
 
 
+def test_obstructions_looks_up_only_catalog_entries_within_nmax():
+    """The kthreshold2 catalog has entries on up to 8 vertices, but a search
+    up to 5 vertices needs canonical forms of at most 5, so a canonical
+    bound of 5 leaves the output unchanged. Each run is a fresh process,
+    because the enumeration is cached."""
+    import os
+    import subprocess
+    import sys
+
+    import threshkit
+
+    code = ("import sys; from threshkit.cli import main; "
+            "sys.exit(main(['obstructions', '--family', 'kthreshold2', '--nmax', '5']))")
+    runs = []
+    for bound in (None, "5"):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(threshkit.__file__)))
+        env.pop("THRESHKIT_CANONICAL_MAX_N", None)
+        if bound is not None:
+            env["THRESHKIT_CANONICAL_MAX_N"] = bound
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        runs.append((proc.returncode, proc.stdout, proc.stderr))
+    assert runs[1] == runs[0]
+    assert runs[0][0] == cli.OK and runs[0][2] == ""
+    assert runs[0][1].endswith("found 2 minimal obstructions with n <= 5, 2 catalogued\n")
+
+
 @pytest.mark.parametrize("cls, line", [
     ("restricted", "Cr"),
     ("switch-threshold", "Cr"),

@@ -7,10 +7,11 @@ from itertools import combinations, permutations
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from threshkit.catalogs import FAMILIES, load_catalog
+from threshkit.catalogs import load_catalog
 import pytest
 
 from threshkit import embed
+from threshkit.classes import BY_CATALOG
 from threshkit.embed import find_first_embedding, find_induced_embedding
 from threshkit.enumeration import EnumerationConfig, all_colored_graphs, all_graphs
 from threshkit.graphs import ColoredGraph, Graph
@@ -82,7 +83,7 @@ def oracle_find_induced_embedding(host, pattern, host_coloring=None, pattern_col
 
 def _catalog_graphs():
     """Every catalog pattern, uncolored, plus the computed switch-threshold ones."""
-    out = [e.graph for family in FAMILIES for e in load_catalog(family).entries]
+    out = [e.graph for family in BY_CATALOG for e in load_catalog(family).entries]
     return out + [g for _, g in switch_threshold_patterns()]
 
 

@@ -75,15 +75,6 @@ def test_colored_enumeration_matches_brute_force():
         assert fast == slow
 
 
-def test_colored_config_dispatch():
-    cfg = EnumerationConfig(3, colored=True)
-    out = all_graphs(cfg)
-    assert all(isinstance(cg, ColoredGraph) for cg in out)
-    assert {canonical_colored_form(cg) for cg in out} == {
-        canonical_colored_form(cg) for cg in all_colored_graphs(3)
-    }
-
-
 def test_raw_extensions_cover_everything():
     for n in range(2, 6):
         raw = {canonical_form(g) for g in raw_extensions(n)}

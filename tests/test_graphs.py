@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from threshkit.enumeration import EnumerationConfig, all_graphs
 from threshkit.graphs import (
     ColoredGraph,
     Graph,
@@ -166,3 +167,50 @@ def test_distance_hereditary_known_cases():
 @given(graphs(max_n=6))
 def test_distance_hereditary_matches_definition(g):
     assert is_distance_hereditary(g) == distance_hereditary_oracle(g)
+
+
+def two_pass_distance_hereditary(g: Graph) -> bool:
+    """The earlier twin search, which ran an open pass and then a closed
+    pass; kept as the oracle for the single pass."""
+    alive = g.full_mask
+    while alive.bit_count() > 1:
+        victim = -1
+        for v in bits(alive):
+            if (g.rows[v] & alive).bit_count() <= 1:
+                victim = v
+                break
+        if victim < 0:
+            live = list(bits(alive))
+            for closed in (False, True):
+                for i, u in enumerate(live):
+                    ru = g.rows[u] & alive
+                    if closed:
+                        ru |= 1 << u
+                    for v in live[i + 1 :]:
+                        rv = g.rows[v] & alive
+                        if closed:
+                            rv |= 1 << v
+                        pair = (1 << u) | (1 << v)
+                        if ru & ~pair == rv & ~pair:
+                            victim = v
+                            break
+                    if victim >= 0:
+                        break
+                if victim >= 0:
+                    break
+        if victim < 0:
+            return False
+        alive ^= 1 << victim
+    return True
+
+
+def test_distance_hereditary_matches_two_pass_search_up_to_n7():
+    for n in range(1, 8):
+        for g in all_graphs(EnumerationConfig(n)):
+            assert is_distance_hereditary(g) == two_pass_distance_hereditary(g), g
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(min_n=8, max_n=16))
+def test_distance_hereditary_matches_two_pass_search_on_larger_graphs(g):
+    assert is_distance_hereditary(g) == two_pass_distance_hereditary(g)

@@ -8,6 +8,7 @@ from threshkit.canonical import canonical_colored_form, canonical_form
 from threshkit.catalogs import load_catalog
 from threshkit.embed import find_first_embedding, find_induced_embedding
 from threshkit.enumeration import all_colored_graphs
+from threshkit.graph6 import encode_graph6
 from threshkit.graphs import ColoredGraph, disjoint_union
 from threshkit.kthreshold import eliminate, general_dialect, is_good, is_special
 from threshkit.named import (
@@ -153,6 +154,11 @@ def test_switch_threshold_patterns_match_catalog():
     }
     # every pattern carries its catalog name, none fell back to a raw form
     assert {name for name, _ in pats} == set(cat.names())
+
+
+def test_switch_threshold_patterns_are_canonical_representatives():
+    for _, h in switch_threshold_patterns():
+        assert encode_graph6(h) == canonical_form(h)
 
 
 def test_partitioned_pattern_set_is_swap_closed():

@@ -238,6 +238,18 @@ def test_catalogs_capacity_error_precedes_canonical_work(monkeypatch):
     assert max(orders) == 8
 
 
+def test_counts_capacity_error_precedes_canonical_work(monkeypatch):
+    """The counts suite labels generated threshold graphs on one vertex more
+    than it enumerates, so under a canonical bound of 7 it fails before its
+    first canonical form."""
+    orders = []
+    min_order = canonical._min_order
+    monkeypatch.setattr(canonical, "_min_order", lambda *args: orders.append(args[0]) or min_order(*args))
+    with pytest.raises(CapacityError, match="^canonical form on 8 vertices exceeds bound 7$"):
+        run_suite("counts", None, Limits(canonical_max_n=7))
+    assert orders == []
+
+
 def test_catalog_problems_become_witnesses(monkeypatch):
     # a predicate that accepts every graph rejects no catalog entry
     monkeypatch.setattr(classes, "is_good", lambda g: True)
