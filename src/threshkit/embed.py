@@ -1,17 +1,30 @@
 """Induced-subgraph embedding search, optionally color-preserving.
 
 Each pattern vertex keeps its host candidates as one bitmask (Ullmann, "An
-algorithm for subgraph isomorphism", 1976): the host vertices of large
-enough degree and matching color, narrowed by the image of each earlier
-pattern vertex to its neighbours or non-neighbours. Neither narrowing keeps
-the image itself, so no used-vertex set is needed. Candidates are tried
-lowest first, so the first embedding found is the lexicographically first.
+algorithm for subgraph isomorphism", 1976): the host vertices in its degree
+window and of matching color, narrowed by the image of each earlier pattern
+vertex to its neighbours or non-neighbours. Neither narrowing keeps the
+image itself, so no used-vertex set is needed. Candidates are tried lowest
+first, so the first embedding found is the lexicographically first.
+
+The degree window of a pattern vertex of degree k, for a pattern on p
+vertices and a host on h, is at_least[k] & at_most[k + h - p]: its image
+needs k neighbours, and as many non-neighbours as it has, p - 1 - k. A
+host vertex outside the window is in no embedding, so dropping it leaves
+the first embedding unchanged. Before any mask is built, a pattern is
+skipped when the host has fewer edges, fewer non-edges or fewer vertices of
+some color than the pattern has (the counting rules of VF2, Cordella et
+al., 2004, applied to the whole pattern).
 
 A forbidden-subgraph scan tries a whole pattern list against one host, so
 find_first_embedding builds the host's tables (vertices by least degree, by
-color, and non-neighbour rows) once for the list. A pattern with a vertex
-whose starting candidate mask is empty cannot embed and is skipped without
-a search.
+color, and non-neighbour rows) once for the list. The pattern side of those
+tests (degrees, edge, non-edge and color counts) depends on the pattern
+alone: a PatternList computes it once, and the scan lists of the
+recognizers in obstructions are PatternLists built once per process. A
+plain sequence of patterns works too, at the price of computing the
+constants on each call. A pattern with a vertex whose starting candidate
+mask is empty cannot embed and is skipped without a search.
 """
 
 from __future__ import annotations
@@ -20,10 +33,34 @@ from typing import Optional, Sequence
 
 from .graphs import Graph
 
-__all__ = ["find_first_embedding", "find_induced_embedding"]
+__all__ = ["PatternList", "find_first_embedding", "find_induced_embedding"]
 
 # (name, pattern graph, pattern colors or None)
 Pattern = tuple[Optional[str], Graph, Optional[tuple[int, ...]]]
+
+
+def _constants(patterns: Sequence[Pattern]) -> tuple:
+    """Per pattern: (name, rows, vertices, edges, non-edges, degrees, colors,
+    (color, count) pairs or None)."""
+    out = []
+    for name, pattern, colors in patterns:
+        p = pattern.n
+        edges = pattern.edge_count()
+        counts = None
+        if colors is not None:
+            counts = tuple((c, colors.count(c)) for c in sorted(set(colors)))
+        out.append((name, pattern.rows, p, edges, p * (p - 1) // 2 - edges,
+                    pattern.degrees, colors, counts))
+    return tuple(out)
+
+
+class PatternList(tuple):
+    """A tuple of patterns that carries their constants, computed once."""
+
+    def __new__(cls, patterns: Sequence[Pattern]) -> PatternList:
+        self = super().__new__(cls, patterns)
+        self.constants = _constants(self)
+        return self
 
 
 def find_first_embedding(
@@ -38,33 +75,43 @@ def find_first_embedding(
     Pattern colors are given exactly when host_coloring is, and then every
     embedding must preserve colors exactly.
     """
+    if not isinstance(patterns, PatternList):
+        patterns = PatternList(patterns)
     h = host.n
     hrows = host.rows
     full = host.full_mask
-    # at_least[k]: the host vertices of degree >= k
+    degrees = host.degrees
+    # at_least[k]: the host vertices of degree >= k; at_least[h] is empty
     at_least = [0] * (h + 1)
-    for v, k in enumerate(host.degrees):
+    for v, k in enumerate(degrees):
         at_least[k] |= 1 << v
     for k in range(h - 1, -1, -1):
         at_least[k] |= at_least[k + 1]
+    edges = sum(degrees) >> 1
+    non_edges = h * (h - 1) // 2 - edges
     by_color: dict[int, int] = {}
     if host_coloring is not None:
         for v, c in enumerate(host_coloring):
             by_color[c] = by_color.get(c, 0) | 1 << v
     # non_rows[v]: the host vertices other than v that v is not adjacent to
     non_rows = [full ^ row ^ (1 << v) for v, row in enumerate(hrows)]
-    for name, pattern, colors in patterns:
+    for name, prows, p, pedges, pnon, pdegrees, colors, counts in patterns.constants:
         if (colors is None) != (host_coloring is None):
             raise ValueError("supply both colorings or neither")
-        if pattern.n > h:
+        if p > h or pedges > edges or pnon > non_edges:
             continue
-        if colors is None:
-            base = [at_least[k] for k in pattern.degrees]
+        # at_least[k] ^ at_least[k + top] is at_least[k] & at_most[k + h - p]
+        top = h - p + 1
+        if counts is None:
+            base = [at_least[k] ^ at_least[k + top] for k in pdegrees]
         else:
-            base = [at_least[k] & by_color.get(c, 0) for k, c in zip(pattern.degrees, colors)]
+            if any(by_color.get(c, 0).bit_count() < count for c, count in counts):
+                continue
+            base = [(at_least[k] ^ at_least[k + top]) & by_color[c]
+                    for k, c in zip(pdegrees, colors)]
         if not all(base):
             continue
-        embedding = _search(hrows, non_rows, pattern.rows, base)
+        embedding = _search(hrows, non_rows, prows, base)
         if embedding is not None:
             return name, embedding
     return None

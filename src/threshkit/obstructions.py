@@ -16,17 +16,24 @@ verdicts already computed, as in the verification suites. Running
 discovery against a recognizer that does not read the catalog and
 comparing with the shipped catalog is the machine verification of the
 characterizations at small n.
+
+Discovery keys its verdicts by the canonical graph itself. A non-member is
+minimal when the canonical graph of each one-vertex deletion is a member.
+Distinct graphs on one level often share a labeled deletion (two colorings
+that differ only at the deleted vertex, say), so a memo of the level's
+deletions labels each distinct one once. The memo lasts one level, since a
+deletion on the next level has one more vertex and can never match.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
-from .canonical import canonical_form
+from .canonical import canonical_colored_graph, canonical_form, canonical_graph
 from .catalogs import load_catalog
-from .embed import Pattern, find_first_embedding
-from .graph6 import encode_graph6, format_graph_line
+from .embed import Pattern, PatternList, find_first_embedding
+from .graph6 import encode_graph6
 from .graphs import ColoredGraph, Graph
 from .enumeration import EnumerationConfig, all_colored_graphs, all_graphs, check_range
 from .limits import DEFAULT_LIMITS, Limits
@@ -55,7 +62,7 @@ class FisResult:
     embedding: Optional[tuple[int, ...]] = None
 
 
-def _scan(host: Graph, patterns: Sequence[Pattern],
+def _scan(host: Graph, patterns: PatternList,
           host_coloring: Optional[tuple[int, ...]] = None) -> FisResult:
     hit = find_first_embedding(host, patterns, host_coloring)
     if hit is None:
@@ -64,10 +71,10 @@ def _scan(host: Graph, patterns: Sequence[Pattern],
 
 
 @lru_cache(maxsize=None)
-def _catalog_patterns(family: str) -> tuple[Pattern, ...]:
+def _catalog_patterns(family: str) -> PatternList:
     cat = load_catalog(family)
-    return tuple(sorted(((e.name, e.graph, None) for e in cat.entries),
-                        key=lambda p: (p[1].n, p[0])))
+    return PatternList(sorted(((e.name, e.graph, None) for e in cat.entries),
+                              key=lambda p: (p[1].n, p[0])))
 
 
 def recognize_threshold_fis(g: Graph) -> FisResult:
@@ -108,8 +115,8 @@ def switch_threshold_patterns() -> tuple[tuple[str, Graph], ...]:
 
 
 @lru_cache(maxsize=1)
-def _switch_threshold_scan() -> tuple[Pattern, ...]:
-    return tuple((name, h, None) for name, h in switch_threshold_patterns())
+def _switch_threshold_scan() -> PatternList:
+    return PatternList((name, h, None) for name, h in switch_threshold_patterns())
 
 
 def recognize_switch_threshold_fis(g: Graph) -> FisResult:
@@ -117,7 +124,7 @@ def recognize_switch_threshold_fis(g: Graph) -> FisResult:
 
 
 @lru_cache(maxsize=1)
-def _partitioned_patterns() -> tuple[Pattern, ...]:
+def _partitioned_patterns() -> PatternList:
     """The catalogued colored patterns and their color swaps, sorted by
     (n, name), keeping the first pattern of each color-preserving
     isomorphism class.
@@ -135,25 +142,36 @@ def _partitioned_patterns() -> tuple[Pattern, ...]:
     kept: dict[str, Pattern] = {}
     for name, cg in sorted(pats, key=lambda p: (p[1].n, p[0])):
         kept.setdefault(canonical_form(cg), (name, cg.graph, cg.colors))
-    return tuple(kept.values())
+    return PatternList(kept.values())
 
 
 def recognize_partitioned_fis(cg: ColoredGraph) -> FisResult:
     return _scan(cg.graph, _partitioned_patterns(), cg.colors)
 
 
-def _find_minimal(member: Callable, n_max: int, limits: Limits, graphs_on: Callable) -> list:
-    """The discovery body; graphs_on(n) lists the canonical graphs on n vertices."""
+def _find_minimal(member: Callable, n_max: int, limits: Limits,
+                  graphs_on: Callable, label: Callable) -> list:
+    """The discovery body; graphs_on(n) lists the canonical graphs on n
+    vertices, and label(g, limits) is the canonical graph of g."""
     check_range("obstruction search", n_max, limits)
-    verdicts: dict[str, bool] = {}
+    verdicts: dict = {}  # canonical graph -> membership
     out = []
     for n in range(1, n_max + 1):
+        # labeled deletion -> membership of its class, for this level only
+        deletions: dict = {}
         for g in graphs_on(n):
             ok = bool(member(g))
-            verdicts[format_graph_line(g)] = ok  # g is canonical, so this is its form
+            verdicts[g] = ok
             if ok or n == 1:
                 continue
-            if all(verdicts[canonical_form(g.delete_vertex(v), limits)] for v in range(n)):
+            for v in range(n):
+                d = g.delete_vertex(v)
+                in_class = deletions.get(d)
+                if in_class is None:
+                    in_class = deletions[d] = verdicts[label(d, limits)]
+                if not in_class:
+                    break
+            else:
                 out.append(g)
     return out
 
@@ -165,7 +183,8 @@ def find_minimal_obstructions(
 ) -> list[Graph]:
     """All canonical non-members with <= n_max vertices whose every
     one-vertex deletion is a member. Sorted by canonical form per level."""
-    return _find_minimal(member, n_max, limits, lambda n: all_graphs(EnumerationConfig(n), limits))
+    return _find_minimal(member, n_max, limits, lambda n: all_graphs(EnumerationConfig(n), limits),
+                         canonical_graph)
 
 
 def find_minimal_colored_obstructions(
@@ -174,4 +193,5 @@ def find_minimal_colored_obstructions(
     limits: Limits = DEFAULT_LIMITS,
 ) -> list[ColoredGraph]:
     """find_minimal_obstructions over 2-colored graphs, color-preserving dedup."""
-    return _find_minimal(member, n_max, limits, lambda n: all_colored_graphs(n, limits))
+    return _find_minimal(member, n_max, limits, lambda n: all_colored_graphs(n, limits),
+                         canonical_colored_graph)

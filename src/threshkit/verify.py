@@ -201,7 +201,9 @@ def _rediscover(run: _Run, cls: str, found: list) -> None:
     """
     prefix, limits = f"{cls}.obstructions", run.limits
     expected_forms = BY_NAME[cls].catalog_names(run.n_max, limits)
-    found_forms = {canonical_form(g, limits): g for g in found}
+    # discovery returns canonical graphs, so a graph6 line is already the
+    # canonical form and labeling them again would repeat its work
+    found_forms = {format_graph_line(g): g for g in found}
     run.set(f"{prefix}.found", len(found_forms))
     run.set(f"{prefix}.expected", len(expected_forms))
     for form, g in sorted(found_forms.items()):

@@ -1,6 +1,7 @@
 """Induced-subgraph search against a brute-force permutation oracle, and
 against the vertex-by-vertex scan it replaced; the whole-list scan against
-a loop of single-pattern searches."""
+a loop of single-pattern searches; the degree-window and count filters
+where they cut hardest: three colors, and hosts no larger than the pattern."""
 
 from itertools import combinations, permutations
 
@@ -12,7 +13,7 @@ import pytest
 
 from threshkit import embed
 from threshkit.classes import BY_CATALOG
-from threshkit.embed import find_first_embedding, find_induced_embedding
+from threshkit.embed import PatternList, find_first_embedding, find_induced_embedding
 from threshkit.enumeration import EnumerationConfig, all_colored_graphs, all_graphs
 from threshkit.graphs import ColoredGraph, Graph
 from threshkit.named import complete_graph, cycle_graph, empty_graph, path_graph
@@ -250,3 +251,86 @@ def test_scan_requires_colorings_on_both_sides():
         find_first_embedding(path_graph(3), [("p2", path_graph(2), None)], (0, 0, 0))
     with pytest.raises(ValueError):
         find_induced_embedding(path_graph(3), path_graph(2), (0, 0, 0))
+
+
+@st.composite
+def same_size_pairs(draw, max_n=6, k=3):
+    """A k-colored host and pattern on the same number of vertices."""
+    n = draw(st.integers(1, max_n))
+    return draw(colored_graphs(n, n, k)), draw(colored_graphs(n, n, k))
+
+
+@settings(max_examples=200, deadline=None)
+@given(colored_graphs(max_n=7, k=3), colored_graphs(max_n=4, k=3))
+def test_three_colored_equals_oracle(host, pattern):
+    args = (host.graph, pattern.graph, host.colors, pattern.colors)
+    assert find_induced_embedding(*args) == oracle_find_induced_embedding(*args)
+
+
+@settings(max_examples=200, deadline=None)
+@given(same_size_pairs())
+def test_three_colored_equals_oracle_with_no_slack(pair):
+    host, pattern = pair
+    args = (host.graph, pattern.graph, host.colors, pattern.colors)
+    assert find_induced_embedding(*args) == oracle_find_induced_embedding(*args)
+
+
+@settings(max_examples=60, deadline=None)
+@given(colored_graphs(min_n=5, max_n=9, k=3),
+       st.lists(colored_graphs(max_n=5, k=3), min_size=1, max_size=6))
+def test_three_colored_scan_equals_pattern_loop(host, drawn):
+    patterns = PatternList((str(i), cg.graph, cg.colors) for i, cg in enumerate(drawn))
+    assert find_first_embedding(host.graph, patterns, host.colors) == oracle_first_embedding(
+        host.graph, patterns, host.colors
+    )
+
+
+def test_equals_oracle_on_every_same_size_host():
+    for n in range(1, 6):
+        level = all_graphs(EnumerationConfig(n))
+        for host in level:
+            for pattern in level:
+                assert find_induced_embedding(host, pattern) == oracle_find_induced_embedding(
+                    host, pattern
+                )
+
+
+def test_colored_equals_oracle_on_every_same_size_host():
+    for n in range(1, 5):
+        level = all_colored_graphs(n)
+        for host in level:
+            for pattern in level:
+                args = (host.graph, pattern.graph, host.colors, pattern.colors)
+                assert find_induced_embedding(*args) == oracle_find_induced_embedding(*args)
+
+
+def test_scan_skips_patterns_by_counts_and_degree_window(monkeypatch):
+    searched = []
+    search = embed._search
+    monkeypatch.setattr(embed, "_search", lambda *args: searched.append(args[2]) or search(*args))
+    # P4 has 3 edges, 3 non-edges and degrees 1, 2, 2, 1. K4 minus an edge
+    # has 5 edges, 4K1 has 6 non-edges, and the isolated vertex of K3+K1
+    # needs an image of degree 0 in a host of its own size
+    k3_k1 = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2)])
+    patterns = [
+        ("k4-e", Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]), None),
+        ("4k1", empty_graph(4), None),
+        ("k3+k1", k3_k1, None),
+        ("p4", path_graph(4), None),
+    ]
+    assert find_first_embedding(path_graph(4), patterns) == ("p4", (0, 1, 2, 3))
+    assert searched == [path_graph(4).rows]
+    # every vertex of the host has each color, but only one has color 1
+    searched.clear()
+    colored = [("11", path_graph(2), (1, 1)), ("01", path_graph(2), (0, 1))]
+    assert find_first_embedding(path_graph(3), colored, (0, 1, 0)) == ("01", (0, 1))
+    assert searched == [path_graph(2).rows]
+
+
+def test_pattern_list_is_its_patterns():
+    plain = [(name, h, None) for name, h in switch_threshold_patterns()]
+    patterns = PatternList(plain)
+    assert patterns == tuple(plain) and list(patterns) == plain
+    assert len(patterns.constants) == len(plain)
+    for host in all_graphs(EnumerationConfig(6)):
+        assert find_first_embedding(host, patterns) == find_first_embedding(host, plain)

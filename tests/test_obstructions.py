@@ -3,12 +3,15 @@
 from functools import lru_cache
 
 from hypothesis import given, settings
+import pytest
 
+import threshkit.canonical as canonical
 from threshkit.canonical import canonical_colored_form, canonical_form
 from threshkit.catalogs import load_catalog
 from threshkit.embed import find_first_embedding, find_induced_embedding
-from threshkit.enumeration import all_colored_graphs
-from threshkit.graph6 import encode_graph6
+from threshkit.classes import ROWS
+from threshkit.enumeration import EnumerationConfig, all_colored_graphs, all_graphs
+from threshkit.graph6 import encode_graph6, format_graph_line
 from threshkit.graphs import ColoredGraph, disjoint_union
 from threshkit.kthreshold import eliminate, general_dialect, is_good, is_special
 from threshkit.named import (
@@ -246,3 +249,72 @@ def test_kept_patterns_scan_like_all_patterns_on_small_hosts():
 @given(colored_graphs(min_n=7, max_n=12))
 def test_kept_patterns_scan_like_all_patterns_on_larger_hosts(cg):
     assert _scan_pair(cg) == _scan_pair(cg, all_partitioned_patterns())
+
+
+def oracle_find_minimal(member, n_max, graphs_on):
+    """The earlier discovery body: verdicts keyed by graph6 line, and a
+    canonical form for every deletion of every non-member."""
+    verdicts = {}
+    out = []
+    for n in range(1, n_max + 1):
+        for g in graphs_on(n):
+            ok = bool(member(g))
+            verdicts[format_graph_line(g)] = ok
+            if ok or n == 1:
+                continue
+            if all(verdicts[canonical_form(g.delete_vertex(v))] for v in range(n)):
+                out.append(g)
+    return out
+
+
+def _plain_level(n):
+    return all_graphs(EnumerationConfig(n))
+
+
+def _member_set(member, n_max, graphs_on):
+    return {g for n in range(1, n_max + 1) for g in graphs_on(n) if member(g)}
+
+
+PLAIN_MEMBERS = [row for row in ROWS if row.member is not None and not row.colored]
+
+
+@pytest.mark.parametrize("row", PLAIN_MEMBERS, ids=lambda row: row.name)
+def test_discovery_equals_oracle_on_each_plain_class(row):
+    members = _member_set(row.member, 6, _plain_level)
+    assert find_minimal_obstructions(members.__contains__, 6) == oracle_find_minimal(
+        members.__contains__, 6, _plain_level
+    )
+
+
+def test_colored_discovery_equals_oracle():
+    member = lambda cg: eliminate(cg, general_dialect(2)) is not None
+    members = _member_set(member, 5, all_colored_graphs)
+    assert find_minimal_colored_obstructions(members.__contains__, 5) == oracle_find_minimal(
+        members.__contains__, 5, all_colored_graphs
+    )
+
+
+def test_discovery_equals_oracle_on_a_synthetic_hereditary_predicate():
+    # at most three edges, and in the colored case at most two black vertices:
+    # both are kept by every induced subgraph
+    plain = lambda g: g.edge_count() <= 3
+    assert find_minimal_obstructions(plain, 6) == oracle_find_minimal(plain, 6, _plain_level)
+    colored = lambda cg: cg.graph.edge_count() <= 3 and cg.colors.count(1) <= 2
+    assert find_minimal_colored_obstructions(colored, 5) == oracle_find_minimal(
+        colored, 5, all_colored_graphs
+    )
+
+
+def test_colored_discovery_labels_each_distinct_deletion_once(monkeypatch):
+    """A work-count gate: with the enumeration warm, every canonical labeling
+    discovery makes is of a distinct labeled deletion on one level."""
+    member = lambda cg: eliminate(cg, general_dialect(2)) is not None
+    members = _member_set(member, 5, all_colored_graphs)
+    calls = []
+    real = canonical._min_order
+    monkeypatch.setattr(canonical, "_min_order", lambda *args: calls.append(args) or real(*args))
+    find_minimal_colored_obstructions(members.__contains__, 5)
+    labeled = len(calls)
+    calls.clear()
+    oracle_find_minimal(members.__contains__, 5, all_colored_graphs)
+    assert (labeled, len(calls)) == (191, 629)

@@ -4,6 +4,7 @@ import pytest
 
 import threshkit.canonical as canonical
 import threshkit.classes as classes
+import threshkit.embed as embed
 import threshkit.kthreshold as kthreshold
 import threshkit.obstructions as obstructions
 import threshkit.verify as verify
@@ -177,6 +178,39 @@ def test_suite_work_goes_through_the_traced_functions(monkeypatch, name, n_max, 
                         counted("scan", obstructions.find_first_embedding))
     assert run_suite(name, n_max).ok
     assert calls == {"kernel": kernel_calls, "scan": scans}
+
+
+def test_partitioned_scans_search_few_patterns(monkeypatch):
+    """A work-count gate for the scan: the count and degree-window filters
+    leave 30 searches of the 118 partitioned scans at n <= 4 (563 without
+    them). A change that searches patterns the filters rule out changes it."""
+    searched = []
+    search = embed._search
+    monkeypatch.setattr(embed, "_search", lambda *args: searched.append(1) or search(*args))
+    assert run_suite("partitioned", 4).ok
+    assert len(searched) == 30
+
+
+@pytest.mark.parametrize("name, n_max, lists", [
+    ("switching", 5, 2),
+    ("partitioned", 4, 1),
+])
+def test_suite_computes_pattern_constants_once_per_list(monkeypatch, name, n_max, lists):
+    """The scan lists carry their pattern constants: a whole suite run, from
+    cold scan lists, computes them once per list and never once per host."""
+    for builder in (obstructions._catalog_patterns, obstructions._switch_threshold_scan,
+                    obstructions._partitioned_patterns):
+        builder.cache_clear()
+    computed, scans = [], []
+    constants = embed._constants
+    monkeypatch.setattr(embed, "_constants",
+                        lambda patterns: computed.append(patterns) or constants(patterns))
+    scan = obstructions.find_first_embedding
+    monkeypatch.setattr(obstructions, "find_first_embedding",
+                        lambda *args: scans.append(1) or scan(*args))
+    assert run_suite(name, n_max).ok
+    assert len(computed) == len(set(computed)) == lists
+    assert len(scans) > 100
 
 
 def test_thresholds_suite_counts_small():
