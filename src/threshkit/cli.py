@@ -14,9 +14,8 @@ import sys
 from contextlib import nullcontext
 from typing import Optional
 
-from .canonical import canonical_form
 from .classes import BY_FAMILY, BY_NAME, ROWS
-from .graph6 import GraphParseError, encode_graph6, parse_graph_line
+from .graph6 import GraphParseError, encode_graph6, format_graph_line, parse_graph_line
 from .graphs import ColoredGraph
 from .limits import CapacityError, Limits
 from .obstructions import FisResult
@@ -105,14 +104,16 @@ def cmd_obstructions(args, limits: Limits) -> int:
     # discovery first, so that a bad bound fails before any other work
     found = row.find_obstructions(args.nmax, limits)
     names = row.catalog_names(args.nmax, limits)
-    keyed = [(canonical_form(g, limits), g) for g in found]
+    # discovery returns canonical graphs, so a graph6 line is already the
+    # canonical form and labeling them again would repeat its work
+    forms = [format_graph_line(g) for g in found]
 
     catalogued = 0
-    for form, g in keyed:
+    for form in forms:
         name = names.get(form)
         catalogued += name is not None
         print(f"{form}\t{name if name else 'UNCATALOGUED'}")
-    print(f"found {len(keyed)} minimal obstructions with n <= {args.nmax}, {catalogued} catalogued")
+    print(f"found {len(forms)} minimal obstructions with n <= {args.nmax}, {catalogued} catalogued")
     return OK
 
 

@@ -4,15 +4,22 @@ Elimination has two parts. The kernel, elimination_picks, works on raw
 ints: the adjacency rows, the alive vertex mask and one vertex mask per
 operator; it returns the removals or None. The certificate builder turns
 the removals into a BuildSequence. eliminate(cg, dialect) is the kernel
-plus the builder. The coloring searches, the brute-force oracle among
-them, hand the kernel each coloring's masks directly and build the
-sequence for the first coloring that eliminates only.
+plus the builder. The coloring searches hand the kernel masks directly
+and build the sequence for the first coloring that eliminates only.
+
+Two searches cover the colorings. The polynomial one (two colors: the
+special, restricted and extended dialects and is_k_threshold for k = 2)
+tries at most 2n candidate colorings. The pruned one (the brute-force
+oracle and is_k_threshold for k != 2) colors vertices 0, 1, ... depth
+first in product order and runs the kernel on each prefix: every dialect's
+class is hereditary, so a prefix that does not eliminate is never
+extended. Both return the coloring the plain product-order walk would find
+first.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import product
 
 from .graphs import ColoredGraph, Graph, bits
 from .limits import DEFAULT_LIMITS, CapacityError, Limits
@@ -106,11 +113,16 @@ def elimination_picks(rows: tuple[int, ...], alive: int, masks) -> list[tuple[in
 
 
 def _op_masks(dialect: Dialect, colors, full: int) -> list[int]:
-    """The kernel's masks for a coloring: none for add, all for join_all,
-    the color class of c for join color c."""
+    """The kernel's masks for a coloring."""
     by_color = [0] * dialect.k
     for v, c in enumerate(colors):
         by_color[c] |= 1 << v
+    return _class_masks(dialect, by_color, full)
+
+
+def _class_masks(dialect: Dialect, by_color: list[int], full: int) -> list[int]:
+    """The kernel's masks from the color classes: none for add, all for
+    join_all, the color class of c for join color c."""
     return [0 if code == ADD_CODE else full if code == JOIN_ALL_CODE else by_color[code]
             for code in dialect.codes]
 
@@ -162,21 +174,51 @@ def _first_eliminated(g: Graph, dialect: Dialect, colorings):
     return None
 
 
-def _prefix_colorings(n: int, k: int):
-    """Base-k counter order, vertex 0 fixed to color 0, colors used in prefix."""
-    for tail in product(range(k), repeat=n - 1):
-        coloring = (0,) + tail
-        top = max(coloring)
-        if set(coloring) == set(range(top + 1)):
-            yield coloring
+def _pruned_search(g: Graph, dialect: Dialect, prefix_order: bool):
+    """The first coloring, in product order, that eliminates, with its
+    sequence. With prefix_order, only colorings in which vertex 0 has color
+    0 and each later vertex a color at most one above the highest before it.
+
+    Colors go to vertices 0, 1, ... depth first, each vertex trying its
+    colors in increasing order. After each vertex the kernel runs with the
+    prefix as alive; it reads no bit outside alive, so this eliminates the
+    colored subgraph induced on the prefix. Every dialect's class is
+    hereditary, so no extension of a prefix that does not eliminate
+    eliminates, and such a prefix is never extended. The full colorings
+    reached come in product order, so the first that eliminates is the
+    first of product order.
+    """
+    rows, n, k, full = g.rows, g.n, dialect.k, g.full_mask
+    coloring = [0] * n
+    by_color = [0] * k
+
+    def extend(v: int, top: int):
+        bit = 1 << v
+        for c in range(min(top + 2, k) if prefix_order else k):
+            coloring[v] = c
+            by_color[c] |= bit
+            picks = elimination_picks(rows, (bit << 1) - 1, _class_masks(dialect, by_color, full))
+            if picks is not None:
+                if v + 1 == n:
+                    return tuple(coloring), _sequence(dialect, coloring, full, picks)
+                found = extend(v + 1, max(top, c))
+                if found is not None:
+                    return found
+            by_color[c] ^= bit
+        return None
+
+    return extend(0, -1)
 
 
 def brute_coloring_search(
     g: Graph, dialect: Dialect, limits: Limits = DEFAULT_LIMITS
 ) -> tuple[tuple[int, ...], BuildSequence] | None:
-    """Oracle: the first of all k^n colorings, in product order, that eliminates."""
+    """Oracle: the first of all k^n colorings, in product order, that
+    eliminates. The budget guards the k^n colorings up front; the search
+    itself never extends a prefix that does not eliminate, so it usually
+    tries far fewer."""
     _check_budget(dialect.k, g.n, limits)
-    return _first_eliminated(g, dialect, product(range(dialect.k), repeat=g.n))
+    return _pruned_search(g, dialect, False)
 
 
 def _candidate_colorings(g: Graph, dialect: Dialect) -> list[tuple[int, ...]]:
@@ -223,17 +265,22 @@ def _search_two_colored(g: Graph, dialect: Dialect) -> tuple[tuple[int, ...], Bu
 def is_k_threshold(
     g: Graph, k: int, limits: Limits = DEFAULT_LIMITS
 ) -> tuple[tuple[int, ...], BuildSequence] | None:
-    """Search colorings modulo color permutation, eliminate with General(k).
+    """The least coloring, in product order, whose colored graph General(k)
+    eliminates, with its sequence.
 
-    For k = 2 the dialect is symmetric under swapping the colors, so the
-    least valid coloring has vertex 0 black and the polynomial two-color
-    search finds the coloring the prefix order would find first.
+    General(k) is symmetric under permuting the colors, so numbering the
+    colors by first use turns a valid coloring into a valid one that is no
+    greater: the least valid coloring gives vertex 0 color 0 and each later
+    vertex a color at most one above the highest before it. For k = 2 the
+    polynomial two-color search finds it. For other k the pruned depth-first
+    search tries only colorings numbered that way; the budget guards their
+    k^(n-1) up front, and the search usually stops far below it.
     """
     dialect = general_dialect(k)
     if k == 2:
         return _search_two_colored(g, dialect)
     _check_budget(k, g.n - 1, limits)
-    return _first_eliminated(g, dialect, _prefix_colorings(g.n, k))
+    return _pruned_search(g, dialect, True)
 
 
 def is_special(g: Graph):

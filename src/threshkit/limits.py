@@ -20,9 +20,11 @@ class Limits:
 
     canonical_max_n: largest graph the canonical-form search will accept
     coloring_budget: maximum number of colorings or switch sets an
-        exponential search may enumerate (k-threshold for k >= 3, the
-        brute-force oracles, the switch-cograph certificate search);
-        the polynomial searches, 2-colored ones included, need no bound
+        exponential search may enumerate in the worst case, checked before
+        it starts (k-threshold for k >= 3, the brute-force oracles, the
+        switch-cograph certificate search); the pruned coloring search
+        usually stops far below it, and the polynomial searches, 2-colored
+        ones included, need no bound
     enumeration_max_n: largest size the isomorph-free generator will produce
     """
 

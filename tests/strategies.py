@@ -1,6 +1,7 @@
 """Shared hypothesis strategies and tiny oracles for the test suite."""
 
 from collections import deque
+from itertools import product
 
 import hypothesis.strategies as st
 
@@ -40,6 +41,16 @@ def random_member(rnd, dialect, n):
     for _ in range(n - 1):
         steps.append(Step(rnd.randrange(dialect.k), rnd.choice(dialect.ops)))
     return evaluate(BuildSequence(dialect.k, tuple(steps)))
+
+
+def prefix_colorings(n, k):
+    """The colorings the earlier is_k_threshold tried for k != 2, in order:
+    base-k counter order, vertex 0 fixed to color 0, colors used in prefix."""
+    for tail in product(range(k), repeat=n - 1):
+        coloring = (0,) + tail
+        top = max(coloring)
+        if set(coloring) == set(range(top + 1)):
+            yield coloring
 
 
 @st.composite

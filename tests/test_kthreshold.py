@@ -1,6 +1,7 @@
 """Colored elimination dialects: roundtrips, closures, neighborhood shapes,
-and eliminate (the kernel elimination_picks plus the certificate builder)
-and brute_coloring_search against the loops they replaced."""
+and eliminate (the kernel elimination_picks plus the certificate builder),
+brute_coloring_search and is_k_threshold for k != 2 against the loops they
+replaced."""
 
 import random
 from itertools import product
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from threshkit import kthreshold
 from threshkit.enumeration import EnumerationConfig, all_graphs
 from threshkit.graphs import ColoredGraph, bits, cutrank_profile
 from threshkit.kthreshold import (
@@ -38,7 +40,7 @@ from threshkit.named import (
 from threshkit.sequences import ADD, BuildSequence, Step, evaluate
 from threshkit.threshold import is_threshold
 
-from strategies import colored_graphs, graph_from_mask, graphs, random_member
+from strategies import colored_graphs, graph_from_mask, graphs, prefix_colorings, random_member
 
 DIALECTS = (general_dialect(2), SPECIAL, RESTRICTED, EXTENDED)
 
@@ -111,6 +113,49 @@ def test_brute_coloring_search_equals_per_graph_loop(dialect):
     for n in range(1, 8):
         for g in all_graphs(EnumerationConfig(n)):
             assert brute_coloring_search(g, dialect) == oracle_coloring_search(g, dialect), g
+
+
+def oracle_prefix_search(g, k):
+    """The earlier is_k_threshold for k != 2: the kernel on every coloring
+    of prefix_colorings, in order, up to the first that eliminates."""
+    dialect = general_dialect(k)
+    rows, full = g.rows, g.full_mask
+    for coloring in prefix_colorings(g.n, k):
+        picks = kthreshold.elimination_picks(rows, full, kthreshold._op_masks(dialect, coloring, full))
+        if picks is not None:
+            return coloring, kthreshold._sequence(dialect, coloring, full, picks)
+    return None
+
+
+@pytest.mark.parametrize("k, n_max", [(3, 7), (1, 6), (4, 6)])
+def test_k_threshold_equals_prefix_order_oracle(k, n_max):
+    for n in range(1, n_max + 1):
+        for g in all_graphs(EnumerationConfig(n)):
+            assert is_k_threshold(g, k) == oracle_prefix_search(g, k), g
+
+
+@settings(max_examples=20, deadline=None)
+@given(graphs(min_n=8, max_n=11), st.randoms(use_true_random=False))
+def test_k_threshold_equals_prefix_order_oracle_on_larger_graphs(g, rnd):
+    assert is_k_threshold(g, 3) == oracle_prefix_search(g, 3)
+    # members, which random graphs of this size seldom are, on a random labeling
+    member = random_member(rnd, general_dialect(3), g.n).graph.relabel(rnd.sample(range(g.n), g.n))
+    found = is_k_threshold(member, 3)
+    assert found is not None
+    assert found == oracle_prefix_search(member, 3)
+
+
+def test_k_threshold_kernel_calls(monkeypatch):
+    """A work-count gate: is_k_threshold(k=3) on every graph with n <= 6
+    makes 4939 kernel calls, one per prefix it tries (the prefix order made
+    7479, one per full coloring). A change to the pruning changes it."""
+    calls = []
+    kernel = kthreshold.elimination_picks
+    monkeypatch.setattr(kthreshold, "elimination_picks", lambda *args: calls.append(1) or kernel(*args))
+    for n in range(1, 7):
+        for g in all_graphs(EnumerationConfig(n)):
+            is_k_threshold(g, 3)
+    assert len(calls) == 4939
 
 
 @settings(max_examples=150, deadline=None)
@@ -249,12 +294,16 @@ def test_color_hierarchy_is_strict():
     assert is_k_threshold(cycle_graph(6), 4, big) is not None
 
 
-def test_coloring_budget_enforced():
+def test_coloring_budget_enforced(monkeypatch):
+    # the budget guards the whole search up front, before any kernel call
+    calls = []
+    monkeypatch.setattr(kthreshold, "elimination_picks", lambda *args: calls.append(args))
     tight = Limits(coloring_budget=4)
     with pytest.raises(CapacityError):
         brute_coloring_search(path_graph(5), SPECIAL, tight)
     with pytest.raises(CapacityError):
         is_k_threshold(path_graph(5), 3, tight)
+    assert calls == []
 
 
 def test_neighborhood_shapes():

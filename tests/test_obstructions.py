@@ -13,7 +13,7 @@ from threshkit.classes import ROWS
 from threshkit.enumeration import EnumerationConfig, all_colored_graphs, all_graphs
 from threshkit.graph6 import encode_graph6, format_graph_line
 from threshkit.graphs import ColoredGraph, disjoint_union
-from threshkit.kthreshold import eliminate, general_dialect, is_good, is_special
+from threshkit.kthreshold import eliminate, general_dialect, is_good, is_k_threshold, is_special
 from threshkit.named import (
     bull,
     complete_graph,
@@ -146,6 +146,11 @@ def test_minimal_threshold_obstructions_are_the_classic_three():
     assert {canonical_form(g) for g in found} == {
         canonical_form(e.graph) for e in cat.entries
     }
+
+
+def test_minimal_three_threshold_obstructions_up_to_seven_vertices():
+    found = find_minimal_obstructions(lambda g: is_k_threshold(g, 3) is not None, 7)
+    assert [sum(g.n == n for g in found) for n in range(1, 8)] == [0, 0, 0, 0, 1, 11, 4]
 
 
 def test_switch_threshold_patterns_match_catalog():

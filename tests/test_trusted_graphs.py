@@ -8,7 +8,9 @@ The same holds for colored graphs: canonical_colored_graph, delete_vertex,
 swapped and the colored enumeration derive theirs unchecked, and
 ColoredGraph(...) and colored graph6 lines still validate. The coloring
 searches build no colored graph: they hand the elimination kernel the masks
-that eliminate derives from the validated ColoredGraph.
+that eliminate derives from the validated ColoredGraph, and the pruned ones
+hand it, for each coloring prefix they try, what eliminate hands it for the
+colored subgraph induced on the prefix.
 """
 
 from itertools import permutations, product
@@ -35,6 +37,8 @@ from threshkit.kthreshold import (
 from threshkit.limits import CapacityError
 from threshkit.named import path_graph
 from threshkit.switching import switch
+
+from strategies import prefix_colorings
 
 
 def assert_valid(h: Graph) -> None:
@@ -75,37 +79,69 @@ def test_derived_colored_graphs_equal_validated_ones(n, monkeypatch):
     for g in all_graphs(EnumerationConfig(n)):
         for colors in product((0, 1), repeat=n):
             assert_valid_colored(canonical_colored_graph(ColoredGraph(g, colors)))
-    # what the coloring searches hand the elimination kernel: for each
-    # coloring tried, in the search's order, what eliminate hands it for
-    # the validated ColoredGraph of that coloring
+    # what the coloring searches hand the elimination kernel, call for
+    # call: what eliminate hands it for the validated ColoredGraph of each
+    # coloring, or coloring prefix, that the search tries
     handed = []
     kernel = kthreshold.elimination_picks
     monkeypatch.setattr(kthreshold, "elimination_picks",
                         lambda *args: handed.append(args) or kernel(*args))
     for g in all_graphs(EnumerationConfig(n)):
-        for search, dialect, colorings in COLORING_SEARCHES:
+        for search, dialect, colorings, pruned in COLORING_SEARCHES:
             handed.clear()
-            found = search(g)
+            search(g)
             tried = list(handed)
-            order = list(colorings(g))
-            assert 0 < len(tried) <= len(order)
-            assert found is not None or len(tried) == len(order)
-            for args, coloring in zip(tried, order):
-                handed.clear()
-                eliminate(ColoredGraph(g, coloring), dialect)
-                assert handed == [args]
+            for args in tried:
+                assert kernel(*kernel_view(*args)) == kernel(*args)
+            handed.clear()
+            replay(g, dialect, colorings(g), pruned)
+            assert [kernel_view(*args) for args in tried] == [kernel_view(*args) for args in handed]
 
 
-# (search, its dialect, the colorings it tries in order)
+def kernel_view(rows, alive, masks):
+    """What the kernel reads of its arguments: the rows of the alive
+    vertices and the masks, each on the alive vertices only."""
+    return (tuple(rows[v] & alive if alive >> v & 1 else 0 for v in range(alive.bit_length())),
+            alive, tuple(mask & alive for mask in masks))
+
+
+def replay(g, dialect, colorings, pruned):
+    """Eliminate, in order, what a search that walks colorings tries, up to
+    the first full coloring that eliminates. An unpruned search tries each
+    full coloring. A pruned one tries each prefix of each coloring, as the
+    colored subgraph it induces, the first time the prefix comes up, and
+    skips the rest of a coloring at a prefix that does not eliminate."""
+    verdicts = {}
+    for coloring in colorings:
+        for m in range(1, g.n + 1) if pruned else (g.n,):
+            prefix = tuple(coloring[:m])
+            if prefix not in verdicts:
+                cg = ColoredGraph(g.induced((1 << m) - 1), prefix)
+                verdicts[prefix] = eliminate(cg, dialect) is not None
+            if not verdicts[prefix]:
+                break
+        else:
+            return
+
+
+def numbered_by_first_use(coloring):
+    return all(c <= max(coloring[:i], default=-1) + 1 for i, c in enumerate(coloring))
+
+
+# (search, its dialect, the full colorings it walks in order, whether it
+# prunes by prefix)
 COLORING_SEARCHES = (
-    (lambda g: brute_coloring_search(g, SPECIAL), SPECIAL, lambda g: product((0, 1), repeat=g.n)),
-    (is_special, SPECIAL, lambda g: kthreshold._candidate_colorings(g, SPECIAL)),
-    (is_restricted, RESTRICTED, lambda g: kthreshold._candidate_colorings(g, RESTRICTED)),
-    (is_extended, EXTENDED, lambda g: kthreshold._candidate_colorings(g, EXTENDED)),
+    (lambda g: brute_coloring_search(g, SPECIAL), SPECIAL,
+     lambda g: product((0, 1), repeat=g.n), True),
+    (is_special, SPECIAL, lambda g: kthreshold._candidate_colorings(g, SPECIAL), False),
+    (is_restricted, RESTRICTED, lambda g: kthreshold._candidate_colorings(g, RESTRICTED), False),
+    (is_extended, EXTENDED, lambda g: kthreshold._candidate_colorings(g, EXTENDED), False),
     (lambda g: is_k_threshold(g, 2), general_dialect(2),
-     lambda g: kthreshold._candidate_colorings(g, general_dialect(2))),
+     lambda g: kthreshold._candidate_colorings(g, general_dialect(2)), False),
+    # the prefix order, less the colorings not numbered by first use, none
+    # of which can come before the least valid one
     (lambda g: is_k_threshold(g, 3), general_dialect(3),
-     lambda g: kthreshold._prefix_colorings(g.n, 3)),
+     lambda g: filter(numbered_by_first_use, prefix_colorings(g.n, 3)), True),
 )
 
 

@@ -155,15 +155,15 @@ def test_suites_pass_at_reduced_scale(name, n_max):
 
 
 @pytest.mark.parametrize("name, n_max, kernel_calls, scans", [
-    ("special", 5, 609, 52),
+    ("special", 5, 793, 52),
     ("partitioned", 4, 118, 118),
 ])
 def test_suite_work_goes_through_the_traced_functions(monkeypatch, name, n_max, kernel_calls, scans):
-    """Every coloring a search tries is one call of the elimination kernel
-    kthreshold.elimination_picks and every FIS scan one call of
-    find_first_embedding, through the module globals a tracer replaces.
-    Rediscovery reads the suite's verdicts and classifies no graph again.
-    A change that moves work off those calls changes these counts."""
+    """Every coloring, or coloring prefix, that a search tries is one call of
+    the elimination kernel kthreshold.elimination_picks and every FIS scan
+    one call of find_first_embedding, through the module globals a tracer
+    replaces. Rediscovery reads the suite's verdicts and classifies no graph
+    again. A change that moves work off those calls changes these counts."""
     calls = {"kernel": 0, "scan": 0}
 
     def counted(key, fn):
