@@ -1,13 +1,13 @@
 """Recognition toolkit for threshold-like graph classes at desk scale."""
 
-from .canonical import canonical_colored_form, canonical_form, canonical_graph
+from .canonical import canonical_form, canonical_graph
 from .graph6 import decode_graph6, encode_graph6, parse_graph_line
 from .graphs import ColoredGraph, Graph, cutrank_profile, disjoint_union, is_distance_hereditary, join
 from .kthreshold import is_extended, is_good, is_k_threshold, is_restricted, is_special
 from .limits import DEFAULT_LIMITS, CapacityError, Limits
 from .sequences import BuildSequence, evaluate
 from .switching import switch, switch_to_threshold, switching_class
-from .threshold import build_threshold_tree, is_threshold, threshold_order
+from .threshold import is_threshold, threshold_order
 
 __all__ = [
     "Graph",
@@ -18,7 +18,6 @@ __all__ = [
     "CapacityError",
     "canonical_form",
     "canonical_graph",
-    "canonical_colored_form",
     "encode_graph6",
     "decode_graph6",
     "parse_graph_line",
@@ -28,7 +27,6 @@ __all__ = [
     "is_distance_hereditary",
     "is_threshold",
     "threshold_order",
-    "build_threshold_tree",
     "evaluate",
     "is_k_threshold",
     "is_special",

@@ -32,7 +32,6 @@ __all__ = [
     "canonical_graph",
     "canonical_form",
     "canonical_colored_graph",
-    "canonical_colored_form",
 ]
 
 
@@ -122,9 +121,9 @@ def canonical_graph(g: Graph, limits: Limits = DEFAULT_LIMITS) -> Graph:
 
 def canonical_form(g: Graph | ColoredGraph, limits: Limits = DEFAULT_LIMITS) -> str:
     """Total isomorphism invariant, printable as graph6; for a ColoredGraph
-    the color-preserving canonical_colored_form."""
+    the color-preserving form, graph6 and color string."""
     if isinstance(g, ColoredGraph):
-        return canonical_colored_form(g, limits)
+        return format_graph_line(canonical_colored_graph(g, limits))
     return encode_graph6(canonical_graph(g, limits))
 
 
@@ -133,6 +132,3 @@ def canonical_colored_graph(cg: ColoredGraph, limits: Limits = DEFAULT_LIMITS) -
     order = _min_order(cg.n, cg.graph.rows, cg.colors)
     return _unchecked_colored(cg.graph.relabel(order), tuple(cg.colors[v] for v in order))
 
-
-def canonical_colored_form(cg: ColoredGraph, limits: Limits = DEFAULT_LIMITS) -> str:
-    return format_graph_line(canonical_colored_graph(cg, limits))

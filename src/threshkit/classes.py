@@ -16,6 +16,7 @@ from .graph6 import color_string, encode_graph6
 from .graphs import bits, is_distance_hereditary
 from .kthreshold import (
     GENERAL2,
+    OTHER,
     eliminate,
     is_extended,
     is_good,
@@ -38,7 +39,7 @@ from .obstructions import (
 from .records import frozen
 from .sequences import format_sequence
 from .switching import has_cograph_switch, is_switch_cograph, switch_to_threshold
-from .threshold import build_threshold_tree, is_threshold
+from .threshold import is_threshold, threshold_picks
 
 __all__ = ["GraphClass", "ROWS", "BY_NAME", "BY_FAMILY", "BY_CATALOG"]
 
@@ -92,7 +93,7 @@ def _switch_cert_lines(cert) -> Optional[list[str]]:
 
 
 def _threshold(g, k, limits):
-    seq = build_threshold_tree(g)
+    seq = is_threshold(g)
     return None if seq is None else _sequence_lines(seq)
 
 
@@ -102,9 +103,14 @@ def _partitioned(cg, k, limits):
 
 
 def _good(g, k, limits):
-    if not is_good(g):
-        return None
-    return [f"vertex {x} neighborhood {neighborhood_shape(g, x)}" for x in range(g.n)]
+    """is_good, with each vertex's shape computed once for the lines."""
+    lines = []
+    for x in range(g.n):
+        shape = neighborhood_shape(g, x)
+        if shape == OTHER:
+            return None
+        lines.append(f"vertex {x} neighborhood {shape}")
+    return lines
 
 
 ROWS = (
@@ -113,7 +119,7 @@ ROWS = (
         recognize=_threshold,
         fis=lambda g: recognize_threshold_fis(g),
         family="threshold",
-        member=lambda g: is_threshold(g) is not None,
+        member=lambda g: threshold_picks(g.rows, g.full_mask) is not None,
         catalog="threshold",
     ),
     GraphClass(

@@ -35,7 +35,6 @@ __all__ = [
 @frozen
 class EnumerationConfig:
     n: int
-    connected: bool = False
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -116,14 +115,10 @@ def _representatives(n: int) -> tuple[Graph, ...]:
 
 
 def all_graphs(cfg: EnumerationConfig, limits: Limits = DEFAULT_LIMITS) -> tuple[Graph, ...]:
-    """Every isomorphism class on cfg.n vertices, canonical, sorted by form;
-    only the connected ones when cfg.connected. The 2-colored classes come
-    from all_colored_graphs."""
+    """Every isomorphism class on cfg.n vertices, canonical, sorted by form.
+    The 2-colored classes come from all_colored_graphs."""
     _check_bound(cfg.n, limits)
-    reps = _representatives(cfg.n)
-    if cfg.connected:
-        reps = tuple(g for g in reps if g.is_connected())
-    return reps
+    return _representatives(cfg.n)
 
 
 def _twin_sorted_colorings(g: Graph) -> list[tuple[int, ...]]:

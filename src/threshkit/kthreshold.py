@@ -2,10 +2,12 @@
 
 Elimination has two parts. The kernel, elimination_picks, works on raw
 ints: the adjacency rows, the alive vertex mask and one vertex mask per
-operator; it returns the removals or None. The certificate builder turns
-the removals into a BuildSequence. eliminate(cg, dialect) is the kernel
-plus the builder. The coloring searches hand the kernel masks directly
-and build the sequence for the first coloring that eliminates only.
+operator; it returns the removals or None. The certificate builder
+sequences._sequence turns them into a BuildSequence. eliminate(cg,
+dialect) is the kernel plus the builder. The coloring searches hand the
+kernel masks directly and build the sequence for the first coloring that
+eliminates only. neighborhood_shape tests vertex masks with the one-color
+loop threshold.threshold_picks and builds no graph.
 
 Two searches cover the colorings. The polynomial one (two colors: the
 special, restricted and extended dialects and is_k_threshold for k = 2)
@@ -21,11 +23,11 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .graphs import ColoredGraph, Graph, bits
+from .graphs import ColoredGraph, Graph, _components, bits
 from .limits import DEFAULT_LIMITS, CapacityError, Limits
 from .records import frozen
-from .sequences import ADD, BLACK, JOIN_ALL, WHITE, BuildSequence, Op, Step, join_color
-from .threshold import is_threshold
+from .sequences import ADD, BLACK, JOIN_ALL, WHITE, BuildSequence, Op, _sequence, join_color
+from .threshold import threshold_picks
 
 __all__ = [
     "Dialect",
@@ -127,18 +129,6 @@ def _class_masks(dialect: Dialect, by_color: list[int], full: int) -> list[int]:
             for code in dialect.codes]
 
 
-def _sequence(dialect: Dialect, colors, full: int, picks: list[tuple[int, int]]) -> BuildSequence:
-    """The certificate builder: the build sequence that adds the one vertex
-    of full that picks leave, then undoes picks in reverse order."""
-    seed = full
-    for x, _ in picks:
-        seed ^= 1 << x
-    seed = seed.bit_length() - 1
-    built, ops = picks[::-1], dialect.ops
-    steps = (Step(colors[seed], ADD),) + tuple(Step(colors[x], ops[i]) for x, i in built)
-    return BuildSequence(dialect.k, steps, (seed,) + tuple(x for x, _ in built))
-
-
 def eliminate(cg: ColoredGraph, dialect: Dialect) -> BuildSequence | None:
     """Greedy reverse construction with the dialect's operators.
 
@@ -153,7 +143,7 @@ def eliminate(cg: ColoredGraph, dialect: Dialect) -> BuildSequence | None:
         raise ValueError(f"colors exceed dialect color count {dialect.k}")
     full = g.full_mask
     picks = elimination_picks(g.rows, full, _op_masks(dialect, colors, full))
-    return None if picks is None else _sequence(dialect, colors, full, picks)
+    return None if picks is None else _sequence(dialect.k, dialect.ops, colors, full, picks)
 
 
 def _check_budget(k: int, free: int, limits: Limits) -> None:
@@ -170,7 +160,7 @@ def _first_eliminated(g: Graph, dialect: Dialect, colorings):
     for coloring in colorings:
         picks = elimination_picks(rows, full, _op_masks(dialect, coloring, full))
         if picks is not None:
-            return coloring, _sequence(dialect, coloring, full, picks)
+            return coloring, _sequence(dialect.k, dialect.ops, coloring, full, picks)
     return None
 
 
@@ -200,7 +190,7 @@ def _pruned_search(g: Graph, dialect: Dialect, prefix_order: bool):
             picks = elimination_picks(rows, (bit << 1) - 1, _class_masks(dialect, by_color, full))
             if picks is not None:
                 if v + 1 == n:
-                    return tuple(coloring), _sequence(dialect, coloring, full, picks)
+                    return tuple(coloring), _sequence(dialect.k, dialect.ops, coloring, full, picks)
                 found = extend(v + 1, max(top, c))
                 if found is not None:
                     return found
@@ -302,8 +292,9 @@ JOIN_OF_TWO = "join_of_two_thresholds"
 OTHER = "other"
 
 
-def _two_block_split(h: Graph, parts: list[int]) -> bool:
-    """Can parts be grouped into two blocks, each inducing a threshold graph?
+def _two_block_split(rows: tuple[int, ...], parts: list[int]) -> bool:
+    """Can parts, vertex masks, be grouped into two blocks, each inducing a
+    threshold graph under rows?
 
     Works for components (blocks are disjoint unions) and co-components
     (blocks are joins). Either way a threshold block holds at most one part
@@ -318,25 +309,27 @@ def _two_block_split(h: Graph, parts: list[int]) -> bool:
     nontrivial = [p for p in parts if p.bit_count() >= 2]
     if len(nontrivial) > 2:
         return False
-    return all(is_threshold(h.induced(p)) is not None for p in nontrivial)
+    return all(threshold_picks(rows, p) is not None for p in nontrivial)
 
 
 def neighborhood_shape(g: Graph, x: int) -> str:
     """Classify the subgraph induced by N(x); first matching shape wins."""
     if not 0 <= x < g.n:
         raise ValueError(f"vertex {x} outside 0..{g.n - 1}")
-    nb = g.rows[x]
+    rows = g.rows
+    nb = rows[x]
     if nb == 0:
         return EMPTY
-    h = g.induced(nb)
-    if is_threshold(h) is not None:
+    if threshold_picks(rows, nb) is not None:
         return THRESHOLD
-    if _two_block_split(h, h.components()):
+    if _two_block_split(rows, _components(rows, nb)):
         return UNION_OF_TWO
     # join blocks are unions of co-components; between co-components all
     # edges are present, so extra singleton co-components act as universal
     # vertices and the same reduction applies
-    if _two_block_split(h, h.complement().components()):
+    full = g.full_mask
+    co_rows = [full ^ row ^ (1 << v) for v, row in enumerate(rows)]
+    if _two_block_split(rows, _components(co_rows, nb)):
         return JOIN_OF_TWO
     return OTHER
 

@@ -81,6 +81,20 @@ class BuildSequence:
         return len(self.steps)
 
 
+def _sequence(k: int, ops: tuple[Op, ...], colors, full: int,
+              picks: list[tuple[int, int]]) -> BuildSequence:
+    """The certificate builder for an elimination: the build sequence that
+    adds the one vertex of full that picks leave, then undoes picks, the
+    (vertex, op index) removals, in reverse order."""
+    seed = full
+    for x, _ in picks:
+        seed ^= 1 << x
+    seed = seed.bit_length() - 1
+    built = picks[::-1]
+    steps = (Step(colors[seed], ADD),) + tuple(Step(colors[x], ops[i]) for x, i in built)
+    return BuildSequence(k, steps, (seed,) + tuple(x for x, _ in built))
+
+
 def evaluate(seq: BuildSequence) -> ColoredGraph:
     """Realize the sequence; vertex order[j] (default j) realizes step j."""
     n = seq.n
@@ -167,7 +181,6 @@ def parse_sequence(text: str, k: int | None = None) -> BuildSequence:
             op = join_color(WHITE)
         elif name.startswith("join") and name[4:].isdigit():
             op = join_color(int(name[4:]))
-            max_color = max(max_color, op.color)
         else:
             raise ValueError(f"unknown operator {name!r}")
         if op.kind == "join_color":

@@ -15,7 +15,7 @@ from .graph6 import encode_graph6
 from .graphs import Graph, _components, _unchecked_graph
 from .limits import DEFAULT_LIMITS, CapacityError, Limits
 from .records import frozen
-from .threshold import is_threshold
+from .threshold import threshold_picks
 
 __all__ = [
     "switch",
@@ -109,7 +109,7 @@ def switch_to_threshold(g: Graph) -> SwitchCertificate | None:
     """
     for s in _threshold_switch_sets(g):
         target = switch(g, s)
-        if is_threshold(target) is not None:
+        if threshold_picks(target.rows, target.full_mask) is not None:
             return SwitchCertificate(s, target)
     return None
 

@@ -1,33 +1,29 @@
-"""Threshold graphs: greedy recognition, threshold orders, build trees."""
+"""Threshold graphs, the one-color {add, join_all} case of the k-threshold
+dialects: greedy recognition over raw ints (rows and an alive mask, so any
+vertex set of a graph is tested in place), build-sequence certificates and
+threshold orders.
+"""
 
 from __future__ import annotations
 
 from .graphs import Graph
-from .records import frozen
-from .sequences import ADD, JOIN_ALL, BuildSequence, Step
+from .sequences import ADD, JOIN_ALL, BuildSequence, _sequence
 
-__all__ = ["ThresholdCertificate", "is_threshold", "threshold_order", "build_threshold_tree"]
-
-ISOLATED = "isolated"
-UNIVERSAL = "universal"
+__all__ = ["threshold_picks", "is_threshold", "threshold_order"]
 
 
-@frozen
-class ThresholdCertificate:
-    """Vertices in removal order, each isolated or universal at its turn."""
+def threshold_picks(rows: tuple[int, ...], alive: int) -> list[tuple[int, int]] | None:
+    """The greedy loop over raw ints: the removals, as (vertex, op index)
+    pairs in removal order, that shrink alive to one vertex, or None when
+    the graph rows induce on alive is not threshold.
 
-    elimination: tuple[tuple[int, str], ...]
-
-
-def is_threshold(g: Graph) -> ThresholdCertificate | None:
-    """Greedily remove isolated-or-universal vertices, lowest index first.
-
-    The defining property is hereditary, so any greedy choice is safe.
+    Op 0 (add) removes a vertex with no alive neighbour, op 1 (join_all) one
+    adjacent to every other alive vertex. Each step removes the lowest-index
+    vertex either op removes, preferring add. The defining property is
+    hereditary, so any greedy choice is safe.
     """
-    rows = g.rows
-    alive = g.full_mask
-    removed: list[tuple[int, str]] = []
-    while alive:
+    picks: list[tuple[int, int]] = []
+    while alive & (alive - 1):
         top = alive.bit_count() - 1
         rest = alive
         while rest:
@@ -35,16 +31,23 @@ def is_threshold(g: Graph) -> ThresholdCertificate | None:
             v = low.bit_length() - 1
             deg = (rows[v] & alive).bit_count()
             if deg == 0:
-                removed.append((v, ISOLATED))
+                picks.append((v, 0))
                 break
             if deg == top:
-                removed.append((v, UNIVERSAL))
+                picks.append((v, 1))
                 break
             rest ^= low
         else:
             return None
         alive ^= low
-    return ThresholdCertificate(tuple(removed))
+    return picks
+
+
+def is_threshold(g: Graph) -> BuildSequence | None:
+    """An {add, joinall} sequence evaluating back to g exactly, if threshold."""
+    full = g.full_mask
+    picks = threshold_picks(g.rows, full)
+    return None if picks is None else _sequence(1, (ADD, JOIN_ALL), (0,) * g.n, full, picks)
 
 
 def threshold_order(g: Graph) -> tuple[int, ...] | None:
@@ -54,19 +57,6 @@ def threshold_order(g: Graph) -> tuple[int, ...] | None:
     N(v_i) within N(v_j) for nonadjacent pairs i < j, closed neighborhoods
     for adjacent pairs.
     """
-    if is_threshold(g) is None:
+    if threshold_picks(g.rows, g.full_mask) is None:
         return None
     return tuple(sorted(range(g.n), key=lambda v: (g.degrees[v], v)))
-
-
-def build_threshold_tree(g: Graph) -> BuildSequence | None:
-    """An {add, joinall} sequence evaluating back to g exactly, if threshold."""
-    cert = is_threshold(g)
-    if cert is None:
-        return None
-    steps = []
-    order = []
-    for v, kind in reversed(cert.elimination):
-        steps.append(Step(0, ADD if kind == ISOLATED else JOIN_ALL))
-        order.append(v)
-    return BuildSequence(1, tuple(steps), tuple(order))

@@ -42,7 +42,7 @@ from .switching import (
     is_switch_cograph,
     switch_to_threshold,
 )
-from .threshold import build_threshold_tree, is_threshold
+from .threshold import is_threshold, threshold_picks
 
 __all__ = [
     "SCHEMA",
@@ -227,7 +227,7 @@ def suite_thresholds(n_max: int, limits: Limits) -> VerificationReport:
     run = _Run("thresholds", n_max, limits)
     for g in _graphs_upto(n_max, limits):
         run.bump("graphs.checked")
-        seq = build_threshold_tree(g)
+        seq = is_threshold(g)
         _agree(run, "threshold", g, {
             "elimination": seq is not None,
             "fis": BY_NAME["threshold"].fis(g).accepted,
@@ -302,7 +302,7 @@ def suite_partitioned(n_max: int, limits: Limits) -> VerificationReport:
 def suite_switching(n_max: int, limits: Limits) -> VerificationReport:
     """Brute and fast switch search vs restricted elimination vs FIS, and the cograph analog."""
     run = _Run("switching", n_max, limits)
-    threshold = lambda h: is_threshold(h) is not None
+    threshold = lambda h: threshold_picks(h.rows, h.full_mask) is not None
     for g in _graphs_upto(n_max, limits):
         run.bump("graphs.checked")
         oracle, cograph_oracle = brute_switch_scan(g, (threshold, is_cograph), limits)

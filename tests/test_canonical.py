@@ -5,7 +5,6 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from threshkit.canonical import (
-    canonical_colored_form,
     canonical_colored_graph,
     canonical_form,
     canonical_graph,
@@ -44,13 +43,13 @@ def test_colored_form_invariant_under_relabeling(cg, rnd):
     relabeled = ColoredGraph(
         cg.graph.relabel(order), tuple(cg.colors[order[i]] for i in range(cg.n))
     )
-    assert canonical_colored_form(relabeled) == canonical_colored_form(cg)
+    assert canonical_form(relabeled) == canonical_form(cg)
 
 
 def test_colored_form_sees_colors():
     center_black = ColoredGraph(path_graph(3), (1, 0, 1))
     center_white = ColoredGraph(path_graph(3), (0, 1, 0))
-    assert canonical_colored_form(center_black) != canonical_colored_form(center_white)
+    assert canonical_form(center_black) != canonical_form(center_white)
 
 
 def test_colored_form_allows_color_preserving_symmetry():
@@ -58,7 +57,7 @@ def test_colored_form_allows_color_preserving_symmetry():
     e = Graph.from_edges(2, [(0, 1)])
     a = ColoredGraph(e, (0, 1))
     b = ColoredGraph(e, (1, 0))
-    assert canonical_colored_form(a) == canonical_colored_form(b)
+    assert canonical_form(a) == canonical_form(b)
 
 
 @given(colored_graphs(max_n=6))

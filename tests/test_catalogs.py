@@ -47,13 +47,13 @@ def test_threshold_catalog_contents():
 
 
 def test_partitioned_catalog_is_colored_and_swap_closed():
-    from threshkit.canonical import canonical_colored_form
+    from threshkit.canonical import canonical_form
 
     cat = load_catalog("partitioned2t")
-    forms = {canonical_colored_form(e.obstruction) for e in cat.entries}
+    forms = {canonical_form(e.obstruction) for e in cat.entries}
     for e in cat.entries:
         assert e.coloring is not None
-        assert canonical_colored_form(e.obstruction.swapped()) in forms
+        assert canonical_form(e.obstruction.swapped()) in forms
 
 
 def test_lookup_unknown_name():

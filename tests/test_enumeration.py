@@ -8,7 +8,6 @@ import pytest
 import threshkit.canonical as canonical
 import threshkit.enumeration as enumeration
 from threshkit.canonical import (
-    canonical_colored_form,
     canonical_colored_graph,
     canonical_form,
     canonical_graph,
@@ -54,24 +53,16 @@ def test_streams_are_sorted_and_canonical():
         assert len(set(forms)) == len(forms)
 
 
-def test_connected_filter():
-    for n in range(1, 6):
-        connected = all_graphs(EnumerationConfig(n, connected=True))
-        assert all(g.is_connected() for g in connected)
-        brute = sum(1 for g in baseline_graphs(n) if g.is_connected())
-        assert len(connected) == brute
-
-
 def test_colored_enumeration_matches_brute_force():
     from itertools import product
 
     for n in range(1, 5):
-        fast = {canonical_colored_form(cg) for cg in all_colored_graphs(n)}
+        fast = {canonical_form(cg) for cg in all_colored_graphs(n)}
         slow = set()
         for mask in range(1 << (n * (n - 1) // 2)):
             g = graph_from_mask(n, mask)
             for colors in product((0, 1), repeat=n):
-                slow.add(canonical_colored_form(ColoredGraph(g, colors)))
+                slow.add(canonical_form(ColoredGraph(g, colors)))
         assert fast == slow
 
 
@@ -110,7 +101,7 @@ def test_pruned_colorings_equal_the_unpruned_product(n):
         for g in all_graphs(EnumerationConfig(n))
         for colors in product((0, 1), repeat=n)
     )
-    assert all_colored_graphs(n) == _sorted_by_form(every, canonical_colored_form)
+    assert all_colored_graphs(n) == _sorted_by_form(every, canonical_form)
 
 
 def test_cold_enumeration_labels_a_pinned_number_of_graphs(monkeypatch):

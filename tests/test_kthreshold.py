@@ -12,7 +12,7 @@ import hypothesis.strategies as st
 
 from threshkit import kthreshold
 from threshkit.enumeration import EnumerationConfig, all_graphs
-from threshkit.graphs import ColoredGraph, bits, cutrank_profile
+from threshkit.graphs import ColoredGraph, Graph, bits, cutrank_profile
 from threshkit.kthreshold import (
     EXTENDED,
     RESTRICTED,
@@ -123,7 +123,7 @@ def oracle_prefix_search(g, k):
     for coloring in prefix_colorings(g.n, k):
         picks = kthreshold.elimination_picks(rows, full, kthreshold._op_masks(dialect, coloring, full))
         if picks is not None:
-            return coloring, kthreshold._sequence(dialect, coloring, full, picks)
+            return coloring, kthreshold._sequence(dialect.k, dialect.ops, coloring, full, picks)
     return None
 
 
@@ -320,6 +320,59 @@ def test_neighborhood_shapes():
     assert neighborhood_shape(complete_graph(1), 0) == "empty"
     with pytest.raises(ValueError):
         neighborhood_shape(g, 9)
+
+
+def oracle_neighborhood_shape(g, x):
+    """The earlier neighborhood_shape, which tested graphs built with
+    induced() and complement()."""
+    nb = g.rows[x]
+    if nb == 0:
+        return "empty"
+    h = g.induced(nb)
+    if is_threshold(h) is not None:
+        return "threshold"
+
+    def two_block_split(parts):
+        if len(parts) < 2:
+            return False
+        nontrivial = [p for p in parts if p.bit_count() >= 2]
+        if len(nontrivial) > 2:
+            return False
+        return all(is_threshold(h.induced(p)) is not None for p in nontrivial)
+
+    if two_block_split(h.components()):
+        return "union_of_two_thresholds"
+    if two_block_split(h.complement().components()):
+        return "join_of_two_thresholds"
+    return "other"
+
+
+def test_neighborhood_shape_equals_oracle_on_every_small_graph():
+    for n in range(1, 8):
+        for g in all_graphs(EnumerationConfig(n)):
+            for x in range(n):
+                assert neighborhood_shape(g, x) == oracle_neighborhood_shape(g, x)
+
+
+@settings(deadline=None)
+@given(graphs(min_n=8, max_n=14))
+def test_neighborhood_shape_equals_oracle_on_larger_graphs(g):
+    for x in range(g.n):
+        assert neighborhood_shape(g, x) == oracle_neighborhood_shape(g, x)
+
+
+def test_is_good_builds_no_graph(monkeypatch):
+    hosts = [g for n in range(1, 7) for g in all_graphs(EnumerationConfig(n))]
+    hosts += [cone(matching(3)), cone(octahedron()), gem()]
+    expected = [is_good(g) for g in hosts]
+
+    def no_graph(*args, **kwargs):
+        raise AssertionError("built a graph")
+
+    for method in ("__init__", "induced", "complement"):
+        monkeypatch.setattr(Graph, method, no_graph)
+    assert [is_good(g) for g in hosts] == expected
+    assert False in expected and True in expected
 
 
 def test_good_examples():

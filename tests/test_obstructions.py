@@ -6,7 +6,7 @@ from hypothesis import given, settings
 import pytest
 
 import threshkit.canonical as canonical
-from threshkit.canonical import canonical_colored_form, canonical_form
+from threshkit.canonical import canonical_form
 from threshkit.catalogs import load_catalog
 from threshkit.embed import find_first_embedding, find_induced_embedding
 from threshkit.classes import ROWS
@@ -171,8 +171,8 @@ def test_switch_threshold_patterns_are_canonical_representatives():
 
 def test_partitioned_pattern_set_is_swap_closed():
     cat = load_catalog("partitioned2t")
-    forms = {canonical_colored_form(e.obstruction) for e in cat.entries}
-    swapped = {canonical_colored_form(e.obstruction.swapped()) for e in cat.entries}
+    forms = {canonical_form(e.obstruction) for e in cat.entries}
+    swapped = {canonical_form(e.obstruction.swapped()) for e in cat.entries}
     assert forms == swapped
 
 
@@ -192,11 +192,11 @@ def test_colored_discovery_matches_catalog_at_small_n():
     found = find_minimal_colored_obstructions(member, 4)
     cat = load_catalog("partitioned2t")
     expected = {
-        canonical_colored_form(e.obstruction)
+        canonical_form(e.obstruction)
         for e in cat.entries
         if e.graph.n <= 4
     }
-    assert {canonical_colored_form(cg) for cg in found} == expected
+    assert {canonical_form(cg) for cg in found} == expected
 
 
 def test_embed_helpers_agree_with_recognizers():
@@ -218,7 +218,7 @@ def all_partitioned_patterns():
         cg = e.obstruction
         pats.append((e.name, cg.graph, cg.colors))
         swapped = cg.swapped()
-        if canonical_colored_form(swapped) != canonical_colored_form(cg):
+        if canonical_form(swapped) != canonical_form(cg):
             pats.append((e.name + SWAP_SUFFIX, swapped.graph, swapped.colors))
     return tuple(sorted(pats, key=lambda p: (p[1].n, p[0])))
 
@@ -235,11 +235,11 @@ def test_partitioned_patterns_keep_the_first_of_each_class():
     every = all_partitioned_patterns()
     kept = _partitioned_patterns()
     assert (len(every), len(kept)) == (43, 25)
-    forms = [canonical_colored_form(ColoredGraph(g, c)) for _, g, c in kept]
+    forms = [canonical_form(ColoredGraph(g, c)) for _, g, c in kept]
     assert len(set(forms)) == len(kept)  # no two kept patterns are isomorphic
     first: dict[str, tuple] = {}
     for p in every:
-        first.setdefault(canonical_colored_form(ColoredGraph(p[1], p[2])), p)
+        first.setdefault(canonical_form(ColoredGraph(p[1], p[2])), p)
     assert list(kept) == list(first.values())
 
 

@@ -1,5 +1,6 @@
-"""Threshold recognition, orders and build trees, and is_threshold against
-the generator-driven loop it replaced."""
+"""Threshold recognition, orders and certificates, and is_threshold against
+the certificate pair it replaced: a list of isolated-or-universal removals
+and a builder that turned it into a sequence."""
 
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -14,18 +15,14 @@ from threshkit.named import (
     path_graph,
 )
 from threshkit.sequences import ADD, JOIN_ALL, BuildSequence, Step, evaluate
-from threshkit.threshold import (
-    ThresholdCertificate,
-    build_threshold_tree,
-    is_threshold,
-    threshold_order,
-)
+from threshkit.threshold import is_threshold, threshold_order
 
 from strategies import graphs
 
 
 def oracle_is_threshold(g):
-    """The earlier is_threshold, walking the alive vertices with bits()."""
+    """The earlier is_threshold, walking the alive vertices with bits() and
+    removing every vertex, followed by the earlier build_threshold_tree."""
     alive = g.full_mask
     removed = []
     while alive:
@@ -43,7 +40,12 @@ def oracle_is_threshold(g):
             return None
         removed.append(pick)
         alive ^= 1 << pick[0]
-    return ThresholdCertificate(tuple(removed))
+    steps = []
+    order = []
+    for v, kind in reversed(removed):
+        steps.append(Step(0, ADD if kind == "isolated" else JOIN_ALL))
+        order.append(v)
+    return BuildSequence(1, tuple(steps), tuple(order))
 
 
 def test_equals_oracle_on_every_small_graph():
@@ -77,21 +79,27 @@ def test_known_non_members():
     for g in (path_graph(4), cycle_graph(4), matching(2), cycle_graph(5)):
         assert is_threshold(g) is None
         assert threshold_order(g) is None
-        assert build_threshold_tree(g) is None
 
 
 def test_certificate_steps_are_valid():
-    g = complete_graph(3)
-    cert = is_threshold(g)
-    remaining = g.full_mask
-    for v, kind in cert.elimination:
-        degree = (g.rows[v] & remaining).bit_count()
-        if kind == "isolated":
-            assert degree == 0
-        else:
-            assert degree == remaining.bit_count() - 1
-        remaining ^= 1 << v
-    assert remaining == 0
+    # undone in reverse order, each step removes a vertex that its operator
+    # makes isolated (add) or universal (joinall) among those still present
+    for n in range(1, 7):
+        for g in all_graphs(EnumerationConfig(n)):
+            seq = is_threshold(g)
+            if seq is None:
+                continue
+            remaining = g.full_mask
+            for step, v in reversed(list(zip(seq.steps, seq.order))):
+                degree = (g.rows[v] & remaining).bit_count()
+                assert step.color == 0
+                if step.op == ADD:
+                    assert degree == 0
+                else:
+                    assert step.op == JOIN_ALL
+                    assert degree == remaining.bit_count() - 1
+                remaining ^= 1 << v
+            assert remaining == 0
 
 
 @given(st.lists(st.booleans(), min_size=0, max_size=9))
@@ -132,7 +140,7 @@ def test_threshold_order_linearizes_neighborhoods():
 def test_build_tree_evaluates_back_exactly():
     for n in range(1, 7):
         for g in all_graphs(EnumerationConfig(n)):
-            tree = build_threshold_tree(g)
-            if tree is None:
+            seq = is_threshold(g)
+            if seq is None:
                 continue
-            assert evaluate(tree).graph == g
+            assert evaluate(seq).graph == g
