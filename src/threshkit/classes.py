@@ -139,8 +139,9 @@ ROWS = (
         catalog="special2t",
     ),
     # Restricted 2-threshold graphs are the switching class of threshold
-    # graphs, so this class shares the switch-threshold patterns and
-    # catalog; that catalog is validated with the switch search.
+    # graphs, so this class shares the switch-threshold catalog, and with
+    # it the FIS scan read from that catalog; the catalog is validated with
+    # the switch search.
     GraphClass(
         "restricted",
         recognize=lambda g, k, limits: _coloring_and_sequence(is_restricted(g)),

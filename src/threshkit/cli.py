@@ -64,6 +64,9 @@ def cmd_recognize(args, limits: Limits) -> int:
         if isinstance(g, ColoredGraph) != row.colored:
             need = "needs '<graph6> <colorstring>'" if row.colored else "takes uncolored"
             raise UsageError(f"class {cls} {need} input")
+        # the colored class is 2-colored, and a scan would not notice a third color
+        if row.colored and max(g.colors) > 1:
+            raise UsageError(f"class {cls} takes colors b and w only")
 
         if method == "fis":
             res = fis(g)

@@ -20,11 +20,12 @@ A forbidden-subgraph scan tries a whole pattern list against one host, so
 find_first_embedding builds the host's tables (vertices by least degree, by
 color, and non-neighbour rows) once for the list. The pattern side of those
 tests (degrees, edge, non-edge and color counts) depends on the pattern
-alone: a PatternList computes it once, and the scan lists of the
-recognizers in obstructions are PatternLists built once per process. A
-plain sequence of patterns works too, at the price of computing the
-constants on each call. A pattern with a vertex whose starting candidate
-mask is empty cannot embed and is skipped without a search.
+alone: a PatternList computes it once, and find_first_embedding takes
+nothing else. The scan lists of the recognizers in obstructions are
+PatternLists built once per process from the shipped catalogs;
+find_induced_embedding builds a one-pattern list. A pattern with a vertex
+whose starting candidate mask is empty cannot embed and is skipped without
+a search.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ class PatternList(tuple):
 
 def find_first_embedding(
     host: Graph,
-    patterns: Sequence[Pattern],
+    patterns: PatternList,
     host_coloring: tuple[int, ...] | None = None,
 ) -> tuple[Optional[str], tuple[int, ...]] | None:
     """(name, embedding) for the first pattern in list order that embeds in
@@ -75,8 +76,6 @@ def find_first_embedding(
     Pattern colors are given exactly when host_coloring is, and then every
     embedding must preserve colors exactly.
     """
-    if not isinstance(patterns, PatternList):
-        patterns = PatternList(patterns)
     h = host.n
     hrows = host.rows
     full = host.full_mask
@@ -156,5 +155,6 @@ def find_induced_embedding(
 
     With both colorings supplied the embedding must preserve colors exactly.
     """
-    hit = find_first_embedding(host, ((None, pattern, pattern_coloring),), host_coloring)
+    hit = find_first_embedding(host, PatternList(((None, pattern, pattern_coloring),)),
+                               host_coloring)
     return None if hit is None else hit[1]

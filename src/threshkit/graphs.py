@@ -133,9 +133,6 @@ class Graph:
         """Connected components as vertex masks, ordered by lowest vertex."""
         return _components(self.rows, self.full_mask)
 
-    def is_connected(self) -> bool:
-        return len(self.components()) == 1
-
     def relabel(self, order: Sequence[int]) -> Graph:
         """New graph whose vertex i is the old vertex order[i]."""
         if sorted(order) != list(range(self.n)):

@@ -3,10 +3,11 @@
 Each characterized family gets a recognizer that scans the family's
 obstruction patterns with the induced-embedding search. Acceptance means
 no pattern embeds; rejection carries the first pattern found together
-with its embedding, which is the checkable negative certificate. The
-partitioned scan keeps one pattern per color-isomorphism class of the
-catalog entries and their color swaps, the first in (n, name) order; a
-later isomorphic pattern could never be the first hit.
+with its embedding, which is the checkable negative certificate. Every
+scan list is read from the family's shipped catalog by one builder,
+_catalog_patterns: the entries and the color swap of each colored entry,
+in (n, name) order, keeping the first pattern of each isomorphism class;
+a later isomorphic pattern could never be the first hit.
 
 find_minimal_obstructions is the discovery side: enumerate all graphs up
 to a bound, evaluate an arbitrary membership predicate, and report the
@@ -33,13 +34,10 @@ from typing import Callable, Optional
 from .canonical import canonical_colored_graph, canonical_form, canonical_graph
 from .catalogs import load_catalog
 from .embed import Pattern, PatternList, find_first_embedding
-from .graph6 import encode_graph6
 from .graphs import ColoredGraph, Graph
 from .enumeration import EnumerationConfig, all_colored_graphs, all_graphs, check_range
 from .limits import DEFAULT_LIMITS, Limits
-from .named import named_graphs
 from .records import frozen
-from .switching import switching_class_graphs
 
 __all__ = [
     "FisResult",
@@ -49,7 +47,6 @@ __all__ = [
     "recognize_partitioned_fis",
     "recognize_switch_threshold_fis",
     "recognize_switch_cograph_fis",
-    "switch_threshold_patterns",
     "find_minimal_obstructions",
     "find_minimal_colored_obstructions",
 ]
@@ -72,9 +69,32 @@ def _scan(host: Graph, patterns: PatternList,
 
 @lru_cache(maxsize=None)
 def _catalog_patterns(family: str) -> PatternList:
-    cat = load_catalog(family)
-    return PatternList(sorted(((e.name, e.graph, None) for e in cat.entries),
-                              key=lambda p: (p[1].n, p[0])))
+    """The scan list of a catalog: its entries and the color swap of each
+    colored entry, under a :swapped name, sorted by (n, name), keeping the
+    first pattern of each isomorphism class (color-preserving for colored
+    patterns).
+
+    Isomorphic patterns embed in the same hosts, so a later pattern of a
+    class is never the first hit and dropping it leaves every scan result,
+    name and embedding alike, unchanged. validate_catalog rejects
+    isomorphic entries, so a plain catalog keeps every entry; the colored
+    catalog is swap-closed, so it keeps one pattern per entry class, some
+    under a :swapped name.
+    """
+    pats = []
+    for e in load_catalog(family).entries:
+        obj = e.obstruction
+        pats.append((e.name, obj))
+        if e.coloring is not None:
+            pats.append((e.name + ":swapped", obj.swapped()))
+    kept: dict[str, Pattern] = {}
+    for name, obj in sorted(pats, key=lambda p: (p[1].n, p[0])):
+        if isinstance(obj, ColoredGraph):
+            pattern = (name, obj.graph, obj.colors)
+        else:
+            pattern = (name, obj, None)
+        kept.setdefault(canonical_form(obj), pattern)
+    return PatternList(kept.values())
 
 
 def recognize_threshold_fis(g: Graph) -> FisResult:
@@ -93,60 +113,12 @@ def recognize_switch_cograph_fis(g: Graph) -> FisResult:
     return _scan(g, _catalog_patterns("switch_cograph"))
 
 
-@lru_cache(maxsize=1)
-def switch_threshold_patterns() -> tuple[tuple[str, Graph], ...]:
-    """Union of the computed switching classes of 3K2, C5 and C4+2K1.
-
-    The patterns are the canonical representatives that
-    switching_class_graphs returns, so a pattern's graph6 encoding is its
-    canonical form. Deduplicated by that form and named after the shipped
-    catalog where possible; the catalogs verification suite asserts the
-    two lists coincide up to isomorphism.
-    """
-    reg = named_graphs()
-    by_form: dict[str, Graph] = {}
-    for seed in ("3k2", "c5", "c4-2k1"):
-        for h in switching_class_graphs(reg[seed]):
-            by_form.setdefault(encode_graph6(h), h)
-    names = {canonical_form(e.graph): e.name
-             for e in load_catalog("switch_threshold").entries}
-    pats = [(names.get(form, form), by_form[form]) for form in sorted(by_form)]
-    return tuple(sorted(pats, key=lambda p: (p[1].n, p[0])))
-
-
-@lru_cache(maxsize=1)
-def _switch_threshold_scan() -> PatternList:
-    return PatternList((name, h, None) for name, h in switch_threshold_patterns())
-
-
 def recognize_switch_threshold_fis(g: Graph) -> FisResult:
-    return _scan(g, _switch_threshold_scan())
-
-
-@lru_cache(maxsize=1)
-def _partitioned_patterns() -> PatternList:
-    """The catalogued colored patterns and their color swaps, sorted by
-    (n, name), keeping the first pattern of each color-preserving
-    isomorphism class.
-
-    Isomorphic patterns embed in the same hosts, so a later pattern of a
-    class is never the first hit and dropping it leaves every scan result,
-    name and embedding alike, unchanged. The catalog is swap-closed, so
-    the kept patterns are one per entry class, some under a :swapped name.
-    """
-    pats = []
-    for e in load_catalog("partitioned2t").entries:
-        cg = e.obstruction
-        pats.append((e.name, cg))
-        pats.append((e.name + ":swapped", cg.swapped()))
-    kept: dict[str, Pattern] = {}
-    for name, cg in sorted(pats, key=lambda p: (p[1].n, p[0])):
-        kept.setdefault(canonical_form(cg), (name, cg.graph, cg.colors))
-    return PatternList(kept.values())
+    return _scan(g, _catalog_patterns("switch_threshold"))
 
 
 def recognize_partitioned_fis(cg: ColoredGraph) -> FisResult:
-    return _scan(cg.graph, _partitioned_patterns(), cg.colors)
+    return _scan(cg.graph, _catalog_patterns("partitioned2t"), cg.colors)
 
 
 def _find_minimal(member: Callable, n_max: int, limits: Limits,

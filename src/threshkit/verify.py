@@ -12,6 +12,10 @@ suite runs its two brute-force switch oracles in one scan. Canonical
 forms are computed under the run's limits, and the catalogs suite checks
 its largest entry against the canonical bound before any of them.
 
+The FIS scans read their patterns from the shipped catalogs. The catalogs
+suite derives the switch-threshold catalog independently, as the
+switching classes of 3K2, C5 and C4+2K1, and compares the two.
+
 Reports serialize to a versioned key-value text document that parses back
 to an equal report (see to_text / from_text).
 """
@@ -29,11 +33,8 @@ from .graph6 import encode_graph6, format_graph_line
 from .graphs import ColoredGraph, Graph
 from .kthreshold import SPECIAL, brute_coloring_search, is_good, is_restricted, is_special
 from .limits import DEFAULT_LIMITS, Limits
-from .obstructions import (
-    find_minimal_colored_obstructions,
-    find_minimal_obstructions,
-    switch_threshold_patterns,
-)
+from .named import named_graphs
+from .obstructions import find_minimal_colored_obstructions, find_minimal_obstructions
 from .records import frozen
 from .sequences import ADD, JOIN_ALL, BuildSequence, Step, evaluate
 from .switching import (
@@ -41,6 +42,7 @@ from .switching import (
     is_cograph,
     is_switch_cograph,
     switch_to_threshold,
+    switching_class_graphs,
 )
 from .threshold import is_threshold, threshold_picks
 
@@ -335,9 +337,11 @@ def suite_catalogs(n_max: int, limits: Limits) -> VerificationReport:
         for p in problems:
             run.witness(cat.lookup(p.entry).obstruction,
                         f"catalog.{family}: {p.entry} {p.condition}: {p.detail}")
-    # The switch-threshold patterns are also computable from first principles:
+    # The switch-threshold catalog is also computable from first principles:
     # the switching classes of 3K2, C5 and C4+2K1, as canonical representatives.
-    computed = {encode_graph6(h) for _, h in switch_threshold_patterns()}
+    reg = named_graphs()
+    computed = {encode_graph6(h) for seed in ("3k2", "c5", "c4-2k1")
+                for h in switching_class_graphs(reg[seed], limits)}
     catalogued = {canonical_form(e.graph, limits) for e in load_catalog("switch_threshold").entries}
     run.set("catalog.switch_threshold.computed", len(computed))
     if computed != catalogued:

@@ -105,6 +105,17 @@ def test_colored_input_rejected_elsewhere(tmp_path, capsys):
     assert capsys.readouterr().err == "error: switch takes uncolored input\n"
 
 
+@pytest.mark.parametrize("method", ["fis", "elimination", "both"])
+def test_partitioned_rejects_a_third_color_under_every_method(tmp_path, capsys, method):
+    # the FIS scan alone would find no pattern with color 2 and accept
+    path = _input_file(tmp_path, "A_ 02")
+    args = ["recognize", "--class", "partitioned", "--method", method, "--input", path]
+    assert cli.main(args) == cli.USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: class partitioned takes colors b and w only\n"
+
+
 def test_partitioned_colored_member(tmp_path, capsys):
     path = _input_file(tmp_path, encode_graph6(path_graph(3)) + " bww")
     args = ["recognize", "--class", "partitioned", "--input", path]

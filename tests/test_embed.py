@@ -12,17 +12,12 @@ from threshkit.catalogs import load_catalog
 import pytest
 
 from threshkit import embed
-from threshkit.classes import BY_CATALOG
+from threshkit.classes import BY_CATALOG, ROWS
 from threshkit.embed import PatternList, find_first_embedding, find_induced_embedding
 from threshkit.enumeration import EnumerationConfig, all_colored_graphs, all_graphs
 from threshkit.graphs import ColoredGraph, Graph
 from threshkit.named import complete_graph, cycle_graph, empty_graph, path_graph
-from threshkit.obstructions import (
-    _catalog_patterns,
-    _partitioned_patterns,
-    _switch_threshold_scan,
-    switch_threshold_patterns,
-)
+from threshkit.obstructions import _catalog_patterns
 
 from strategies import colored_graphs, graphs
 
@@ -83,9 +78,8 @@ def oracle_find_induced_embedding(host, pattern, host_coloring=None, pattern_col
 
 
 def _catalog_graphs():
-    """Every catalog pattern, uncolored, plus the computed switch-threshold ones."""
-    out = [e.graph for family in BY_CATALOG for e in load_catalog(family).entries]
-    return out + [g for _, g in switch_threshold_patterns()]
+    """Every catalog pattern, uncolored."""
+    return [e.graph for family in BY_CATALOG for e in load_catalog(family).entries]
 
 
 def _colored_catalog_graphs():
@@ -186,9 +180,8 @@ def test_equals_oracle_on_larger_hosts(host, drawn, rnd):
 
 
 # the pattern lists of the five uncolored FIS scans
-UNCOLORED_SCANS = [_catalog_patterns(family)
-                   for family in ("threshold", "special2t", "good", "switch_cograph")]
-UNCOLORED_SCANS.append(_switch_threshold_scan())
+UNCOLORED_SCANS = [_catalog_patterns(family) for family in
+                   sorted({row.catalog for row in ROWS if row.fis is not None and not row.colored})]
 
 
 def oracle_first_embedding(host, patterns, host_coloring=None):
@@ -209,7 +202,7 @@ def test_scan_equals_pattern_loop_on_every_small_host():
 
 
 def test_colored_scan_equals_pattern_loop_on_every_small_host():
-    patterns = _partitioned_patterns()
+    patterns = _catalog_patterns("partitioned2t")
     for n in range(1, 7):
         for host in all_colored_graphs(n):
             assert find_first_embedding(host.graph, patterns, host.colors) == oracle_first_embedding(
@@ -223,7 +216,7 @@ def test_scan_equals_pattern_loop_on_larger_hosts(host, rnd):
     for patterns in UNCOLORED_SCANS:
         assert find_first_embedding(host, patterns) == oracle_first_embedding(host, patterns)
     host_colors = tuple(rnd.randrange(2) for _ in range(host.n))
-    patterns = _partitioned_patterns()
+    patterns = _catalog_patterns("partitioned2t")
     assert find_first_embedding(host, patterns, host_colors) == oracle_first_embedding(
         host, patterns, host_colors
     )
@@ -235,20 +228,20 @@ def test_scan_skips_patterns_that_cannot_embed(monkeypatch):
     monkeypatch.setattr(embed, "_search", lambda *args: searched.append(args[2]) or search(*args))
     # the claw needs a vertex of degree 3 and P2 a white vertex: neither is searched
     host = ColoredGraph(path_graph(4), (0, 0, 0, 0))
-    patterns = [
+    patterns = PatternList([
         ("claw", Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)]), (0, 0, 0, 0)),
         ("bw", path_graph(2), (0, 1)),
         ("p3", path_graph(3), (0, 0, 0)),
-    ]
+    ])
     assert find_first_embedding(host.graph, patterns, host.colors) == ("p3", (0, 1, 2))
     assert searched == [path_graph(3).rows]
 
 
 def test_scan_requires_colorings_on_both_sides():
     with pytest.raises(ValueError):
-        find_first_embedding(path_graph(3), [("p2", path_graph(2), (0, 0))])
+        find_first_embedding(path_graph(3), PatternList([("p2", path_graph(2), (0, 0))]))
     with pytest.raises(ValueError):
-        find_first_embedding(path_graph(3), [("p2", path_graph(2), None)], (0, 0, 0))
+        find_first_embedding(path_graph(3), PatternList([("p2", path_graph(2), None)]), (0, 0, 0))
     with pytest.raises(ValueError):
         find_induced_embedding(path_graph(3), path_graph(2), (0, 0, 0))
 
@@ -312,25 +305,25 @@ def test_scan_skips_patterns_by_counts_and_degree_window(monkeypatch):
     # has 5 edges, 4K1 has 6 non-edges, and the isolated vertex of K3+K1
     # needs an image of degree 0 in a host of its own size
     k3_k1 = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2)])
-    patterns = [
+    patterns = PatternList([
         ("k4-e", Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]), None),
         ("4k1", empty_graph(4), None),
         ("k3+k1", k3_k1, None),
         ("p4", path_graph(4), None),
-    ]
+    ])
     assert find_first_embedding(path_graph(4), patterns) == ("p4", (0, 1, 2, 3))
     assert searched == [path_graph(4).rows]
     # every vertex of the host has each color, but only one has color 1
     searched.clear()
-    colored = [("11", path_graph(2), (1, 1)), ("01", path_graph(2), (0, 1))]
+    colored = PatternList([("11", path_graph(2), (1, 1)), ("01", path_graph(2), (0, 1))])
     assert find_first_embedding(path_graph(3), colored, (0, 1, 0)) == ("01", (0, 1))
     assert searched == [path_graph(2).rows]
 
 
 def test_pattern_list_is_its_patterns():
-    plain = [(name, h, None) for name, h in switch_threshold_patterns()]
+    plain = [(e.name, e.graph, None) for e in load_catalog("switch_threshold").entries]
     patterns = PatternList(plain)
     assert patterns == tuple(plain) and list(patterns) == plain
     assert len(patterns.constants) == len(plain)
     for host in all_graphs(EnumerationConfig(6)):
-        assert find_first_embedding(host, patterns) == find_first_embedding(host, plain)
+        assert find_first_embedding(host, patterns) == oracle_first_embedding(host, plain)

@@ -8,7 +8,7 @@ import pytest
 import threshkit.canonical as canonical
 from threshkit.canonical import canonical_form
 from threshkit.catalogs import load_catalog
-from threshkit.embed import find_first_embedding, find_induced_embedding
+from threshkit.embed import PatternList, find_first_embedding, find_induced_embedding
 from threshkit.classes import ROWS
 from threshkit.enumeration import EnumerationConfig, all_colored_graphs, all_graphs
 from threshkit.graph6 import encode_graph6, format_graph_line
@@ -21,10 +21,11 @@ from threshkit.named import (
     empty_graph,
     gem,
     matching,
+    named_graphs,
     path_graph,
 )
 from threshkit.obstructions import (
-    _partitioned_patterns,
+    _catalog_patterns,
     find_minimal_colored_obstructions,
     find_minimal_obstructions,
     recognize_good_fis,
@@ -33,9 +34,8 @@ from threshkit.obstructions import (
     recognize_switch_cograph_fis,
     recognize_switch_threshold_fis,
     recognize_threshold_fis,
-    switch_threshold_patterns,
 )
-from threshkit.switching import switch_to_threshold
+from threshkit.switching import switch_to_threshold, switching_class_graphs
 from threshkit.threshold import is_threshold
 
 from strategies import colored_graphs
@@ -43,11 +43,25 @@ from strategies import colored_graphs
 SWAP_SUFFIX = ":swapped"
 
 
+@lru_cache(maxsize=1)
+def switch_threshold_patterns():
+    """The earlier switch-threshold scan list, derived at run time: the union
+    of the switching classes of 3K2, C5 and C4+2K1 as canonical
+    representatives, deduplicated by form, named after the shipped catalog
+    where possible and sorted by (n, name)."""
+    reg = named_graphs()
+    by_form = {}
+    for seed in ("3k2", "c5", "c4-2k1"):
+        for h in switching_class_graphs(reg[seed]):
+            by_form.setdefault(encode_graph6(h), h)
+    names = {canonical_form(e.graph): e.name
+             for e in load_catalog("switch_threshold").entries}
+    pats = [(names.get(form, form), by_form[form]) for form in sorted(by_form)]
+    return tuple(sorted(pats, key=lambda p: (p[1].n, p[0])))
+
+
 def _resolve_pattern(family, name):
     """Map a FisResult pattern name back to the pattern object it names."""
-    if family == "switch_threshold":
-        # embeddings refer to the computed orbit graphs, not catalog labelings
-        return dict(switch_threshold_patterns())[name]
     cat = load_catalog(family)
     if name.endswith(SWAP_SUFFIX):
         return cat.lookup(name[: -len(SWAP_SUFFIX)]).obstruction.swapped()
@@ -169,6 +183,27 @@ def test_switch_threshold_patterns_are_canonical_representatives():
         assert encode_graph6(h) == canonical_form(h)
 
 
+def test_switch_threshold_catalog_stores_canonical_graph6():
+    for e in load_catalog("switch_threshold").entries:
+        assert encode_graph6(e.graph) == canonical_form(e.graph), e.name
+
+
+def test_switch_threshold_scan_is_the_computed_patterns():
+    """Read from the catalog, the scan list is exactly the list computed from
+    the switching classes: names, labelings and order alike."""
+    computed = [(name, h, None) for name, h in switch_threshold_patterns()]
+    assert list(_catalog_patterns("switch_threshold")) == computed
+
+
+PLAIN_CATALOGS = sorted({row.catalog for row in ROWS if row.fis is not None and not row.colored})
+
+
+@pytest.mark.parametrize("family", PLAIN_CATALOGS)
+def test_plain_catalog_scan_keeps_every_entry_in_n_name_order(family):
+    entries = sorted(load_catalog(family).entries, key=lambda e: (e.graph.n, e.name))
+    assert list(_catalog_patterns(family)) == [(e.name, e.graph, None) for e in entries]
+
+
 def test_partitioned_pattern_set_is_swap_closed():
     cat = load_catalog("partitioned2t")
     forms = {canonical_form(e.obstruction) for e in cat.entries}
@@ -176,15 +211,19 @@ def test_partitioned_pattern_set_is_swap_closed():
     assert forms == swapped
 
 
-def test_each_partitioned_entry_is_its_own_witness():
-    cat = load_catalog("partitioned2t")
-    for e in cat.entries:
-        cg = e.obstruction
-        res = recognize_partitioned_fis(cg)
-        assert not res.accepted
-        assert _resolve_pattern("partitioned2t", res.pattern).graph.n == cg.graph.n
-        for v in range(cg.graph.n):
-            assert recognize_partitioned_fis(cg.delete_vertex(v)).accepted
+def test_each_catalog_entry_is_its_own_witness():
+    """Every FIS scan rejects each entry of its catalog with a pattern on all
+    of the entry's vertices, and accepts each one-vertex deletion."""
+    for row in ROWS:
+        if row.fis is None:
+            continue
+        for e in load_catalog(row.catalog).entries:
+            obj = e.obstruction
+            res = row.fis(obj)
+            assert not res.accepted, (row.name, e.name)
+            assert len(res.embedding) == e.graph.n, (row.name, e.name)
+            for v in range(e.graph.n):
+                assert row.fis(obj.delete_vertex(v)).accepted, (row.name, e.name, v)
 
 
 def test_colored_discovery_matches_catalog_at_small_n():
@@ -220,7 +259,7 @@ def all_partitioned_patterns():
         swapped = cg.swapped()
         if canonical_form(swapped) != canonical_form(cg):
             pats.append((e.name + SWAP_SUFFIX, swapped.graph, swapped.colors))
-    return tuple(sorted(pats, key=lambda p: (p[1].n, p[0])))
+    return PatternList(sorted(pats, key=lambda p: (p[1].n, p[0])))
 
 
 def _scan_pair(cg, patterns=None):
@@ -233,7 +272,7 @@ def _scan_pair(cg, patterns=None):
 
 def test_partitioned_patterns_keep_the_first_of_each_class():
     every = all_partitioned_patterns()
-    kept = _partitioned_patterns()
+    kept = _catalog_patterns("partitioned2t")
     assert (len(every), len(kept)) == (43, 25)
     forms = [canonical_form(ColoredGraph(g, c)) for _, g, c in kept]
     assert len(set(forms)) == len(kept)  # no two kept patterns are isomorphic

@@ -198,9 +198,7 @@ def test_partitioned_scans_search_few_patterns(monkeypatch):
 def test_suite_computes_pattern_constants_once_per_list(monkeypatch, name, n_max, lists):
     """The scan lists carry their pattern constants: a whole suite run, from
     cold scan lists, computes them once per list and never once per host."""
-    for builder in (obstructions._catalog_patterns, obstructions._switch_threshold_scan,
-                    obstructions._partitioned_patterns):
-        builder.cache_clear()
+    obstructions._catalog_patterns.cache_clear()
     computed, scans = [], []
     constants = embed._constants
     monkeypatch.setattr(embed, "_constants",
