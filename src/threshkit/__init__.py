@@ -3,11 +3,18 @@
 from .canonical import canonical_form, canonical_graph
 from .graph6 import decode_graph6, encode_graph6, parse_graph_line
 from .graphs import ColoredGraph, Graph, cutrank_profile, disjoint_union, is_distance_hereditary, join
-from .kthreshold import is_extended, is_good, is_k_threshold, is_restricted, is_special
+from .kthreshold import (
+    is_extended,
+    is_good,
+    is_k_threshold,
+    is_restricted,
+    is_special,
+    is_threshold,
+    threshold_order,
+)
 from .limits import DEFAULT_LIMITS, CapacityError, Limits
 from .sequences import BuildSequence, evaluate
 from .switching import switch, switch_to_threshold, switching_class
-from .threshold import is_threshold, threshold_order
 
 __all__ = [
     "Graph",

@@ -47,9 +47,6 @@ class Catalog:
     family: str
     entries: tuple[CatalogEntry, ...]
 
-    def names(self) -> list[str]:
-        return [e.name for e in self.entries]
-
     def lookup(self, name: str) -> CatalogEntry:
         for e in self.entries:
             if e.name == name:

@@ -18,11 +18,13 @@ from .kthreshold import (
     GENERAL2,
     OTHER,
     eliminate,
+    elimination_picks,
     is_extended,
     is_good,
     is_k_threshold,
     is_restricted,
     is_special,
+    is_threshold,
     neighborhood_shape,
 )
 from .limits import Limits
@@ -39,7 +41,6 @@ from .obstructions import (
 from .records import frozen
 from .sequences import format_sequence
 from .switching import has_cograph_switch, is_switch_cograph, switch_to_threshold
-from .threshold import is_threshold, threshold_picks
 
 __all__ = ["GraphClass", "ROWS", "BY_NAME", "BY_FAMILY", "BY_CATALOG"]
 
@@ -119,7 +120,7 @@ ROWS = (
         recognize=_threshold,
         fis=lambda g: recognize_threshold_fis(g),
         family="threshold",
-        member=lambda g: threshold_picks(g.rows, g.full_mask) is not None,
+        member=lambda g: elimination_picks(g.rows, g.full_mask, (0, g.full_mask)) is not None,
         catalog="threshold",
     ),
     GraphClass(

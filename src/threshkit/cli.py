@@ -20,7 +20,7 @@ from .graphs import ColoredGraph
 from .limits import CapacityError, Limits
 from .obstructions import FisResult
 from .switching import switch
-from .verify import SUITE_NAMES, run_suite
+from .verify import SUITE_NAMES, run_suite, suite_bound
 
 OK, NON_MEMBER, USAGE, DISAGREE, CAPACITY = 0, 1, 2, 3, 4
 
@@ -92,9 +92,12 @@ def cmd_recognize(args, limits: Limits) -> int:
 
 
 def cmd_verify(args, limits: Limits) -> int:
-    # opened first, so that an unwritable path fails before the suite runs
+    # checked before the open, so that a refused run leaves an existing file
+    # as it was; opened before the suite runs, so that an unwritable path
+    # fails before any suite work
+    n_max = suite_bound(args.suite, args.nmax, limits)
     with open(args.out, "w", encoding="ascii") if args.out else nullcontext() as out:
-        report = run_suite(args.suite, args.nmax, limits)
+        report = run_suite(args.suite, n_max, limits)
         text = report.to_text()
         if out is not None:
             out.write(text)

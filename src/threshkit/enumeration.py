@@ -28,7 +28,6 @@ __all__ = [
     "check_range",
     "baseline_graphs",
     "raw_extensions",
-    "count_family",
 ]
 
 
@@ -175,8 +174,3 @@ def raw_extensions(n: int, limits: Limits = DEFAULT_LIMITS) -> list[Graph]:
         for mask in range(1 << h.n):
             out.append(_extend(h, mask))
     return out
-
-
-def count_family(member, n: int, limits: Limits = DEFAULT_LIMITS) -> int:
-    """Number of canonical classes on n vertices satisfying member."""
-    return sum(1 for g in all_graphs(EnumerationConfig(n), limits) if member(g))

@@ -76,9 +76,6 @@ class Graph:
     def degrees(self) -> tuple[int, ...]:
         return tuple(row.bit_count() for row in self.rows)
 
-    def degree(self, v: int) -> int:
-        return self.rows[v].bit_count()
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.rows[u] >> v & 1)
 
@@ -113,21 +110,6 @@ class Graph:
         full = self.full_mask
         rows = tuple(full ^ row ^ (1 << v) for v, row in enumerate(self.rows))
         return _unchecked_graph(self.n, rows)
-
-    def local_complement(self, x: int) -> Graph:
-        """Complement the edges among the neighbors of x."""
-        if not 0 <= x < self.n:
-            raise ValueError(f"vertex {x} outside 0..{self.n - 1}")
-        nb = self.rows[x]
-        rows = list(self.rows)
-        for v in bits(nb):
-            rows[v] ^= nb & ~(1 << v)
-        return Graph(self.n, tuple(rows))
-
-    def anti_neighborhood(self, x: int) -> int:
-        if not 0 <= x < self.n:
-            raise ValueError(f"vertex {x} outside 0..{self.n - 1}")
-        return self.full_mask & ~self.rows[x] & ~(1 << x)
 
     def components(self) -> list[int]:
         """Connected components as vertex masks, ordered by lowest vertex."""
@@ -207,13 +189,6 @@ class ColoredGraph:
     @property
     def n(self) -> int:
         return self.graph.n
-
-    def color_mask(self, color: int) -> int:
-        mask = 0
-        for v, c in enumerate(self.colors):
-            if c == color:
-                mask |= 1 << v
-        return mask
 
     def delete_vertex(self, v: int) -> ColoredGraph:
         colors = self.colors[:v] + self.colors[v + 1 :]

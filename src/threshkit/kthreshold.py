@@ -1,13 +1,17 @@
 """Colored elimination and recognizers for the k-threshold dialects.
 
+Threshold graphs are the one-color dialect THRESHOLD, built with add and
+join_all only: each step adds an isolated or a dominating vertex.
+
 Elimination has two parts. The kernel, elimination_picks, works on raw
 ints: the adjacency rows, the alive vertex mask and one vertex mask per
 operator; it returns the removals or None. The certificate builder
-sequences._sequence turns them into a BuildSequence. eliminate(cg,
-dialect) is the kernel plus the builder. The coloring searches hand the
-kernel masks directly and build the sequence for the first coloring that
-eliminates only. neighborhood_shape tests vertex masks with the one-color
-loop threshold.threshold_picks and builds no graph.
+_sequence turns them into a BuildSequence. eliminate(cg, dialect) and
+is_threshold are the kernel plus the builder. The coloring searches hand
+the kernel masks directly and build the sequence for the first coloring
+that eliminates only. Every other threshold test (neighborhood_shape, the
+switch search, the threshold class row) runs the kernel with the
+THRESHOLD masks (0, alive) on a vertex mask and builds no graph.
 
 Two searches cover the colorings. The polynomial one (two colors: the
 special, restricted and extended dialects and is_k_threshold for k = 2)
@@ -26,8 +30,7 @@ from functools import cached_property
 from .graphs import ColoredGraph, Graph, _components, bits
 from .limits import DEFAULT_LIMITS, CapacityError, Limits
 from .records import frozen
-from .sequences import ADD, BLACK, JOIN_ALL, WHITE, BuildSequence, Op, _sequence, join_color
-from .threshold import threshold_picks
+from .sequences import ADD, BLACK, JOIN_ALL, WHITE, BuildSequence, Op, Step, join_color
 
 __all__ = [
     "Dialect",
@@ -36,6 +39,7 @@ __all__ = [
     "SPECIAL",
     "RESTRICTED",
     "EXTENDED",
+    "THRESHOLD",
     "eliminate",
     "elimination_picks",
     "brute_coloring_search",
@@ -43,6 +47,8 @@ __all__ = [
     "is_special",
     "is_restricted",
     "is_extended",
+    "is_threshold",
+    "threshold_order",
     "neighborhood_shape",
     "is_good",
 ]
@@ -78,6 +84,7 @@ GENERAL2 = general_dialect(2)
 SPECIAL = Dialect("special", 2, (ADD, join_color(WHITE)))
 RESTRICTED = Dialect("restricted", 2, (join_color(BLACK), join_color(WHITE)))
 EXTENDED = Dialect("extended", 2, (ADD, join_color(BLACK), join_color(WHITE), JOIN_ALL))
+THRESHOLD = Dialect("threshold", 1, (ADD, JOIN_ALL))
 
 
 def elimination_picks(rows: tuple[int, ...], alive: int, masks) -> list[tuple[int, int]] | None:
@@ -114,6 +121,19 @@ def elimination_picks(rows: tuple[int, ...], alive: int, masks) -> list[tuple[in
     return picks
 
 
+def _sequence(dialect: Dialect, colors, full: int, picks: list[tuple[int, int]]) -> BuildSequence:
+    """The certificate builder for an elimination: the build sequence that
+    adds the one vertex of full that picks leave, then undoes picks, the
+    (vertex, op index) removals, in reverse order."""
+    seed = full
+    for x, _ in picks:
+        seed ^= 1 << x
+    seed = seed.bit_length() - 1
+    built = picks[::-1]
+    steps = (Step(colors[seed], ADD),) + tuple(Step(colors[x], dialect.ops[i]) for x, i in built)
+    return BuildSequence(dialect.k, steps, (seed,) + tuple(x for x, _ in built))
+
+
 def _op_masks(dialect: Dialect, colors, full: int) -> list[int]:
     """The kernel's masks for a coloring."""
     by_color = [0] * dialect.k
@@ -143,7 +163,28 @@ def eliminate(cg: ColoredGraph, dialect: Dialect) -> BuildSequence | None:
         raise ValueError(f"colors exceed dialect color count {dialect.k}")
     full = g.full_mask
     picks = elimination_picks(g.rows, full, _op_masks(dialect, colors, full))
-    return None if picks is None else _sequence(dialect.k, dialect.ops, colors, full, picks)
+    return None if picks is None else _sequence(dialect, colors, full, picks)
+
+
+def is_threshold(g: Graph) -> BuildSequence | None:
+    """An {add, joinall} sequence evaluating back to g exactly, if threshold:
+    the kernel with the THRESHOLD masks (0, full) plus the builder."""
+    full = g.full_mask
+    picks = elimination_picks(g.rows, full, (0, full))
+    return None if picks is None else _sequence(THRESHOLD, (0,) * g.n, full, picks)
+
+
+def threshold_order(g: Graph) -> tuple[int, ...] | None:
+    """Vertices by ascending degree (ties by index); None if not threshold.
+
+    For threshold graphs this order linearizes the neighborhood preorder:
+    N(v_i) within N(v_j) for nonadjacent pairs i < j, closed neighborhoods
+    for adjacent pairs.
+    """
+    full = g.full_mask
+    if elimination_picks(g.rows, full, (0, full)) is None:
+        return None
+    return tuple(sorted(range(g.n), key=lambda v: (g.degrees[v], v)))
 
 
 def _check_budget(k: int, free: int, limits: Limits) -> None:
@@ -160,7 +201,7 @@ def _first_eliminated(g: Graph, dialect: Dialect, colorings):
     for coloring in colorings:
         picks = elimination_picks(rows, full, _op_masks(dialect, coloring, full))
         if picks is not None:
-            return coloring, _sequence(dialect.k, dialect.ops, coloring, full, picks)
+            return coloring, _sequence(dialect, coloring, full, picks)
     return None
 
 
@@ -190,7 +231,7 @@ def _pruned_search(g: Graph, dialect: Dialect, prefix_order: bool):
             picks = elimination_picks(rows, (bit << 1) - 1, _class_masks(dialect, by_color, full))
             if picks is not None:
                 if v + 1 == n:
-                    return tuple(coloring), _sequence(dialect.k, dialect.ops, coloring, full, picks)
+                    return tuple(coloring), _sequence(dialect, coloring, full, picks)
                 found = extend(v + 1, max(top, c))
                 if found is not None:
                     return found
@@ -286,7 +327,7 @@ def is_extended(g: Graph):
 
 
 EMPTY = "empty"
-THRESHOLD = "threshold"
+THRESHOLD_SHAPE = "threshold"
 UNION_OF_TWO = "union_of_two_thresholds"
 JOIN_OF_TWO = "join_of_two_thresholds"
 OTHER = "other"
@@ -309,7 +350,7 @@ def _two_block_split(rows: tuple[int, ...], parts: list[int]) -> bool:
     nontrivial = [p for p in parts if p.bit_count() >= 2]
     if len(nontrivial) > 2:
         return False
-    return all(threshold_picks(rows, p) is not None for p in nontrivial)
+    return all(elimination_picks(rows, p, (0, p)) is not None for p in nontrivial)
 
 
 def neighborhood_shape(g: Graph, x: int) -> str:
@@ -320,8 +361,8 @@ def neighborhood_shape(g: Graph, x: int) -> str:
     nb = rows[x]
     if nb == 0:
         return EMPTY
-    if threshold_picks(rows, nb) is not None:
-        return THRESHOLD
+    if elimination_picks(rows, nb, (0, nb)) is not None:
+        return THRESHOLD_SHAPE
     if _two_block_split(rows, _components(rows, nb)):
         return UNION_OF_TWO
     # join blocks are unions of co-components; between co-components all

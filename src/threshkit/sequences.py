@@ -81,20 +81,6 @@ class BuildSequence:
         return len(self.steps)
 
 
-def _sequence(k: int, ops: tuple[Op, ...], colors, full: int,
-              picks: list[tuple[int, int]]) -> BuildSequence:
-    """The certificate builder for an elimination: the build sequence that
-    adds the one vertex of full that picks leave, then undoes picks, the
-    (vertex, op index) removals, in reverse order."""
-    seed = full
-    for x, _ in picks:
-        seed ^= 1 << x
-    seed = seed.bit_length() - 1
-    built = picks[::-1]
-    steps = (Step(colors[seed], ADD),) + tuple(Step(colors[x], ops[i]) for x, i in built)
-    return BuildSequence(k, steps, (seed,) + tuple(x for x, _ in built))
-
-
 def evaluate(seq: BuildSequence) -> ColoredGraph:
     """Realize the sequence; vertex order[j] (default j) realizes step j."""
     n = seq.n

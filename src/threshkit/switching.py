@@ -13,9 +13,9 @@ from typing import Callable, Sequence
 from .canonical import canonical_graph
 from .graph6 import encode_graph6
 from .graphs import Graph, _components, _unchecked_graph
+from .kthreshold import elimination_picks
 from .limits import DEFAULT_LIMITS, CapacityError, Limits
 from .records import frozen
-from .threshold import threshold_picks
 
 __all__ = [
     "switch",
@@ -109,7 +109,8 @@ def switch_to_threshold(g: Graph) -> SwitchCertificate | None:
     """
     for s in _threshold_switch_sets(g):
         target = switch(g, s)
-        if threshold_picks(target.rows, target.full_mask) is not None:
+        full = target.full_mask
+        if elimination_picks(target.rows, full, (0, full)) is not None:
             return SwitchCertificate(s, target)
     return None
 

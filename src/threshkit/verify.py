@@ -31,7 +31,15 @@ from .classes import BY_CATALOG, BY_NAME
 from .enumeration import EnumerationConfig, all_colored_graphs, all_graphs, check_range
 from .graph6 import encode_graph6, format_graph_line
 from .graphs import ColoredGraph, Graph
-from .kthreshold import SPECIAL, brute_coloring_search, is_good, is_restricted, is_special
+from .kthreshold import (
+    SPECIAL,
+    brute_coloring_search,
+    elimination_picks,
+    is_good,
+    is_restricted,
+    is_special,
+    is_threshold,
+)
 from .limits import DEFAULT_LIMITS, Limits
 from .named import named_graphs
 from .obstructions import find_minimal_colored_obstructions, find_minimal_obstructions
@@ -44,13 +52,13 @@ from .switching import (
     switch_to_threshold,
     switching_class_graphs,
 )
-from .threshold import is_threshold, threshold_picks
 
 __all__ = [
     "SCHEMA",
     "SUITE_NAMES",
     "Witness",
     "VerificationReport",
+    "suite_bound",
     "run_suite",
 ]
 
@@ -304,7 +312,7 @@ def suite_partitioned(n_max: int, limits: Limits) -> VerificationReport:
 def suite_switching(n_max: int, limits: Limits) -> VerificationReport:
     """Brute and fast switch search vs restricted elimination vs FIS, and the cograph analog."""
     run = _Run("switching", n_max, limits)
-    threshold = lambda h: threshold_picks(h.rows, h.full_mask) is not None
+    threshold = lambda h: elimination_picks(h.rows, h.full_mask, (0, h.full_mask)) is not None
     for g in _graphs_upto(n_max, limits):
         run.bump("graphs.checked")
         oracle, cograph_oracle = brute_switch_scan(g, (threshold, is_cograph), limits)
@@ -393,15 +401,24 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES)
 
 
-def run_suite(name: str, n_max: int | None = None, limits: Limits = DEFAULT_LIMITS) -> VerificationReport:
-    """Run one named suite; n_max None picks the suite's default bound."""
+def suite_bound(name: str, n_max: int | None = None, limits: Limits = DEFAULT_LIMITS) -> int:
+    """The bound a run of the named suite uses, n_max or, for None, the
+    suite's default, after the checks run_suite makes before any work:
+    ValueError for an unknown suite or an empty range, CapacityError for a
+    bound above the limit."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
-    fn, default_n = _SUITES[name]
+    default_n = _SUITES[name][1]
     if n_max is None:
         n_max = default_n
     # every suite but catalogs (default bound 0) enumerates 1..n_max and
     # would pass vacuously on an empty range
     if default_n > 0:
         check_range(f"suite {name}", n_max, limits)
-    return fn(n_max, limits)
+    return n_max
+
+
+def run_suite(name: str, n_max: int | None = None, limits: Limits = DEFAULT_LIMITS) -> VerificationReport:
+    """Run one named suite; n_max None picks the suite's default bound."""
+    n_max = suite_bound(name, n_max, limits)
+    return _SUITES[name][0](n_max, limits)

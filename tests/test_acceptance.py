@@ -25,10 +25,10 @@ from threshkit.kthreshold import (
     is_k_threshold,
     is_restricted,
     is_special,
+    is_threshold,
 )
 from threshkit.named import complete_graph, path_graph
 from threshkit.sequences import BuildSequence, Step, evaluate
-from threshkit.threshold import is_threshold
 
 GRAPHS_UP_TO_7 = 1 + 2 + 4 + 11 + 34 + 156 + 1044  # includes all 1044 with n = 7
 

@@ -10,8 +10,8 @@ from threshkit.catalogs import (
 )
 from threshkit.classes import BY_CATALOG
 from threshkit.graphs import ColoredGraph, Graph
+from threshkit.kthreshold import is_threshold
 from threshkit.named import complete_graph, cycle_graph, path_graph
-from threshkit.threshold import is_threshold
 
 EXPECTED_SIZES = {
     "threshold": 3,
@@ -30,7 +30,7 @@ def test_every_family_loads():
         cat = load_catalog(family)
         assert cat.family == family
         assert len(cat.entries) == EXPECTED_SIZES[family]
-        assert len(set(cat.names())) == len(cat.entries)
+        assert len({e.name for e in cat.entries}) == len(cat.entries)
 
 
 def test_unknown_family_rejected():
@@ -40,7 +40,7 @@ def test_unknown_family_rejected():
 
 def test_threshold_catalog_contents():
     cat = load_catalog("threshold")
-    assert sorted(cat.names()) == ["2k2", "c4", "p4"]
+    assert sorted(e.name for e in cat.entries) == ["2k2", "c4", "p4"]
     entry = cat.lookup("p4")
     assert entry.graph.n == 4
     assert sorted(entry.graph.degrees) == [1, 1, 2, 2]

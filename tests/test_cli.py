@@ -262,6 +262,15 @@ def test_unwritable_verify_out_exits_two(tmp_path, monkeypatch, capsys):
     assert ran == []  # the path is opened before the suite runs
 
 
+@pytest.mark.parametrize("nmax, code", [("9", cli.CAPACITY), ("0", cli.USAGE)])
+def test_refused_verify_leaves_an_existing_out_file_as_it_was(tmp_path, capsys, nmax, code):
+    out_file = tmp_path / "r.txt"
+    out_file.write_bytes(b"an earlier report\n")
+    args = ["verify", "--suite", "special", "--nmax", nmax, "--out", str(out_file)]
+    assert cli.main(args) == code
+    assert out_file.read_bytes() == b"an earlier report\n"
+
+
 def test_obstructions_threshold(capsys):
     assert cli.main(["obstructions", "--family", "threshold", "--nmax", "4"]) == cli.OK
     out = capsys.readouterr().out.splitlines()

@@ -17,12 +17,10 @@ from threshkit.enumeration import (
     all_colored_graphs,
     all_graphs,
     baseline_graphs,
-    count_family,
     raw_extensions,
 )
 from threshkit.graphs import ColoredGraph
 from threshkit.limits import CapacityError, Limits
-from threshkit.threshold import is_threshold
 
 from strategies import graph_from_mask
 
@@ -70,10 +68,6 @@ def test_raw_extensions_cover_everything():
     for n in range(2, 6):
         raw = {canonical_form(g) for g in raw_extensions(n)}
         assert raw == {canonical_form(g) for g in all_graphs(EnumerationConfig(n))}
-
-
-def test_count_family_threshold():
-    assert count_family(lambda g: is_threshold(g) is not None, 5) == 16
 
 
 def test_enumeration_bound_enforced():

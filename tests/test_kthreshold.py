@@ -25,6 +25,7 @@ from threshkit.kthreshold import (
     is_k_threshold,
     is_restricted,
     is_special,
+    is_threshold,
     neighborhood_shape,
 )
 from threshkit.limits import CapacityError, Limits
@@ -38,7 +39,6 @@ from threshkit.named import (
     path_graph,
 )
 from threshkit.sequences import ADD, BuildSequence, Step, evaluate
-from threshkit.threshold import is_threshold
 
 from strategies import colored_graphs, graph_from_mask, graphs, prefix_colorings, random_member
 
@@ -123,7 +123,7 @@ def oracle_prefix_search(g, k):
     for coloring in prefix_colorings(g.n, k):
         picks = kthreshold.elimination_picks(rows, full, kthreshold._op_masks(dialect, coloring, full))
         if picks is not None:
-            return coloring, kthreshold._sequence(dialect.k, dialect.ops, coloring, full, picks)
+            return coloring, kthreshold._sequence(dialect, coloring, full, picks)
     return None
 
 
@@ -308,7 +308,7 @@ def test_coloring_budget_enforced(monkeypatch):
 
 def test_neighborhood_shapes():
     g = gem()
-    apex = next(v for v in range(g.n) if g.degree(v) == 4)
+    apex = next(v for v in range(g.n) if g.degrees[v] == 4)
     assert neighborhood_shape(g, apex) == "other"
     h = octahedron()
     assert neighborhood_shape(h, 0) == "join_of_two_thresholds"

@@ -13,7 +13,7 @@ from threshkit.classes import ROWS
 from threshkit.enumeration import EnumerationConfig, all_colored_graphs, all_graphs
 from threshkit.graph6 import encode_graph6, format_graph_line
 from threshkit.graphs import ColoredGraph, disjoint_union
-from threshkit.kthreshold import eliminate, general_dialect, is_good, is_k_threshold, is_special
+from threshkit.kthreshold import eliminate, general_dialect, is_good, is_k_threshold, is_special, is_threshold
 from threshkit.named import (
     bull,
     complete_graph,
@@ -36,7 +36,6 @@ from threshkit.obstructions import (
     recognize_threshold_fis,
 )
 from threshkit.switching import switch_to_threshold, switching_class_graphs
-from threshkit.threshold import is_threshold
 
 from strategies import colored_graphs
 
@@ -175,7 +174,7 @@ def test_switch_threshold_patterns_match_catalog():
         canonical_form(e.graph) for e in cat.entries
     }
     # every pattern carries its catalog name, none fell back to a raw form
-    assert {name for name, _ in pats} == set(cat.names())
+    assert {name for name, _ in pats} == {e.name for e in cat.entries}
 
 
 def test_switch_threshold_patterns_are_canonical_representatives():

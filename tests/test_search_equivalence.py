@@ -23,6 +23,7 @@ from threshkit.kthreshold import (
     is_k_threshold,
     is_restricted,
     is_special,
+    is_threshold,
 )
 from threshkit.limits import DEFAULT_LIMITS, Limits
 from threshkit.sequences import ADD, JOIN_ALL, BuildSequence, Step, evaluate
@@ -34,7 +35,6 @@ from threshkit.switching import (
     switch,
     switch_to_threshold,
 )
-from threshkit.threshold import is_threshold
 
 from strategies import graph_from_mask
 

@@ -9,6 +9,7 @@ import threshkit.switching as switching
 from threshkit.canonical import canonical_form
 from threshkit.embed import find_induced_embedding
 from threshkit.enumeration import EnumerationConfig, all_graphs
+from threshkit.kthreshold import is_threshold
 from threshkit.limits import CapacityError, Limits
 from threshkit.named import (
     complete_graph,
@@ -32,7 +33,6 @@ from threshkit.switching import (
     switching_class,
     switching_class_graphs,
 )
-from threshkit.threshold import is_threshold
 
 from strategies import graphs
 

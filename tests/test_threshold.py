@@ -1,12 +1,14 @@
-"""Threshold recognition, orders and certificates, and is_threshold against
-the certificate pair it replaced: a list of isolated-or-universal removals
-and a builder that turned it into a sequence."""
+"""Threshold recognition, orders and certificates: is_threshold against
+the certificate pair it replaced (a list of isolated-or-universal removals
+and a builder that turned it into a sequence), and the kernel with the
+THRESHOLD masks (0, alive) against the one-color loop it replaced."""
 
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from threshkit.enumeration import EnumerationConfig, all_graphs
-from threshkit.graphs import bits
+from threshkit.graphs import ColoredGraph, bits
+from threshkit.kthreshold import THRESHOLD, eliminate, elimination_picks, is_threshold, threshold_order
 from threshkit.named import (
     complete_graph,
     cycle_graph,
@@ -15,9 +17,68 @@ from threshkit.named import (
     path_graph,
 )
 from threshkit.sequences import ADD, JOIN_ALL, BuildSequence, Step, evaluate
-from threshkit.threshold import is_threshold, threshold_order
 
 from strategies import graphs
+
+
+def oracle_threshold_picks(rows, alive):
+    """The earlier one-color loop over raw ints: the removals, as (vertex,
+    op index) pairs in removal order, that shrink alive to one vertex, or
+    None when the graph rows induce on alive is not threshold.
+
+    Op 0 (add) removes a vertex with no alive neighbour, op 1 (join_all) one
+    adjacent to every other alive vertex. Each step removes the lowest-index
+    vertex either op removes, preferring add.
+    """
+    picks = []
+    while alive & (alive - 1):
+        top = alive.bit_count() - 1
+        rest = alive
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            deg = (rows[v] & alive).bit_count()
+            if deg == 0:
+                picks.append((v, 0))
+                break
+            if deg == top:
+                picks.append((v, 1))
+                break
+            rest ^= low
+        else:
+            return None
+        alive ^= low
+    return picks
+
+
+def test_is_threshold_is_the_threshold_dialect_elimination():
+    for n in range(1, 7):
+        for g in all_graphs(EnumerationConfig(n)):
+            assert is_threshold(g) == eliminate(ColoredGraph(g, (0,) * n), THRESHOLD)
+
+
+def test_kernel_equals_one_color_loop_on_every_mask():
+    for n in range(1, 8):
+        for g in all_graphs(EnumerationConfig(n)):
+            for alive in range(1, 1 << n):
+                assert elimination_picks(g.rows, alive, (0, alive)) == oracle_threshold_picks(g.rows, alive)
+
+
+@settings(deadline=None)
+@given(graphs(min_n=8, max_n=14), st.lists(st.booleans(), min_size=7, max_size=13),
+       st.randoms(use_true_random=False), st.data())
+def test_kernel_equals_one_color_loop_on_larger_graphs(g, word, rnd, data):
+    # a random graph, and a threshold graph relabeled so that removals do
+    # not follow the build order, each on random masks and its whole vertex set
+    steps = (Step(0, ADD),) + tuple(Step(0, JOIN_ALL if b else ADD) for b in word)
+    member = evaluate(BuildSequence(1, steps)).graph
+    order = list(range(member.n))
+    rnd.shuffle(order)
+    member = member.relabel(order)
+    for h in (g, member):
+        masks = data.draw(st.lists(st.integers(1, h.full_mask), min_size=1, max_size=8))
+        for alive in masks + [h.full_mask]:
+            assert elimination_picks(h.rows, alive, (0, alive)) == oracle_threshold_picks(h.rows, alive)
 
 
 def oracle_is_threshold(g):

@@ -19,6 +19,7 @@ from threshkit.verify import (
     VerificationReport,
     Witness,
     run_suite,
+    suite_bound,
 )
 from threshkit.verify import _agree, _Run
 
@@ -249,6 +250,19 @@ def test_suite_capacity_error_precedes_enumeration(enumerations, name):
 def test_discovery_capacity_error_precedes_enumeration(enumerations, find):
     with pytest.raises(CapacityError, match="^enumeration at n=7 exceeds bound 6$"):
         find(lambda g: True, 7, Limits(enumeration_max_n=6))
+    assert enumerations == []
+
+
+def test_suite_bound_checks_before_any_work(enumerations):
+    assert [suite_bound(name) for name in SUITE_NAMES] == [7, 7, 7, 6, 7, 0, 7]
+    assert suite_bound("catalogs", 0) == 0  # catalogs takes no range
+    assert suite_bound("special", 3) == 3
+    with pytest.raises(ValueError, match="unknown suite"):
+        suite_bound("no-such-suite")
+    with pytest.raises(ValueError, match="at least 1"):
+        suite_bound("special", 0)
+    with pytest.raises(CapacityError):
+        suite_bound("special", 9)
     assert enumerations == []
 
 
