@@ -2,7 +2,7 @@
 
 from .canonical import canonical_form, canonical_graph
 from .graph6 import decode_graph6, encode_graph6, parse_graph_line
-from .graphs import ColoredGraph, Graph, cutrank_profile, disjoint_union, is_distance_hereditary, join
+from .graphs import ColoredGraph, Graph, disjoint_union, is_distance_hereditary, join
 from .kthreshold import (
     is_extended,
     is_good,
@@ -30,7 +30,6 @@ __all__ = [
     "parse_graph_line",
     "disjoint_union",
     "join",
-    "cutrank_profile",
     "is_distance_hereditary",
     "is_threshold",
     "threshold_order",

@@ -9,7 +9,6 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .gf2 import gf2_rank
 from .limits import CapacityError
 from .records import frozen
 
@@ -23,7 +22,6 @@ __all__ = [
     "disjoint_union",
     "join",
     "is_distance_hereditary",
-    "cutrank_profile",
 ]
 
 
@@ -263,17 +261,3 @@ def is_distance_hereditary(g: Graph) -> bool:
         alive ^= 1 << victim
     return True
 
-
-def cutrank_profile(g: Graph, order: Sequence[int]) -> int:
-    """Maximum GF(2) cutrank over the prefixes of a vertex order."""
-    if sorted(order) != list(range(g.n)):
-        raise ValueError("order is not a permutation of the vertices")
-    best = 0
-    placed = 0
-    for v in order[:-1]:
-        placed |= 1 << v
-        rest = g.full_mask ^ placed
-        rank = gf2_rank(g.rows[u] & rest for u in bits(placed))
-        if rank > best:
-            best = rank
-    return best

@@ -1,9 +1,10 @@
 """Seidel switching, switching classes, switch-to-threshold search.
 
 The brute-force oracle tries every switch set without vertex 0 in
-ascending order. brute_switch_scan runs it for several predicates in one
-pass, one switch per set, and brute_switch_search is its one-predicate
-case.
+ascending order. brute_switch_scan runs it for a chain of nested classes
+in one pass, one switch per set, offering each switch to a predicate
+only when every wider one accepted it; brute_switch_search is its
+one-predicate case.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from typing import Callable, Sequence
 
 from .canonical import canonical_graph
 from .graph6 import encode_graph6
-from .graphs import Graph, _components, _unchecked_graph
+from .graphs import Graph, _unchecked_graph
 from .kthreshold import elimination_picks
 from .limits import DEFAULT_LIMITS, CapacityError, Limits
 from .records import frozen
@@ -35,12 +36,15 @@ def switch(g: Graph, s: int) -> Graph:
     """Toggle every pair with one endpoint in s and the other outside."""
     if s & ~g.full_mask:
         raise ValueError("switch set outside the graph")
-    out = g.full_mask & ~s
-    rows = []
-    for v, row in enumerate(g.rows):
-        flip = (out if s >> v & 1 else s) & ~(1 << v)
-        rows.append(row ^ flip)
-    return _unchecked_graph(g.n, tuple(rows))
+    return _unchecked_graph(g.n, _switched_rows(g.rows, g.full_mask, s))
+
+
+def _switched_rows(rows: Sequence[int], full: int, s: int) -> tuple[int, ...]:
+    """The rows of the switch by s, a subset of full: a vertex in s toggles
+    its pairs with full ^ s, one outside toggles its pairs with s, and
+    neither set holds the vertex itself."""
+    out = full ^ s
+    return tuple(row ^ (out if s >> v & 1 else s) for v, row in enumerate(rows))
 
 
 @frozen
@@ -59,24 +63,28 @@ def brute_switch_search(
 def brute_switch_scan(
     g: Graph, accepts: Sequence[Callable[[Graph], bool]], limits: Limits = DEFAULT_LIMITS
 ) -> tuple[SwitchCertificate | None, ...]:
-    """brute_switch_search for several predicates in one pass: each
+    """brute_switch_search for a chain of nested classes in one pass: each
     predicate's first accepted switch, from one switch per set.
 
-    The sets are tried in ascending order until every predicate has its
-    hit, so each predicate sees exactly the sets its own search would.
+    Order matters: accepts runs from the widest class to the narrowest,
+    each predicate implying the one before it, and a switch is offered to
+    a predicate only when every earlier one accepted it. The sets are
+    tried in ascending order until the last predicate has its hit, so for
+    such a chain each predicate finds exactly what its own search would.
     """
     if 1 << max(0, g.n - 1) > limits.coloring_budget:
         raise CapacityError(f"2^{g.n - 1} switch sets exceed budget {limits.coloring_budget}")
     hits: list[SwitchCertificate | None] = [None] * len(accepts)
-    missing = len(accepts)
-    for s in range(0, 1 << g.n, 2):
-        if not missing:
-            break
-        target = switch(g, s)
+    n, rows, full = g.n, g.rows, g.full_mask
+    for s in range(0, 1 << n, 2):
+        target = _unchecked_graph(n, _switched_rows(rows, full, s))
         for i, accept in enumerate(accepts):
-            if hits[i] is None and accept(target):
+            if not accept(target):
+                break
+            if hits[i] is None:
                 hits[i] = SwitchCertificate(s, target)
-                missing -= 1
+        else:
+            break  # the narrowest class accepted, so every predicate has its hit
     return tuple(hits)
 
 
@@ -130,24 +138,26 @@ def switching_class_graphs(g: Graph, limits: Limits = DEFAULT_LIMITS) -> tuple[G
 
 
 def is_cograph(g: Graph) -> bool:
-    """Every induced subgraph with >= 2 vertices splits under union or join.
+    """No induced P4 a-b-c-d: cographs are exactly the P4-free graphs.
 
-    The parts are vertex masks of g itself: the components of a part under
-    g's rows, or else its co-components under the complement's rows.
+    For each edge bc, a runs over N(b) minus N[c] and d over N(c) minus
+    N[b], two disjoint sets; any a with a non-neighbour d closes a P4.
     """
-    full = g.full_mask
-    co_rows = [full ^ row ^ (1 << v) for v, row in enumerate(g.rows)]
-    stack = [full]
-    while stack:
-        mask = stack.pop()
-        if not mask & (mask - 1):
-            continue
-        parts = _components(g.rows, mask)
-        if len(parts) == 1:
-            parts = _components(co_rows, mask)
-            if len(parts) == 1:
-                return False
-        stack.extend(parts)
+    rows = g.rows
+    for b, rb in enumerate(rows):
+        later = rb >> b + 1 << b + 1
+        while later:
+            low = later & -later
+            later ^= low
+            rc = rows[low.bit_length() - 1]
+            ends = rc & ~rb & ~(1 << b)
+            if ends:
+                starts = rb & ~rc & ~low
+                while starts:
+                    a = starts & -starts
+                    if ends & ~rows[a.bit_length() - 1]:
+                        return False
+                    starts ^= a
     return True
 
 

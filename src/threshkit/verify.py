@@ -7,10 +7,15 @@ verification of the corresponding characterization at that scale.
 
 Each piece of work is done once per suite. Rediscovery runs discovery on
 the membership verdicts the suite computed for every enumerated graph,
-kept as the set of members for the suite's run only, and the switching
-suite runs its two brute-force switch oracles in one scan. Canonical
-forms are computed under the run's limits, and the catalogs suite checks
-its largest entry against the canonical bound before any of them.
+kept as the set of members for the suite's run only. The switching suite
+runs its two brute-force switch oracles as one scan of a chain of nested
+classes: every switch goes to the cograph test, which looks for an
+induced P4 (cographs are exactly the P4-free graphs), and only the
+P4-free switches go on to the threshold kernel, since every threshold
+graph is a cograph. Canonical forms are computed under the run's limits;
+suite_bound checks, before any work, the largest graph a suite labels
+beyond its enumerated range: the largest catalog entry in catalogs, and
+the threshold graphs that counts generates on one vertex more.
 
 The FIS scans read their patterns from the shipped catalogs. The catalogs
 suite derives the switch-threshold catalog independently, as the
@@ -315,7 +320,7 @@ def suite_switching(n_max: int, limits: Limits) -> VerificationReport:
     threshold = lambda h: elimination_picks(h.rows, h.full_mask, (0, h.full_mask)) is not None
     for g in _graphs_upto(n_max, limits):
         run.bump("graphs.checked")
-        oracle, cograph_oracle = brute_switch_scan(g, (threshold, is_cograph), limits)
+        cograph_oracle, oracle = brute_switch_scan(g, (is_cograph, threshold), limits)
         fast = switch_to_threshold(g)
         _agree(run, "switch_threshold", g, {
             "brute": oracle is not None,
@@ -335,8 +340,6 @@ def suite_switching(n_max: int, limits: Limits) -> VerificationReport:
 def suite_catalogs(n_max: int, limits: Limits) -> VerificationReport:
     """validate_catalog for every shipped family, plus the switching-class cross-check."""
     run = _Run("catalogs", n_max, limits)
-    # every canonical form below is of a catalog entry or a smaller graph
-    _check_size(max(e.graph.n for f in BY_CATALOG for e in load_catalog(f).entries), limits)
     for family, row in BY_CATALOG.items():
         cat = load_catalog(family)
         run.set(f"catalog.{family}.entries", len(cat.entries))
@@ -360,8 +363,7 @@ def suite_catalogs(n_max: int, limits: Limits) -> VerificationReport:
 def suite_counts(n_max: int, limits: Limits) -> VerificationReport:
     """Enumeration counts and the 2^(n-1) threshold count, two ways each."""
     run = _Run("counts", n_max, limits)
-    generated_max = min(n_max + 1, 8)
-    _check_size(generated_max, limits)  # labels the generated threshold graphs
+    generated_max = _generated_max(n_max)
     for n in range(1, n_max + 1):
         got = len(all_graphs(EnumerationConfig(n), limits))
         run.set(f"enumeration.n{n}", got)
@@ -388,6 +390,11 @@ def suite_counts(n_max: int, limits: Limits) -> VerificationReport:
     return run.report()
 
 
+def _generated_max(n_max: int) -> int:
+    """The most vertices of a threshold graph that the counts suite generates."""
+    return min(n_max + 1, 8)
+
+
 _SUITES = {
     "thresholds": (suite_thresholds, 7),
     "special": (suite_special, 7),
@@ -405,7 +412,8 @@ def suite_bound(name: str, n_max: int | None = None, limits: Limits = DEFAULT_LI
     """The bound a run of the named suite uses, n_max or, for None, the
     suite's default, after the checks run_suite makes before any work:
     ValueError for an unknown suite or an empty range, CapacityError for a
-    bound above the limit."""
+    bound above the limit or a graph the suite labels above the canonical
+    bound."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     default_n = _SUITES[name][1]
@@ -415,6 +423,11 @@ def suite_bound(name: str, n_max: int | None = None, limits: Limits = DEFAULT_LI
     # would pass vacuously on an empty range
     if default_n > 0:
         check_range(f"suite {name}", n_max, limits)
+    # every canonical form in catalogs is of a catalog entry or a smaller graph
+    if name == "catalogs":
+        _check_size(max(e.graph.n for f in BY_CATALOG for e in load_catalog(f).entries), limits)
+    elif name == "counts":
+        _check_size(_generated_max(n_max), limits)
     return n_max
 
 

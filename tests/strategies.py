@@ -2,6 +2,7 @@
 
 from collections import deque
 from itertools import product
+from typing import Iterable, Sequence
 
 import hypothesis.strategies as st
 
@@ -85,3 +86,34 @@ def distance_hereditary_oracle(g: Graph) -> bool:
                 if inside[v] != full[u][v]:
                     return False
     return True
+
+
+def gf2_rank(rows: Iterable[int]) -> int:
+    """Rank over GF(2) of the 0/1 matrix whose rows are the bits of the given ints."""
+    pivots: dict[int, int] = {}
+    rank = 0
+    for row in rows:
+        while row:
+            lead = row.bit_length() - 1
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
+                rank += 1
+                break
+            row ^= pivot
+    return rank
+
+
+def cutrank_profile(g: Graph, order: Sequence[int]) -> int:
+    """Maximum GF(2) cutrank over the prefixes of a vertex order."""
+    if sorted(order) != list(range(g.n)):
+        raise ValueError("order is not a permutation of the vertices")
+    best = 0
+    placed = 0
+    for v in order[:-1]:
+        placed |= 1 << v
+        rest = g.full_mask ^ placed
+        rank = gf2_rank(g.rows[u] & rest for u in bits(placed))
+        if rank > best:
+            best = rank
+    return best

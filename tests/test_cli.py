@@ -271,6 +271,20 @@ def test_refused_verify_leaves_an_existing_out_file_as_it_was(tmp_path, capsys, 
     assert out_file.read_bytes() == b"an earlier report\n"
 
 
+@pytest.mark.parametrize("suite, bound", [("catalogs", "5"), ("counts", "7")])
+def test_canonical_bound_refusal_leaves_an_existing_out_file_as_it_was(
+        tmp_path, monkeypatch, capsys, suite, bound):
+    """catalogs labels its 8-vertex entries and counts the threshold graphs
+    it generates on 8 vertices, so these bounds refuse the run before the
+    report file is opened."""
+    monkeypatch.setenv("THRESHKIT_CANONICAL_MAX_N", bound)
+    out_file = tmp_path / "r.txt"
+    out_file.write_bytes(b"an earlier report\n")
+    assert cli.main(["verify", "--suite", suite, "--out", str(out_file)]) == cli.CAPACITY
+    assert f"exceeds bound {bound}" in capsys.readouterr().err
+    assert out_file.read_bytes() == b"an earlier report\n"
+
+
 def test_obstructions_threshold(capsys):
     assert cli.main(["obstructions", "--family", "threshold", "--nmax", "4"]) == cli.OK
     out = capsys.readouterr().out.splitlines()

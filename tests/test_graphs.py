@@ -11,14 +11,13 @@ from threshkit.graphs import (
     ColoredGraph,
     Graph,
     bits,
-    cutrank_profile,
     disjoint_union,
     is_distance_hereditary,
     join,
 )
 from threshkit.named import cycle_graph, gem, house, path_graph, complete_graph
 
-from strategies import distance_hereditary_oracle, graphs
+from strategies import cutrank_profile, distance_hereditary_oracle, graphs
 
 
 def test_from_edges_and_accessors():

@@ -12,7 +12,7 @@ import hypothesis.strategies as st
 
 from threshkit import kthreshold
 from threshkit.enumeration import EnumerationConfig, all_graphs
-from threshkit.graphs import ColoredGraph, Graph, bits, cutrank_profile
+from threshkit.graphs import ColoredGraph, Graph, bits
 from threshkit.kthreshold import (
     EXTENDED,
     RESTRICTED,
@@ -40,7 +40,14 @@ from threshkit.named import (
 )
 from threshkit.sequences import ADD, BuildSequence, Step, evaluate
 
-from strategies import colored_graphs, graph_from_mask, graphs, prefix_colorings, random_member
+from strategies import (
+    colored_graphs,
+    cutrank_profile,
+    graph_from_mask,
+    graphs,
+    prefix_colorings,
+    random_member,
+)
 
 DIALECTS = (general_dialect(2), SPECIAL, RESTRICTED, EXTENDED)
 

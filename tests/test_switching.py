@@ -1,5 +1,5 @@
 """Seidel switching: algebra, classes, threshold and cograph switch search,
-and the multi-predicate brute_switch_scan against the loop it replaced."""
+and the nested-chain brute_switch_scan against one-predicate loops."""
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +9,7 @@ import threshkit.switching as switching
 from threshkit.canonical import canonical_form
 from threshkit.embed import find_induced_embedding
 from threshkit.enumeration import EnumerationConfig, all_graphs
-from threshkit.kthreshold import is_threshold
+from threshkit.kthreshold import THRESHOLD, is_threshold
 from threshkit.limits import CapacityError, Limits
 from threshkit.named import (
     complete_graph,
@@ -34,7 +34,7 @@ from threshkit.switching import (
     switching_class_graphs,
 )
 
-from strategies import graphs
+from strategies import graphs, random_member
 
 
 def test_switch_definition_on_an_edge():
@@ -123,10 +123,10 @@ def oracle_is_cograph(g):
 
 
 @st.composite
-def cographs_with_a_flip(draw, max_n=14):
+def cographs_with_a_flip(draw, min_n=1, max_n=14):
     """A random cograph built by unions and joins, relabeled, then with
     one vertex pair toggled when the flag drawn says so."""
-    parts = [Graph(1, (0,))] * draw(st.integers(1, max_n))
+    parts = [Graph(1, (0,))] * draw(st.integers(min_n, max_n))
     while len(parts) > 1:
         i = draw(st.integers(0, len(parts) - 2))
         combine = join if draw(st.booleans()) else disjoint_union
@@ -197,27 +197,66 @@ def oracle_switch_search(g, accept):
 _threshold = lambda h: is_threshold(h) is not None
 
 
+@st.composite
+def switched_threshold_graphs(draw, min_n=1, max_n=12):
+    """A random threshold graph, relabeled, then switched by a random set:
+    a member of the switching class of threshold graphs."""
+    n = draw(st.integers(min_n, max_n))
+    g = random_member(draw(st.randoms(use_true_random=False)), THRESHOLD, n).graph
+    g = g.relabel(draw(st.permutations(range(n))))
+    return switch(g, draw(st.integers(0, g.full_mask)))
+
+
 def test_switch_scan_equals_separate_searches_exhaustively():
     for n in range(1, 8):
         for g in all_graphs(EnumerationConfig(n)):
-            assert brute_switch_scan(g, (_threshold, is_cograph)) == (
-                oracle_switch_search(g, _threshold), oracle_switch_search(g, is_cograph)), g
+            assert brute_switch_scan(g, (is_cograph, _threshold)) == (
+                oracle_switch_search(g, is_cograph), oracle_switch_search(g, _threshold)), g
             assert brute_switch_search(g, is_cograph) == oracle_switch_search(g, is_cograph), g
 
 
-@settings(max_examples=40, deadline=None)
-@given(graphs(min_n=8, max_n=10))
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    graphs(min_n=8, max_n=12),
+    cographs_with_a_flip(min_n=8, max_n=12),
+    switched_threshold_graphs(min_n=8, max_n=12),
+))
 def test_switch_scan_equals_separate_searches_on_larger_graphs(g):
-    assert brute_switch_scan(g, (_threshold, is_cograph)) == (
-        oracle_switch_search(g, _threshold), oracle_switch_search(g, is_cograph))
+    assert brute_switch_scan(g, (is_cograph, _threshold)) == (
+        oracle_switch_search(g, is_cograph), oracle_switch_search(g, _threshold))
+
+
+@settings(max_examples=20, deadline=None)
+@given(switched_threshold_graphs(min_n=8, max_n=12))
+def test_switched_threshold_hosts_hit_both_predicates(g):
+    """Switched threshold hosts give each predicate a hit, so the test above
+    compares certificates, not only None."""
+    cograph_hit, threshold_hit = brute_switch_scan(g, (is_cograph, _threshold))
+    assert threshold_hit is not None and cograph_hit.set <= threshold_hit.set
+
+
+def test_switch_scan_offers_a_switch_only_past_every_earlier_predicate():
+    """The chain contract: a predicate sees a switch only when every earlier
+    one accepted it, and the scan stops at the last predicate's first hit."""
+    offered = []
+    never = lambda h: offered.append("never") or False
+    always = lambda h: offered.append("always") or True
+    g = path_graph(3)
+    assert brute_switch_scan(g, (never, always)) == (None, None)
+    assert offered == ["never"] * 4
+    offered.clear()
+    assert brute_switch_scan(g, (always, always)) == (SwitchCertificate(0, g),) * 2
+    assert offered == ["always"] * 2
 
 
 def test_switch_scan_budget_precedes_the_first_switch(monkeypatch):
     switched = []
-    monkeypatch.setattr(switching, "switch", lambda g, s: switched.append(s) or switch(g, s))
+    rows_of = switching._switched_rows
+    monkeypatch.setattr(switching, "_switched_rows",
+                        lambda rows, full, s: switched.append(s) or rows_of(rows, full, s))
     with pytest.raises(CapacityError):
-        brute_switch_scan(matching(3), (_threshold, is_cograph), Limits(coloring_budget=2))
+        brute_switch_scan(matching(3), (is_cograph, _threshold), Limits(coloring_budget=2))
     assert switched == []
     # within the budget every set up to the last first hit is switched once
-    assert brute_switch_scan(path_graph(3), (_threshold, is_cograph), Limits(coloring_budget=4))
+    assert brute_switch_scan(path_graph(3), (is_cograph, _threshold), Limits(coloring_budget=4))
     assert switched == [0]

@@ -7,6 +7,7 @@ import threshkit.classes as classes
 import threshkit.embed as embed
 import threshkit.kthreshold as kthreshold
 import threshkit.obstructions as obstructions
+import threshkit.switching as switching
 import threshkit.verify as verify
 from threshkit.catalogs import load_catalog
 from threshkit.graph6 import encode_graph6
@@ -190,6 +191,31 @@ def test_partitioned_scans_search_few_patterns(monkeypatch):
     monkeypatch.setattr(embed, "_search", lambda *args: searched.append(1) or search(*args))
     assert run_suite("partitioned", 4).ok
     assert len(searched) == 30
+
+
+def test_switching_suite_runs_the_kernel_on_p4_free_switches_only(monkeypatch):
+    """A work-count gate for the switching suite at n <= 6: its brute scan
+    offers each switch to is_cograph and only the P4-free ones to the
+    threshold kernel, so the kernel runs 1,995 times (4,234 when the scan
+    offered every switch to both predicates, which made 2,208 is_cograph
+    calls). Counted through every module global that names the two
+    functions, as a tracer replaces them."""
+    calls = {"kernel": 0, "cograph": 0}
+
+    def count(key, modules, name):
+        fn = getattr(modules[0], name)
+
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        for module in modules:
+            assert getattr(module, name) is fn
+            monkeypatch.setattr(module, name, wrapper)
+
+    count("kernel", (kthreshold, switching, verify), "elimination_picks")
+    count("cograph", (switching, verify), "is_cograph")
+    assert run_suite("switching", 6).ok
+    assert calls == {"kernel": 1995, "cograph": 2812}
 
 
 @pytest.mark.parametrize("name, n_max, lists", [
