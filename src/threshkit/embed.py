@@ -26,6 +26,23 @@ PatternLists built once per process from the shipped catalogs;
 find_induced_embedding builds a one-pattern list. A pattern with a vertex
 whose starting candidate mask is empty cannot embed and is skipped without
 a search.
+
+On a host the pattern does not embed in, the search runs to the end, and a
+symmetric pattern would reach each partial embedding once per automorphism
+(48 times for 3K2). So the search applies symmetry-breaking conditions
+(Grochow & Kellis, "Network motif discovery using subgraph enumeration and
+symmetry-breaking", RECOMB 2007). A PatternList finds each pattern's
+automorphisms, color-preserving for a colored pattern, as the pattern's
+embeddings into itself with the same search. Along the stabilizer chain
+with base 0, 1, ..., p - 1, each u in the orbit of i under the
+automorphisms fixing 0..i-1 gets the condition f(i) < f(u). When u has
+several, the one with the largest i implies the others (that i is itself
+in the orbits of the smaller ones), so each pattern vertex needs at most
+one mask AND. If the lexicographically least embedding of an automorphism
+class broke a condition f(i) < f(u), composing it with the automorphism
+that fixes 0..i-1 and moves i to u would give a smaller one. So the least
+of each class meets every condition, the first embedding found is the
+same, and only the other members of each class go unvisited.
 """
 
 from __future__ import annotations
@@ -40,9 +57,39 @@ __all__ = ["PatternList", "find_first_embedding", "find_induced_embedding"]
 Pattern = tuple[Optional[str], Graph, Optional[tuple[int, ...]]]
 
 
+def _automorphisms(
+    prows: tuple[int, ...], pdegrees: tuple[int, ...], colors: tuple[int, ...] | None
+) -> list[tuple[int, ...]]:
+    """Every automorphism of a pattern, color-preserving when colors are
+    given, in lexicographic order: its embeddings into itself, each vertex
+    starting from the vertices of its own degree and color."""
+    p = len(prows)
+    full = (1 << p) - 1
+    keys = list(zip(pdegrees, colors or (0,) * p))
+    base = [sum(1 << u for u in range(p) if keys[u] == key) for key in keys]
+    found: list[tuple[int, ...]] = []
+    _search(prows, [full ^ row ^ (1 << v) for v, row in enumerate(prows)], prows, base,
+            (-1,) * p, found)
+    return found
+
+
+def _conditions(automorphisms: list[tuple[int, ...]], p: int) -> tuple[int, ...]:
+    """after[u]: the largest i with u in the orbit of i under the
+    automorphisms fixing 0..i-1, other than i itself, or -1 for none. An
+    embedding f must map u above f(after[u])."""
+    after = [-1] * p
+    group = automorphisms
+    for i in range(p):
+        for sigma in group:
+            if sigma[i] != i:
+                after[sigma[i]] = i
+        group = [sigma for sigma in group if sigma[i] == i]
+    return tuple(after)
+
+
 def _constants(patterns: Sequence[Pattern]) -> tuple:
     """Per pattern: (name, rows, vertices, edges, non-edges, degrees, colors,
-    (color, count) pairs or None)."""
+    (color, count) pairs or None, symmetry-breaking conditions)."""
     out = []
     for name, pattern, colors in patterns:
         p = pattern.n
@@ -50,8 +97,9 @@ def _constants(patterns: Sequence[Pattern]) -> tuple:
         counts = None
         if colors is not None:
             counts = tuple((c, colors.count(c)) for c in sorted(set(colors)))
+        after = _conditions(_automorphisms(pattern.rows, pattern.degrees, colors), p)
         out.append((name, pattern.rows, p, edges, p * (p - 1) // 2 - edges,
-                    pattern.degrees, colors, counts))
+                    pattern.degrees, colors, counts, after))
     return tuple(out)
 
 
@@ -94,7 +142,7 @@ def find_first_embedding(
             by_color[c] = by_color.get(c, 0) | 1 << v
     # non_rows[v]: the host vertices other than v that v is not adjacent to
     non_rows = [full ^ row ^ (1 << v) for v, row in enumerate(hrows)]
-    for name, prows, p, pedges, pnon, pdegrees, colors, counts in patterns.constants:
+    for name, prows, p, pedges, pnon, pdegrees, colors, counts, after in patterns.constants:
         if (colors is None) != (host_coloring is None):
             raise ValueError("supply both colorings or neither")
         if p > h or pedges > edges or pnon > non_edges:
@@ -110,16 +158,20 @@ def find_first_embedding(
                     for k, c in zip(pdegrees, colors)]
         if not all(base):
             continue
-        embedding = _search(hrows, non_rows, prows, base)
+        embedding = _search(hrows, non_rows, prows, base, after)
         if embedding is not None:
             return name, embedding
     return None
 
 
 def _search(
-    hrows: tuple[int, ...], non_rows: list[int], prows: tuple[int, ...], base: list[int]
+    hrows: tuple[int, ...], non_rows: list[int], prows: tuple[int, ...], base: list[int],
+    after: tuple[int, ...], found: list | None = None,
 ) -> tuple[int, ...] | None:
-    """The lowest-first search of one pattern, from its starting masks."""
+    """The lowest-first search of one pattern, from its starting masks,
+    mapping each vertex u with after[u] >= 0 above the image of after[u].
+    Returns the first embedding; given a list found, appends every
+    embedding to it instead and returns None."""
     p = len(prows)
     mapping = [0] * p
     left = [0] * p  # the candidates of each depth not tried yet
@@ -134,12 +186,18 @@ def _search(
         left[depth] = cand ^ low
         mapping[depth] = low.bit_length() - 1
         if depth == p - 1:
-            return tuple(mapping)
+            if found is None:
+                return tuple(mapping)
+            found.append(tuple(mapping))
+            continue
         depth += 1
         prow = prows[depth]
         mask = base[depth]
         for j in range(depth):
             mask &= hrows[mapping[j]] if prow >> j & 1 else non_rows[mapping[j]]
+        i = after[depth]
+        if i >= 0:
+            mask &= ~((2 << mapping[i]) - 1)
         left[depth] = mask
     return None
 

@@ -187,10 +187,21 @@ def threshold_order(g: Graph) -> tuple[int, ...] | None:
     return tuple(sorted(range(g.n), key=lambda v: (g.degrees[v], v)))
 
 
-def _check_budget(k: int, free: int, limits: Limits) -> None:
-    """Guard a search over k^free colorings."""
-    if k ** free > limits.coloring_budget:
-        raise CapacityError(f"{k}^{free} colorings exceed budget {limits.coloring_budget}")
+def _check_budget(count: int, label: str, limits: Limits) -> None:
+    """Guard a search over count colorings, named label in the message."""
+    if count > limits.coloring_budget:
+        raise CapacityError(f"{label} colorings exceed budget {limits.coloring_budget}")
+
+
+def _first_use_colorings(n: int, k: int) -> int:
+    """The colorings of n vertices in at most k colors numbered by first use
+    (restricted-growth strings): the sum of S(n, j) over j <= min(k, n)."""
+    # ways[j]: the colorings of the vertices so far that use colors 0..j-1
+    ways = [0, 1] + [0] * (min(k, n) - 1)
+    for _ in range(n - 1):
+        for j in range(len(ways) - 1, 0, -1):
+            ways[j] = ways[j] * j + ways[j - 1]
+    return sum(ways)
 
 
 def _first_eliminated(g: Graph, dialect: Dialect, colorings):
@@ -248,7 +259,7 @@ def brute_coloring_search(
     eliminates. The budget guards the k^n colorings up front; the search
     itself never extends a prefix that does not eliminate, so it usually
     tries far fewer."""
-    _check_budget(dialect.k, g.n, limits)
+    _check_budget(dialect.k ** g.n, f"{dialect.k}^{g.n}", limits)
     return _pruned_search(g, dialect, False)
 
 
@@ -305,12 +316,13 @@ def is_k_threshold(
     vertex a color at most one above the highest before it. For k = 2 the
     polynomial two-color search finds it. For other k the pruned depth-first
     search tries only colorings numbered that way; the budget guards their
-    k^(n-1) up front, and the search usually stops far below it.
+    number up front, and the search usually stops far below it.
     """
     dialect = general_dialect(k)
     if k == 2:
         return _search_two_colored(g, dialect)
-    _check_budget(k, g.n - 1, limits)
+    count = _first_use_colorings(g.n, k)
+    _check_budget(count, str(count), limits)
     return _pruned_search(g, dialect, True)
 
 

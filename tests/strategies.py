@@ -6,8 +6,10 @@ from typing import Iterable, Sequence
 
 import hypothesis.strategies as st
 
-from threshkit.graphs import ColoredGraph, Graph, bits
+from threshkit.graphs import ColoredGraph, Graph, bits, disjoint_union, join
+from threshkit.kthreshold import THRESHOLD
 from threshkit.sequences import ADD, BuildSequence, Step, evaluate
+from threshkit.switching import switch
 
 
 def graph_from_mask(n: int, mask: int) -> Graph:
@@ -42,6 +44,35 @@ def random_member(rnd, dialect, n):
     for _ in range(n - 1):
         steps.append(Step(rnd.randrange(dialect.k), rnd.choice(dialect.ops)))
     return evaluate(BuildSequence(dialect.k, tuple(steps)))
+
+
+@st.composite
+def cographs_with_a_flip(draw, min_n=1, max_n=14):
+    """A random cograph built by unions and joins, relabeled, then with
+    one vertex pair toggled when the flag drawn says so."""
+    parts = [Graph(1, (0,))] * draw(st.integers(min_n, max_n))
+    while len(parts) > 1:
+        i = draw(st.integers(0, len(parts) - 2))
+        combine = join if draw(st.booleans()) else disjoint_union
+        parts[i : i + 2] = [combine(parts[i], parts[i + 1])]
+    g = parts[0].relabel(draw(st.permutations(range(parts[0].n))))
+    if g.n >= 2 and draw(st.booleans()):
+        u, v = draw(st.lists(st.integers(0, g.n - 1), min_size=2, max_size=2, unique=True))
+        rows = list(g.rows)
+        rows[u] ^= 1 << v
+        rows[v] ^= 1 << u
+        g = Graph(g.n, tuple(rows))
+    return g
+
+
+@st.composite
+def switched_threshold_graphs(draw, min_n=1, max_n=12):
+    """A random threshold graph, relabeled, then switched by a random set:
+    a member of the switching class of threshold graphs."""
+    n = draw(st.integers(min_n, max_n))
+    g = random_member(draw(st.randoms(use_true_random=False)), THRESHOLD, n).graph
+    g = g.relabel(draw(st.permutations(range(n))))
+    return switch(g, draw(st.integers(0, g.full_mask)))
 
 
 def prefix_colorings(n, k):

@@ -8,6 +8,7 @@ import pytest
 import threshkit.classes as classes
 import threshkit.cli as cli
 from threshkit.canonical import canonical_form
+from threshkit.enumeration import EnumerationConfig, all_graphs
 from threshkit.graph6 import encode_graph6
 from threshkit.graphs import disjoint_union
 from threshkit.kthreshold import EXTENDED, RESTRICTED, SPECIAL, general_dialect
@@ -136,6 +137,18 @@ def test_capacity_exit_via_env_budget(tmp_path, monkeypatch, capsys):
     args = ["recognize", "--class", "kthreshold", "--k", "3", "--input", path]
     assert cli.main(args) == cli.CAPACITY
     assert "capacity:" in capsys.readouterr().err
+
+
+def test_kthreshold_with_many_colors_answers_on_five_vertices(tmp_path, capsys):
+    """At most 52 colorings of 5 vertices are numbered by first use, however
+    large k is, so --k 100 answers, as --k 5 does, under the default budget."""
+    path = _input_file(tmp_path, *(encode_graph6(g) for g in all_graphs(EnumerationConfig(5))))
+    args = ["recognize", "--class", "kthreshold", "--input", path, "--k"]
+    code = cli.main(args + ["100"])
+    out, err = capsys.readouterr()
+    assert code in (cli.OK, cli.NON_MEMBER) and err == ""
+    assert cli.main(args + ["5"]) == code
+    assert capsys.readouterr().out == out
 
 
 @pytest.mark.parametrize("raw", ["many", "1.5", "-1", ""])

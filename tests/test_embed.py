@@ -1,7 +1,9 @@
 """Induced-subgraph search against a brute-force permutation oracle, and
-against the vertex-by-vertex scan it replaced; the whole-list scan against
-a loop of single-pattern searches; the degree-window and count filters
-where they cut hardest: three colors, and hosts no larger than the pattern."""
+against the vertex-by-vertex scan it replaced; the symmetry-broken search
+against the unbroken one, and the automorphisms it breaks against
+networkx; the whole-list scan against a loop of single-pattern searches;
+the degree-window and count filters where they cut hardest: three colors,
+and hosts no larger than the pattern."""
 
 from itertools import combinations, permutations
 
@@ -16,10 +18,17 @@ from threshkit.classes import BY_CATALOG, ROWS
 from threshkit.embed import PatternList, find_first_embedding, find_induced_embedding
 from threshkit.enumeration import EnumerationConfig, all_colored_graphs, all_graphs
 from threshkit.graphs import ColoredGraph, Graph
+from threshkit.kthreshold import GENERAL2, THRESHOLD
 from threshkit.named import complete_graph, cycle_graph, empty_graph, path_graph
 from threshkit.obstructions import _catalog_patterns
 
-from strategies import colored_graphs, graphs
+from strategies import (
+    cographs_with_a_flip,
+    colored_graphs,
+    graphs,
+    random_member,
+    switched_threshold_graphs,
+)
 
 
 def oracle_find_induced_embedding(host, pattern, host_coloring=None, pattern_coloring=None):
@@ -223,16 +232,18 @@ def test_scan_equals_pattern_loop_on_larger_hosts(host, rnd):
 
 
 def test_scan_skips_patterns_that_cannot_embed(monkeypatch):
-    searched = []
-    search = embed._search
-    monkeypatch.setattr(embed, "_search", lambda *args: searched.append(args[2]) or search(*args))
-    # the claw needs a vertex of degree 3 and P2 a white vertex: neither is searched
+    # the claw needs a vertex of degree 3 and P2 a white vertex: neither is
+    # searched. The list is built before counting, since its automorphisms
+    # come from searches too
     host = ColoredGraph(path_graph(4), (0, 0, 0, 0))
     patterns = PatternList([
         ("claw", Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)]), (0, 0, 0, 0)),
         ("bw", path_graph(2), (0, 1)),
         ("p3", path_graph(3), (0, 0, 0)),
     ])
+    searched = []
+    search = embed._search
+    monkeypatch.setattr(embed, "_search", lambda *args: searched.append(args[2]) or search(*args))
     assert find_first_embedding(host.graph, patterns, host.colors) == ("p3", (0, 1, 2))
     assert searched == [path_graph(3).rows]
 
@@ -298,12 +309,10 @@ def test_colored_equals_oracle_on_every_same_size_host():
 
 
 def test_scan_skips_patterns_by_counts_and_degree_window(monkeypatch):
-    searched = []
-    search = embed._search
-    monkeypatch.setattr(embed, "_search", lambda *args: searched.append(args[2]) or search(*args))
     # P4 has 3 edges, 3 non-edges and degrees 1, 2, 2, 1. K4 minus an edge
     # has 5 edges, 4K1 has 6 non-edges, and the isolated vertex of K3+K1
-    # needs an image of degree 0 in a host of its own size
+    # needs an image of degree 0 in a host of its own size. The lists are
+    # built before counting, since their automorphisms come from searches too
     k3_k1 = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2)])
     patterns = PatternList([
         ("k4-e", Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]), None),
@@ -311,11 +320,14 @@ def test_scan_skips_patterns_by_counts_and_degree_window(monkeypatch):
         ("k3+k1", k3_k1, None),
         ("p4", path_graph(4), None),
     ])
+    colored = PatternList([("11", path_graph(2), (1, 1)), ("01", path_graph(2), (0, 1))])
+    searched = []
+    search = embed._search
+    monkeypatch.setattr(embed, "_search", lambda *args: searched.append(args[2]) or search(*args))
     assert find_first_embedding(path_graph(4), patterns) == ("p4", (0, 1, 2, 3))
     assert searched == [path_graph(4).rows]
     # every vertex of the host has each color, but only one has color 1
     searched.clear()
-    colored = PatternList([("11", path_graph(2), (1, 1)), ("01", path_graph(2), (0, 1))])
     assert find_first_embedding(path_graph(3), colored, (0, 1, 0)) == ("01", (0, 1))
     assert searched == [path_graph(2).rows]
 
@@ -327,3 +339,151 @@ def test_pattern_list_is_its_patterns():
     assert len(patterns.constants) == len(plain)
     for host in all_graphs(EnumerationConfig(6)):
         assert find_first_embedding(host, patterns) == oracle_first_embedding(host, plain)
+
+
+def oracle_search(hrows, non_rows, prows, base):
+    """The search without symmetry-breaking conditions: it reaches every
+    embedding of each automorphism class and returns the first."""
+    p = len(prows)
+    mapping = [0] * p
+    left = [0] * p
+    left[0] = base[0]
+    depth = 0
+    while depth >= 0:
+        cand = left[depth]
+        if not cand:
+            depth -= 1
+            continue
+        low = cand & -cand
+        left[depth] = cand ^ low
+        mapping[depth] = low.bit_length() - 1
+        if depth == p - 1:
+            return tuple(mapping)
+        depth += 1
+        prow = prows[depth]
+        mask = base[depth]
+        for j in range(depth):
+            mask &= hrows[mapping[j]] if prow >> j & 1 else non_rows[mapping[j]]
+        left[depth] = mask
+    return None
+
+
+SCAN_FAMILIES = sorted({row.catalog for row in ROWS if row.fis is not None})
+# one single-pattern list per pattern of the uncolored scans and of the colored one
+SINGLES = [PatternList([pattern]) for family in SCAN_FAMILIES if family != "partitioned2t"
+           for pattern in _catalog_patterns(family)]
+COLORED_SINGLES = [PatternList([pattern]) for pattern in _catalog_patterns("partitioned2t")]
+
+
+def _first_embeddings(hosts, singles, search=None):
+    """Each host's first embedding of each single-pattern list, with
+    search, if given, in place of the embedding search."""
+    with pytest.MonkeyPatch.context() as patch:
+        if search is not None:
+            patch.setattr(embed, "_search", search)
+        return [find_first_embedding(host, single, coloring)
+                for host, coloring in hosts for single in singles]
+
+
+def _unbroken(hrows, non_rows, prows, base, after):
+    return oracle_search(hrows, non_rows, prows, base)
+
+
+def _assert_unbroken_agrees(hosts, singles):
+    assert _first_embeddings(hosts, singles) == _first_embeddings(hosts, singles, _unbroken)
+
+
+def test_scan_lists_are_the_six_catalogs():
+    assert SCAN_FAMILIES == ["good", "partitioned2t", "special2t", "switch_cograph",
+                             "switch_threshold", "threshold"]
+    assert (len(SINGLES), len(COLORED_SINGLES)) == (36, 25)
+
+
+def test_symmetry_breaking_keeps_every_first_embedding_on_small_hosts():
+    hosts = [(g, None) for n in range(1, 8) for g in all_graphs(EnumerationConfig(n))]
+    _assert_unbroken_agrees(hosts, SINGLES)
+    colored = [(cg.graph, cg.colors) for n in range(1, 7) for cg in all_colored_graphs(n)]
+    _assert_unbroken_agrees(colored, COLORED_SINGLES)
+
+
+@st.composite
+def large_hosts(draw):
+    """A host on 8..30 vertices in which the symmetric patterns mostly do
+    not embed, so the searches run to the end: a threshold graph, a
+    switched threshold graph or a cograph, or else G(n, 1/2); or a built
+    member of the partitioned class with its coloring."""
+    n = draw(st.integers(8, 30))
+    kind = draw(st.sampled_from(["threshold", "switched", "cograph", "random", "partitioned"]))
+    rnd = draw(st.randoms(use_true_random=False))
+    if kind == "threshold":
+        g = random_member(rnd, THRESHOLD, n).graph
+        return g.relabel(draw(st.permutations(range(n)))), None
+    if kind == "switched":
+        return draw(switched_threshold_graphs(n, n)), None
+    if kind == "cograph":
+        return draw(cographs_with_a_flip(n, n)), None
+    if kind == "random":
+        return draw(graphs(n, n)), None
+    cg = random_member(rnd, GENERAL2, n)
+    order = draw(st.permutations(range(n)))
+    return cg.graph.relabel(order), tuple(cg.colors[order.index(v)] for v in range(n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(large_hosts())
+def test_symmetry_breaking_keeps_every_first_embedding_on_large_hosts(host):
+    _assert_unbroken_agrees([host], SINGLES if host[1] is None else COLORED_SINGLES)
+
+
+def _networkx_automorphisms(pattern, colors):
+    import networkx as nx
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    g = nx.Graph()
+    g.add_nodes_from((v, {"color": None if colors is None else colors[v]}) for v in range(pattern.n))
+    g.add_edges_from(pattern.edges())
+    same = lambda a, b: a["color"] == b["color"]
+    return sum(1 for _ in GraphMatcher(g, g, node_match=same).isomorphisms_iter())
+
+
+# automorphism counts of each scan list's patterns, in scan order
+AUTOMORPHISMS = {
+    "good": (2, 16, 8, 48, 48),
+    "partitioned2t": (8, 8, 2, 8, 8, 2, 2, 2, 2, 2, 2, 2, 1, 1, 1, 4, 1, 1, 1, 1, 2, 2, 4, 1, 1),
+    "special2t": (8, 10, 2, 2, 4, 6, 48, 8),
+    "switch_cograph": (2, 10, 2, 2),
+    "switch_threshold": (2, 10, 2, 2, 48, 16, 12, 8, 16, 4, 8, 4, 8, 12, 48, 8),
+    "threshold": (8, 8, 2),
+}
+
+
+def test_automorphisms_are_the_networkx_isomorphisms():
+    """A work gate: each scan pattern's automorphisms, color-preserving for
+    colored ones, are as many as networkx finds, and pinned by family."""
+    counts = {}
+    for family in SCAN_FAMILIES:
+        counts[family] = []
+        for name, pattern, colors in _catalog_patterns(family):
+            found = embed._automorphisms(pattern.rows, pattern.degrees, colors)
+            assert len(set(found)) == len(found) == _networkx_automorphisms(pattern, colors), name
+            assert found[0] == tuple(range(pattern.n)) and found == sorted(found)
+            counts[family].append(len(found))
+    assert {family: tuple(c) for family, c in counts.items()} == AUTOMORPHISMS
+
+
+def test_conditions_follow_the_stabilizer_chain():
+    # 3K2 = 01, 23, 45: 0 is below all, 2 below 3, 4, 5, and 4 below 5;
+    # 1 and 3 are fixed once 0 and 2 are
+    three_k2 = Graph.from_edges(6, [(0, 1), (2, 3), (4, 5)])
+    autos = embed._automorphisms(three_k2.rows, three_k2.degrees, None)
+    assert len(autos) == 48
+    assert embed._conditions(autos, 6) == (-1, 0, 0, 2, 2, 4)
+    # C4 = 0123: 0 below all, then 1 below 3
+    c4 = cycle_graph(4)
+    assert embed._conditions(embed._automorphisms(c4.rows, c4.degrees, None), 4) == (-1, 0, 0, 1)
+    # colors cut the group: P4 colored 0110 keeps its reversal, 0101 does not
+    p4 = path_graph(4)
+    assert embed._conditions(embed._automorphisms(p4.rows, p4.degrees, (0, 1, 1, 0)), 4) == (
+        -1, -1, -1, 0)
+    assert embed._conditions(embed._automorphisms(p4.rows, p4.degrees, (0, 1, 0, 1)), 4) == (
+        -1, -1, -1, -1)

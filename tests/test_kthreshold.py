@@ -313,6 +313,38 @@ def test_coloring_budget_enforced(monkeypatch):
     assert calls == []
 
 
+def _prefix_leaves(n, k, v=1, top=0):
+    """The full colorings an unpruned prefix-order search reaches: vertex 0
+    has color 0, and vertex v tries colors up to one above the highest
+    before it."""
+    if v == n:
+        return 1
+    return sum(_prefix_leaves(n, k, v + 1, max(top, c)) for c in range(min(top + 2, k)))
+
+
+def test_first_use_count_is_the_prefix_search_leaves():
+    for n in range(1, 8):
+        for k in range(1, 6):
+            assert kthreshold._first_use_colorings(n, k) == _prefix_leaves(n, k), (n, k)
+    # Bell numbers once k >= n, and sums of Stirling numbers S(n, j), j <= 3
+    assert [kthreshold._first_use_colorings(n, 100) for n in range(1, 8)] == [
+        1, 2, 5, 15, 52, 203, 877]
+    assert kthreshold._first_use_colorings(14, 3) == 797_162
+    assert kthreshold._first_use_colorings(15, 3) == 2_391_485
+
+
+def test_budget_counts_first_use_colorings(monkeypatch):
+    # n = 14 at k = 3 fits the default budget (3^13 would not); n = 15 is
+    # refused before any kernel call
+    rnd = random.Random(14)
+    assert is_k_threshold(random_member(rnd, general_dialect(3), 14).graph, 3) is not None
+    calls = []
+    monkeypatch.setattr(kthreshold, "elimination_picks", lambda *args: calls.append(args))
+    with pytest.raises(CapacityError, match="2391485 colorings exceed budget 1048576"):
+        is_k_threshold(path_graph(15), 3)
+    assert calls == []
+
+
 def test_neighborhood_shapes():
     g = gem()
     apex = next(v for v in range(g.n) if g.degrees[v] == 4)

@@ -9,7 +9,7 @@ import threshkit.switching as switching
 from threshkit.canonical import canonical_form
 from threshkit.embed import find_induced_embedding
 from threshkit.enumeration import EnumerationConfig, all_graphs
-from threshkit.kthreshold import THRESHOLD, is_threshold
+from threshkit.kthreshold import is_threshold
 from threshkit.limits import CapacityError, Limits
 from threshkit.named import (
     complete_graph,
@@ -19,7 +19,7 @@ from threshkit.named import (
     matching,
     path_graph,
 )
-from threshkit.graphs import Graph, disjoint_union, join
+from threshkit.graphs import Graph, disjoint_union
 from threshkit.obstructions import recognize_switch_cograph_fis
 from threshkit.switching import (
     SwitchCertificate,
@@ -34,7 +34,7 @@ from threshkit.switching import (
     switching_class_graphs,
 )
 
-from strategies import graphs, random_member
+from strategies import cographs_with_a_flip, graphs, switched_threshold_graphs
 
 
 def test_switch_definition_on_an_edge():
@@ -122,25 +122,6 @@ def oracle_is_cograph(g):
     return True
 
 
-@st.composite
-def cographs_with_a_flip(draw, min_n=1, max_n=14):
-    """A random cograph built by unions and joins, relabeled, then with
-    one vertex pair toggled when the flag drawn says so."""
-    parts = [Graph(1, (0,))] * draw(st.integers(min_n, max_n))
-    while len(parts) > 1:
-        i = draw(st.integers(0, len(parts) - 2))
-        combine = join if draw(st.booleans()) else disjoint_union
-        parts[i : i + 2] = [combine(parts[i], parts[i + 1])]
-    g = parts[0].relabel(draw(st.permutations(range(parts[0].n))))
-    if g.n >= 2 and draw(st.booleans()):
-        u, v = draw(st.lists(st.integers(0, g.n - 1), min_size=2, max_size=2, unique=True))
-        rows = list(g.rows)
-        rows[u] ^= 1 << v
-        rows[v] ^= 1 << u
-        g = Graph(g.n, tuple(rows))
-    return g
-
-
 def test_is_cograph_equals_oracle_up_to_n7():
     for n in range(1, 8):
         for g in all_graphs(EnumerationConfig(n)):
@@ -195,16 +176,6 @@ def oracle_switch_search(g, accept):
 
 
 _threshold = lambda h: is_threshold(h) is not None
-
-
-@st.composite
-def switched_threshold_graphs(draw, min_n=1, max_n=12):
-    """A random threshold graph, relabeled, then switched by a random set:
-    a member of the switching class of threshold graphs."""
-    n = draw(st.integers(min_n, max_n))
-    g = random_member(draw(st.randoms(use_true_random=False)), THRESHOLD, n).graph
-    g = g.relabel(draw(st.permutations(range(n))))
-    return switch(g, draw(st.integers(0, g.full_mask)))
 
 
 def test_switch_scan_equals_separate_searches_exhaustively():

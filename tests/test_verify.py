@@ -185,7 +185,9 @@ def test_suite_work_goes_through_the_traced_functions(monkeypatch, name, n_max, 
 def test_partitioned_scans_search_few_patterns(monkeypatch):
     """A work-count gate for the scan: the count and degree-window filters
     leave 30 searches of the 118 partitioned scans at n <= 4 (563 without
-    them). A change that searches patterns the filters rule out changes it."""
+    them). A change that searches patterns the filters rule out changes it.
+    The scan list is built first: its automorphisms come from searches too."""
+    obstructions._catalog_patterns("partitioned2t")
     searched = []
     search = embed._search
     monkeypatch.setattr(embed, "_search", lambda *args: searched.append(1) or search(*args))
