@@ -22,10 +22,12 @@ color, and non-neighbour rows) once for the list. The pattern side of those
 tests (degrees, edge, non-edge and color counts) depends on the pattern
 alone: a PatternList computes it once, and find_first_embedding takes
 nothing else. The scan lists of the recognizers in obstructions are
-PatternLists built once per process from the shipped catalogs;
-find_induced_embedding builds a one-pattern list. A pattern with a vertex
-whose starting candidate mask is empty cannot embed and is skipped without
-a search.
+PatternLists built once per process from the shipped catalogs.
+find_induced_embedding searches its one pattern without the
+symmetry-breaking conditions below: finding them costs a search of their
+own, and no later search would reuse them. A pattern with a vertex whose
+starting candidate mask is empty cannot embed and is skipped without a
+search.
 
 On a host the pattern does not embed in, the search runs to the end, and a
 symmetric pattern would reach each partial embedding once per automorphism
@@ -87,20 +89,26 @@ def _conditions(automorphisms: list[tuple[int, ...]], p: int) -> tuple[int, ...]
     return tuple(after)
 
 
+def _pattern_constants(name: Optional[str], pattern: Graph, colors: tuple[int, ...] | None,
+                       after: tuple[int, ...]) -> tuple:
+    """(name, rows, vertices, edges, non-edges, degrees, colors, (color,
+    count) pairs or None, symmetry-breaking conditions after)."""
+    p = pattern.n
+    edges = pattern.edge_count()
+    counts = None
+    if colors is not None:
+        counts = tuple((c, colors.count(c)) for c in sorted(set(colors)))
+    return (name, pattern.rows, p, edges, p * (p - 1) // 2 - edges,
+            pattern.degrees, colors, counts, after)
+
+
 def _constants(patterns: Sequence[Pattern]) -> tuple:
-    """Per pattern: (name, rows, vertices, edges, non-edges, degrees, colors,
-    (color, count) pairs or None, symmetry-breaking conditions)."""
-    out = []
-    for name, pattern, colors in patterns:
-        p = pattern.n
-        edges = pattern.edge_count()
-        counts = None
-        if colors is not None:
-            counts = tuple((c, colors.count(c)) for c in sorted(set(colors)))
-        after = _conditions(_automorphisms(pattern.rows, pattern.degrees, colors), p)
-        out.append((name, pattern.rows, p, edges, p * (p - 1) // 2 - edges,
-                    pattern.degrees, colors, counts, after))
-    return tuple(out)
+    """The constants of each pattern, with its symmetry-breaking conditions."""
+    return tuple(
+        _pattern_constants(name, pattern, colors, _conditions(
+            _automorphisms(pattern.rows, pattern.degrees, colors), pattern.n))
+        for name, pattern, colors in patterns
+    )
 
 
 class PatternList(tuple):
@@ -124,6 +132,11 @@ def find_first_embedding(
     Pattern colors are given exactly when host_coloring is, and then every
     embedding must preserve colors exactly.
     """
+    return _first_embedding(host, patterns.constants, host_coloring)
+
+
+def _first_embedding(host: Graph, constants: tuple, host_coloring: tuple[int, ...] | None):
+    """find_first_embedding over the patterns with these constants."""
     h = host.n
     hrows = host.rows
     full = host.full_mask
@@ -142,7 +155,7 @@ def find_first_embedding(
             by_color[c] = by_color.get(c, 0) | 1 << v
     # non_rows[v]: the host vertices other than v that v is not adjacent to
     non_rows = [full ^ row ^ (1 << v) for v, row in enumerate(hrows)]
-    for name, prows, p, pedges, pnon, pdegrees, colors, counts, after in patterns.constants:
+    for name, prows, p, pedges, pnon, pdegrees, colors, counts, after in constants:
         if (colors is None) != (host_coloring is None):
             raise ValueError("supply both colorings or neither")
         if p > h or pedges > edges or pnon > non_edges:
@@ -213,6 +226,6 @@ def find_induced_embedding(
 
     With both colorings supplied the embedding must preserve colors exactly.
     """
-    hit = find_first_embedding(host, PatternList(((None, pattern, pattern_coloring),)),
-                               host_coloring)
+    constants = _pattern_constants(None, pattern, pattern_coloring, (-1,) * pattern.n)
+    hit = _first_embedding(host, (constants,), host_coloring)
     return None if hit is None else hit[1]

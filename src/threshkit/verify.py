@@ -5,9 +5,16 @@ independently implemented recognizers for the same class, and reports every
 disagreement as a witness. A clean report for a suite is the machine
 verification of the corresponding characterization at that scale.
 
+The five agreement suites (thresholds, special, good, partitioned and
+switching) are one body, _agreement, plus a check of one graph per suite.
+The body enumerates plain or 2-colored graphs, counts them, keeps the
+members and rediscovers the catalog. A check compares its recognizers'
+verdicts and certificates with _agree and returns the production verdict,
+so a new agreement suite is a check and a _SUITES entry.
+
 Each piece of work is done once per suite. Rediscovery runs discovery on
 the membership verdicts the suite computed for every enumerated graph,
-kept as the set of members for the suite's run only. The switching suite
+kept as the set of members for the suite's run only. The switching check
 runs its two brute-force switch oracles as one scan of a chain of nested
 classes: every switch goes to the cograph test, which looks for an
 induced P4 (cographs are exactly the P4-free graphs), and only the
@@ -28,6 +35,7 @@ to an equal report (see to_text / from_text).
 from __future__ import annotations
 
 import time
+from functools import partial
 from itertools import product
 
 from .canonical import _check_size, canonical_form
@@ -69,7 +77,7 @@ __all__ = [
 
 SCHEMA = "threshkit-report/1"
 
-ENUMERATION_COUNTS = (1, 2, 4, 11, 34, 156, 1044)
+ENUMERATION_COUNTS = (1, 2, 4, 11, 34, 156, 1044, 12346, 274668)  # OEIS A000088
 
 
 @frozen
@@ -183,11 +191,10 @@ class _Run:
         )
 
 
-def _verdict(flag: bool) -> str:
-    return "member" if flag else "non-member"
-
-
-def _agree(run: _Run, prefix: str, graph, verdicts: dict[str, bool]) -> None:
+def _agree(run: _Run, prefix: str, graph, verdicts: dict[str, bool],
+           oracle=None, fast=None) -> None:
+    """All verdicts must be equal; given both, a member's fast certificate
+    must equal the brute-force oracle's exactly."""
     values = set(verdicts.values())
     if len(values) == 1:
         run.bump(f"{prefix}.agree")
@@ -195,12 +202,9 @@ def _agree(run: _Run, prefix: str, graph, verdicts: dict[str, bool]) -> None:
             run.bump(f"{prefix}.members")
     else:
         run.bump(f"{prefix}.disagree")
-        detail = " ".join(f"{k}={_verdict(v)}" for k, v in sorted(verdicts.items()))
+        detail = " ".join(f"{k}={'member' if v else 'non-member'}"
+                          for k, v in sorted(verdicts.items()))
         run.witness(graph, f"{prefix}: {detail}")
-
-
-def _same_certificate(run: _Run, prefix: str, graph, oracle, fast) -> None:
-    """Members on both sides must carry the oracle's certificate exactly."""
     if oracle is not None and fast is not None and oracle != fast:
         run.bump(f"{prefix}.certificate.disagree")
         run.witness(graph, f"{prefix}: fast certificate differs from the brute-force one")
@@ -231,115 +235,88 @@ def _rediscover(run: _Run, cls: str, found: list) -> None:
             run.witness(None, f"{prefix}: catalog entry {name} not rediscovered (form {form})")
 
 
-def _graphs_upto(n_max: int, limits: Limits):
-    for n in range(1, n_max + 1):
-        for g in all_graphs(EnumerationConfig(n), limits):
-            yield g
-
-
-def suite_thresholds(n_max: int, limits: Limits) -> VerificationReport:
-    """Greedy elimination vs the three-pattern FIS, plus certificate replay."""
-    run = _Run("thresholds", n_max, limits)
-    for g in _graphs_upto(n_max, limits):
-        run.bump("graphs.checked")
-        seq = is_threshold(g)
-        _agree(run, "threshold", g, {
-            "elimination": seq is not None,
-            "fis": BY_NAME["threshold"].fis(g).accepted,
-        })
-        if seq is not None:
-            rebuilt = evaluate(seq)
-            if rebuilt.graph != g:
-                run.bump("threshold.replay.disagree")
-                run.witness(g, "threshold: build tree does not evaluate back to the input")
-    return run.report()
-
-
-def suite_special(n_max: int, limits: Limits) -> VerificationReport:
-    """Brute coloring search vs the fast search vs the eight-pattern FIS, plus rediscovery."""
-    run = _Run("special", n_max, limits)
-    members: set[Graph] = set()  # the verdicts of is_special, for rediscovery
-    for g in _graphs_upto(n_max, limits):
-        run.bump("graphs.checked")
-        oracle = brute_coloring_search(g, SPECIAL, limits)
-        fast = is_special(g)
-        if fast is not None:
-            members.add(g)
-        _agree(run, "special", g, {
-            "brute": oracle is not None,
-            "elimination": fast is not None,
-            "fis": BY_NAME["special"].fis(g).accepted,
-        })
-        _same_certificate(run, "special", g, oracle, fast)
-    found = find_minimal_obstructions(members.__contains__, n_max, limits)
-    _rediscover(run, "special", found)
-    return run.report()
-
-
-def suite_good(n_max: int, limits: Limits) -> VerificationReport:
-    """Neighborhood-shape check vs the five-pattern FIS, plus rediscovery."""
-    run = _Run("good", n_max, limits)
-    members: set[Graph] = set()
-    for g in _graphs_upto(n_max, limits):
-        run.bump("graphs.checked")
-        ok = is_good(g)
-        if ok:
-            members.add(g)
-        _agree(run, "good", g, {
-            "shape": ok,
-            "fis": BY_NAME["good"].fis(g).accepted,
-        })
-    found = find_minimal_obstructions(members.__contains__, n_max, limits)
-    _rediscover(run, "good", found)
-    return run.report()
-
-
-def suite_partitioned(n_max: int, limits: Limits) -> VerificationReport:
-    """Colored elimination vs the colored FIS on every 2-colored graph."""
-    run = _Run("partitioned", n_max, limits)
-    member = BY_NAME["partitioned"].member
-    members: set[ColoredGraph] = set()
-    for n in range(1, n_max + 1):
-        for cg in all_colored_graphs(n, limits):
+def _agreement(run: _Run, check, colored: bool = False, rediscover: bool = False) -> None:
+    """The body of the agreement suites: check(run, g) on every graph, or
+    every 2-colored graph, up to n_max, returning the production verdict;
+    with rediscover, discovery on those verdicts for the suite's class."""
+    limits, members = run.limits, set()
+    for n in range(1, run.n_max + 1):
+        level = (all_colored_graphs(n, limits) if colored
+                 else all_graphs(EnumerationConfig(n), limits))
+        for g in level:
             run.bump("graphs.checked")
-            ok = member(cg)
-            if ok:
-                members.add(cg)
-            _agree(run, "partitioned", cg, {
-                "elimination": ok,
-                "fis": BY_NAME["partitioned"].fis(cg).accepted,
-            })
-    found = find_minimal_colored_obstructions(members.__contains__, n_max, limits)
-    _rediscover(run, "partitioned", found)
-    return run.report()
+            if check(run, g) and rediscover:
+                members.add(g)
+    if rediscover:
+        find = find_minimal_colored_obstructions if colored else find_minimal_obstructions
+        _rediscover(run, run.suite, find(members.__contains__, run.n_max, limits))
 
 
-def suite_switching(n_max: int, limits: Limits) -> VerificationReport:
-    """Brute and fast switch search vs restricted elimination vs FIS, and the cograph analog."""
-    run = _Run("switching", n_max, limits)
-    threshold = lambda h: elimination_picks(h.rows, h.full_mask, (0, h.full_mask)) is not None
-    for g in _graphs_upto(n_max, limits):
-        run.bump("graphs.checked")
-        cograph_oracle, oracle = brute_switch_scan(g, (is_cograph, threshold), limits)
-        fast = switch_to_threshold(g)
-        _agree(run, "switch_threshold", g, {
-            "brute": oracle is not None,
-            "switch_search": fast is not None,
-            "elimination": is_restricted(g) is not None,
-            "fis": BY_NAME["switch-threshold"].fis(g).accepted,
-        })
-        _same_certificate(run, "switch_threshold", g, oracle, fast)
-        _agree(run, "switch_cograph", g, {
-            "brute": cograph_oracle is not None,
-            "switch_search": is_switch_cograph(g),
-            "fis": BY_NAME["switch-cograph"].fis(g).accepted,
-        })
-    return run.report()
+def _check_thresholds(run: _Run, g: Graph) -> bool:
+    """Greedy elimination vs the three-pattern FIS, plus certificate replay."""
+    seq = is_threshold(g)
+    _agree(run, "threshold", g, {
+        "elimination": seq is not None,
+        "fis": BY_NAME["threshold"].fis(g).accepted,
+    })
+    if seq is not None and evaluate(seq).graph != g:
+        run.bump("threshold.replay.disagree")
+        run.witness(g, "threshold: build tree does not evaluate back to the input")
+    return seq is not None
 
 
-def suite_catalogs(n_max: int, limits: Limits) -> VerificationReport:
+def _check_special(run: _Run, g: Graph) -> bool:
+    """Brute coloring search vs the fast search vs the eight-pattern FIS."""
+    oracle, fast = brute_coloring_search(g, SPECIAL, run.limits), is_special(g)
+    _agree(run, "special", g, {
+        "brute": oracle is not None,
+        "elimination": fast is not None,
+        "fis": BY_NAME["special"].fis(g).accepted,
+    }, oracle, fast)
+    return fast is not None
+
+
+def _check_good(run: _Run, g: Graph) -> bool:
+    """Neighborhood-shape check vs the five-pattern FIS."""
+    ok = is_good(g)
+    _agree(run, "good", g, {"shape": ok, "fis": BY_NAME["good"].fis(g).accepted})
+    return ok
+
+
+def _check_partitioned(run: _Run, cg: ColoredGraph) -> bool:
+    """Colored elimination vs the colored FIS."""
+    row = BY_NAME["partitioned"]
+    ok = row.member(cg)
+    _agree(run, "partitioned", cg, {"elimination": ok, "fis": row.fis(cg).accepted})
+    return ok
+
+
+def _threshold_kernel(h: Graph) -> bool:
+    return elimination_picks(h.rows, h.full_mask, (0, h.full_mask)) is not None
+
+
+def _check_switching(run: _Run, g: Graph) -> bool:
+    """Brute and fast switch search vs restricted elimination vs FIS, and the
+    cograph analog, from one brute-force scan for both switch classes."""
+    cograph_oracle, oracle = brute_switch_scan(g, (is_cograph, _threshold_kernel), run.limits)
+    fast = switch_to_threshold(g)
+    _agree(run, "switch_threshold", g, {
+        "brute": oracle is not None,
+        "switch_search": fast is not None,
+        "elimination": is_restricted(g) is not None,
+        "fis": BY_NAME["switch-threshold"].fis(g).accepted,
+    }, oracle, fast)
+    _agree(run, "switch_cograph", g, {
+        "brute": cograph_oracle is not None,
+        "switch_search": is_switch_cograph(g),
+        "fis": BY_NAME["switch-cograph"].fis(g).accepted,
+    })
+    return fast is not None
+
+
+def suite_catalogs(run: _Run) -> None:
     """validate_catalog for every shipped family, plus the switching-class cross-check."""
-    run = _Run("catalogs", n_max, limits)
+    limits = run.limits
     for family, row in BY_CATALOG.items():
         cat = load_catalog(family)
         run.set(f"catalog.{family}.entries", len(cat.entries))
@@ -357,13 +334,11 @@ def suite_catalogs(n_max: int, limits: Limits) -> VerificationReport:
     run.set("catalog.switch_threshold.computed", len(computed))
     if computed != catalogued:
         run.witness(None, "catalog.switch_threshold: computed switching classes differ from catalog")
-    return run.report()
 
 
-def suite_counts(n_max: int, limits: Limits) -> VerificationReport:
+def suite_counts(run: _Run) -> None:
     """Enumeration counts and the 2^(n-1) threshold count, two ways each."""
-    run = _Run("counts", n_max, limits)
-    generated_max = _generated_max(n_max)
+    n_max, limits = run.n_max, run.limits
     for n in range(1, n_max + 1):
         got = len(all_graphs(EnumerationConfig(n), limits))
         run.set(f"enumeration.n{n}", got)
@@ -372,7 +347,7 @@ def suite_counts(n_max: int, limits: Limits) -> VerificationReport:
     # Unlabeled threshold graphs: every {add, joinall} word gives one, distinct
     # words give non-isomorphic graphs, so the count is exactly 2^(n-1). The
     # generator side is independent of the recognizer.
-    for n in range(1, generated_max + 1):
+    for n in range(1, _generated_max(n_max) + 1):
         forms = set()
         for word in product((ADD, JOIN_ALL), repeat=n - 1):
             steps = (Step(0, ADD),) + tuple(Step(0, op) for op in word)
@@ -387,7 +362,6 @@ def suite_counts(n_max: int, limits: Limits) -> VerificationReport:
             run.set(f"threshold.recognized.n{n}", counted)
             if counted != 1 << (n - 1):
                 run.witness(None, f"counts: recognized threshold count at n={n} gave {counted}")
-    return run.report()
 
 
 def _generated_max(n_max: int) -> int:
@@ -395,12 +369,13 @@ def _generated_max(n_max: int) -> int:
     return min(n_max + 1, 8)
 
 
+# name -> (the function that fills a run of the suite, default bound)
 _SUITES = {
-    "thresholds": (suite_thresholds, 7),
-    "special": (suite_special, 7),
-    "good": (suite_good, 7),
-    "partitioned": (suite_partitioned, 6),
-    "switching": (suite_switching, 7),
+    "thresholds": (partial(_agreement, check=_check_thresholds), 7),
+    "special": (partial(_agreement, check=_check_special, rediscover=True), 7),
+    "good": (partial(_agreement, check=_check_good, rediscover=True), 7),
+    "partitioned": (partial(_agreement, check=_check_partitioned, colored=True, rediscover=True), 6),
+    "switching": (partial(_agreement, check=_check_switching), 7),
     "catalogs": (suite_catalogs, 0),
     "counts": (suite_counts, 7),
 }
@@ -433,5 +408,6 @@ def suite_bound(name: str, n_max: int | None = None, limits: Limits = DEFAULT_LI
 
 def run_suite(name: str, n_max: int | None = None, limits: Limits = DEFAULT_LIMITS) -> VerificationReport:
     """Run one named suite; n_max None picks the suite's default bound."""
-    n_max = suite_bound(name, n_max, limits)
-    return _SUITES[name][0](n_max, limits)
+    run = _Run(name, suite_bound(name, n_max, limits), limits)
+    _SUITES[name][0](run)
+    return run.report()

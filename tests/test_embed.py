@@ -19,7 +19,7 @@ from threshkit.embed import PatternList, find_first_embedding, find_induced_embe
 from threshkit.enumeration import EnumerationConfig, all_colored_graphs, all_graphs
 from threshkit.graphs import ColoredGraph, Graph
 from threshkit.kthreshold import GENERAL2, THRESHOLD
-from threshkit.named import complete_graph, cycle_graph, empty_graph, path_graph
+from threshkit.named import complete_graph, cycle_graph, empty_graph, matching, path_graph
 from threshkit.obstructions import _catalog_patterns
 
 from strategies import (
@@ -487,3 +487,40 @@ def test_conditions_follow_the_stabilizer_chain():
         -1, -1, -1, 0)
     assert embed._conditions(embed._automorphisms(p4.rows, p4.degrees, (0, 1, 0, 1)), 4) == (
         -1, -1, -1, -1)
+
+
+def _counting_searches(monkeypatch):
+    calls = []
+    search = embed._search
+    monkeypatch.setattr(embed, "_search", lambda *args: calls.append(1) or search(*args))
+    return calls
+
+
+def test_one_pattern_search_makes_one_search_call(monkeypatch):
+    """A one-pattern search breaks no symmetry: finding the pattern's
+    automorphisms would cost a second search on every call, and no later
+    search reuses the conditions they give."""
+    calls = _counting_searches(monkeypatch)
+    assert find_induced_embedding(path_graph(8), matching(3)) == (0, 1, 3, 4, 6, 7)
+    assert len(calls) == 1
+    calls.clear()
+    assert find_induced_embedding(cycle_graph(5), matching(2)) is None
+    assert len(calls) == 1
+
+
+def test_one_pattern_search_equals_oracle_with_at_most_one_search_call(monkeypatch):
+    calls = _counting_searches(monkeypatch)
+    for n in range(1, 7):
+        for host in all_graphs(EnumerationConfig(n)):
+            for pattern in _catalog_graphs():
+                calls.clear()
+                assert find_induced_embedding(host, pattern) == oracle_find_induced_embedding(
+                    host, pattern)
+                assert len(calls) <= 1
+    for n in range(1, 6):
+        for host in all_colored_graphs(n):
+            for pattern in _colored_catalog_graphs():
+                args = (host.graph, pattern.graph, host.colors, pattern.colors)
+                calls.clear()
+                assert find_induced_embedding(*args) == oracle_find_induced_embedding(*args)
+                assert len(calls) <= 1

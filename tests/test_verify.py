@@ -12,7 +12,7 @@ import threshkit.verify as verify
 from threshkit.catalogs import load_catalog
 from threshkit.graph6 import encode_graph6
 from threshkit.limits import CapacityError, Limits
-from threshkit.named import complete_graph, path_graph
+from threshkit.named import complete_graph, empty_graph, path_graph
 from threshkit.graphs import ColoredGraph
 from threshkit.verify import (
     SCHEMA,
@@ -334,3 +334,15 @@ def test_catalog_problems_become_witnesses(monkeypatch):
         (encode_graph6(e.graph), f"catalog.good: {e.name} rejected: entry accepted by recognizer")
         for e in cat.entries
     }
+
+
+def test_counts_suite_checks_the_enumeration_count_at_n8(monkeypatch):
+    """The n = 8 enumeration count is checked; a short hand-built level
+    stands in for the real one, which the test never enumerates."""
+    short = (empty_graph(8), complete_graph(8), path_graph(8))
+    real = verify.all_graphs
+    monkeypatch.setattr(verify, "all_graphs",
+                        lambda config, limits: short if config.n == 8 else real(config, limits))
+    rep = run_suite("counts", 8)
+    assert rep.count("enumeration.n8") == 3
+    assert "counts: enumeration at n=8 gave 3, expected 12346" in {w.detail for w in rep.witnesses}
