@@ -4,7 +4,10 @@ The brute-force oracle tries every switch set without vertex 0 in
 ascending order. brute_switch_scan runs it for a chain of nested classes
 in one pass, one switch per set, offering each switch to a predicate
 only when every wider one accepted it; brute_switch_search is its
-one-predicate case.
+one-predicate case. switch_to_threshold and has_cograph_switch return the
+oracle's certificate without walking every set: the first from n + 2
+candidate sets, the second depth first, dropping partial sets that
+already induce a P4.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from typing import Callable, Sequence
 
 from .canonical import canonical_graph
 from .graph6 import encode_graph6
-from .graphs import Graph, _unchecked_graph
+from .graphs import Graph, _unchecked_graph, bits
 from .kthreshold import elimination_picks
 from .limits import DEFAULT_LIMITS, CapacityError, Limits
 from .records import frozen
@@ -47,6 +50,11 @@ def _switched_rows(rows: Sequence[int], full: int, s: int) -> tuple[int, ...]:
     return tuple(row ^ (out if s >> v & 1 else s) for v, row in enumerate(rows))
 
 
+def _check_switch_budget(n: int, limits: Limits) -> None:
+    if 1 << max(0, n - 1) > limits.coloring_budget:
+        raise CapacityError(f"2^{n - 1} switch sets exceed budget {limits.coloring_budget}")
+
+
 @frozen
 class SwitchCertificate:
     set: int
@@ -72,8 +80,7 @@ def brute_switch_scan(
     tried in ascending order until the last predicate has its hit, so for
     such a chain each predicate finds exactly what its own search would.
     """
-    if 1 << max(0, g.n - 1) > limits.coloring_budget:
-        raise CapacityError(f"2^{g.n - 1} switch sets exceed budget {limits.coloring_budget}")
+    _check_switch_budget(g.n, limits)
     hits: list[SwitchCertificate | None] = [None] * len(accepts)
     n, rows, full = g.n, g.rows, g.full_mask
     for s in range(0, 1 << n, 2):
@@ -171,12 +178,62 @@ def is_switch_cograph(g: Graph) -> bool:
     return is_cograph(switch(g, g.rows[0]))
 
 
-def has_cograph_switch(g: Graph, limits: Limits = DEFAULT_LIMITS) -> SwitchCertificate | None:
-    """First switch of g that is a cograph, if any.
+def _has_p4_through(adj: list[int], j: int) -> bool:
+    """Whether the graph with rows adj has an induced P4 through vertex j.
 
-    Non-members are rejected in polynomial time; the certificate of a
-    member comes from the brute-force search.
+    Up to reversal, j is an end j-a-b-c or an inner vertex x-j-a-b; both
+    go through a neighbour a of j and a neighbour b of a outside N[j].
+    """
+    closed_j = adj[j] | 1 << j
+    for a in bits(adj[j]):
+        closed_a = adj[a] | 1 << a
+        side = adj[j] & ~closed_a  # candidates for x
+        for b in bits(adj[a] & ~closed_j):
+            if adj[b] & ~closed_j & ~closed_a or side & ~adj[b]:
+                return True
+    return False
+
+
+def _least_cograph_switch(g: Graph) -> int | None:
+    """The least switch set without vertex 0 whose switch of g is a
+    cograph, or None.
+
+    Depth first, vertex n - 1 decided first and vertex 1 last, each left
+    out of the set before it is put in, so complete sets come in ascending
+    order. Every completion of a partial set induces the same graph on the
+    decided vertices and vertex 0; cographs are hereditary, so a partial
+    set whose induced graph has a P4 is dropped, and only the P4s through
+    the vertex just decided are new.
+    """
+    rows = g.rows
+
+    def extend(j: int, decided: int, s: int) -> int | None:
+        if j == 0:
+            return s
+        decided |= 1 << j
+        for t in (s, s | 1 << j):
+            # the switch by t induced on the decided vertices
+            adj = [row & decided for row in _switched_rows(rows, decided, t)]
+            if not _has_p4_through(adj, j):
+                hit = extend(j - 1, decided, t)
+                if hit is not None:
+                    return hit
+        return None
+
+    return extend(g.n - 1, 1, 0)
+
+
+def has_cograph_switch(g: Graph, limits: Limits = DEFAULT_LIMITS) -> SwitchCertificate | None:
+    """First switch of g that is a cograph, if any: the certificate
+    brute_switch_search with is_cograph finds.
+
+    Non-members are rejected in polynomial time. A member's certificate
+    comes from the depth-first search of _least_cograph_switch, guarded
+    up front by the budget, like the brute-force search, against its worst
+    case of 2^(n-1) switch sets.
     """
     if not is_switch_cograph(g):
         return None
-    return brute_switch_search(g, is_cograph, limits)
+    _check_switch_budget(g.n, limits)
+    s = _least_cograph_switch(g)
+    return SwitchCertificate(s, switch(g, s))

@@ -1,7 +1,9 @@
 """Isomorph-free generation against the edge-subset baseline and the
 unpruned extension products."""
 
+import hashlib
 from itertools import product
+from math import factorial, prod
 
 import pytest
 
@@ -19,6 +21,7 @@ from threshkit.enumeration import (
     baseline_graphs,
     raw_extensions,
 )
+from threshkit.graph6 import encode_graph6
 from threshkit.graphs import ColoredGraph
 from threshkit.limits import CapacityError, Limits
 
@@ -52,8 +55,6 @@ def test_streams_are_sorted_and_canonical():
 
 
 def test_colored_enumeration_matches_brute_force():
-    from itertools import product
-
     for n in range(1, 5):
         fast = {canonical_form(cg) for cg in all_colored_graphs(n)}
         slow = set()
@@ -111,10 +112,42 @@ def test_cold_enumeration_labels_a_pinned_number_of_graphs(monkeypatch):
     enumeration._colored_representatives.cache_clear()
     for n in range(1, 8):
         all_graphs(EnumerationConfig(n))
-    # all 2^(n-1) extensions of every class would be 11,290 labelings
-    assert len(calls) == 2088
+    # all 2^(n-1) extensions of every class would be 11,290 labelings;
+    # the 1,251 classes with 2..7 vertices need one each
+    assert len(calls) == 1299
+    all_graphs(EnumerationConfig(8))
+    # 13,597 classes with 2..8 vertices
+    assert len(calls) == 14467
     calls.clear()
     for n in range(1, 7):
         all_colored_graphs(n)
-    # all 2^n colorings of every class would be 11,290 labelings
-    assert len(calls) == 7194
+    # all 2^n colorings of every class would be 11,290 labelings; one
+    # coloring per Aut-orbit labels each 2-colored class once
+    assert len(calls) == sum(len(all_colored_graphs(n)) for n in range(1, 7)) == 5758
+
+
+def test_eight_vertex_classes_are_pinned():
+    """SHA-256 of the graph6 lines of every class on 8 vertices, taken from
+    the generator that deduped every max-degree extension by canonical form."""
+    lines = "".join(encode_graph6(g) + "\n" for g in all_graphs(EnumerationConfig(8)))
+    assert hashlib.sha256(lines.encode("ascii")).hexdigest() == (
+        "e1aed63b07ff72557885ee1244044d6ad30ba1b182f74cc7bcb7a02da8d34867")
+
+
+def _networkx_automorphism_count(g):
+    import networkx as nx
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return sum(1 for _ in GraphMatcher(h, h).isomorphisms_iter())
+
+
+def test_twin_quotient_gives_the_automorphism_group_order():
+    for n in range(1, 7):
+        for g in all_graphs(EnumerationConfig(n)):
+            classes, automorphisms = enumeration._twin_quotient(g)
+            assert sum(classes) == g.full_mask
+            order = (1 + len(automorphisms)) * prod(factorial(cls.bit_count()) for cls in classes)
+            assert order == _networkx_automorphism_count(g), g

@@ -109,11 +109,7 @@ RAISED = Limits(coloring_budget=1 << 14)
 def test_fast_search_equals_oracle_on_larger_graphs(rnd, n, source):
     g = _shuffled(rnd, _sample(rnd, n, source))
     for name, (fast, oracle) in SEARCHES.items():
-        if name == "has_cograph_switch":
-            # the certificate search of a member is the oracle itself
-            assert is_switch_cograph(g) == (oracle(g, RAISED) is not None)
-        else:
-            assert fast(g, RAISED) == oracle(g, RAISED), name
+        assert fast(g, RAISED) == oracle(g, RAISED), name
 
 
 def test_fast_searches_answer_at_twenty_vertices():
