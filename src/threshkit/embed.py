@@ -22,7 +22,9 @@ color, and non-neighbour rows) once for the list. The pattern side of those
 tests (degrees, edge, non-edge and color counts) depends on the pattern
 alone: a PatternList computes it once, and find_first_embedding takes
 nothing else. The scan lists of the recognizers in obstructions are
-PatternLists built once per process from the shipped catalogs.
+PatternLists built once per process from the shipped catalogs; the two
+switching-closed ones carry a gate, the descent of obstructions, that
+decides whether any of their patterns embeds before the scan.
 find_induced_embedding searches its one pattern without the
 symmetry-breaking conditions below: finding them costs a search of their
 own, and no later search would reuse them. A pattern with a vertex whose
@@ -49,7 +51,7 @@ same, and only the other members of each class go unvisited.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .graphs import Graph
 
@@ -112,11 +114,15 @@ def _constants(patterns: Sequence[Pattern]) -> tuple:
 
 
 class PatternList(tuple):
-    """A tuple of patterns that carries their constants, computed once."""
+    """A tuple of patterns that carries their constants, computed once, and
+    optionally a gate: a test of a host that is false only when no pattern
+    embeds in it."""
 
-    def __new__(cls, patterns: Sequence[Pattern]) -> PatternList:
+    def __new__(cls, patterns: Sequence[Pattern],
+                gate: Optional[Callable[[Graph], bool]] = None) -> PatternList:
         self = super().__new__(cls, patterns)
         self.constants = _constants(self)
+        self.gate = gate
         return self
 
 
@@ -130,8 +136,11 @@ def find_first_embedding(
     embedding; None if no pattern does.
 
     Pattern colors are given exactly when host_coloring is, and then every
-    embedding must preserve colors exactly.
+    embedding must preserve colors exactly. A host the list's gate rejects
+    gets None without a search.
     """
+    if patterns.gate is not None and not patterns.gate(host):
+        return None
     return _first_embedding(host, patterns.constants, host_coloring)
 
 

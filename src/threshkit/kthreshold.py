@@ -273,6 +273,11 @@ def _candidate_colorings(g: Graph, dialect: Dialect) -> list[tuple[int, ...]]:
     neighbours get c, the rest the other color. Setting the free colors
     (x and the dropped vertices) to BLACK gives a valid coloring no greater
     than the original, so the least valid coloring is a candidate.
+
+    A dialect that joins to both colors (all but SPECIAL) is closed under
+    swapping them, so a valid coloring with vertex 0 WHITE swaps to a
+    smaller valid one. The least valid coloring then has vertex 0 BLACK,
+    and the candidates with vertex 0 WHITE are dropped.
     """
     kinds = {op.kind for op in dialect.ops}
     alive = g.full_mask
@@ -287,6 +292,7 @@ def _candidate_colorings(g: Graph, dialect: Dialect) -> list[tuple[int, ...]]:
     if alive.bit_count() <= 1:
         return [(BLACK,) * g.n]
     joins = [op.color for op in dialect.ops if op.kind == "join_color"]
+    swap_closed = set(joins) == {BLACK, WHITE}
     candidates = set()
     for x in bits(alive):
         nb = g.rows[x]
@@ -294,7 +300,8 @@ def _candidate_colorings(g: Graph, dialect: Dialect) -> list[tuple[int, ...]]:
             coloring = [BLACK] * g.n
             for v in bits(alive ^ (1 << x)):
                 coloring[v] = c if nb >> v & 1 else 1 - c
-            candidates.add(tuple(coloring))
+            if not (swap_closed and coloring[0] == WHITE):
+                candidates.add(tuple(coloring))
     return sorted(candidates)
 
 

@@ -9,6 +9,31 @@ _catalog_patterns: the entries and the color swap of each colored entry,
 in (n, name) order, keeping the first pattern of each isomorphism class;
 a later isomorphic pattern could never be the first hit.
 
+The scan lists of the two switching-closed catalogs carry a gate
+(embed.PatternList), so their scans first decide by descent whether any
+pattern embeds at all, within the one call of find_first_embedding.
+switch_threshold is the union of the Seidel switching classes of 3K2, C5
+and C4+2K1, and switch_cograph the class of C5. Their descendants are the
+entries with an isolated vertex, less that vertex: P4, the bowtie and
+C4+K1 (from cogem, fig6-02 and c4-2k1), and P4 alone (from cogem). For
+each vertex v, the host is switched so that v is isolated, and the
+vertices above v are searched for a descendant (the descendant of a
+two-graph at a vertex; Seidel, "A survey of two-graphs", 1976). This is
+exact:
+- take v = min S for a pattern on the vertex set S;
+- switching commutes with taking induced subgraphs, so the switch
+  isolating v induces on S a switch of the pattern, with v isolated;
+- that switch is a catalog entry, since the catalog is switching-closed,
+  so the vertices of S above v carry its descendant. Conversely, a
+  descendant above v together with the isolated v is a catalog entry, and
+  switching back gives a switch of it, which is in the catalog too.
+When every entry holds a descendant, as every entry of switch_cograph
+holds P4, the descent at v = 0 alone decides: a pattern on S without
+vertex 0 is switched to a catalog entry on S, whose descendant lies above
+vertex 0. When no descendant is found the host is accepted without the
+full scan. Otherwise the full scan runs unchanged, so the pattern name
+and its lexicographically first embedding are the ones it always reported.
+
 find_minimal_obstructions is the discovery side: enumerate all graphs up
 to a bound, evaluate an arbitrary membership predicate, and report the
 members' minimal non-member boundary. find_minimal_colored_obstructions is
@@ -23,21 +48,27 @@ minimal when the canonical graph of each one-vertex deletion is a member.
 Distinct graphs on one level often share a labeled deletion (two colorings
 that differ only at the deleted vertex, say), so a memo of the level's
 deletions labels each distinct one once. The memo lasts one level, since a
-deletion on the next level has one more vertex and can never match.
+deletion on the next level has one more vertex and can never match. The
+deletion of the last vertex needs no labeling at all: the minimal string
+of a canonical graph on n vertices starts with the string of its first
+n - 1 vertices, which is therefore minimal too, so they induce a canonical
+graph. A colored canonical graph lists its colors sorted, so deleting its
+last vertex keeps them sorted and the same holds.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Optional
 
 from .canonical import canonical_colored_graph, canonical_form, canonical_graph
 from .catalogs import load_catalog
-from .embed import Pattern, PatternList, find_first_embedding
-from .graphs import ColoredGraph, Graph
+from .embed import Pattern, PatternList, _first_embedding, find_first_embedding
+from .graphs import ColoredGraph, Graph, _unchecked_graph
 from .enumeration import EnumerationConfig, all_colored_graphs, all_graphs, check_range
 from .limits import DEFAULT_LIMITS, Limits
 from .records import frozen
+from .switching import _switched_rows
 
 __all__ = [
     "FisResult",
@@ -50,6 +81,10 @@ __all__ = [
     "find_minimal_obstructions",
     "find_minimal_colored_obstructions",
 ]
+
+
+# the catalogs that are unions of Seidel switching classes
+_SWITCHING_CLOSED = ("switch_threshold", "switch_cograph")
 
 
 @frozen
@@ -67,6 +102,40 @@ def _scan(host: Graph, patterns: PatternList,
     return FisResult(False, *hit)
 
 
+def _descendants(family: str) -> tuple[PatternList, bool]:
+    """The descendants of a switching-closed catalog, and whether every
+    entry holds one. The descendants are each entry that has an isolated
+    vertex, less that vertex, in (n, name) order; entries are pairwise
+    non-isomorphic, so their descendants are too."""
+    pats = []
+    entries = load_catalog(family).entries
+    for e in entries:
+        g = e.graph
+        if 0 in g.rows:
+            pats.append((e.name, g.delete_vertex(g.rows.index(0)), None))
+    descendants = PatternList(sorted(pats, key=lambda p: (p[1].n, p[0])))
+    held = all(_first_embedding(e.graph, descendants.constants, None) is not None
+               for e in entries)
+    return descendants, held
+
+
+def _has_descendant(descendants: PatternList, held: bool, host: Graph) -> bool:
+    """Whether, for some v, the switch of host that isolates v induces a
+    descendant on the vertices above v; for v = 0 only when held. This is
+    the gate of a switching-closed scan list."""
+    n, rows, full = host.n, host.rows, host.full_mask
+    # the vertices above v must hold the smallest descendant
+    stop = n - descendants[0][1].n
+    for v in range(min(stop, 1) if held else stop):
+        shift = v + 1
+        suffix = _switched_rows([row >> shift for row in rows[shift:]], full >> shift,
+                                rows[v] >> shift)
+        if _first_embedding(_unchecked_graph(n - shift, suffix), descendants.constants,
+                            None) is not None:
+            return True
+    return False
+
+
 @lru_cache(maxsize=None)
 def _catalog_patterns(family: str) -> PatternList:
     """The scan list of a catalog: its entries and the color swap of each
@@ -79,7 +148,8 @@ def _catalog_patterns(family: str) -> PatternList:
     name and embedding alike, unchanged. validate_catalog rejects
     isomorphic entries, so a plain catalog keeps every entry; the colored
     catalog is swap-closed, so it keeps one pattern per entry class, some
-    under a :swapped name.
+    under a :swapped name. A switching-closed catalog's list carries the
+    descent as its gate.
     """
     pats = []
     for e in load_catalog(family).entries:
@@ -94,7 +164,10 @@ def _catalog_patterns(family: str) -> PatternList:
         else:
             pattern = (name, obj, None)
         kept.setdefault(canonical_form(obj), pattern)
-    return PatternList(kept.values())
+    gate = None
+    if family in _SWITCHING_CLOSED:
+        gate = partial(_has_descendant, *_descendants(family))
+    return PatternList(kept.values(), gate)
 
 
 def recognize_threshold_fis(g: Graph) -> FisResult:
@@ -136,7 +209,10 @@ def _find_minimal(member: Callable, n_max: int, limits: Limits,
             verdicts[g] = ok
             if ok or n == 1:
                 continue
-            for v in range(n):
+            # the last deletion is canonical as it stands
+            if not verdicts[g.delete_vertex(n - 1)]:
+                continue
+            for v in range(n - 1):
                 d = g.delete_vertex(v)
                 in_class = deletions.get(d)
                 if in_class is None:

@@ -32,6 +32,15 @@ def graphs(draw, min_n=1, max_n=7):
 
 
 @st.composite
+def gnp_graphs(draw, min_n=1, max_n=7):
+    """G(n, p): each pair an edge with probability p, for a drawn p."""
+    n = draw(st.integers(min_n, max_n))
+    p = draw(st.sampled_from((0.1, 0.3, 0.5, 0.7, 0.9)))
+    rnd = draw(st.randoms(use_true_random=False))
+    return Graph.from_edges(n, [(u, v) for v in range(n) for u in range(v) if rnd.random() < p])
+
+
+@st.composite
 def colored_graphs(draw, min_n=1, max_n=6, k=2):
     g = draw(graphs(min_n, max_n))
     colors = draw(st.tuples(*[st.integers(0, k - 1)] * g.n))

@@ -9,6 +9,7 @@ from threshkit.canonical import (
     canonical_form,
     canonical_graph,
 )
+from threshkit.enumeration import EnumerationConfig, all_colored_graphs, all_graphs
 from threshkit.graphs import ColoredGraph, Graph
 from threshkit.limits import CapacityError, Limits
 from threshkit.named import path_graph
@@ -64,6 +65,19 @@ def test_colored_form_allows_color_preserving_symmetry():
 def test_colored_canonical_graph_is_idempotent(cg):
     c = canonical_colored_graph(cg)
     assert canonical_colored_graph(c) == c
+
+
+def test_first_vertices_of_a_canonical_graph_are_canonical():
+    """Discovery looks up the last-vertex deletion without labeling it: the
+    minimal string starts with the string of the first n - 1 vertices."""
+    for n in range(2, 8):
+        for g in all_graphs(EnumerationConfig(n)):
+            d = g.delete_vertex(n - 1)
+            assert canonical_graph(d) == d, g
+    for n in range(2, 7):
+        for cg in all_colored_graphs(n):
+            d = cg.delete_vertex(n - 1)
+            assert canonical_colored_graph(d) == d, cg
 
 
 def test_capacity_bound_enforced():

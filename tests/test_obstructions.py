@@ -1,19 +1,30 @@
 """Forbidden-induced-subgraph recognizers and obstruction discovery."""
 
 from functools import lru_cache
+import random
 
 from hypothesis import given, settings
+import hypothesis.strategies as st
 import pytest
 
 import threshkit.canonical as canonical
+from threshkit import embed
 from threshkit.canonical import canonical_form
 from threshkit.catalogs import load_catalog
 from threshkit.embed import PatternList, find_first_embedding, find_induced_embedding
 from threshkit.classes import ROWS
 from threshkit.enumeration import EnumerationConfig, all_colored_graphs, all_graphs
 from threshkit.graph6 import encode_graph6, format_graph_line
-from threshkit.graphs import ColoredGraph, disjoint_union
-from threshkit.kthreshold import eliminate, general_dialect, is_good, is_k_threshold, is_special, is_threshold
+from threshkit.graphs import ColoredGraph, disjoint_union, join
+from threshkit.kthreshold import (
+    THRESHOLD,
+    eliminate,
+    general_dialect,
+    is_good,
+    is_k_threshold,
+    is_special,
+    is_threshold,
+)
 from threshkit.named import (
     bull,
     complete_graph,
@@ -26,6 +37,8 @@ from threshkit.named import (
 )
 from threshkit.obstructions import (
     _catalog_patterns,
+    _descendants,
+    _scan,
     find_minimal_colored_obstructions,
     find_minimal_obstructions,
     recognize_good_fis,
@@ -35,9 +48,15 @@ from threshkit.obstructions import (
     recognize_switch_threshold_fis,
     recognize_threshold_fis,
 )
-from threshkit.switching import switch_to_threshold, switching_class_graphs
+from threshkit.switching import switch, switch_to_threshold, switching_class, switching_class_graphs
 
-from strategies import colored_graphs
+from strategies import (
+    cographs_with_a_flip,
+    colored_graphs,
+    gnp_graphs,
+    random_member,
+    switched_threshold_graphs,
+)
 
 SWAP_SUFFIX = ":swapped"
 
@@ -360,4 +379,75 @@ def test_colored_discovery_labels_each_distinct_deletion_once(monkeypatch):
     labeled = len(calls)
     calls.clear()
     oracle_find_minimal(members.__contains__, 5, all_colored_graphs)
-    assert (labeled, len(calls)) == (191, 629)
+    assert (labeled, len(calls)) == (134, 629)
+
+
+SWITCHING_SCANS = (
+    ("switch_threshold", recognize_switch_threshold_fis),
+    ("switch_cograph", recognize_switch_cograph_fis),
+)
+
+
+@pytest.mark.parametrize("family", [family for family, _ in SWITCHING_SCANS])
+def test_switching_catalog_is_the_union_of_its_switching_classes(family):
+    """The precondition of the descent: the catalog is switching-closed."""
+    entries = load_catalog(family).entries
+    forms = {canonical_form(e.graph) for e in entries}
+    assert set().union(*(switching_class(e.graph) for e in entries)) == forms
+
+
+def test_descendants_are_the_isolated_vertex_entries_less_that_vertex():
+    p4 = canonical_form(path_graph(4))
+    bowtie = canonical_form(join(complete_graph(1), matching(2)))
+    c4_k1 = canonical_form(disjoint_union(cycle_graph(4), complete_graph(1)))
+    found = {}
+    for family, _ in SWITCHING_SCANS:
+        descendants, held = _descendants(family)
+        found[family] = [(name, canonical_form(h)) for name, h, _ in descendants], held
+    # 3K2 holds none of the three; every entry of the C5 class holds P4
+    assert found == {
+        "switch_threshold": ([("cogem", p4), ("c4-2k1", c4_k1), ("fig6-02", bowtie)], False),
+        "switch_cograph": ([("cogem", p4)], True),
+    }
+
+
+@lru_cache(maxsize=None)
+def plain_patterns(family):
+    """The scan list of a catalog without its gate."""
+    return PatternList(_catalog_patterns(family))
+
+
+def _scan_both(g):
+    """(descent result, plain scan result) for each switching family."""
+    return [(fis(g), _scan(g, plain_patterns(family))) for family, fis in SWITCHING_SCANS]
+
+
+def test_descent_equals_the_plain_scan_on_every_small_host():
+    for n in range(1, 9):
+        for g in all_graphs(EnumerationConfig(n)):
+            for descent, plain in _scan_both(g):
+                assert descent == plain, g
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(switched_threshold_graphs(9, 20), cographs_with_a_flip(9, 20), gnp_graphs(9, 20)))
+def test_descent_equals_the_plain_scan_on_larger_hosts(g):
+    for descent, plain in _scan_both(g):
+        assert descent == plain
+
+
+def test_descent_search_count_on_a_twelve_vertex_member(monkeypatch):
+    """A work-count gate: on this switch of a threshold graph the descent
+    makes 18 small searches, each of a 4- or 5-vertex descendant in the
+    vertices above one host vertex, and no scan; the plain scan makes 16
+    searches of the catalog's 5- and 6-vertex patterns in all 12 vertices,
+    each run to the end."""
+    g = random_member(random.Random(1), THRESHOLD, 12).graph
+    g = switch(g.relabel([5, 11, 0, 7, 2, 9, 4, 1, 10, 3, 8, 6]), 0b101100110010)
+    assert switch_to_threshold(g) is not None
+    _catalog_patterns("switch_threshold")
+    searched = []
+    search = embed._search
+    monkeypatch.setattr(embed, "_search", lambda *args: searched.append(1) or search(*args))
+    assert recognize_switch_threshold_fis(g).accepted
+    assert len(searched) == 18
