@@ -126,12 +126,16 @@ def cmd_obstructions(args, limits: Limits) -> int:
 def _parse_switch_set(text: str, n: int) -> int:
     if text.strip() in ("", "-"):
         return 0
-    mask = 0
+    mask, offset = 0, 0
     for token in text.split(","):
-        v = int(token)
+        try:
+            v = int(token)
+        except ValueError:
+            raise GraphParseError(f"switch vertex {token!r} is not an integer", offset) from None
         if not 0 <= v < n:
-            raise GraphParseError(f"switch vertex {v} outside 0..{n - 1}")
+            raise GraphParseError(f"switch vertex {v} outside 0..{n - 1}", offset)
         mask |= 1 << v
+        offset += len(token) + 1
     return mask
 
 

@@ -15,17 +15,31 @@ a twin class is an automorphism, so only the quotient graph on the classes
 is searched, and no group is listed element by element. The edge-subset
 baseline generator exists as the trivially correct oracle, raw_extensions
 keeps every subset, and the test suite cross-checks them.
+
+A finished level is kept packed, one integer per class: a 1 bit, then the
+graph6 body (the upper triangle column by column, pair (0, j) first in
+column j), then for a 2-colored class one bit per vertex, vertex 0 first.
+Every code of a level has the same length, so integer order is the order of
+the printed forms, and the leading 1 keeps the codes of different sizes
+apart. Generation packs each canonical graph as soon as it is labeled, so a
+level never exists as objects: all_graphs and all_colored_graphs return a
+re-iterable sequence that builds each Graph or ColoredGraph as it is read.
+A class costs 8 bytes, where a cached Graph took 220 to 405.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
+from bisect import bisect_left
+from collections.abc import Sequence
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .canonical import _check_size, _twin_masks, canonical_colored_graph, canonical_graph
 from .embed import _automorphisms
-from .graph6 import encode_graph6, format_graph_line
+from .graph6 import encode_graph6
 from .graphs import MAX_VERTICES, ColoredGraph, Graph, _unchecked_colored, _unchecked_graph, bits
 from .limits import DEFAULT_LIMITS, CapacityError, Limits
 from .records import frozen
@@ -168,32 +182,120 @@ def _extension_masks(h: Graph) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _representatives(n: int) -> tuple[Graph, ...]:
+def _reversed_bits(width: int) -> tuple[int, ...]:
+    """_reversed_bits(w)[m]: the w-bit number m read from its low end."""
+    return tuple(int(f"{m:0{width}b}"[::-1], 2) for m in range(1 << width))
+
+
+@lru_cache(maxsize=None)
+def _packing(n: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """For each column j of an n-vertex code: j, the mask of the vertices
+    below j, and the table that puts them in graph6 order."""
+    return tuple((j, (1 << j) - 1, _reversed_bits(j)) for j in range(1, n))
+
+
+def _code(g: Graph | ColoredGraph) -> int:
+    """The packed form of g, as in the module docstring; colors must be 0 or 1."""
+    if isinstance(g, ColoredGraph):
+        code = _code(g.graph)
+        for c in g.colors:
+            code = code << 1 | c
+        return code
+    code, rows = 1, g.rows
+    for j, below, reverse in _packing(g.n):
+        code = code << j | reverse[rows[j] & below]
+    return code
+
+
+@lru_cache(maxsize=None)
+def _columns(n: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """For each column j of an n-vertex code, last column first: its shift,
+    its mask, and what its bits add to the rows, row v in bits 64v..64v+63:
+    the column's vertices to row j, and j to each of their rows."""
+    out, shift = [], 0
+    for j in range(n - 1, 0, -1):
+        adds = []
+        for column in range(1 << j):
+            below = _reversed_bits(j)[column]
+            adds.append(sum(1 << (64 * u + j) for u in bits(below)) | below << (64 * j))
+        out.append((shift, (1 << j) - 1, tuple(adds)))
+        shift += j
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _colorings(n: int) -> tuple[tuple[int, ...], ...]:
+    """_colorings(n)[m]: the colors that m packs, vertex 0 in the top bit."""
+    return tuple(tuple(m >> v & 1 for v in reversed(range(n))) for m in range(1 << n))
+
+
+def _unpack(n: int, colored: bool, codes: Iterable[int]) -> Iterator:
+    """The graphs, or the 2-colored graphs, that n-vertex codes pack."""
+    columns, size, order = _columns(n), 8 * n, sys.byteorder
+    colorings, low = (_colorings(n), (1 << n) - 1) if colored else (None, 0)
+    for code in codes:
+        if colored:
+            colors = colorings[code & low]
+            code >>= n
+        lanes = 0
+        for shift, mask, adds in columns:
+            lanes += adds[code >> shift & mask]
+        g = _unchecked_graph(n, tuple(memoryview(lanes.to_bytes(size, order)).cast("Q")))
+        yield _unchecked_colored(g, colors) if colored else g
+
+
+class _Level(Sequence):
+    """The classes of one size as sorted codes; each item is built when it
+    is read, so two reads give equal but distinct objects."""
+
+    __slots__ = ("n", "colored", "codes")
+
+    def __init__(self, n: int, colored: bool, codes: list[int]) -> None:
+        self.n = n
+        self.colored = colored
+        # 8 bytes a class; a code fits up to 11 vertices, past any size
+        # generation can reach
+        self.codes = array("Q", codes)
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, i: int):
+        return next(_unpack(self.n, self.colored, (self.codes[i],)))
+
+    def __iter__(self):
+        return _unpack(self.n, self.colored, self.codes)
+
+    def position(self, code: int) -> int:
+        """The index of the class whose code this is."""
+        i = bisect_left(self.codes, code)
+        if i == len(self.codes) or self.codes[i] != code:
+            raise KeyError(f"no class on {self.n} vertices has code {code}")
+        return i
+
+
+@lru_cache(maxsize=None)
+def _representatives(n: int) -> _Level:
     if n == 1:
-        return (Graph(1, (0,)),)
-    # Canonical graphs are equal exactly when their rows are, so the dedup
-    # keys cost no memory of their own, and the forms exist only while the
-    # classes are sorted, after the dictionary is gone.
-    seen: dict[tuple[int, ...], Graph] = {}
-    for h in _representatives(n - 1):
-        for mask in _extension_masks(h):
-            canon = canonical_graph(_extend(h, mask), _LABELING)
-            seen.setdefault(canon.rows, canon)
-    graphs = list(seen.values())
-    del seen
-    graphs.sort(key=encode_graph6)
-    return tuple(graphs)
+        return _Level(1, False, [_code(Graph(1, (0,)))])
+    codes = {
+        _code(canonical_graph(_extend(h, mask), _LABELING))
+        for h in _representatives(n - 1)
+        for mask in _extension_masks(h)
+    }
+    return _Level(n, False, sorted(codes))
 
 
-def all_graphs(cfg: EnumerationConfig, limits: Limits = DEFAULT_LIMITS) -> tuple[Graph, ...]:
-    """Every isomorphism class on cfg.n vertices, canonical, sorted by form.
-    The 2-colored classes come from all_colored_graphs."""
+def all_graphs(cfg: EnumerationConfig, limits: Limits = DEFAULT_LIMITS) -> Sequence[Graph]:
+    """Every isomorphism class on cfg.n vertices, canonical, sorted by form,
+    as a re-iterable sequence that builds each graph as it is read. The
+    2-colored classes come from all_colored_graphs."""
     _check_bound(cfg.n, limits)
     return _representatives(cfg.n)
 
 
 @lru_cache(maxsize=None)
-def _colored_representatives(n: int) -> tuple[ColoredGraph, ...]:
+def _colored_representatives(n: int) -> _Level:
     # The 2-colored classes over one class g are the Aut(g)-orbits of its
     # colorings, so one white set per orbit labels each class exactly once.
     found = []
@@ -202,13 +304,14 @@ def _colored_representatives(n: int) -> tuple[ColoredGraph, ...]:
         for white in range(1 << n):
             if represents_orbit(white):
                 colors = tuple(white >> v & 1 for v in range(n))
-                found.append(canonical_colored_graph(_unchecked_colored(g, colors), _LABELING))
-    found.sort(key=format_graph_line)
-    return tuple(found)
+                found.append(_code(canonical_colored_graph(_unchecked_colored(g, colors), _LABELING)))
+    found.sort()
+    return _Level(n, True, found)
 
 
-def all_colored_graphs(n: int, limits: Limits = DEFAULT_LIMITS) -> tuple[ColoredGraph, ...]:
-    """Every 2-colored class, deduped color-preservingly."""
+def all_colored_graphs(n: int, limits: Limits = DEFAULT_LIMITS) -> Sequence[ColoredGraph]:
+    """Every 2-colored class, deduped color-preservingly, sorted by form, as
+    a re-iterable sequence like all_graphs."""
     _check_bound(n, limits)
     return _colored_representatives(n)
 

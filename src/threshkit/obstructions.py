@@ -43,17 +43,19 @@ discovery against a recognizer that does not read the catalog and
 comparing with the shipped catalog is the machine verification of the
 characterizations at small n.
 
-Discovery keys its verdicts by the canonical graph itself. A non-member is
-minimal when the canonical graph of each one-vertex deletion is a member.
-Distinct graphs on one level often share a labeled deletion (two colorings
-that differ only at the deleted vertex, say), so a memo of the level's
-deletions labels each distinct one once. The memo lasts one level, since a
-deletion on the next level has one more vertex and can never match. The
-deletion of the last vertex needs no labeling at all: the minimal string
-of a canonical graph on n vertices starts with the string of its first
-n - 1 vertices, which is therefore minimal too, so they induce a canonical
-graph. A colored canonical graph lists its colors sorted, so deleting its
-last vertex keeps them sorted and the same holds.
+Discovery keeps one verdict byte per class, by its position in the sorted
+level, and finds a canonical graph's position by its packed code. A
+non-member is minimal when the canonical graph of each one-vertex deletion
+is a member. Distinct graphs on one level often share a labeled deletion
+(two colorings that differ only at the deleted vertex, say), so a memo of
+the level's deletions, keyed by their codes, labels each distinct one once.
+The memo lasts one level, since a deletion on the next level has one more
+vertex and can never match. The deletion of the last vertex needs no
+labeling at all: the minimal string of a canonical graph on n vertices
+starts with the string of its first n - 1 vertices, which is therefore
+minimal too, so they induce a canonical graph. A colored canonical graph
+lists its colors sorted, so deleting its last vertex keeps them sorted and
+the same holds.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from .canonical import canonical_colored_graph, canonical_form, canonical_graph
 from .catalogs import load_catalog
 from .embed import Pattern, PatternList, _first_embedding, find_first_embedding
 from .graphs import ColoredGraph, Graph, _unchecked_graph
-from .enumeration import EnumerationConfig, all_colored_graphs, all_graphs, check_range
+from .enumeration import EnumerationConfig, _code, all_colored_graphs, all_graphs, check_range
 from .limits import DEFAULT_LIMITS, Limits
 from .records import frozen
 from .switching import _switched_rows
@@ -195,32 +197,41 @@ def recognize_partitioned_fis(cg: ColoredGraph) -> FisResult:
 
 
 def _find_minimal(member: Callable, n_max: int, limits: Limits,
-                  graphs_on: Callable, label: Callable) -> list:
-    """The discovery body; graphs_on(n) lists the canonical graphs on n
-    vertices, and label(g, limits) is the canonical graph of g."""
+                  levels: Callable, label: Callable) -> list:
+    """The discovery body; levels(n) is the sorted level of canonical graphs
+    on n vertices, and label(g, limits) is the canonical graph of g."""
     check_range("obstruction search", n_max, limits)
-    verdicts: dict = {}  # canonical graph -> membership
     out = []
+    below = verdicts_below = None
+
+    def member_below(g) -> int:
+        """The verdict on a canonical graph of the level below."""
+        return verdicts_below[below.position(_code(g))]
+
     for n in range(1, n_max + 1):
-        # labeled deletion -> membership of its class, for this level only
-        deletions: dict = {}
-        for g in graphs_on(n):
+        level = levels(n)
+        verdicts = bytearray()  # by position in the level
+        # labeled deletion's code -> membership of its class, for this level only
+        deletions: dict[int, int] = {}
+        for g in level:
             ok = bool(member(g))
-            verdicts[g] = ok
+            verdicts.append(ok)
             if ok or n == 1:
                 continue
             # the last deletion is canonical as it stands
-            if not verdicts[g.delete_vertex(n - 1)]:
+            if not member_below(g.delete_vertex(n - 1)):
                 continue
             for v in range(n - 1):
                 d = g.delete_vertex(v)
-                in_class = deletions.get(d)
+                key = _code(d)
+                in_class = deletions.get(key)
                 if in_class is None:
-                    in_class = deletions[d] = verdicts[label(d, limits)]
+                    in_class = deletions[key] = member_below(label(d, limits))
                 if not in_class:
                     break
             else:
                 out.append(g)
+        below, verdicts_below = level, verdicts
     return out
 
 

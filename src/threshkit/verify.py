@@ -41,7 +41,7 @@ from itertools import product
 from .canonical import _check_size, canonical_form
 from .catalogs import load_catalog, validate_catalog
 from .classes import BY_CATALOG, BY_NAME
-from .enumeration import EnumerationConfig, all_colored_graphs, all_graphs, check_range
+from .enumeration import EnumerationConfig, _code, all_colored_graphs, all_graphs, check_range
 from .graph6 import encode_graph6, format_graph_line
 from .graphs import ColoredGraph, Graph
 from .kthreshold import (
@@ -239,17 +239,17 @@ def _agreement(run: _Run, check, colored: bool = False, rediscover: bool = False
     """The body of the agreement suites: check(run, g) on every graph, or
     every 2-colored graph, up to n_max, returning the production verdict;
     with rediscover, discovery on those verdicts for the suite's class."""
-    limits, members = run.limits, set()
+    limits, members = run.limits, set()  # the members' packed codes
     for n in range(1, run.n_max + 1):
         level = (all_colored_graphs(n, limits) if colored
                  else all_graphs(EnumerationConfig(n), limits))
-        for g in level:
+        for code, g in zip(level.codes, level):
             run.bump("graphs.checked")
             if check(run, g) and rediscover:
-                members.add(g)
+                members.add(code)
     if rediscover:
         find = find_minimal_colored_obstructions if colored else find_minimal_obstructions
-        _rediscover(run, run.suite, find(members.__contains__, run.n_max, limits))
+        _rediscover(run, run.suite, find(lambda g: _code(g) in members, run.n_max, limits))
 
 
 def _check_thresholds(run: _Run, g: Graph) -> bool:

@@ -341,6 +341,16 @@ def test_switch_rejects_out_of_range_vertex(tmp_path, capsys):
     assert cli.main(["switch", "--set", "7", "--input", path]) == cli.USAGE
 
 
+@pytest.mark.parametrize("given, message", [
+    ("0,,1", "error: switch vertex '' is not an integer (offset 2)\n"),
+    ("x", "error: switch vertex 'x' is not an integer (offset 0)\n"),
+])
+def test_switch_rejects_a_token_that_is_not_a_vertex(tmp_path, capsys, given, message):
+    path = _input_file(tmp_path, encode_graph6(cycle_graph(4)))
+    assert cli.main(["switch", "--set", given, "--input", path]) == cli.USAGE
+    assert capsys.readouterr().err == message
+
+
 def test_switch_search_finds_certificate(tmp_path, capsys):
     path = _input_file(tmp_path, encode_graph6(cycle_graph(4)))
     assert cli.main(["switch", "--set", "search", "--input", path]) == cli.OK

@@ -2,10 +2,13 @@
 unpruned extension products."""
 
 import hashlib
+import tracemalloc
 from itertools import product
 from math import factorial, prod
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import threshkit.canonical as canonical
 import threshkit.enumeration as enumeration
@@ -21,11 +24,11 @@ from threshkit.enumeration import (
     baseline_graphs,
     raw_extensions,
 )
-from threshkit.graph6 import encode_graph6
+from threshkit.graph6 import encode_graph6, format_graph_line
 from threshkit.graphs import ColoredGraph
 from threshkit.limits import CapacityError, Limits
 
-from strategies import graph_from_mask
+from strategies import colored_graphs, graph_from_mask
 
 
 def test_config_validation():
@@ -72,8 +75,58 @@ def test_raw_extensions_cover_everything():
 
 
 def test_enumeration_bound_enforced():
+    # at the call, before any graph is read
     with pytest.raises(CapacityError):
         all_graphs(EnumerationConfig(9), Limits(enumeration_max_n=8))
+
+
+def _levels():
+    """Every plain level with n <= 7 and every colored level with n <= 6."""
+    return ([all_graphs(EnumerationConfig(n)) for n in range(1, 8)]
+            + [all_colored_graphs(n) for n in range(1, 7)])
+
+
+def test_cold_levels_keep_at_most_64_bytes_per_class():
+    _levels()  # fills the packing tables, which do not grow with a level
+    enumeration._representatives.cache_clear()
+    enumeration._colored_representatives.cache_clear()
+    tracemalloc.start()
+    try:
+        levels = _levels()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    classes = sum(map(len, levels))
+    assert classes == 1252 + 5758
+    assert kept <= 64 * classes
+
+
+def test_a_level_reads_alike_every_time():
+    for level in _levels():
+        first = list(level)
+        assert list(level) == first
+        assert len(level) == len(first)
+        assert [level[i] for i in range(len(level))] == first
+        assert level[-1] == first[-1]
+
+
+def test_codes_sort_as_forms():
+    for level in [*_levels(), all_graphs(EnumerationConfig(8))]:
+        forms = [format_graph_line(g) for g in level]
+        assert forms == sorted(set(forms))
+        assert list(level.codes) == sorted(set(level.codes))
+        assert [level.position(enumeration._code(g)) for g in level] == list(range(len(level)))
+
+
+@given(colored_graphs(max_n=9), st.data())
+def test_packing_round_trips_and_keeps_form_order(cg, data):
+    n = cg.n
+    assert list(enumeration._unpack(n, True, [enumeration._code(cg)])) == [cg]
+    assert list(enumeration._unpack(n, False, [enumeration._code(cg.graph)])) == [cg.graph]
+    other = data.draw(colored_graphs(min_n=n, max_n=n))
+    for a, b in ((cg.graph, other.graph), (cg, other)):
+        assert ((enumeration._code(a) < enumeration._code(b))
+                == (format_graph_line(a) < format_graph_line(b)))
 
 
 def _sorted_by_form(graphs, form):
@@ -86,7 +139,7 @@ def _sorted_by_form(graphs, form):
 @pytest.mark.parametrize("n", range(1, 8))
 def test_pruned_extensions_equal_the_unpruned_dedup(n):
     unpruned = _sorted_by_form((canonical_graph(g) for g in raw_extensions(n)), canonical_form)
-    assert all_graphs(EnumerationConfig(n)) == unpruned
+    assert tuple(all_graphs(EnumerationConfig(n))) == unpruned
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -96,7 +149,7 @@ def test_pruned_colorings_equal_the_unpruned_product(n):
         for g in all_graphs(EnumerationConfig(n))
         for colors in product((0, 1), repeat=n)
     )
-    assert all_colored_graphs(n) == _sorted_by_form(every, canonical_form)
+    assert tuple(all_colored_graphs(n)) == _sorted_by_form(every, canonical_form)
 
 
 def test_cold_enumeration_labels_a_pinned_number_of_graphs(monkeypatch):
