@@ -24,12 +24,9 @@ alone: a PatternList computes it once, and find_first_embedding takes
 nothing else. The scan lists of the recognizers in obstructions are
 PatternLists built once per process from the shipped catalogs; the two
 switching-closed ones carry a gate, the descent of obstructions, that
-decides whether any of their patterns embeds before the scan.
-find_induced_embedding searches its one pattern without the
-symmetry-breaking conditions below: finding them costs a search of their
-own, and no later search would reuse them. A pattern with a vertex whose
-starting candidate mask is empty cannot embed and is skipped without a
-search.
+decides whether any of their patterns embeds before the scan. A pattern
+with a vertex whose starting candidate mask is empty cannot embed and is
+skipped without a search.
 
 On a host the pattern does not embed in, the search runs to the end, and a
 symmetric pattern would reach each partial embedding once per automorphism
@@ -55,7 +52,7 @@ from typing import Callable, Optional, Sequence
 
 from .graphs import Graph
 
-__all__ = ["PatternList", "find_first_embedding", "find_induced_embedding"]
+__all__ = ["PatternList", "find_first_embedding"]
 
 # (name, pattern graph, pattern colors or None)
 Pattern = tuple[Optional[str], Graph, Optional[tuple[int, ...]]]
@@ -222,19 +219,3 @@ def _search(
             mask &= ~((2 << mapping[i]) - 1)
         left[depth] = mask
     return None
-
-
-def find_induced_embedding(
-    host: Graph,
-    pattern: Graph,
-    host_coloring: tuple[int, ...] | None = None,
-    pattern_coloring: tuple[int, ...] | None = None,
-) -> tuple[int, ...] | None:
-    """First injective map (in lexicographic order) realizing pattern as an
-    induced subgraph of host; None if there is none.
-
-    With both colorings supplied the embedding must preserve colors exactly.
-    """
-    constants = _pattern_constants(None, pattern, pattern_coloring, (-1,) * pattern.n)
-    hit = _first_embedding(host, (constants,), host_coloring)
-    return None if hit is None else hit[1]

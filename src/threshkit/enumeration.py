@@ -12,9 +12,9 @@ classes with 2 to 7 vertices). The 2-colored classes over a class g are
 the Aut(g)-orbits of its colorings, so one coloring per orbit labels each
 exactly once. The groups come from the twin quotient: a permutation within
 a twin class is an automorphism, so only the quotient graph on the classes
-is searched, and no group is listed element by element. The edge-subset
-baseline generator exists as the trivially correct oracle, raw_extensions
-keeps every subset, and the test suite cross-checks them.
+is searched, and no group is listed element by element. The test suite
+cross-checks the generator against an edge-subset baseline and against
+the extensions of each level before dedup.
 
 A finished level is kept packed, one integer per class: a 1 bit, then the
 graph6 body (the upper triangle column by column, pair (0, j) first in
@@ -34,12 +34,10 @@ from array import array
 from bisect import bisect_left
 from collections.abc import Sequence
 from functools import lru_cache
-from itertools import combinations, product
 from typing import Callable, Iterable, Iterator
 
 from .canonical import _check_size, _twin_masks, canonical_colored_graph, canonical_graph
 from .embed import _automorphisms
-from .graph6 import encode_graph6
 from .graphs import MAX_VERTICES, ColoredGraph, Graph, _unchecked_colored, _unchecked_graph, bits
 from .limits import DEFAULT_LIMITS, CapacityError, Limits
 from .records import frozen
@@ -49,8 +47,6 @@ __all__ = [
     "all_graphs",
     "all_colored_graphs",
     "check_range",
-    "baseline_graphs",
-    "raw_extensions",
 ]
 
 
@@ -314,31 +310,3 @@ def all_colored_graphs(n: int, limits: Limits = DEFAULT_LIMITS) -> Sequence[Colo
     a re-iterable sequence like all_graphs."""
     _check_bound(n, limits)
     return _colored_representatives(n)
-
-
-def baseline_graphs(n: int, limits: Limits = DEFAULT_LIMITS) -> tuple[Graph, ...]:
-    """Oracle generator: all edge subsets, deduped by canonical form."""
-    _check_bound(n, limits)
-    pairs = list(combinations(range(n), 2))
-    seen: dict[str, Graph] = {}
-    for picks in product((0, 1), repeat=len(pairs)):
-        g = Graph.from_edges(n, [e for e, take in zip(pairs, picks) if take])
-        canon = canonical_graph(g, limits)
-        seen.setdefault(encode_graph6(canon), canon)
-    return tuple(seen[form] for form in sorted(seen))
-
-
-def raw_extensions(n: int, limits: Limits = DEFAULT_LIMITS) -> list[Graph]:
-    """All extensions of the canonical (n-1)-level, before canonical dedup.
-
-    Hits every isomorphism class on n vertices at least once, usually many
-    times; useful when coverage matters but canonical dedup does not.
-    """
-    _check_bound(n, limits)
-    if n == 1:
-        return [Graph(1, (0,))]
-    out = []
-    for h in _representatives(n - 1):
-        for mask in range(1 << h.n):
-            out.append(_extend(h, mask))
-    return out

@@ -16,7 +16,7 @@ class Limits:
     """Bounds for the exhaustive parts of the toolkit.
 
     The caller passes them in; a library call never reads the environment.
-    The CLI and the scripts build theirs with from_env().
+    The CLI builds its own with from_env().
 
     canonical_max_n: largest graph the canonical-form search will accept
     coloring_budget: maximum number of colorings or switch sets an

@@ -23,7 +23,6 @@ __all__ = [
     "BuildSequence",
     "evaluate",
     "format_sequence",
-    "parse_sequence",
 ]
 
 BLACK = 0
@@ -127,51 +126,3 @@ def format_sequence(seq: BuildSequence) -> str:
     for step in seq.steps[1:]:
         lines.append(f"{_op_token(step.op, seq.k)} {_color_token(step.color, seq.k)}")
     return "\n".join(lines)
-
-
-def _parse_color(token: str) -> int:
-    if token == "b":
-        return BLACK
-    if token == "w":
-        return WHITE
-    if token.isdigit():
-        return int(token)
-    raise ValueError(f"bad color token {token!r}")
-
-
-def parse_sequence(text: str, k: int | None = None) -> BuildSequence:
-    """Inverse of format_sequence; k is inferred when not given."""
-    steps: list[Step] = []
-    max_color = 0
-    for i, line in enumerate(s for s in text.splitlines() if s.strip()):
-        tokens = line.split()
-        if len(tokens) != 2:
-            raise ValueError(f"expected two tokens on line {i + 1}: {line!r}")
-        name, color_tok = tokens
-        color = _parse_color(color_tok)
-        max_color = max(max_color, color)
-        if i == 0:
-            if name != "seed":
-                raise ValueError("sequence must start with a seed step")
-            steps.append(Step(color, ADD))
-            continue
-        if name == "seed":
-            raise ValueError("seed after the first step")
-        if name == "add":
-            op = ADD
-        elif name == "joinall":
-            op = JOIN_ALL
-        elif name == "joinb":
-            op = join_color(BLACK)
-        elif name == "joinw":
-            op = join_color(WHITE)
-        elif name.startswith("join") and name[4:].isdigit():
-            op = join_color(int(name[4:]))
-        else:
-            raise ValueError(f"unknown operator {name!r}")
-        if op.kind == "join_color":
-            max_color = max(max_color, op.color)
-        steps.append(Step(color, op))
-    if not steps:
-        raise ValueError("empty sequence text")
-    return BuildSequence(k if k is not None else max_color + 1, tuple(steps))

@@ -3,11 +3,10 @@
 The brute-force oracle tries every switch set without vertex 0 in
 ascending order. brute_switch_scan runs it for a chain of nested classes
 in one pass, one switch per set, offering each switch to a predicate
-only when every wider one accepted it; brute_switch_search is its
-one-predicate case. switch_to_threshold and has_cograph_switch return the
-oracle's certificate without walking every set: the first from n + 2
-candidate sets, the second depth first, dropping partial sets that
-already induce a P4.
+only when every wider one accepted it. switch_to_threshold and
+has_cograph_switch return the oracle's certificate without walking every
+set: the first from n + 2 candidate sets, the second depth first, dropping
+partial sets that already induce a P4.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ __all__ = [
     "switching_class",
     "switching_class_graphs",
     "SwitchCertificate",
-    "brute_switch_search",
     "brute_switch_scan",
     "switch_to_threshold",
     "is_cograph",
@@ -61,24 +59,19 @@ class SwitchCertificate:
     target: Graph
 
 
-def brute_switch_search(
-    g: Graph, accept: Callable[[Graph], bool], limits: Limits = DEFAULT_LIMITS
-) -> SwitchCertificate | None:
-    """Oracle: first switch set (ascending masks, vertex 0 excluded) whose switch is accepted."""
-    return brute_switch_scan(g, (accept,), limits)[0]
-
-
 def brute_switch_scan(
     g: Graph, accepts: Sequence[Callable[[Graph], bool]], limits: Limits = DEFAULT_LIMITS
 ) -> tuple[SwitchCertificate | None, ...]:
-    """brute_switch_search for a chain of nested classes in one pass: each
-    predicate's first accepted switch, from one switch per set.
+    """Oracle: for each predicate of a chain of nested classes, the first
+    switch set (ascending masks, vertex 0 excluded) whose switch it
+    accepts, from one switch per set.
 
     Order matters: accepts runs from the widest class to the narrowest,
     each predicate implying the one before it, and a switch is offered to
     a predicate only when every earlier one accepted it. The sets are
     tried in ascending order until the last predicate has its hit, so for
-    such a chain each predicate finds exactly what its own search would.
+    such a chain each predicate finds exactly what a scan with it alone
+    would.
     """
     _check_switch_budget(g.n, limits)
     hits: list[SwitchCertificate | None] = [None] * len(accepts)
@@ -118,7 +111,7 @@ def _threshold_switch_sets(g: Graph) -> list[int]:
 def switch_to_threshold(g: Graph) -> SwitchCertificate | None:
     """First switch set (ascending masks, vertex 0 excluded) giving a threshold graph.
 
-    Same result as brute_switch_search with is_threshold, from at most n + 2
+    Same result as brute_switch_scan with is_threshold, from at most n + 2
     switches instead of 2^(n-1). The search is polynomial, so no limit
     applies.
     """
@@ -225,7 +218,7 @@ def _least_cograph_switch(g: Graph) -> int | None:
 
 def has_cograph_switch(g: Graph, limits: Limits = DEFAULT_LIMITS) -> SwitchCertificate | None:
     """First switch of g that is a cograph, if any: the certificate
-    brute_switch_search with is_cograph finds.
+    brute_switch_scan with is_cograph finds.
 
     Non-members are rejected in polynomial time. A member's certificate
     comes from the depth-first search of _least_cograph_switch, guarded

@@ -47,7 +47,6 @@ from .graphs import ColoredGraph, Graph
 from .kthreshold import (
     SPECIAL,
     brute_coloring_search,
-    elimination_picks,
     is_good,
     is_restricted,
     is_special,
@@ -291,14 +290,11 @@ def _check_partitioned(run: _Run, cg: ColoredGraph) -> bool:
     return ok
 
 
-def _threshold_kernel(h: Graph) -> bool:
-    return elimination_picks(h.rows, h.full_mask, (0, h.full_mask)) is not None
-
-
 def _check_switching(run: _Run, g: Graph) -> bool:
     """Brute and fast switch search vs restricted elimination vs FIS, and the
     cograph analog, from one brute-force scan for both switch classes."""
-    cograph_oracle, oracle = brute_switch_scan(g, (is_cograph, _threshold_kernel), run.limits)
+    cograph_oracle, oracle = brute_switch_scan(g, (is_cograph, BY_NAME["threshold"].member),
+                                               run.limits)
     fast = switch_to_threshold(g)
     _agree(run, "switch_threshold", g, {
         "brute": oracle is not None,

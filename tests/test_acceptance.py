@@ -8,11 +8,12 @@ default bounds, once per session (the default_run fixture).
 import random
 import time
 
+from oracles import raw_extensions
 from strategies import cutrank_profile, distance_hereditary_oracle
 
 from threshkit.canonical import canonical_form
 from threshkit.catalogs import Catalog, CatalogEntry, validate_catalog
-from threshkit.enumeration import EnumerationConfig, all_graphs, raw_extensions
+from threshkit.enumeration import EnumerationConfig, all_graphs
 from threshkit.graph6 import decode_graph6, encode_graph6
 from threshkit.graphs import Graph, is_distance_hereditary
 from threshkit.kthreshold import (

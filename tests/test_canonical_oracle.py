@@ -13,11 +13,12 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from threshkit.canonical import canonical_colored_graph, canonical_graph
-from threshkit.enumeration import EnumerationConfig, all_graphs, raw_extensions
+from threshkit.enumeration import EnumerationConfig, all_graphs
 from threshkit.graphs import ColoredGraph, Graph
 from threshkit.limits import Limits
 from threshkit.named import cycle_graph, matching
 
+from oracles import raw_extensions
 from strategies import graphs
 
 

@@ -15,7 +15,7 @@ import pytest
 
 from threshkit import embed
 from threshkit.classes import BY_CATALOG, ROWS
-from threshkit.embed import PatternList, find_first_embedding, find_induced_embedding
+from threshkit.embed import PatternList, find_first_embedding
 from threshkit.enumeration import EnumerationConfig, all_colored_graphs, all_graphs
 from threshkit.graphs import ColoredGraph, Graph
 from threshkit.kthreshold import GENERAL2, THRESHOLD
@@ -31,7 +31,7 @@ from strategies import (
 )
 
 
-def oracle_find_induced_embedding(host, pattern, host_coloring=None, pattern_coloring=None):
+def oracle_embedding(host, pattern, host_coloring=None, pattern_coloring=None):
     """The earlier search: at each depth, test every host vertex in turn for
     being unused, of large enough degree, of the right color, and adjacent
     to exactly the images of the earlier pattern neighbours."""
@@ -86,13 +86,28 @@ def oracle_find_induced_embedding(host, pattern, host_coloring=None, pattern_col
         used ^= 1 << mapping[depth]
 
 
-def _catalog_graphs():
-    """Every catalog pattern, uncolored."""
-    return [e.graph for family in BY_CATALOG for e in load_catalog(family).entries]
+def single(pattern, colors=None):
+    """The scan list of one pattern, colored when colors are given."""
+    return PatternList([(None, pattern, colors)])
 
 
-def _colored_catalog_graphs():
-    return [e.obstruction for e in load_catalog("partitioned2t").entries]
+def embedding(host, patterns, host_coloring=None):
+    """The first embedding of a one-pattern list in host, or None."""
+    hit = find_first_embedding(host, patterns, host_coloring)
+    return None if hit is None else hit[1]
+
+
+def oracle_colored(host, pattern):
+    """oracle_embedding of one colored graph in another."""
+    return oracle_embedding(host.graph, pattern.graph, host.colors, pattern.colors)
+
+
+# every catalog pattern, uncolored, and the colored ones, each with its
+# one-pattern list, built once per pattern
+CATALOG = [(e.graph, single(e.graph))
+           for family in BY_CATALOG for e in load_catalog(family).entries]
+COLORED_CATALOG = [(e.obstruction, single(e.graph, e.coloring))
+                   for e in load_catalog("partitioned2t").entries]
 
 
 def brute_embedding_exists(host, pattern):
@@ -118,74 +133,68 @@ def embedding_is_induced(host, pattern, embedding):
 
 
 def test_known_embeddings():
-    assert find_induced_embedding(cycle_graph(5), path_graph(4)) is not None
-    assert find_induced_embedding(complete_graph(4), path_graph(3)) is None
-    assert find_induced_embedding(path_graph(4), path_graph(4)) is not None
-    assert find_induced_embedding(path_graph(3), path_graph(4)) is None
-    assert find_induced_embedding(complete_graph(5), complete_graph(3)) is not None
-    assert find_induced_embedding(complete_graph(5), empty_graph(2)) is None
+    p3, p4 = single(path_graph(3)), single(path_graph(4))
+    assert embedding(cycle_graph(5), p4) is not None
+    assert embedding(complete_graph(4), p3) is None
+    assert embedding(path_graph(4), p4) is not None
+    assert embedding(path_graph(3), p4) is None
+    assert embedding(complete_graph(5), single(complete_graph(3))) is not None
+    assert embedding(complete_graph(5), single(empty_graph(2))) is None
 
 
 @settings(max_examples=150)
 @given(graphs(max_n=6), graphs(max_n=4))
 def test_matches_brute_force_and_is_induced(host, pattern):
-    embedding = find_induced_embedding(host, pattern)
-    assert (embedding is not None) == brute_embedding_exists(host, pattern)
-    if embedding is not None:
-        assert embedding_is_induced(host, pattern, embedding)
+    found = embedding(host, single(pattern))
+    assert (found is not None) == brute_embedding_exists(host, pattern)
+    if found is not None:
+        assert embedding_is_induced(host, pattern, found)
 
 
 @settings(max_examples=100)
 @given(colored_graphs(max_n=6), colored_graphs(max_n=3))
 def test_colored_embedding_respects_colors(host, pattern):
-    embedding = find_induced_embedding(host.graph, pattern.graph, host.colors, pattern.colors)
-    if embedding is not None:
-        assert embedding_is_induced(host.graph, pattern.graph, embedding)
-        for i, v in enumerate(embedding):
+    found = embedding(host.graph, single(pattern.graph, pattern.colors), host.colors)
+    if found is not None:
+        assert embedding_is_induced(host.graph, pattern.graph, found)
+        for i, v in enumerate(found):
             assert host.colors[v] == pattern.colors[i]
 
 
 def test_colored_embedding_blocks_on_color():
-    host = ColoredGraph(path_graph(3), (0, 0, 0))
-    pattern = ColoredGraph(path_graph(2), (0, 1))
-    assert find_induced_embedding(host.graph, pattern.graph, host.colors, pattern.colors) is None
-    recolored = ColoredGraph(path_graph(3), (0, 1, 0))
-    assert (
-        find_induced_embedding(recolored.graph, pattern.graph, recolored.colors, pattern.colors)
-        is not None
-    )
+    pattern = single(path_graph(2), (0, 1))
+    assert embedding(path_graph(3), pattern, (0, 0, 0)) is None
+    assert embedding(path_graph(3), pattern, (0, 1, 0)) is not None
 
 
 def test_equals_oracle_on_every_small_host():
-    patterns = _catalog_graphs()
-    patterns += [g for n in range(1, 5) for g in all_graphs(EnumerationConfig(n))]
+    cases = CATALOG + [(g, single(g)) for n in range(1, 5)
+                       for g in all_graphs(EnumerationConfig(n))]
     for n in range(1, 7):
         for host in all_graphs(EnumerationConfig(n)):
-            for pattern in patterns:
-                assert find_induced_embedding(host, pattern) == oracle_find_induced_embedding(
-                    host, pattern
-                )
+            for pattern, patterns in cases:
+                assert embedding(host, patterns) == oracle_embedding(host, pattern)
 
 
 def test_colored_equals_oracle_on_every_small_host():
-    patterns = _colored_catalog_graphs()
-    patterns += [cg for n in range(1, 4) for cg in all_colored_graphs(n)]
+    cases = COLORED_CATALOG + [(cg, single(cg.graph, cg.colors))
+                               for n in range(1, 4) for cg in all_colored_graphs(n)]
     for n in range(1, 6):
         for host in all_colored_graphs(n):
-            for pattern in patterns:
-                args = (host.graph, pattern.graph, host.colors, pattern.colors)
-                assert find_induced_embedding(*args) == oracle_find_induced_embedding(*args)
+            for pattern, patterns in cases:
+                assert embedding(host.graph, patterns, host.colors) == oracle_colored(host, pattern)
 
 
 @settings(max_examples=60, deadline=None)
 @given(graphs(min_n=8, max_n=14), graphs(max_n=6), st.randoms(use_true_random=False))
 def test_equals_oracle_on_larger_hosts(host, drawn, rnd):
-    for pattern in _catalog_graphs() + [drawn]:
-        assert find_induced_embedding(host, pattern) == oracle_find_induced_embedding(host, pattern)
+    for pattern, patterns in CATALOG + [(drawn, single(drawn))]:
+        assert embedding(host, patterns) == oracle_embedding(host, pattern)
     host_colors = tuple(rnd.randrange(2) for _ in range(host.n))
-    for pattern in _colored_catalog_graphs() + [ColoredGraph(drawn, (0,) * drawn.n)]:
-        args = (host, pattern.graph, host_colors, pattern.colors)
-        assert find_induced_embedding(*args) == oracle_find_induced_embedding(*args)
+    plain = ColoredGraph(drawn, (0,) * drawn.n)
+    for pattern, patterns in COLORED_CATALOG + [(plain, single(drawn, plain.colors))]:
+        assert embedding(host, patterns, host_colors) == oracle_embedding(
+            host, pattern.graph, host_colors, pattern.colors)
 
 
 # the pattern lists of the five uncolored FIS scans
@@ -197,9 +206,10 @@ def oracle_first_embedding(host, patterns, host_coloring=None):
     """The scan as a loop of single-pattern searches, each building its own
     host tables and searching whatever the candidate masks hold."""
     for name, pattern, colors in patterns:
-        embedding = find_induced_embedding(host, pattern, host_coloring, colors)
-        if embedding is not None:
-            return name, embedding
+        constants = embed._pattern_constants(name, pattern, colors, (-1,) * pattern.n)
+        hit = embed._first_embedding(host, (constants,), host_coloring)
+        if hit is not None:
+            return hit
     return None
 
 
@@ -253,8 +263,6 @@ def test_scan_requires_colorings_on_both_sides():
         find_first_embedding(path_graph(3), PatternList([("p2", path_graph(2), (0, 0))]))
     with pytest.raises(ValueError):
         find_first_embedding(path_graph(3), PatternList([("p2", path_graph(2), None)]), (0, 0, 0))
-    with pytest.raises(ValueError):
-        find_induced_embedding(path_graph(3), path_graph(2), (0, 0, 0))
 
 
 @st.composite
@@ -267,16 +275,16 @@ def same_size_pairs(draw, max_n=6, k=3):
 @settings(max_examples=200, deadline=None)
 @given(colored_graphs(max_n=7, k=3), colored_graphs(max_n=4, k=3))
 def test_three_colored_equals_oracle(host, pattern):
-    args = (host.graph, pattern.graph, host.colors, pattern.colors)
-    assert find_induced_embedding(*args) == oracle_find_induced_embedding(*args)
+    patterns = single(pattern.graph, pattern.colors)
+    assert embedding(host.graph, patterns, host.colors) == oracle_colored(host, pattern)
 
 
 @settings(max_examples=200, deadline=None)
 @given(same_size_pairs())
 def test_three_colored_equals_oracle_with_no_slack(pair):
     host, pattern = pair
-    args = (host.graph, pattern.graph, host.colors, pattern.colors)
-    assert find_induced_embedding(*args) == oracle_find_induced_embedding(*args)
+    patterns = single(pattern.graph, pattern.colors)
+    assert embedding(host.graph, patterns, host.colors) == oracle_colored(host, pattern)
 
 
 @settings(max_examples=60, deadline=None)
@@ -292,20 +300,19 @@ def test_three_colored_scan_equals_pattern_loop(host, drawn):
 def test_equals_oracle_on_every_same_size_host():
     for n in range(1, 6):
         level = all_graphs(EnumerationConfig(n))
+        cases = [(g, single(g)) for g in level]
         for host in level:
-            for pattern in level:
-                assert find_induced_embedding(host, pattern) == oracle_find_induced_embedding(
-                    host, pattern
-                )
+            for pattern, patterns in cases:
+                assert embedding(host, patterns) == oracle_embedding(host, pattern)
 
 
 def test_colored_equals_oracle_on_every_same_size_host():
     for n in range(1, 5):
         level = all_colored_graphs(n)
+        cases = [(cg, single(cg.graph, cg.colors)) for cg in level]
         for host in level:
-            for pattern in level:
-                args = (host.graph, pattern.graph, host.colors, pattern.colors)
-                assert find_induced_embedding(*args) == oracle_find_induced_embedding(*args)
+            for pattern, patterns in cases:
+                assert embedding(host.graph, patterns, host.colors) == oracle_colored(host, pattern)
 
 
 def test_scan_skips_patterns_by_counts_and_degree_window(monkeypatch):
@@ -497,14 +504,15 @@ def _counting_searches(monkeypatch):
 
 
 def test_one_pattern_search_makes_one_search_call(monkeypatch):
-    """A one-pattern search breaks no symmetry: finding the pattern's
-    automorphisms would cost a second search on every call, and no later
-    search reuses the conditions they give."""
+    """A one-pattern list searches a host once: the automorphisms behind
+    its symmetry-breaking conditions, found by searches of their own, come
+    with the list, so the list is built before counting."""
+    three_k2, two_k2 = single(matching(3)), single(matching(2))
     calls = _counting_searches(monkeypatch)
-    assert find_induced_embedding(path_graph(8), matching(3)) == (0, 1, 3, 4, 6, 7)
+    assert embedding(path_graph(8), three_k2) == (0, 1, 3, 4, 6, 7)
     assert len(calls) == 1
     calls.clear()
-    assert find_induced_embedding(cycle_graph(5), matching(2)) is None
+    assert embedding(cycle_graph(5), two_k2) is None
     assert len(calls) == 1
 
 
@@ -512,15 +520,13 @@ def test_one_pattern_search_equals_oracle_with_at_most_one_search_call(monkeypat
     calls = _counting_searches(monkeypatch)
     for n in range(1, 7):
         for host in all_graphs(EnumerationConfig(n)):
-            for pattern in _catalog_graphs():
+            for pattern, patterns in CATALOG:
                 calls.clear()
-                assert find_induced_embedding(host, pattern) == oracle_find_induced_embedding(
-                    host, pattern)
+                assert embedding(host, patterns) == oracle_embedding(host, pattern)
                 assert len(calls) <= 1
     for n in range(1, 6):
         for host in all_colored_graphs(n):
-            for pattern in _colored_catalog_graphs():
-                args = (host.graph, pattern.graph, host.colors, pattern.colors)
+            for pattern, patterns in COLORED_CATALOG:
                 calls.clear()
-                assert find_induced_embedding(*args) == oracle_find_induced_embedding(*args)
+                assert embedding(host.graph, patterns, host.colors) == oracle_colored(host, pattern)
                 assert len(calls) <= 1

@@ -21,13 +21,12 @@ from threshkit.enumeration import (
     EnumerationConfig,
     all_colored_graphs,
     all_graphs,
-    baseline_graphs,
-    raw_extensions,
 )
 from threshkit.graph6 import encode_graph6, format_graph_line
 from threshkit.graphs import ColoredGraph
 from threshkit.limits import CapacityError, Limits
 
+from oracles import baseline_graphs, raw_extensions
 from strategies import colored_graphs, graph_from_mask
 
 

@@ -11,7 +11,7 @@ import threshkit.canonical as canonical
 from threshkit import embed
 from threshkit.canonical import canonical_form
 from threshkit.catalogs import load_catalog
-from threshkit.embed import PatternList, find_first_embedding, find_induced_embedding
+from threshkit.embed import PatternList, find_first_embedding
 from threshkit.classes import ROWS
 from threshkit.enumeration import EnumerationConfig, all_colored_graphs, all_graphs
 from threshkit.graph6 import encode_graph6, format_graph_line
@@ -258,12 +258,9 @@ def test_colored_discovery_matches_catalog_at_small_n():
 
 def test_embed_helpers_agree_with_recognizers():
     host = disjoint_union(matching(2), complete_graph(1))
-    assert find_induced_embedding(host, matching(2)) is not None
-    colored_host = ColoredGraph(host, (0, 0, 0, 0, 1))
-    pattern = ColoredGraph(matching(2), (0, 0, 0, 0))
-    assert find_induced_embedding(
-        colored_host.graph, pattern.graph, colored_host.colors, pattern.colors
-    )
+    assert find_first_embedding(host, PatternList([(None, matching(2), None)])) is not None
+    colored = PatternList([(None, matching(2), (0, 0, 0, 0))])
+    assert find_first_embedding(host, colored, (0, 0, 0, 0, 1)) is not None
 
 
 @lru_cache(maxsize=1)

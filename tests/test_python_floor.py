@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-SOURCES = sorted(path for top in ("src", "tests", "scripts") for path in (ROOT / top).rglob("*.py"))
+SOURCES = sorted(path for top in ("src", "tests") for path in (ROOT / top).rglob("*.py"))
 
 
 def _floor() -> tuple[int, int]:

@@ -28,7 +28,7 @@ from threshkit.kthreshold import (
 from threshkit.limits import DEFAULT_LIMITS, Limits
 from threshkit.sequences import ADD, JOIN_ALL, BuildSequence, Step, evaluate
 from threshkit.switching import (
-    brute_switch_search,
+    brute_switch_scan,
     has_cograph_switch,
     is_cograph,
     is_switch_cograph,
@@ -51,11 +51,11 @@ SEARCHES = {
     ),
     "switch_to_threshold": (
         lambda g, lim: switch_to_threshold(g),
-        lambda g, lim: brute_switch_search(g, _threshold, lim),
+        lambda g, lim: brute_switch_scan(g, (_threshold,), lim)[0],
     ),
     "has_cograph_switch": (
         has_cograph_switch,
-        lambda g, lim: brute_switch_search(g, is_cograph, lim),
+        lambda g, lim: brute_switch_scan(g, (is_cograph,), lim)[0],
     ),
 }
 

@@ -15,7 +15,6 @@ from threshkit.sequences import (
     evaluate,
     format_sequence,
     join_color,
-    parse_sequence,
 )
 
 
@@ -78,18 +77,6 @@ def sequences(draw, max_k=3, max_len=8):
     return BuildSequence(k, tuple(steps))
 
 
-@given(sequences())
-def test_format_parse_roundtrip(seq):
-    text = format_sequence(seq)
-    assert parse_sequence(text, k=seq.k) == seq
-
-
-@given(sequences(max_k=2))
-def test_parse_infers_two_colors_from_tokens(seq):
-    back = parse_sequence(format_sequence(seq))
-    assert back.steps == seq.steps
-
-
 @given(sequences(), st.randoms())
 def test_order_is_a_relabeling(seq, rnd):
     order = list(range(seq.n))
@@ -100,19 +87,6 @@ def test_order_is_a_relabeling(seq, rnd):
     assert shuffled.graph.relabel(order) == plain.graph
     for j in range(seq.n):
         assert shuffled.colors[order[j]] == plain.colors[j]
-
-
-def test_parse_rejects_bad_text():
-    with pytest.raises(ValueError):
-        parse_sequence("")
-    with pytest.raises(ValueError):
-        parse_sequence("add b")  # must start with seed
-    with pytest.raises(ValueError):
-        parse_sequence("seed b\nseed w")
-    with pytest.raises(ValueError):
-        parse_sequence("seed b\nfrob w")
-    with pytest.raises(ValueError):
-        parse_sequence("seed q")
 
 
 def test_format_uses_letters_for_two_colors_digits_beyond():

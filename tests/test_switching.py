@@ -7,7 +7,7 @@ import hypothesis.strategies as st
 
 import threshkit.switching as switching
 from threshkit.canonical import canonical_form
-from threshkit.embed import find_induced_embedding
+from threshkit.embed import PatternList, find_first_embedding
 from threshkit.enumeration import EnumerationConfig, all_graphs
 from threshkit.kthreshold import is_threshold
 from threshkit.limits import CapacityError, Limits
@@ -24,7 +24,6 @@ from threshkit.obstructions import recognize_switch_cograph_fis
 from threshkit.switching import (
     SwitchCertificate,
     brute_switch_scan,
-    brute_switch_search,
     has_cograph_switch,
     is_cograph,
     is_switch_cograph,
@@ -135,16 +134,16 @@ def test_is_cograph_equals_oracle_on_larger_graphs(g):
 
 
 def test_is_cograph_matches_p4_free():
-    p4 = path_graph(4)
+    p4 = PatternList([(None, path_graph(4), None)])
     for n in range(1, 7):
         for g in all_graphs(EnumerationConfig(n)):
-            assert is_cograph(g) == (find_induced_embedding(g, p4) is None)
+            assert is_cograph(g) == (find_first_embedding(g, p4) is None)
 
 
 def test_cograph_switch_search_agrees_with_fis():
     for n in range(1, 7):
         for g in all_graphs(EnumerationConfig(n)):
-            brute = brute_switch_search(g, is_cograph) is not None
+            brute = brute_switch_scan(g, (is_cograph,))[0] is not None
             assert brute == is_switch_cograph(g) == recognize_switch_cograph_fis(g).accepted
 
 
@@ -160,14 +159,14 @@ def test_cograph_switch_certificates_verify():
 def test_search_budget_enforced():
     tight = Limits(coloring_budget=2)
     with pytest.raises(CapacityError):
-        brute_switch_search(matching(3), lambda h: is_threshold(h) is not None, tight)
+        brute_switch_scan(matching(3), (lambda h: is_threshold(h) is not None,), tight)
     # 3K2 is a cograph, so the certificate search runs and is guarded
     with pytest.raises(CapacityError):
         has_cograph_switch(matching(3), tight)
 
 
 def oracle_switch_search(g, accept):
-    """The earlier brute_switch_search loop: one switch per set, one predicate."""
+    """The earlier one-predicate brute search: one switch per set."""
     for s in range(0, 1 << g.n, 2):
         target = switch(g, s)
         if accept(target):
@@ -183,7 +182,7 @@ def test_switch_scan_equals_separate_searches_exhaustively():
         for g in all_graphs(EnumerationConfig(n)):
             assert brute_switch_scan(g, (is_cograph, _threshold)) == (
                 oracle_switch_search(g, is_cograph), oracle_switch_search(g, _threshold)), g
-            assert brute_switch_search(g, is_cograph) == oracle_switch_search(g, is_cograph), g
+            assert brute_switch_scan(g, (is_cograph,)) == (oracle_switch_search(g, is_cograph),), g
 
 
 @settings(max_examples=60, deadline=None)

@@ -215,7 +215,7 @@ def test_switching_suite_runs_the_kernel_on_p4_free_switches_only(monkeypatch):
             assert getattr(module, name) is fn
             monkeypatch.setattr(module, name, wrapper)
 
-    count("kernel", (kthreshold, switching, verify), "elimination_picks")
+    count("kernel", (kthreshold, switching, classes), "elimination_picks")
     count("cograph", (switching, verify), "is_cograph")
     assert run_suite("switching", 6).ok
     assert calls == {"kernel": 1688, "cograph": 2812}
