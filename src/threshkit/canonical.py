@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from .graph6 import encode_graph6, format_graph_line
 from .graphs import ColoredGraph, Graph, _unchecked_colored
-from .limits import DEFAULT_LIMITS, CapacityError, Limits
+from .limits import DEFAULT_LIMITS, Limits
 
 __all__ = [
     "canonical_graph",
@@ -109,13 +109,8 @@ def _min_order(n: int, rows: tuple[int, ...], colors: tuple[int, ...] | None) ->
     return states[()]
 
 
-def _check_size(n: int, limits: Limits) -> None:
-    if n > limits.canonical_max_n:
-        raise CapacityError(f"canonical form on {n} vertices exceeds bound {limits.canonical_max_n}")
-
-
 def canonical_graph(g: Graph, limits: Limits = DEFAULT_LIMITS) -> Graph:
-    _check_size(g.n, limits)
+    limits.require("canonical_max_n", g.n, f"canonical form on {g.n} vertices exceeds")
     return g.relabel(_min_order(g.n, g.rows, None))
 
 
@@ -128,7 +123,7 @@ def canonical_form(g: Graph | ColoredGraph, limits: Limits = DEFAULT_LIMITS) -> 
 
 
 def canonical_colored_graph(cg: ColoredGraph, limits: Limits = DEFAULT_LIMITS) -> ColoredGraph:
-    _check_size(cg.n, limits)
+    limits.require("canonical_max_n", cg.n, f"canonical form on {cg.n} vertices exceeds")
     order = _min_order(cg.n, cg.graph.rows, cg.colors)
     return _unchecked_colored(cg.graph.relabel(order), tuple(cg.colors[v] for v in order))
 

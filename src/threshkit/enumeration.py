@@ -36,10 +36,10 @@ from collections.abc import Sequence
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
-from .canonical import _check_size, _twin_masks, canonical_colored_graph, canonical_graph
+from .canonical import _twin_masks, canonical_colored_graph, canonical_graph
 from .embed import _automorphisms
 from .graphs import MAX_VERTICES, ColoredGraph, Graph, _unchecked_colored, _unchecked_graph, bits
-from .limits import DEFAULT_LIMITS, CapacityError, Limits
+from .limits import DEFAULT_LIMITS, Limits
 from .records import frozen
 
 __all__ = [
@@ -64,19 +64,15 @@ class EnumerationConfig:
 _LABELING = Limits(canonical_max_n=MAX_VERTICES)
 
 
-def _check_bound(n: int, limits: Limits) -> None:
-    """The enumeration bound, then the canonical bound of the labeling."""
-    if n > limits.enumeration_max_n:
-        raise CapacityError(f"enumeration at n={n} exceeds bound {limits.enumeration_max_n}")
-    _check_size(n, limits)
-
-
 def check_range(what: str, n_max: int, limits: Limits = DEFAULT_LIMITS) -> None:
     """Reject the sizes 1..n_max before any work: an empty range proves
-    nothing, and a size above a bound raises the generator's CapacityError."""
+    nothing, and a size above a bound raises CapacityError. The
+    generator builds level n_max from those below, so this is its check."""
     if n_max < 1:
         raise ValueError(f"{what} needs a bound of at least 1, got {n_max}")
-    _check_bound(min(n_max, limits.enumeration_max_n + 1), limits)
+    n = min(n_max, limits.enumeration_max_n + 1)
+    limits.require("enumeration_max_n", n, f"enumeration at n={n} exceeds")
+    limits.require("canonical_max_n", n, f"canonical form on {n} vertices exceeds")
 
 
 def _extend(g: Graph, mask: int) -> Graph:
@@ -286,7 +282,7 @@ def all_graphs(cfg: EnumerationConfig, limits: Limits = DEFAULT_LIMITS) -> Seque
     """Every isomorphism class on cfg.n vertices, canonical, sorted by form,
     as a re-iterable sequence that builds each graph as it is read. The
     2-colored classes come from all_colored_graphs."""
-    _check_bound(cfg.n, limits)
+    check_range("enumeration", cfg.n, limits)
     return _representatives(cfg.n)
 
 
@@ -308,5 +304,5 @@ def _colored_representatives(n: int) -> _Level:
 def all_colored_graphs(n: int, limits: Limits = DEFAULT_LIMITS) -> Sequence[ColoredGraph]:
     """Every 2-colored class, deduped color-preservingly, sorted by form, as
     a re-iterable sequence like all_graphs."""
-    _check_bound(n, limits)
+    check_range("enumeration", n, limits)
     return _colored_representatives(n)

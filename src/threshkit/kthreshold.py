@@ -28,7 +28,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .graphs import ColoredGraph, Graph, _components, bits
-from .limits import DEFAULT_LIMITS, CapacityError, Limits
+from .limits import DEFAULT_LIMITS, Limits
 from .records import frozen
 from .sequences import ADD, BLACK, JOIN_ALL, WHITE, BuildSequence, Op, Step, join_color
 
@@ -187,12 +187,6 @@ def threshold_order(g: Graph) -> tuple[int, ...] | None:
     return tuple(sorted(range(g.n), key=lambda v: (g.degrees[v], v)))
 
 
-def _check_budget(count: int, label: str, limits: Limits) -> None:
-    """Guard a search over count colorings, named label in the message."""
-    if count > limits.coloring_budget:
-        raise CapacityError(f"{label} colorings exceed budget {limits.coloring_budget}")
-
-
 def _first_use_colorings(n: int, k: int) -> int:
     """The colorings of n vertices in at most k colors numbered by first use
     (restricted-growth strings): the sum of S(n, j) over j <= min(k, n)."""
@@ -259,7 +253,7 @@ def brute_coloring_search(
     eliminates. The budget guards the k^n colorings up front; the search
     itself never extends a prefix that does not eliminate, so it usually
     tries far fewer."""
-    _check_budget(dialect.k ** g.n, f"{dialect.k}^{g.n}", limits)
+    limits.require("coloring_budget", dialect.k ** g.n, f"{dialect.k}^{g.n} colorings exceed")
     return _pruned_search(g, dialect, False)
 
 
@@ -329,7 +323,7 @@ def is_k_threshold(
     if k == 2:
         return _search_two_colored(g, dialect)
     count = _first_use_colorings(g.n, k)
-    _check_budget(count, str(count), limits)
+    limits.require("coloring_budget", count, f"{count} colorings exceed")
     return _pruned_search(g, dialect, True)
 
 

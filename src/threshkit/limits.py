@@ -11,12 +11,22 @@ class CapacityError(Exception):
     """A requested computation exceeds the configured exact-search limits."""
 
 
+# each Limits field -> the variable that sets it on the CLI
+ENV_VARS = {
+    "canonical_max_n": "THRESHKIT_CANONICAL_MAX_N",
+    "coloring_budget": "THRESHKIT_COLORING_BUDGET",
+    "enumeration_max_n": "THRESHKIT_ENUMERATION_MAX_N",
+}
+
+
 @frozen
 class Limits:
     """Bounds for the exhaustive parts of the toolkit.
 
     The caller passes them in; a library call never reads the environment.
-    The CLI builds its own with from_env().
+    The CLI builds its own with from_env(), each field from its ENV_VARS
+    variable. Every guarded search calls require() before its work, so a
+    refusal always names the field, its bound and that variable.
 
     canonical_max_n: largest graph the canonical-form search will accept
     coloring_budget: maximum number of colorings or switch sets an
@@ -31,6 +41,13 @@ class Limits:
     canonical_max_n: int = 10
     coloring_budget: int = 1 << 20
     enumeration_max_n: int = 8
+
+    def require(self, field: str, value: int, what: str) -> None:
+        """Raise CapacityError when value exceeds the bound named field;
+        what is the message up to the bound, as in "2^21 switch sets exceed"."""
+        bound = getattr(self, field)
+        if value > bound:
+            raise CapacityError(f"{what} {field} {bound} (set {ENV_VARS[field]})")
 
     @classmethod
     def from_env(cls) -> Limits:
@@ -52,11 +69,7 @@ class Limits:
                 raise ValueError(f"{name} must be a non-negative integer, got {raw!r}")
             return value
 
-        return cls(
-            canonical_max_n=pick("THRESHKIT_CANONICAL_MAX_N", cls.canonical_max_n),
-            coloring_budget=pick("THRESHKIT_COLORING_BUDGET", cls.coloring_budget),
-            enumeration_max_n=pick("THRESHKIT_ENUMERATION_MAX_N", cls.enumeration_max_n),
-        )
+        return cls(**{field: pick(name, getattr(cls, field)) for field, name in ENV_VARS.items()})
 
 
 DEFAULT_LIMITS = Limits()

@@ -37,11 +37,12 @@ and its lexicographically first embedding are the ones it always reported.
 find_minimal_obstructions is the discovery side: enumerate all graphs up
 to a bound, evaluate an arbitrary membership predicate, and report the
 members' minimal non-member boundary. find_minimal_colored_obstructions is
-the same body over 2-colored graphs. The predicate may be a lookup into
-verdicts already computed, as in the verification suites. Running
-discovery against a recognizer that does not read the catalog and
-comparing with the shipped catalog is the machine verification of the
-characterizations at small n.
+the same body over 2-colored graphs. The predicate is called once on each
+class, level by level in sorted order, so the verification suites pass
+their own counted check and discovery is their one walk over the levels.
+Running discovery against a recognizer that does not read the catalog
+and comparing with the shipped catalog is the machine verification of
+the characterizations at small n.
 
 Discovery keeps one verdict byte per class, by its position in the sorted
 level, and finds a canonical graph's position by its packed code. A

@@ -17,7 +17,7 @@ from .canonical import canonical_graph
 from .graph6 import encode_graph6
 from .graphs import Graph, _unchecked_graph, bits
 from .kthreshold import elimination_picks
-from .limits import DEFAULT_LIMITS, CapacityError, Limits
+from .limits import DEFAULT_LIMITS, Limits
 from .records import frozen
 
 __all__ = [
@@ -48,11 +48,6 @@ def _switched_rows(rows: Sequence[int], full: int, s: int) -> tuple[int, ...]:
     return tuple(row ^ (out if s >> v & 1 else s) for v, row in enumerate(rows))
 
 
-def _check_switch_budget(n: int, limits: Limits) -> None:
-    if 1 << max(0, n - 1) > limits.coloring_budget:
-        raise CapacityError(f"2^{n - 1} switch sets exceed budget {limits.coloring_budget}")
-
-
 @frozen
 class SwitchCertificate:
     set: int
@@ -73,7 +68,7 @@ def brute_switch_scan(
     such a chain each predicate finds exactly what a scan with it alone
     would.
     """
-    _check_switch_budget(g.n, limits)
+    limits.require("coloring_budget", 1 << max(0, g.n - 1), f"2^{g.n - 1} switch sets exceed")
     hits: list[SwitchCertificate | None] = [None] * len(accepts)
     n, rows, full = g.n, g.rows, g.full_mask
     for s in range(0, 1 << n, 2):
@@ -227,6 +222,6 @@ def has_cograph_switch(g: Graph, limits: Limits = DEFAULT_LIMITS) -> SwitchCerti
     """
     if not is_switch_cograph(g):
         return None
-    _check_switch_budget(g.n, limits)
+    limits.require("coloring_budget", 1 << max(0, g.n - 1), f"2^{g.n - 1} switch sets exceed")
     s = _least_cograph_switch(g)
     return SwitchCertificate(s, switch(g, s))

@@ -7,14 +7,15 @@ verification of the corresponding characterization at that scale.
 
 The five agreement suites (thresholds, special, good, partitioned and
 switching) are one body, _agreement, plus a check of one graph per suite.
-The body enumerates plain or 2-colored graphs, counts them, keeps the
-members and rediscovers the catalog. A check compares its recognizers'
-verdicts and certificates with _agree and returns the production verdict,
-so a new agreement suite is a check and a _SUITES entry.
+The body enumerates plain or 2-colored graphs, counts and checks them,
+and rediscovers the catalog. A check compares its recognizers' verdicts
+and certificates with _agree and returns the production verdict, so a new
+agreement suite is a check and a _SUITES entry.
 
-Each piece of work is done once per suite. Rediscovery runs discovery on
-the membership verdicts the suite computed for every enumerated graph,
-kept as the set of members for the suite's run only. The switching check
+Each piece of work is done once per suite. A suite that rediscovers walks
+the levels through discovery itself: its counted check is discovery's
+membership predicate, so each graph is built and checked once, in the
+order of the plain walk. The switching check
 runs its two brute-force switch oracles as one scan of a chain of nested
 classes: every switch goes to the cograph test, which looks for an
 induced P4 (cographs are exactly the P4-free graphs), and only the
@@ -38,10 +39,10 @@ import time
 from functools import partial
 from itertools import product
 
-from .canonical import _check_size, canonical_form
+from .canonical import canonical_form
 from .catalogs import load_catalog, validate_catalog
 from .classes import BY_CATALOG, BY_NAME
-from .enumeration import EnumerationConfig, _code, all_colored_graphs, all_graphs, check_range
+from .enumeration import EnumerationConfig, all_colored_graphs, all_graphs, check_range
 from .graph6 import encode_graph6, format_graph_line
 from .graphs import ColoredGraph, Graph
 from .kthreshold import (
@@ -213,9 +214,8 @@ def _rediscover(run: _Run, cls: str, found: list) -> None:
     """Compare the minimal obstructions that discovery found for the class,
     up to the run's n_max, with its catalog, both ways.
 
-    The suites run discovery on the verdicts they have already computed for
-    every enumerated graph with the class's own membership predicate, kept
-    as the set of members, so no graph is classified twice.
+    Discovery ran with the suite's own check as the class's membership
+    predicate, so no graph is classified twice.
     """
     prefix, limits = f"{cls}.obstructions", run.limits
     expected_forms = BY_NAME[cls].catalog_names(run.n_max, limits)
@@ -237,18 +237,20 @@ def _rediscover(run: _Run, cls: str, found: list) -> None:
 def _agreement(run: _Run, check, colored: bool = False, rediscover: bool = False) -> None:
     """The body of the agreement suites: check(run, g) on every graph, or
     every 2-colored graph, up to n_max, returning the production verdict;
-    with rediscover, discovery on those verdicts for the suite's class."""
-    limits, members = run.limits, set()  # the members' packed codes
-    for n in range(1, run.n_max + 1):
-        level = (all_colored_graphs(n, limits) if colored
-                 else all_graphs(EnumerationConfig(n), limits))
-        for code, g in zip(level.codes, level):
-            run.bump("graphs.checked")
-            if check(run, g) and rediscover:
-                members.add(code)
+    with rediscover, the walk is discovery's, with the check as its
+    membership predicate, for the suite's class."""
+    def member(g) -> bool:
+        run.bump("graphs.checked")
+        return check(run, g)
+
     if rediscover:
         find = find_minimal_colored_obstructions if colored else find_minimal_obstructions
-        _rediscover(run, run.suite, find(lambda g: _code(g) in members, run.n_max, limits))
+        _rediscover(run, run.suite, find(member, run.n_max, run.limits))
+        return
+    for n in range(1, run.n_max + 1):
+        for g in (all_colored_graphs(n, run.limits) if colored
+                  else all_graphs(EnumerationConfig(n), run.limits)):
+            member(g)
 
 
 def _check_thresholds(run: _Run, g: Graph) -> bool:
@@ -396,9 +398,11 @@ def suite_bound(name: str, n_max: int | None = None, limits: Limits = DEFAULT_LI
         check_range(f"suite {name}", n_max, limits)
     # every canonical form in catalogs is of a catalog entry or a smaller graph
     if name == "catalogs":
-        _check_size(max(e.graph.n for f in BY_CATALOG for e in load_catalog(f).entries), limits)
+        n = max(e.graph.n for f in BY_CATALOG for e in load_catalog(f).entries)
+        limits.require("canonical_max_n", n, f"canonical form on {n} vertices exceeds")
     elif name == "counts":
-        _check_size(_generated_max(n_max), limits)
+        n = _generated_max(n_max)
+        limits.require("canonical_max_n", n, f"canonical form on {n} vertices exceeds")
     return n_max
 
 

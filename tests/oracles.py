@@ -4,7 +4,7 @@ production generator against."""
 from itertools import combinations, product
 
 from threshkit.canonical import canonical_graph
-from threshkit.enumeration import _check_bound, _extend, _representatives
+from threshkit.enumeration import _extend, _representatives, check_range
 from threshkit.graph6 import encode_graph6
 from threshkit.graphs import Graph
 from threshkit.limits import DEFAULT_LIMITS, Limits
@@ -12,7 +12,7 @@ from threshkit.limits import DEFAULT_LIMITS, Limits
 
 def baseline_graphs(n: int, limits: Limits = DEFAULT_LIMITS) -> tuple[Graph, ...]:
     """All edge subsets, deduped by canonical form."""
-    _check_bound(n, limits)
+    check_range("oracle", n, limits)
     pairs = list(combinations(range(n), 2))
     seen: dict[str, Graph] = {}
     for picks in product((0, 1), repeat=len(pairs)):
@@ -28,7 +28,7 @@ def raw_extensions(n: int, limits: Limits = DEFAULT_LIMITS) -> list[Graph]:
     Hits every isomorphism class on n vertices at least once, usually many
     times; useful when coverage matters but canonical dedup does not.
     """
-    _check_bound(n, limits)
+    check_range("oracle", n, limits)
     if n == 1:
         return [Graph(1, (0,))]
     out = []

@@ -139,6 +139,18 @@ def test_capacity_exit_via_env_budget(tmp_path, monkeypatch, capsys):
     assert "capacity:" in capsys.readouterr().err
 
 
+def test_capacity_exit_names_the_variable_that_raises_the_limit(tmp_path, monkeypatch, capsys):
+    """k = 3 on 15 vertices has 2,391,485 colorings numbered by first use,
+    over the default budget."""
+    monkeypatch.delenv("THRESHKIT_COLORING_BUDGET", raising=False)
+    path = _input_file(tmp_path, encode_graph6(path_graph(15)))
+    args = ["recognize", "--class", "kthreshold", "--k", "3", "--input", path]
+    assert cli.main(args) == cli.CAPACITY
+    assert capsys.readouterr().err == (
+        "capacity: 2391485 colorings exceed coloring_budget 1048576"
+        " (set THRESHKIT_COLORING_BUDGET)\n")
+
+
 def test_kthreshold_with_many_colors_answers_on_five_vertices(tmp_path, capsys):
     """At most 52 colorings of 5 vertices are numbered by first use, however
     large k is, so --k 100 answers, as --k 5 does, under the default budget."""
@@ -294,7 +306,9 @@ def test_canonical_bound_refusal_leaves_an_existing_out_file_as_it_was(
     out_file = tmp_path / "r.txt"
     out_file.write_bytes(b"an earlier report\n")
     assert cli.main(["verify", "--suite", suite, "--out", str(out_file)]) == cli.CAPACITY
-    assert f"exceeds bound {bound}" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"capacity: canonical form on 8 vertices exceeds canonical_max_n {bound}"
+        " (set THRESHKIT_CANONICAL_MAX_N)\n")
     assert out_file.read_bytes() == b"an earlier report\n"
 
 

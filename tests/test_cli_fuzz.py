@@ -17,16 +17,12 @@ from hypothesis import HealthCheck, given, settings
 import threshkit.cli as cli
 from threshkit.classes import BY_FAMILY, BY_NAME
 from threshkit.graph6 import color_string, encode_graph6
+from threshkit.limits import ENV_VARS
 from threshkit.verify import SUITE_NAMES
 
 from strategies import graph_from_mask
 
-ENV = (
-    "THRESHKIT_CANONICAL_MAX_N",
-    "THRESHKIT_ELIMINATION_MAX_N",
-    "THRESHKIT_COLORING_BUDGET",
-    "THRESHKIT_ENUMERATION_MAX_N",
-)
+ENV = tuple(ENV_VARS.values())
 
 def _at_most_four(text: str) -> bool:
     try:

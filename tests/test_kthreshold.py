@@ -340,7 +340,8 @@ def test_budget_counts_first_use_colorings(monkeypatch):
     assert is_k_threshold(random_member(rnd, general_dialect(3), 14).graph, 3) is not None
     calls = []
     monkeypatch.setattr(kthreshold, "elimination_picks", lambda *args: calls.append(args))
-    with pytest.raises(CapacityError, match="2391485 colorings exceed budget 1048576"):
+    with pytest.raises(CapacityError, match=r"^2391485 colorings exceed coloring_budget 1048576"
+                                            r" \(set THRESHKIT_COLORING_BUDGET\)$"):
         is_k_threshold(path_graph(15), 3)
     assert calls == []
 

@@ -2,11 +2,14 @@
 
 A public function that takes limits reads them, the environment is read
 in Limits.from_env only, and a passed canonical bound is checked before
-enumeration or discovery labels a graph.
+enumeration or discovery labels a graph. Every guarded search refuses
+through Limits.require before its work, naming the field, its bound and
+the variable that raises it, and README lists exactly those variables.
 """
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,11 +19,21 @@ import pytest
 import threshkit
 import threshkit.canonical as canonical
 import threshkit.enumeration as enumeration
+import threshkit.kthreshold as kthreshold
+import threshkit.obstructions as obstructions
+import threshkit.switching as switching
+from threshkit.canonical import canonical_colored_graph, canonical_graph
 from threshkit.enumeration import EnumerationConfig, all_colored_graphs, all_graphs
-from threshkit.limits import CapacityError, Limits
+from threshkit.graphs import ColoredGraph
+from threshkit.kthreshold import SPECIAL, brute_coloring_search, is_k_threshold
+from threshkit.limits import DEFAULT_LIMITS, ENV_VARS, CapacityError, Limits
+from threshkit.named import matching, path_graph
 from threshkit.obstructions import find_minimal_obstructions
+from threshkit.switching import brute_switch_scan, has_cograph_switch, is_cograph
+from threshkit.verify import run_suite
 
-MODULES = sorted((Path(__file__).resolve().parents[1] / "src" / "threshkit").rglob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted((ROOT / "src" / "threshkit").rglob("*.py"))
 
 
 def _listed(tree: ast.Module) -> set[str]:
@@ -114,13 +127,69 @@ SMALL = Limits(canonical_max_n=5)
     (lambda: find_minimal_obstructions(lambda g: True, 7, SMALL), 7),
 ], ids=["all_graphs", "all_colored_graphs", "find_minimal_obstructions"])
 def test_passed_canonical_bound_precedes_labeling(labelings, call, n):
-    with pytest.raises(CapacityError, match=f"^canonical form on {n} vertices exceeds bound 5$"):
+    with pytest.raises(CapacityError, match=rf"^canonical form on {n} vertices exceeds canonical_max_n 5"
+                                            r" \(set THRESHKIT_CANONICAL_MAX_N\)$"):
         call()
     assert labelings == []
 
 
 def test_enumeration_bound_is_checked_before_the_canonical_bound(labelings):
-    with pytest.raises(CapacityError, match="^enumeration at n=7 exceeds bound 6$"):
+    with pytest.raises(CapacityError, match=r"^enumeration at n=7 exceeds enumeration_max_n 6"
+                                            r" \(set THRESHKIT_ENUMERATION_MAX_N\)$"):
         find_minimal_obstructions(lambda g: True, 9, Limits(enumeration_max_n=6, canonical_max_n=5))
     assert labelings == []
 
+
+
+# site -> (the guarded call under limits, the limits that refuse it, the
+# work it guards besides canonical labeling, as (module, name))
+GUARDED = {
+    "canonical_graph": (lambda limits: canonical_graph(path_graph(6), limits),
+                        Limits(canonical_max_n=5), []),
+    "canonical_colored_graph": (
+        lambda limits: canonical_colored_graph(ColoredGraph(path_graph(6), (0, 1) * 3), limits),
+        Limits(canonical_max_n=5), []),
+    "all_graphs": (lambda limits: all_graphs(EnumerationConfig(5), limits),
+                   Limits(enumeration_max_n=4), [(enumeration, "_representatives")]),
+    "all_colored_graphs": (lambda limits: all_colored_graphs(5, limits),
+                           Limits(canonical_max_n=4), [(enumeration, "_colored_representatives")]),
+    "check_range": (lambda limits: find_minimal_obstructions(lambda g: True, 5, limits),
+                    Limits(enumeration_max_n=4), [(obstructions, "all_graphs")]),
+    # counts labels threshold graphs on one vertex more than it enumerates
+    "suite_bound": (lambda limits: run_suite("counts", 2, limits), Limits(canonical_max_n=2), []),
+    "brute_coloring_search": (lambda limits: brute_coloring_search(path_graph(4), SPECIAL, limits),
+                              Limits(coloring_budget=2 ** 4 - 1), [(kthreshold, "elimination_picks")]),
+    # 14 colorings of 4 vertices in at most 3 colors are numbered by first use
+    "is_k_threshold": (lambda limits: is_k_threshold(path_graph(4), 3, limits),
+                       Limits(coloring_budget=13), [(kthreshold, "elimination_picks")]),
+    "brute_switch_scan": (lambda limits: brute_switch_scan(path_graph(4), (is_cograph,), limits),
+                          Limits(coloring_budget=2 ** 3 - 1), [(switching, "_switched_rows")]),
+    # 3K2 is a switch-cograph member, so its certificate search would run
+    "has_cograph_switch": (lambda limits: has_cograph_switch(matching(3), limits),
+                           Limits(coloring_budget=2 ** 5 - 1), [(switching, "_least_cograph_switch")]),
+}
+
+
+@pytest.mark.parametrize("site", GUARDED)
+def test_every_guard_names_its_limit_and_refuses_before_work(monkeypatch, site):
+    call, tight, steps = GUARDED[site]
+    calls = []
+    for module, name in [(canonical, "_min_order")] + steps:
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args, _real=real, _name=name: calls.append(_name) or _real(*args))
+    (field,) = [f for f in ENV_VARS if getattr(tight, f) != getattr(DEFAULT_LIMITS, f)]
+    message = rf" {field} {getattr(tight, field)} \(set {ENV_VARS[field]}\)$"
+    with pytest.raises(CapacityError, match=message):
+        call(tight)
+    assert calls == []
+    # the watched steps are the guarded call's own work
+    call(DEFAULT_LIMITS)
+    assert calls
+
+
+def test_readme_capacity_table_lists_exactly_the_limit_variables():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Capacity limits\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^\| `(THRESHKIT_\w+)` \|", section, re.MULTILINE)
+    assert sorted(listed) == sorted(ENV_VARS.values())

@@ -270,7 +270,8 @@ def enumerations(monkeypatch):
 
 @pytest.mark.parametrize("name", [name for name in SUITE_NAMES if name != "catalogs"])
 def test_suite_capacity_error_precedes_enumeration(enumerations, name):
-    with pytest.raises(CapacityError, match="^enumeration at n=7 exceeds bound 6$"):
+    with pytest.raises(CapacityError, match=r"^enumeration at n=7 exceeds enumeration_max_n 6"
+                                            r" \(set THRESHKIT_ENUMERATION_MAX_N\)$"):
         run_suite(name, 9, Limits(enumeration_max_n=6))
     assert enumerations == []
 
@@ -278,7 +279,8 @@ def test_suite_capacity_error_precedes_enumeration(enumerations, name):
 @pytest.mark.parametrize("find", [obstructions.find_minimal_obstructions,
                                   obstructions.find_minimal_colored_obstructions])
 def test_discovery_capacity_error_precedes_enumeration(enumerations, find):
-    with pytest.raises(CapacityError, match="^enumeration at n=7 exceeds bound 6$"):
+    with pytest.raises(CapacityError, match=r"^enumeration at n=7 exceeds enumeration_max_n 6"
+                                            r" \(set THRESHKIT_ENUMERATION_MAX_N\)$"):
         find(lambda g: True, 7, Limits(enumeration_max_n=6))
     assert enumerations == []
 
@@ -307,7 +309,8 @@ def test_catalogs_capacity_error_precedes_canonical_work(monkeypatch):
     orders = []
     min_order = canonical._min_order
     monkeypatch.setattr(canonical, "_min_order", lambda *args: orders.append(args[0]) or min_order(*args))
-    with pytest.raises(CapacityError, match="^canonical form on 8 vertices exceeds bound 5$"):
+    with pytest.raises(CapacityError, match=r"^canonical form on 8 vertices exceeds canonical_max_n 5"
+                                            r" \(set THRESHKIT_CANONICAL_MAX_N\)$"):
         run_suite("catalogs", None, Limits(canonical_max_n=5))
     assert orders == []
     assert run_suite("catalogs", None, Limits(canonical_max_n=8)).ok
@@ -321,7 +324,8 @@ def test_counts_capacity_error_precedes_canonical_work(monkeypatch):
     orders = []
     min_order = canonical._min_order
     monkeypatch.setattr(canonical, "_min_order", lambda *args: orders.append(args[0]) or min_order(*args))
-    with pytest.raises(CapacityError, match="^canonical form on 8 vertices exceeds bound 7$"):
+    with pytest.raises(CapacityError, match=r"^canonical form on 8 vertices exceeds canonical_max_n 7"
+                                            r" \(set THRESHKIT_CANONICAL_MAX_N\)$"):
         run_suite("counts", None, Limits(canonical_max_n=7))
     assert orders == []
 
