@@ -17,16 +17,18 @@ some color than the pattern has (the counting rules of VF2, Cordella et
 al., 2004, applied to the whole pattern).
 
 A forbidden-subgraph scan tries a whole pattern list against one host, so
-find_first_embedding builds the host's tables (vertices by least degree, by
-color, and non-neighbour rows) once for the list. The pattern side of those
-tests (degrees, edge, non-edge and color counts) depends on the pattern
-alone: a PatternList computes it once, and find_first_embedding takes
-nothing else. The scan lists of the recognizers in obstructions are
-PatternLists built once per process from the shipped catalogs; the two
-switching-closed ones carry a gate, the descent of obstructions, that
-decides whether any of their patterns embeds before the scan. A pattern
-with a vertex whose starting candidate mask is empty cannot embed and is
-skipped without a search.
+find_first_embedding builds the host's tables once for the list, from the
+rows and the coloring as plain ints: vertices by least degree, vertices by
+color and the tuple of color counts, and, only when some pattern reaches
+the search, non-neighbour rows. The pattern side of those tests (degrees,
+edge and non-edge counts, and a tuple of color counts compared with the
+host's color by color) depends on the pattern alone: a PatternList
+computes it once, and find_first_embedding takes nothing else. The scan
+lists of the recognizers in obstructions are PatternLists built once per
+process from the shipped catalogs; the two switching-closed ones carry a
+gate, the descent of obstructions, that decides whether any of their
+patterns embeds before the scan. A pattern with a vertex whose starting
+candidate mask is empty cannot embed and is skipped without a search.
 
 On a host the pattern does not embed in, the search runs to the end, and a
 symmetric pattern would reach each partial embedding once per automorphism
@@ -48,6 +50,7 @@ same, and only the other members of each class go unvisited.
 
 from __future__ import annotations
 
+from operator import gt
 from typing import Callable, Optional, Sequence
 
 from .graphs import Graph
@@ -90,13 +93,14 @@ def _conditions(automorphisms: list[tuple[int, ...]], p: int) -> tuple[int, ...]
 
 def _pattern_constants(name: Optional[str], pattern: Graph, colors: tuple[int, ...] | None,
                        after: tuple[int, ...]) -> tuple:
-    """(name, rows, vertices, edges, non-edges, degrees, colors, (color,
-    count) pairs or None, symmetry-breaking conditions after)."""
+    """(name, rows, vertices, edges, non-edges, degrees, colors, the count
+    of each color 0..max(colors) or None, symmetry-breaking conditions
+    after)."""
     p = pattern.n
     edges = pattern.edge_count()
     counts = None
     if colors is not None:
-        counts = tuple((c, colors.count(c)) for c in sorted(set(colors)))
+        counts = tuple(colors.count(c) for c in range(max(colors) + 1))
     return (name, pattern.rows, p, edges, p * (p - 1) // 2 - edges,
             pattern.degrees, colors, counts, after)
 
@@ -145,22 +149,25 @@ def _first_embedding(host: Graph, constants: tuple, host_coloring: tuple[int, ..
     """find_first_embedding over the patterns with these constants."""
     h = host.n
     hrows = host.rows
-    full = host.full_mask
-    degrees = host.degrees
     # at_least[k]: the host vertices of degree >= k; at_least[h] is empty
     at_least = [0] * (h + 1)
-    for v, k in enumerate(degrees):
+    edges = 0
+    for v, row in enumerate(hrows):
+        k = row.bit_count()
+        edges += k
         at_least[k] |= 1 << v
     for k in range(h - 1, -1, -1):
         at_least[k] |= at_least[k + 1]
-    edges = sum(degrees) >> 1
+    edges >>= 1
     non_edges = h * (h - 1) // 2 - edges
-    by_color: dict[int, int] = {}
+    # by_color[c]: the host vertices of color c; color_counts their sizes
+    by_color = []
     if host_coloring is not None:
+        by_color = [0] * (max(host_coloring) + 1)
         for v, c in enumerate(host_coloring):
-            by_color[c] = by_color.get(c, 0) | 1 << v
-    # non_rows[v]: the host vertices other than v that v is not adjacent to
-    non_rows = [full ^ row ^ (1 << v) for v, row in enumerate(hrows)]
+            by_color[c] |= 1 << v
+    color_counts = tuple(m.bit_count() for m in by_color)
+    non_rows = None  # built for the first pattern that reaches the search
     for name, prows, p, pedges, pnon, pdegrees, colors, counts, after in constants:
         if (colors is None) != (host_coloring is None):
             raise ValueError("supply both colorings or neither")
@@ -171,12 +178,16 @@ def _first_embedding(host: Graph, constants: tuple, host_coloring: tuple[int, ..
         if counts is None:
             base = [at_least[k] ^ at_least[k + top] for k in pdegrees]
         else:
-            if any(by_color.get(c, 0).bit_count() < count for c, count in counts):
+            if len(counts) > len(color_counts) or any(map(gt, counts, color_counts)):
                 continue
             base = [(at_least[k] ^ at_least[k + top]) & by_color[c]
                     for k, c in zip(pdegrees, colors)]
         if not all(base):
             continue
+        if non_rows is None:
+            # non_rows[v]: the host vertices other than v that v is not adjacent to
+            full = (1 << h) - 1
+            non_rows = [full ^ row ^ (1 << v) for v, row in enumerate(hrows)]
         embedding = _search(hrows, non_rows, prows, base, after)
         if embedding is not None:
             return name, embedding

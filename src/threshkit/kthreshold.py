@@ -15,12 +15,13 @@ THRESHOLD masks (0, alive) on a vertex mask and builds no graph.
 
 Two searches cover the colorings. The polynomial one (two colors: the
 special, restricted and extended dialects and is_k_threshold for k = 2)
-tries at most 2n candidate colorings. The pruned one (the brute-force
-oracle and is_k_threshold for k != 2) colors vertices 0, 1, ... depth
-first in product order and runs the kernel on each prefix: every dialect's
-class is hereditary, so a prefix that does not eliminate is never
-extended. Both return the coloring the plain product-order walk would find
-first.
+tries at most 2n candidate colorings, each an int, its white class, from
+which the kernel's masks come directly; only the hit becomes a coloring
+tuple. The pruned one (the brute-force oracle and is_k_threshold for
+k != 2) colors vertices 0, 1, ... depth first in product order and runs
+the kernel on each prefix: every dialect's class is hereditary, so a
+prefix that does not eliminate is never extended. Both return the
+coloring the plain product-order walk would find first.
 """
 
 from __future__ import annotations
@@ -198,18 +199,6 @@ def _first_use_colorings(n: int, k: int) -> int:
     return sum(ways)
 
 
-def _first_eliminated(g: Graph, dialect: Dialect, colorings):
-    """The first coloring, in the given order, that eliminates, with its
-    sequence. Each coloring goes to the kernel as masks; only the hit gets
-    a BuildSequence."""
-    rows, full = g.rows, g.full_mask
-    for coloring in colorings:
-        picks = elimination_picks(rows, full, _op_masks(dialect, coloring, full))
-        if picks is not None:
-            return coloring, _sequence(dialect, coloring, full, picks)
-    return None
-
-
 def _pruned_search(g: Graph, dialect: Dialect, prefix_order: bool):
     """The first coloring, in product order, that eliminates, with its
     sequence. With prefix_order, only colorings in which vertex 0 has color
@@ -257,8 +246,9 @@ def brute_coloring_search(
     return _pruned_search(g, dialect, False)
 
 
-def _candidate_colorings(g: Graph, dialect: Dialect) -> list[tuple[int, ...]]:
-    """Sorted 2-colorings, one of which is the least valid coloring if any is.
+def _candidate_white_sets(g: Graph, dialect: Dialect) -> list[int]:
+    """The white classes of 2-colorings, in product order of the colorings,
+    one of which is the least valid coloring if any is.
 
     Vertices removable under every coloring (isolated ones with add,
     universal ones with join_all) are dropped greedily; their colors are
@@ -266,7 +256,9 @@ def _candidate_colorings(g: Graph, dialect: Dialect) -> list[tuple[int, ...]]:
     join_c of some vertex x, which forces every other vertex of H: its
     neighbours get c, the rest the other color. Setting the free colors
     (x and the dropped vertices) to BLACK gives a valid coloring no greater
-    than the original, so the least valid coloring is a candidate.
+    than the original, so the least valid coloring is a candidate. Its
+    white class is N(x) & rest for c = WHITE and rest minus N(x) for
+    c = BLACK, where rest is H without x.
 
     A dialect that joins to both colors (all but SPECIAL) is closed under
     swapping them, so a valid coloring with vertex 0 WHITE swaps to a
@@ -284,25 +276,34 @@ def _candidate_colorings(g: Graph, dialect: Dialect) -> list[tuple[int, ...]]:
                 alive ^= 1 << v
                 dropped = True
     if alive.bit_count() <= 1:
-        return [(BLACK,) * g.n]
+        return [0]
     joins = [op.color for op in dialect.ops if op.kind == "join_color"]
     swap_closed = set(joins) == {BLACK, WHITE}
     candidates = set()
     for x in bits(alive):
-        nb = g.rows[x]
+        rest = alive ^ (1 << x)
+        nb = g.rows[x] & rest
         for c in joins:
-            coloring = [BLACK] * g.n
-            for v in bits(alive ^ (1 << x)):
-                coloring[v] = c if nb >> v & 1 else 1 - c
-            if not (swap_closed and coloring[0] == WHITE):
-                candidates.add(tuple(coloring))
-    return sorted(candidates)
+            white = nb if c == WHITE else rest ^ nb
+            if not (swap_closed and white & 1):
+                candidates.add(white)
+    # product order reads vertex 0 first: the bits of a white set reversed
+    n = g.n
+    return sorted(candidates, key=lambda white: f"{white:0{n}b}"[::-1])
 
 
 def _search_two_colored(g: Graph, dialect: Dialect) -> tuple[tuple[int, ...], BuildSequence] | None:
     """Same result as brute_coloring_search from at most 2n eliminations,
-    so no limit applies."""
-    return _first_eliminated(g, dialect, _candidate_colorings(g, dialect))
+    so no limit applies. Each candidate goes to the kernel as masks; only
+    the hit becomes a coloring and a BuildSequence."""
+    rows, full = g.rows, g.full_mask
+    for white in _candidate_white_sets(g, dialect):
+        # the color classes, BLACK (0) then WHITE (1)
+        picks = elimination_picks(rows, full, _class_masks(dialect, [full ^ white, white], full))
+        if picks is not None:
+            coloring = tuple(white >> v & 1 for v in range(g.n))
+            return coloring, _sequence(dialect, coloring, full, picks)
+    return None
 
 
 def is_k_threshold(

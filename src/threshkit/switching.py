@@ -2,11 +2,16 @@
 
 The brute-force oracle tries every switch set without vertex 0 in
 ascending order. brute_switch_scan runs it for a chain of nested classes
-in one pass, one switch per set, offering each switch to a predicate
-only when every wider one accepted it. switch_to_threshold and
-has_cograph_switch return the oracle's certificate without walking every
-set: the first from n + 2 candidate sets, the second depth first, dropping
-partial sets that already induce a P4.
+in one pass, offering each switch to a predicate only when every wider
+one accepted it. When the widest class is the cographs, it skips, without
+switching, every set whose switch repeats an induced P4 it has already
+found: whether a pair inside a vertex set Q toggles depends on the switch
+set's restriction to Q alone. switch_to_threshold and has_cograph_switch
+return the oracle's certificate without walking every set: the first from
+n + 2 candidate sets, the second depth first, dropping partial sets that
+already induce a P4. Every walk over up to 2^(n-1) switch sets (the scan,
+the cograph certificate search and the switching class) is guarded by the
+coloring budget before its first switch.
 """
 
 from __future__ import annotations
@@ -48,6 +53,11 @@ def _switched_rows(rows: Sequence[int], full: int, s: int) -> tuple[int, ...]:
     return tuple(row ^ (out if s >> v & 1 else s) for v, row in enumerate(rows))
 
 
+def _require_switch_sets(g: Graph, limits: Limits) -> None:
+    """The coloring budget guard of a walk over the 2^(n-1) switch sets."""
+    limits.require("coloring_budget", 1 << max(0, g.n - 1), f"2^{g.n - 1} switch sets exceed")
+
+
 @frozen
 class SwitchCertificate:
     set: int
@@ -59,7 +69,7 @@ def brute_switch_scan(
 ) -> tuple[SwitchCertificate | None, ...]:
     """Oracle: for each predicate of a chain of nested classes, the first
     switch set (ascending masks, vertex 0 excluded) whose switch it
-    accepts, from one switch per set.
+    accepts.
 
     Order matters: accepts runs from the widest class to the narrowest,
     each predicate implying the one before it, and a switch is offered to
@@ -67,14 +77,41 @@ def brute_switch_scan(
     tried in ascending order until the last predicate has its hit, so for
     such a chain each predicate finds exactly what a scan with it alone
     would.
+
+    When the widest predicate is is_cograph, the scan runs the P4 test on
+    the switched rows itself and builds a graph only for a P4-free switch.
+    It remembers the vertex mask Q of each induced P4 it finds with the
+    restriction S & Q of its set S. The switch by a later set T induces on
+    Q the switch of g[Q] by T & Q, and switching g[Q] by a subset of Q or
+    by its complement in Q gives the same graph, so when T & Q is S & Q or
+    Q ^ (S & Q) the switch by T has that P4 too and T is skipped unswitched.
+    The remembered P4s are tried newest first, which tries fewer of them.
     """
-    limits.require("coloring_budget", 1 << max(0, g.n - 1), f"2^{g.n - 1} switch sets exceed")
+    _require_switch_sets(g, limits)
     hits: list[SwitchCertificate | None] = [None] * len(accepts)
     n, rows, full = g.n, g.rows, g.full_mask
+    # with is_cograph first, the scan runs the P4 test and accepts[1:] remain
+    start = 1 if accepts and accepts[0] is is_cograph else 0
+    found: list[tuple[int, int, int]] = []  # (Q, S & Q, Q ^ (S & Q)) per P4 found
     for s in range(0, 1 << n, 2):
-        target = _unchecked_graph(n, _switched_rows(rows, full, s))
-        for i, accept in enumerate(accepts):
-            if not accept(target):
+        if start:
+            for q, inside, outside in found:
+                if s & q == inside or s & q == outside:
+                    break  # the switch by s has this P4
+            else:
+                switched = _switched_rows(rows, full, s)
+                q = _p4(switched)
+                if q:
+                    found.insert(0, (q, s & q, q ^ s & q))
+            if q:
+                continue
+            target = _unchecked_graph(n, switched)
+            if hits[0] is None:
+                hits[0] = SwitchCertificate(s, target)
+        else:
+            target = _unchecked_graph(n, _switched_rows(rows, full, s))
+        for i in range(start, len(accepts)):
+            if not accepts[i](target):
                 break
             if hits[i] is None:
                 hits[i] = SwitchCertificate(s, target)
@@ -124,7 +161,9 @@ def switching_class(g: Graph, limits: Limits = DEFAULT_LIMITS) -> tuple[str, ...
 
 
 def switching_class_graphs(g: Graph, limits: Limits = DEFAULT_LIMITS) -> tuple[Graph, ...]:
-    """Canonical representative graphs of the switching class, sorted by form."""
+    """Canonical representative graphs of the switching class, sorted by
+    form, from all 2^(n-1) switches, which the budget guards up front."""
+    _require_switch_sets(g, limits)
     reps: dict[str, Graph] = {}
     for s in range(0, 1 << g.n, 2):
         canon = canonical_graph(switch(g, s), limits)
@@ -133,12 +172,17 @@ def switching_class_graphs(g: Graph, limits: Limits = DEFAULT_LIMITS) -> tuple[G
 
 
 def is_cograph(g: Graph) -> bool:
-    """No induced P4 a-b-c-d: cographs are exactly the P4-free graphs.
+    """No induced P4: cographs are exactly the P4-free graphs."""
+    return not _p4(g.rows)
+
+
+def _p4(rows: Sequence[int]) -> int:
+    """The vertex mask of an induced P4 a-b-c-d of the graph with these
+    rows, or 0 if it has none.
 
     For each edge bc, a runs over N(b) minus N[c] and d over N(c) minus
     N[b], two disjoint sets; any a with a non-neighbour d closes a P4.
     """
-    rows = g.rows
     for b, rb in enumerate(rows):
         later = rb >> b + 1 << b + 1
         while later:
@@ -150,10 +194,11 @@ def is_cograph(g: Graph) -> bool:
                 starts = rb & ~rc & ~low
                 while starts:
                     a = starts & -starts
-                    if ends & ~rows[a.bit_length() - 1]:
-                        return False
+                    d = ends & ~rows[a.bit_length() - 1]
+                    if d:
+                        return a | 1 << b | low | d & -d
                     starts ^= a
-    return True
+    return 0
 
 
 def is_switch_cograph(g: Graph) -> bool:
@@ -222,6 +267,6 @@ def has_cograph_switch(g: Graph, limits: Limits = DEFAULT_LIMITS) -> SwitchCerti
     """
     if not is_switch_cograph(g):
         return None
-    limits.require("coloring_budget", 1 << max(0, g.n - 1), f"2^{g.n - 1} switch sets exceed")
+    _require_switch_sets(g, limits)
     s = _least_cograph_switch(g)
     return SwitchCertificate(s, switch(g, s))

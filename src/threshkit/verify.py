@@ -18,12 +18,14 @@ membership predicate, so each graph is built and checked once, in the
 order of the plain walk. The switching check
 runs its two brute-force switch oracles as one scan of a chain of nested
 classes: every switch goes to the cograph test, which looks for an
-induced P4 (cographs are exactly the P4-free graphs), and only the
-P4-free switches go on to the threshold kernel, since every threshold
-graph is a cograph. Canonical forms are computed under the run's limits;
-suite_bound checks, before any work, the largest graph a suite labels
-beyond its enumerated range: the largest catalog entry in catalogs, and
-the threshold graphs that counts generates on one vertex more.
+induced P4 (cographs are exactly the P4-free graphs), except a switch
+that repeats a P4 the scan found before, and only the P4-free switches
+go on to the threshold kernel, since every threshold graph is a cograph.
+Canonical forms are computed under the run's limits; suite_bound checks,
+before any work, the largest graph a suite labels beyond its enumerated
+range: the largest catalog entry in catalogs, and the threshold graphs
+that counts generates on one vertex more; for catalogs it also checks
+the switch sets of its largest switching class.
 
 The FIS scans read their patterns from the shipped catalogs. The catalogs
 suite derives the switch-threshold catalog independently, as the
@@ -36,7 +38,7 @@ to an equal report (see to_text / from_text).
 from __future__ import annotations
 
 import time
-from functools import partial
+from functools import cache, partial
 from itertools import product
 
 from .canonical import canonical_form
@@ -59,6 +61,7 @@ from .obstructions import find_minimal_colored_obstructions, find_minimal_obstru
 from .records import frozen
 from .sequences import ADD, JOIN_ALL, BuildSequence, Step, evaluate
 from .switching import (
+    _require_switch_sets,
     brute_switch_scan,
     is_cograph,
     is_switch_cograph,
@@ -312,6 +315,14 @@ def _check_switching(run: _Run, g: Graph) -> bool:
     return fast is not None
 
 
+@cache
+def _switch_threshold_seeds() -> tuple[Graph, ...]:
+    """The graphs whose switching classes make up the switch-threshold
+    catalog: 3K2, C5 and C4+2K1."""
+    reg = named_graphs()
+    return tuple(reg[name] for name in ("3k2", "c5", "c4-2k1"))
+
+
 def suite_catalogs(run: _Run) -> None:
     """validate_catalog for every shipped family, plus the switching-class cross-check."""
     limits = run.limits
@@ -324,10 +335,9 @@ def suite_catalogs(run: _Run) -> None:
             run.witness(cat.lookup(p.entry).obstruction,
                         f"catalog.{family}: {p.entry} {p.condition}: {p.detail}")
     # The switch-threshold catalog is also computable from first principles:
-    # the switching classes of 3K2, C5 and C4+2K1, as canonical representatives.
-    reg = named_graphs()
-    computed = {encode_graph6(h) for seed in ("3k2", "c5", "c4-2k1")
-                for h in switching_class_graphs(reg[seed], limits)}
+    # the switching classes of its seeds, as canonical representatives.
+    computed = {encode_graph6(h) for seed in _switch_threshold_seeds()
+                for h in switching_class_graphs(seed, limits)}
     catalogued = {canonical_form(e.graph, limits) for e in load_catalog("switch_threshold").entries}
     run.set("catalog.switch_threshold.computed", len(computed))
     if computed != catalogued:
@@ -396,10 +406,12 @@ def suite_bound(name: str, n_max: int | None = None, limits: Limits = DEFAULT_LI
     # would pass vacuously on an empty range
     if default_n > 0:
         check_range(f"suite {name}", n_max, limits)
-    # every canonical form in catalogs is of a catalog entry or a smaller graph
+    # every canonical form in catalogs is of a catalog entry or a smaller
+    # graph, and its largest switching class walk is of its largest seed
     if name == "catalogs":
         n = max(e.graph.n for f in BY_CATALOG for e in load_catalog(f).entries)
         limits.require("canonical_max_n", n, f"canonical form on {n} vertices exceeds")
+        _require_switch_sets(max(_switch_threshold_seeds(), key=lambda g: g.n), limits)
     elif name == "counts":
         n = _generated_max(n_max)
         limits.require("canonical_max_n", n, f"canonical form on {n} vertices exceeds")

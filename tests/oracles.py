@@ -1,13 +1,17 @@
-"""Trivially correct generators that the enumeration tests check the
-production generator against."""
+"""Trivially correct versions of production searches that the tests check
+them against: generators for the enumeration, the per-set switch scan and
+the tuple candidate colorings of the two-color search."""
 
 from itertools import combinations, product
 
 from threshkit.canonical import canonical_graph
 from threshkit.enumeration import _extend, _representatives, check_range
 from threshkit.graph6 import encode_graph6
-from threshkit.graphs import Graph
+from threshkit.graphs import Graph, bits
+from threshkit.kthreshold import Dialect
 from threshkit.limits import DEFAULT_LIMITS, Limits
+from threshkit.sequences import BLACK, WHITE
+from threshkit.switching import SwitchCertificate, switch
 
 
 def baseline_graphs(n: int, limits: Limits = DEFAULT_LIMITS) -> tuple[Graph, ...]:
@@ -36,3 +40,52 @@ def raw_extensions(n: int, limits: Limits = DEFAULT_LIMITS) -> list[Graph]:
         for mask in range(1 << h.n):
             out.append(_extend(h, mask))
     return out
+
+
+def oracle_switch_scan(g: Graph, accepts) -> tuple:
+    """The per-set brute_switch_scan: every switch set without vertex 0 in
+    ascending order, each switched and offered to the chain of predicates,
+    widest first, until the narrowest accepts."""
+    hits = [None] * len(accepts)
+    for s in range(0, 1 << g.n, 2):
+        target = switch(g, s)
+        for i, accept in enumerate(accepts):
+            if not accept(target):
+                break
+            if hits[i] is None:
+                hits[i] = SwitchCertificate(s, target)
+        else:
+            break
+    return tuple(hits)
+
+
+def oracle_candidate_colorings(g: Graph, dialect: Dialect) -> list[tuple[int, ...]]:
+    """The two-color search's candidates as sorted coloring tuples: for
+    each vertex x left after dropping the vertices removable under every
+    coloring, and each join color c, x's neighbours get c and the rest of
+    what is left the other color; x and the dropped vertices are BLACK.
+    A dialect that joins to both colors keeps only vertex 0 BLACK."""
+    kinds = {op.kind for op in dialect.ops}
+    alive = g.full_mask
+    dropped = True
+    while dropped and alive.bit_count() > 1:
+        dropped = False
+        for v in bits(alive):
+            nb = g.rows[v] & alive
+            if ("add" in kinds and nb == 0) or ("join_all" in kinds and nb == alive ^ (1 << v)):
+                alive ^= 1 << v
+                dropped = True
+    if alive.bit_count() <= 1:
+        return [(BLACK,) * g.n]
+    joins = [op.color for op in dialect.ops if op.kind == "join_color"]
+    swap_closed = set(joins) == {BLACK, WHITE}
+    candidates = set()
+    for x in bits(alive):
+        nb = g.rows[x]
+        for c in joins:
+            coloring = [BLACK] * g.n
+            for v in bits(alive ^ (1 << x)):
+                coloring[v] = c if nb >> v & 1 else 1 - c
+            if not (swap_closed and coloring[0] == WHITE):
+                candidates.add(tuple(coloring))
+    return sorted(candidates)

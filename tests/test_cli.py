@@ -312,6 +312,19 @@ def test_canonical_bound_refusal_leaves_an_existing_out_file_as_it_was(
     assert out_file.read_bytes() == b"an earlier report\n"
 
 
+def test_coloring_budget_refusal_leaves_an_existing_out_file_as_it_was(
+        tmp_path, monkeypatch, capsys):
+    """catalogs walks the 2^5 switch sets of 3K2, so a smaller budget refuses
+    the run before the report file is opened."""
+    monkeypatch.setenv("THRESHKIT_COLORING_BUDGET", "31")
+    out_file = tmp_path / "r.txt"
+    out_file.write_bytes(b"an earlier report\n")
+    assert cli.main(["verify", "--suite", "catalogs", "--out", str(out_file)]) == cli.CAPACITY
+    assert capsys.readouterr().err == (
+        "capacity: 2^5 switch sets exceed coloring_budget 31 (set THRESHKIT_COLORING_BUDGET)\n")
+    assert out_file.read_bytes() == b"an earlier report\n"
+
+
 def test_obstructions_threshold(capsys):
     assert cli.main(["obstructions", "--family", "threshold", "--nmax", "4"]) == cli.OK
     out = capsys.readouterr().out.splitlines()

@@ -1,7 +1,8 @@
 """Colored elimination dialects: roundtrips, closures, neighborhood shapes,
 and eliminate (the kernel elimination_picks plus the certificate builder),
 brute_coloring_search and is_k_threshold for k != 2 against the loops they
-replaced."""
+replaced, and the two-color search's white-set candidates against the
+coloring tuples they replaced."""
 
 import random
 from itertools import product
@@ -15,6 +16,7 @@ from threshkit.enumeration import EnumerationConfig, all_graphs
 from threshkit.graphs import ColoredGraph, Graph, bits
 from threshkit.kthreshold import (
     EXTENDED,
+    Dialect,
     RESTRICTED,
     SPECIAL,
     brute_coloring_search,
@@ -38,18 +40,24 @@ from threshkit.named import (
     octahedron,
     path_graph,
 )
-from threshkit.sequences import ADD, BuildSequence, Step, evaluate
+from threshkit.sequences import ADD, BLACK, WHITE, BuildSequence, Step, evaluate, join_color
 
+from oracles import oracle_candidate_colorings
 from strategies import (
+    cographs_with_a_flip,
     colored_graphs,
     cutrank_profile,
+    gnp_graphs,
     graph_from_mask,
     graphs,
     prefix_colorings,
     random_member,
+    switched_threshold_graphs,
 )
 
 DIALECTS = (general_dialect(2), SPECIAL, RESTRICTED, EXTENDED)
+# the two-color dialects, with special's mirror image, which joins to black only
+TWO_COLOR_DIALECTS = DIALECTS + (Dialect("special-black", 2, (ADD, join_color(BLACK))),)
 
 
 def oracle_eliminate(cg, dialect):
@@ -446,3 +454,28 @@ def test_polynomial_searches_need_no_size_bound(search, dialect):
     assert {step.op for step in seq.steps[1:]} <= set(dialect.ops)
     gnp = graph_from_mask(64, rnd.getrandbits(64 * 63 // 2))
     assert search(gnp) is None
+
+
+def white_set(coloring) -> int:
+    return sum(1 << v for v, c in enumerate(coloring) if c == WHITE)
+
+
+def assert_white_sets_equal_tuple_candidates(g, dialect):
+    """The white-set candidates are the tuple candidates, in the same order."""
+    whites = kthreshold._candidate_white_sets(g, dialect)
+    assert whites == [white_set(c) for c in oracle_candidate_colorings(g, dialect)], g
+
+
+@pytest.mark.parametrize("dialect", TWO_COLOR_DIALECTS, ids=lambda d: d.name)
+def test_white_set_candidates_equal_tuple_candidates_up_to_n7(dialect):
+    for n in range(1, 8):
+        for g in all_graphs(EnumerationConfig(n)):
+            assert_white_sets_equal_tuple_candidates(g, dialect)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(gnp_graphs(min_n=8, max_n=14), cographs_with_a_flip(min_n=8, max_n=14),
+                 switched_threshold_graphs(min_n=8, max_n=12)),
+       st.sampled_from(TWO_COLOR_DIALECTS))
+def test_white_set_candidates_equal_tuple_candidates_on_larger_graphs(g, dialect):
+    assert_white_sets_equal_tuple_candidates(g, dialect)

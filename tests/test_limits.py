@@ -27,9 +27,9 @@ from threshkit.enumeration import EnumerationConfig, all_colored_graphs, all_gra
 from threshkit.graphs import ColoredGraph
 from threshkit.kthreshold import SPECIAL, brute_coloring_search, is_k_threshold
 from threshkit.limits import DEFAULT_LIMITS, ENV_VARS, CapacityError, Limits
-from threshkit.named import matching, path_graph
+from threshkit.named import cycle_graph, matching, path_graph
 from threshkit.obstructions import find_minimal_obstructions
-from threshkit.switching import brute_switch_scan, has_cograph_switch, is_cograph
+from threshkit.switching import brute_switch_scan, has_cograph_switch, is_cograph, switching_class
 from threshkit.verify import run_suite
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -157,6 +157,9 @@ GUARDED = {
                     Limits(enumeration_max_n=4), [(obstructions, "all_graphs")]),
     # counts labels threshold graphs on one vertex more than it enumerates
     "suite_bound": (lambda limits: run_suite("counts", 2, limits), Limits(canonical_max_n=2), []),
+    # catalogs walks the 2^5 switch sets of its largest seed, 3K2
+    "suite_bound_catalogs": (lambda limits: run_suite("catalogs", None, limits),
+                             Limits(coloring_budget=2 ** 5 - 1), [(switching, "_switched_rows")]),
     "brute_coloring_search": (lambda limits: brute_coloring_search(path_graph(4), SPECIAL, limits),
                               Limits(coloring_budget=2 ** 4 - 1), [(kthreshold, "elimination_picks")]),
     # 14 colorings of 4 vertices in at most 3 colors are numbered by first use
@@ -164,6 +167,8 @@ GUARDED = {
                        Limits(coloring_budget=13), [(kthreshold, "elimination_picks")]),
     "brute_switch_scan": (lambda limits: brute_switch_scan(path_graph(4), (is_cograph,), limits),
                           Limits(coloring_budget=2 ** 3 - 1), [(switching, "_switched_rows")]),
+    "switching_class": (lambda limits: switching_class(cycle_graph(5), limits),
+                        Limits(coloring_budget=2 ** 4 - 1), [(switching, "_switched_rows")]),
     # 3K2 is a switch-cograph member, so its certificate search would run
     "has_cograph_switch": (lambda limits: has_cograph_switch(matching(3), limits),
                            Limits(coloring_budget=2 ** 5 - 1), [(switching, "_least_cograph_switch")]),

@@ -1,5 +1,6 @@
 """Seidel switching: algebra, classes, threshold and cograph switch search,
-and the nested-chain brute_switch_scan against one-predicate loops."""
+and the nested-chain brute_switch_scan against one-predicate loops and
+against the per-set scan it replaces."""
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +34,8 @@ from threshkit.switching import (
     switching_class_graphs,
 )
 
-from strategies import cographs_with_a_flip, graphs, switched_threshold_graphs
+from oracles import oracle_switch_scan
+from strategies import cographs_with_a_flip, gnp_graphs, graphs, switched_threshold_graphs
 
 
 def test_switch_definition_on_an_edge():
@@ -140,6 +142,28 @@ def test_is_cograph_matches_p4_free():
             assert is_cograph(g) == (find_first_embedding(g, p4) is None)
 
 
+def assert_p4_mask(g):
+    """_p4 gives 0 exactly on cographs, and otherwise the mask of four
+    vertices inducing P4: three edges with degrees 1, 1, 2, 2."""
+    q = switching._p4(g.rows)
+    assert (q == 0) == oracle_is_cograph(g), g
+    if q:
+        h = g.induced(q)
+        assert h.n == 4 and sorted(h.degrees) == [1, 1, 2, 2], (g, q)
+
+
+def test_p4_masks_are_induced_p4s_up_to_n7():
+    for n in range(1, 8):
+        for g in all_graphs(EnumerationConfig(n)):
+            assert_p4_mask(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(gnp_graphs(min_n=8, max_n=14), cographs_with_a_flip(min_n=8, max_n=14)))
+def test_p4_masks_are_induced_p4s_on_larger_graphs(g):
+    assert_p4_mask(g)
+
+
 def test_cograph_switch_search_agrees_with_fis():
     for n in range(1, 7):
         for g in all_graphs(EnumerationConfig(n)):
@@ -203,6 +227,48 @@ def test_switched_threshold_hosts_hit_both_predicates(g):
     compares certificates, not only None."""
     cograph_hit, threshold_hit = brute_switch_scan(g, (is_cograph, _threshold))
     assert threshold_hit is not None and cograph_hit.set <= threshold_hit.set
+
+
+# chains of nested classes, widest first: the scan remembers P4s only
+# when the widest predicate is is_cograph itself, so the last chain, whose
+# widest predicate is the same test under another name, is scanned set by set
+CHAINS = {
+    "cograph-threshold": (is_cograph, _threshold),
+    "cograph": (is_cograph,),
+    "threshold": (_threshold,),
+    "wrapped-cograph-threshold": (lambda h: is_cograph(h), _threshold),
+}
+
+
+@pytest.mark.parametrize("chain", sorted(CHAINS))
+def test_switch_scan_equals_the_per_set_oracle_up_to_n7(chain):
+    accepts = CHAINS[chain]
+    for n in range(1, 8):
+        for g in all_graphs(EnumerationConfig(n)):
+            assert brute_switch_scan(g, accepts) == oracle_switch_scan(g, accepts), g
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    gnp_graphs(min_n=8, max_n=11),
+    cographs_with_a_flip(min_n=8, max_n=11),
+    switched_threshold_graphs(min_n=8, max_n=11),
+), st.sampled_from(sorted(CHAINS)))
+def test_switch_scan_equals_the_per_set_oracle_on_larger_graphs(g, chain):
+    accepts = CHAINS[chain]
+    assert brute_switch_scan(g, accepts) == oracle_switch_scan(g, accepts)
+
+
+def test_switch_scan_skips_only_sets_whose_switch_repeats_a_p4(monkeypatch):
+    """C5 has no cograph switch, so the scan tries all 16 sets and switches
+    10. Set 8, for one, is skipped: set 0 found a P4 on {0, 1, 2, 4}, and
+    set 8 = {3} meets it in the same, empty, restriction."""
+    switched = []
+    rows_of = switching._switched_rows
+    monkeypatch.setattr(switching, "_switched_rows",
+                        lambda rows, full, s: switched.append(s) or rows_of(rows, full, s))
+    assert brute_switch_scan(cycle_graph(5), (is_cograph,)) == (None,)
+    assert switched == [0, 2, 4, 6, 10, 12, 16, 20, 24, 30]
 
 
 def test_switch_scan_offers_a_switch_only_past_every_earlier_predicate():

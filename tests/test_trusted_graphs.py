@@ -128,16 +128,22 @@ def numbered_by_first_use(coloring):
     return all(c <= max(coloring[:i], default=-1) + 1 for i, c in enumerate(coloring))
 
 
+def candidates(g, dialect):
+    """The colorings the two-color search walks, from its white sets."""
+    return [tuple(white >> v & 1 for v in range(g.n))
+            for white in kthreshold._candidate_white_sets(g, dialect)]
+
+
 # (search, its dialect, the full colorings it walks in order, whether it
 # prunes by prefix)
 COLORING_SEARCHES = (
     (lambda g: brute_coloring_search(g, SPECIAL), SPECIAL,
      lambda g: product((0, 1), repeat=g.n), True),
-    (is_special, SPECIAL, lambda g: kthreshold._candidate_colorings(g, SPECIAL), False),
-    (is_restricted, RESTRICTED, lambda g: kthreshold._candidate_colorings(g, RESTRICTED), False),
-    (is_extended, EXTENDED, lambda g: kthreshold._candidate_colorings(g, EXTENDED), False),
+    (is_special, SPECIAL, lambda g: candidates(g, SPECIAL), False),
+    (is_restricted, RESTRICTED, lambda g: candidates(g, RESTRICTED), False),
+    (is_extended, EXTENDED, lambda g: candidates(g, EXTENDED), False),
     (lambda g: is_k_threshold(g, 2), general_dialect(2),
-     lambda g: kthreshold._candidate_colorings(g, general_dialect(2)), False),
+     lambda g: candidates(g, general_dialect(2)), False),
     # the prefix order, less the colorings not numbered by first use, none
     # of which can come before the least valid one
     (lambda g: is_k_threshold(g, 3), general_dialect(3),
