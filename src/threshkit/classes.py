@@ -53,7 +53,6 @@ class GraphClass:
     family: Optional[str] = None  # the `obstructions --family` value
     member: Optional[Callable] = None  # graph -> membership at k = 2, for discovery and catalogs
     catalog: Optional[str] = None  # names the obstructions discovery finds
-    validates_catalog: bool = True  # member validates catalog; False where a class shares one
     colored: bool = False  # input is a 2-colored graph
     takes_k: bool = False  # recognize needs --k
 
@@ -140,9 +139,9 @@ ROWS = (
         catalog="special2t",
     ),
     # Restricted 2-threshold graphs are the switching class of threshold
-    # graphs, so this class shares the switch-threshold catalog, and with
-    # it the FIS scan read from that catalog; the catalog is validated with
-    # the switch search.
+    # graphs, so this class shares the switch-threshold catalog, the FIS
+    # scan read from it and its candidate sets with the switch search; the
+    # switch-threshold row, later in ROWS, validates the catalog.
     GraphClass(
         "restricted",
         recognize=lambda g, k, limits: _coloring_and_sequence(is_restricted(g)),
@@ -150,7 +149,6 @@ ROWS = (
         family="restricted",
         member=lambda g: is_restricted(g) is not None,
         catalog="switch_threshold",
-        validates_catalog=False,
     ),
     GraphClass(
         "extended",
@@ -199,4 +197,5 @@ ROWS = (
 
 BY_NAME = {row.name: row for row in ROWS}
 BY_FAMILY = {row.family: row for row in ROWS if row.family is not None}
-BY_CATALOG = {row.catalog: row for row in ROWS if row.catalog is not None and row.validates_catalog}
+# a catalog two rows share is validated by the later row
+BY_CATALOG = {row.catalog: row for row in ROWS if row.catalog is not None}

@@ -246,24 +246,34 @@ def brute_coloring_search(
     return _pruned_search(g, dialect, False)
 
 
-def _candidate_white_sets(g: Graph, dialect: Dialect) -> list[int]:
-    """The white classes of 2-colorings, in product order of the colorings,
-    one of which is the least valid coloring if any is.
+def _candidate_white_sets(g: Graph, dialect: Dialect) -> set[int]:
+    """The white classes of 2-colorings, one of which is the least valid
+    coloring if any is, in product order and in ascending masks alike;
+    each caller sorts them in the order it walks.
 
     Vertices removable under every coloring (isolated ones with add,
     universal ones with join_all) are dropped greedily; their colors are
     free. In what is left, H, the first removal of a valid coloring is a
     join_c of some vertex x, which forces every other vertex of H: its
     neighbours get c, the rest the other color. Setting the free colors
-    (x and the dropped vertices) to BLACK gives a valid coloring no greater
-    than the original, so the least valid coloring is a candidate. Its
-    white class is N(x) & rest for c = WHITE and rest minus N(x) for
-    c = BLACK, where rest is H without x.
+    (x and the dropped vertices) to BLACK keeps the coloring valid and
+    clears bits of its white class, which makes it no greater in either
+    order, so the least valid coloring is a candidate. Its white class is
+    N(x) & rest for c = WHITE and rest minus N(x) for c = BLACK, where
+    rest is H without x.
 
     A dialect that joins to both colors (all but SPECIAL) is closed under
-    swapping them, so a valid coloring with vertex 0 WHITE swaps to a
-    smaller valid one. The least valid coloring then has vertex 0 BLACK,
-    and the candidates with vertex 0 WHITE are dropped.
+    swapping them, so the candidates with vertex 0 WHITE are dropped: the
+    least valid coloring in product order has vertex 0 BLACK, and so does
+    every set the switch search wants.
+
+    That search, switching.switch_to_threshold, is the second caller. By
+    the paper's theorem the restricted 2-threshold graphs are the
+    switching class of the threshold graphs: a coloring is valid for
+    RESTRICTED exactly when the switch by its white class is threshold,
+    since join_c of x becomes a dominating vertex when x has color c and
+    an isolated one otherwise. So the least threshold switch set without
+    vertex 0 is the least RESTRICTED candidate in ascending masks.
     """
     kinds = {op.kind for op in dialect.ops}
     alive = g.full_mask
@@ -276,7 +286,7 @@ def _candidate_white_sets(g: Graph, dialect: Dialect) -> list[int]:
                 alive ^= 1 << v
                 dropped = True
     if alive.bit_count() <= 1:
-        return [0]
+        return {0}
     joins = [op.color for op in dialect.ops if op.kind == "join_color"]
     swap_closed = set(joins) == {BLACK, WHITE}
     candidates = set()
@@ -287,21 +297,21 @@ def _candidate_white_sets(g: Graph, dialect: Dialect) -> list[int]:
             white = nb if c == WHITE else rest ^ nb
             if not (swap_closed and white & 1):
                 candidates.add(white)
-    # product order reads vertex 0 first: the bits of a white set reversed
-    n = g.n
-    return sorted(candidates, key=lambda white: f"{white:0{n}b}"[::-1])
+    return candidates
 
 
 def _search_two_colored(g: Graph, dialect: Dialect) -> tuple[tuple[int, ...], BuildSequence] | None:
     """Same result as brute_coloring_search from at most 2n eliminations,
     so no limit applies. Each candidate goes to the kernel as masks; only
     the hit becomes a coloring and a BuildSequence."""
-    rows, full = g.rows, g.full_mask
-    for white in _candidate_white_sets(g, dialect):
+    n, rows, full = g.n, g.rows, g.full_mask
+    # product order reads vertex 0 first: the bits of a white set reversed
+    whites = sorted(_candidate_white_sets(g, dialect), key=lambda white: f"{white:0{n}b}"[::-1])
+    for white in whites:
         # the color classes, BLACK (0) then WHITE (1)
         picks = elimination_picks(rows, full, _class_masks(dialect, [full ^ white, white], full))
         if picks is not None:
-            coloring = tuple(white >> v & 1 for v in range(g.n))
+            coloring = tuple(white >> v & 1 for v in range(n))
             return coloring, _sequence(dialect, coloring, full, picks)
     return None
 

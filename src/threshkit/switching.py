@@ -1,27 +1,28 @@
 """Seidel switching, switching classes, switch-to-threshold search.
 
-The brute-force oracle tries every switch set without vertex 0 in
-ascending order. brute_switch_scan runs it for a chain of nested classes
-in one pass, offering each switch to a predicate only when every wider
-one accepted it. When the widest class is the cographs, it skips, without
-switching, every set whose switch repeats an induced P4 it has already
-found: whether a pair inside a vertex set Q toggles depends on the switch
-set's restriction to Q alone. switch_to_threshold and has_cograph_switch
-return the oracle's certificate without walking every set: the first from
-n + 2 candidate sets, the second depth first, dropping partial sets that
-already induce a P4. Every walk over up to 2^(n-1) switch sets (the scan,
-the cograph certificate search and the switching class) is guarded by the
-coloring budget before its first switch.
+The brute-force oracle, brute_switch_scan, tries every switch set without
+vertex 0 in ascending order, for the first cograph switch and the first
+threshold switch in one walk. It skips, without switching, every set
+whose switch repeats an induced P4 it has already found: whether a pair
+inside a vertex set Q toggles depends on the switch set's restriction to
+Q alone. switch_to_threshold and has_cograph_switch return the oracle's
+certificates without walking every set: the first from the at most
+n + 1 candidate sets of the restricted coloring search (the restricted
+2-threshold graphs are the switching class of the threshold graphs), the
+second depth first, dropping partial sets that already induce a P4.
+Every walk over up to 2^(n-1) switch sets (the scan, the cograph
+certificate search and the switching class) is guarded by the coloring
+budget before its first switch.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .canonical import canonical_graph
 from .graph6 import encode_graph6
 from .graphs import Graph, _unchecked_graph, bits
-from .kthreshold import elimination_picks
+from .kthreshold import RESTRICTED, _candidate_white_sets, elimination_picks
 from .limits import DEFAULT_LIMITS, Limits
 from .records import frozen
 
@@ -65,89 +66,57 @@ class SwitchCertificate:
 
 
 def brute_switch_scan(
-    g: Graph, accepts: Sequence[Callable[[Graph], bool]], limits: Limits = DEFAULT_LIMITS
-) -> tuple[SwitchCertificate | None, ...]:
-    """Oracle: for each predicate of a chain of nested classes, the first
-    switch set (ascending masks, vertex 0 excluded) whose switch it
-    accepts.
+    g: Graph, limits: Limits = DEFAULT_LIMITS
+) -> tuple[SwitchCertificate | None, SwitchCertificate | None]:
+    """Oracle: the first switch set (ascending masks, vertex 0 excluded)
+    whose switch is a cograph, and the first whose switch is threshold.
 
-    Order matters: accepts runs from the widest class to the narrowest,
-    each predicate implying the one before it, and a switch is offered to
-    a predicate only when every earlier one accepted it. The sets are
-    tried in ascending order until the last predicate has its hit, so for
-    such a chain each predicate finds exactly what a scan with it alone
-    would.
+    One walk finds both. Each switch that is not skipped goes to the P4
+    test on its rows; only a P4-free one becomes a graph and goes to the
+    threshold kernel, since every threshold graph is a cograph, and the
+    walk stops at the first threshold switch.
 
-    When the widest predicate is is_cograph, the scan runs the P4 test on
-    the switched rows itself and builds a graph only for a P4-free switch.
-    It remembers the vertex mask Q of each induced P4 it finds with the
-    restriction S & Q of its set S. The switch by a later set T induces on
-    Q the switch of g[Q] by T & Q, and switching g[Q] by a subset of Q or
-    by its complement in Q gives the same graph, so when T & Q is S & Q or
-    Q ^ (S & Q) the switch by T has that P4 too and T is skipped unswitched.
-    The remembered P4s are tried newest first, which tries fewer of them.
+    The scan remembers the vertex mask Q of each induced P4 it finds with
+    the restriction S & Q of its set S. The switch by a later set T induces
+    on Q the switch of g[Q] by T & Q, and switching g[Q] by a subset of Q
+    or by its complement in Q gives the same graph, so when T & Q is S & Q
+    or Q ^ (S & Q) the switch by T has that P4 too and T is skipped
+    unswitched. The remembered P4s are tried newest first, which tries
+    fewer of them.
     """
     _require_switch_sets(g, limits)
-    hits: list[SwitchCertificate | None] = [None] * len(accepts)
     n, rows, full = g.n, g.rows, g.full_mask
-    # with is_cograph first, the scan runs the P4 test and accepts[1:] remain
-    start = 1 if accepts and accepts[0] is is_cograph else 0
+    cograph = None
     found: list[tuple[int, int, int]] = []  # (Q, S & Q, Q ^ (S & Q)) per P4 found
     for s in range(0, 1 << n, 2):
-        if start:
-            for q, inside, outside in found:
-                if s & q == inside or s & q == outside:
-                    break  # the switch by s has this P4
-            else:
-                switched = _switched_rows(rows, full, s)
-                q = _p4(switched)
-                if q:
-                    found.insert(0, (q, s & q, q ^ s & q))
+        for q, inside, outside in found:
+            if s & q == inside or s & q == outside:
+                break  # the switch by s has this P4
+        else:
+            switched = _switched_rows(rows, full, s)
+            q = _p4(switched)
             if q:
-                continue
-            target = _unchecked_graph(n, switched)
-            if hits[0] is None:
-                hits[0] = SwitchCertificate(s, target)
-        else:
-            target = _unchecked_graph(n, _switched_rows(rows, full, s))
-        for i in range(start, len(accepts)):
-            if not accepts[i](target):
-                break
-            if hits[i] is None:
-                hits[i] = SwitchCertificate(s, target)
-        else:
-            break  # the narrowest class accepted, so every predicate has its hit
-    return tuple(hits)
-
-
-def _threshold_switch_sets(g: Graph) -> list[int]:
-    """Sorted switch sets without vertex 0 that include the least threshold one.
-
-    Switching by the white class of a restricted 2-threshold coloring gives
-    a threshold graph, and conversely: a vertex removed by join_c becomes
-    dominating when c is its own color and isolated otherwise. The first
-    removal join_c of x fixes every other color (neighbours of x get c),
-    and the color of x is free, so the least threshold switch set has
-    vertex 0 and x outside it.
-    """
-    sets = {0}  # the all-black coloring, the only one when n = 1
-    for x in range(1, g.n):
-        # c is the color that leaves vertex 0 black
-        white = ~g.rows[x] if g.rows[x] & 1 else g.rows[x]
-        sets.add(white & g.full_mask & ~(1 << x))
-    nb = g.rows[0]
-    sets.update((nb, g.full_mask & ~nb & ~1))  # x = 0, c = WHITE or BLACK
-    return sorted(sets)
+                found.insert(0, (q, s & q, q ^ s & q))
+        if q:
+            continue
+        target = _unchecked_graph(n, switched)
+        if cograph is None:
+            cograph = SwitchCertificate(s, target)
+        if elimination_picks(switched, full, (0, full)) is not None:
+            return cograph, SwitchCertificate(s, target)
+    return cograph, None
 
 
 def switch_to_threshold(g: Graph) -> SwitchCertificate | None:
     """First switch set (ascending masks, vertex 0 excluded) giving a threshold graph.
 
-    Same result as brute_switch_scan with is_threshold, from at most n + 2
-    switches instead of 2^(n-1). The search is polynomial, so no limit
-    applies.
+    Same result as brute_switch_scan's threshold switch, from at most n + 1
+    switches instead of 2^(n-1): the sets are the white classes of the
+    restricted coloring search's candidates, tried in ascending order (see
+    kthreshold._candidate_white_sets). The search is polynomial, so no
+    limit applies.
     """
-    for s in _threshold_switch_sets(g):
+    for s in sorted(_candidate_white_sets(g, RESTRICTED)):
         target = switch(g, s)
         full = target.full_mask
         if elimination_picks(target.rows, full, (0, full)) is not None:
@@ -257,8 +226,8 @@ def _least_cograph_switch(g: Graph) -> int | None:
 
 
 def has_cograph_switch(g: Graph, limits: Limits = DEFAULT_LIMITS) -> SwitchCertificate | None:
-    """First switch of g that is a cograph, if any: the certificate
-    brute_switch_scan with is_cograph finds.
+    """First switch of g that is a cograph, if any: the cograph
+    certificate brute_switch_scan finds.
 
     Non-members are rejected in polynomial time. A member's certificate
     comes from the depth-first search of _least_cograph_switch, guarded

@@ -16,11 +16,11 @@ Each piece of work is done once per suite. A suite that rediscovers walks
 the levels through discovery itself: its counted check is discovery's
 membership predicate, so each graph is built and checked once, in the
 order of the plain walk. The switching check
-runs its two brute-force switch oracles as one scan of a chain of nested
-classes: every switch goes to the cograph test, which looks for an
-induced P4 (cographs are exactly the P4-free graphs), except a switch
-that repeats a P4 the scan found before, and only the P4-free switches
-go on to the threshold kernel, since every threshold graph is a cograph.
+runs its two brute-force switch oracles as one walk, brute_switch_scan:
+every switch goes to the P4 test (cographs are exactly the P4-free
+graphs), except a switch that repeats a P4 the walk found before, and
+only the P4-free switches go on to the threshold kernel, since every
+threshold graph is a cograph.
 Canonical forms are computed under the run's limits; suite_bound checks,
 before any work, the largest graph a suite labels beyond its enumerated
 range: the largest catalog entry in catalogs, and the threshold graphs
@@ -63,7 +63,6 @@ from .sequences import ADD, JOIN_ALL, BuildSequence, Step, evaluate
 from .switching import (
     _require_switch_sets,
     brute_switch_scan,
-    is_cograph,
     is_switch_cograph,
     switch_to_threshold,
     switching_class_graphs,
@@ -297,9 +296,10 @@ def _check_partitioned(run: _Run, cg: ColoredGraph) -> bool:
 
 def _check_switching(run: _Run, g: Graph) -> bool:
     """Brute and fast switch search vs restricted elimination vs FIS, and the
-    cograph analog, from one brute-force scan for both switch classes."""
-    cograph_oracle, oracle = brute_switch_scan(g, (is_cograph, BY_NAME["threshold"].member),
-                                               run.limits)
+    cograph analog, from one brute-force scan for both switch classes. The
+    fast switch search tries the restricted search's candidate sets, so the
+    brute scan and the FIS scan are the checks independent of both."""
+    cograph_oracle, oracle = brute_switch_scan(g, run.limits)
     fast = switch_to_threshold(g)
     _agree(run, "switch_threshold", g, {
         "brute": oracle is not None,

@@ -43,9 +43,10 @@ def raw_extensions(n: int, limits: Limits = DEFAULT_LIMITS) -> list[Graph]:
 
 
 def oracle_switch_scan(g: Graph, accepts) -> tuple:
-    """The per-set brute_switch_scan: every switch set without vertex 0 in
+    """The per-set switch scan: every switch set without vertex 0 in
     ascending order, each switched and offered to the chain of predicates,
-    widest first, until the narrowest accepts."""
+    widest first, until the narrowest accepts. For the chain (cograph,
+    threshold) it returns what brute_switch_scan returns."""
     hits = [None] * len(accepts)
     for s in range(0, 1 << g.n, 2):
         target = switch(g, s)

@@ -40,7 +40,7 @@ from threshkit.named import (
     octahedron,
     path_graph,
 )
-from threshkit.sequences import ADD, BLACK, WHITE, BuildSequence, Step, evaluate, join_color
+from threshkit.sequences import ADD, BLACK, BuildSequence, Step, evaluate, join_color
 
 from oracles import oracle_candidate_colorings
 from strategies import (
@@ -456,14 +456,12 @@ def test_polynomial_searches_need_no_size_bound(search, dialect):
     assert search(gnp) is None
 
 
-def white_set(coloring) -> int:
-    return sum(1 << v for v, c in enumerate(coloring) if c == WHITE)
-
-
 def assert_white_sets_equal_tuple_candidates(g, dialect):
-    """The white-set candidates are the tuple candidates, in the same order."""
+    """The white-set candidates are the tuple candidates: as colorings in
+    product order, the order the two-color search walks, they are equal."""
     whites = kthreshold._candidate_white_sets(g, dialect)
-    assert whites == [white_set(c) for c in oracle_candidate_colorings(g, dialect)], g
+    colorings = sorted(tuple(white >> v & 1 for v in range(g.n)) for white in whites)
+    assert colorings == oracle_candidate_colorings(g, dialect), g
 
 
 @pytest.mark.parametrize("dialect", TWO_COLOR_DIALECTS, ids=lambda d: d.name)

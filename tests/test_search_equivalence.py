@@ -30,7 +30,6 @@ from threshkit.sequences import ADD, JOIN_ALL, BuildSequence, Step, evaluate
 from threshkit.switching import (
     brute_switch_scan,
     has_cograph_switch,
-    is_cograph,
     is_switch_cograph,
     switch,
     switch_to_threshold,
@@ -51,11 +50,11 @@ SEARCHES = {
     ),
     "switch_to_threshold": (
         lambda g, lim: switch_to_threshold(g),
-        lambda g, lim: brute_switch_scan(g, (_threshold,), lim)[0],
+        lambda g, lim: brute_switch_scan(g, lim)[1],
     ),
     "has_cograph_switch": (
         has_cograph_switch,
-        lambda g, lim: brute_switch_scan(g, (is_cograph,), lim)[0],
+        lambda g, lim: brute_switch_scan(g, lim)[0],
     ),
 }
 

@@ -1,6 +1,6 @@
 """Seidel switching: algebra, classes, threshold and cograph switch search,
-and the nested-chain brute_switch_scan against one-predicate loops and
-against the per-set scan it replaces."""
+and brute_switch_scan against one-predicate loops and against the per-set
+scan it replaces."""
 
 import pytest
 from hypothesis import given, settings
@@ -106,6 +106,19 @@ def test_switch_certificates_verify():
                 assert is_threshold(cert.target) is not None
 
 
+def test_switch_search_makes_at_most_n_plus_one_switches(monkeypatch):
+    """The switch search tries only the restricted search's candidate
+    sets: one for each vertex other than 0, and two for vertex 0."""
+    switched = []
+    switch_of = switching.switch
+    monkeypatch.setattr(switching, "switch", lambda g, s: switched.append(s) or switch_of(g, s))
+    for n in range(1, 8):
+        for g in all_graphs(EnumerationConfig(n)):
+            switched.clear()
+            switch_to_threshold(g)
+            assert len(switched) <= n + 1, g
+
+
 def oracle_is_cograph(g):
     """The earlier test: split induced Graph objects into components, or
     into the components of their complement."""
@@ -167,7 +180,7 @@ def test_p4_masks_are_induced_p4s_on_larger_graphs(g):
 def test_cograph_switch_search_agrees_with_fis():
     for n in range(1, 7):
         for g in all_graphs(EnumerationConfig(n)):
-            brute = brute_switch_scan(g, (is_cograph,))[0] is not None
+            brute = brute_switch_scan(g)[0] is not None
             assert brute == is_switch_cograph(g) == recognize_switch_cograph_fis(g).accepted
 
 
@@ -183,7 +196,7 @@ def test_cograph_switch_certificates_verify():
 def test_search_budget_enforced():
     tight = Limits(coloring_budget=2)
     with pytest.raises(CapacityError):
-        brute_switch_scan(matching(3), (lambda h: is_threshold(h) is not None,), tight)
+        brute_switch_scan(matching(3), tight)
     # 3K2 is a cograph, so the certificate search runs and is guarded
     with pytest.raises(CapacityError):
         has_cograph_switch(matching(3), tight)
@@ -204,9 +217,8 @@ _threshold = lambda h: is_threshold(h) is not None
 def test_switch_scan_equals_separate_searches_exhaustively():
     for n in range(1, 8):
         for g in all_graphs(EnumerationConfig(n)):
-            assert brute_switch_scan(g, (is_cograph, _threshold)) == (
+            assert brute_switch_scan(g) == (
                 oracle_switch_search(g, is_cograph), oracle_switch_search(g, _threshold)), g
-            assert brute_switch_scan(g, (is_cograph,)) == (oracle_switch_search(g, is_cograph),), g
 
 
 @settings(max_examples=60, deadline=None)
@@ -216,7 +228,7 @@ def test_switch_scan_equals_separate_searches_exhaustively():
     switched_threshold_graphs(min_n=8, max_n=12),
 ))
 def test_switch_scan_equals_separate_searches_on_larger_graphs(g):
-    assert brute_switch_scan(g, (is_cograph, _threshold)) == (
+    assert brute_switch_scan(g) == (
         oracle_switch_search(g, is_cograph), oracle_switch_search(g, _threshold))
 
 
@@ -225,18 +237,16 @@ def test_switch_scan_equals_separate_searches_on_larger_graphs(g):
 def test_switched_threshold_hosts_hit_both_predicates(g):
     """Switched threshold hosts give each predicate a hit, so the test above
     compares certificates, not only None."""
-    cograph_hit, threshold_hit = brute_switch_scan(g, (is_cograph, _threshold))
+    cograph_hit, threshold_hit = brute_switch_scan(g)
     assert threshold_hit is not None and cograph_hit.set <= threshold_hit.set
 
 
-# chains of nested classes, widest first: the scan remembers P4s only
-# when the widest predicate is is_cograph itself, so the last chain, whose
-# widest predicate is the same test under another name, is scanned set by set
+# chains the per-set oracle walks: it offers each switch to the cograph
+# test, then to the threshold test, until the last predicate accepts. The
+# scan's hits are the oracle's for the full chain and for its prefix
 CHAINS = {
     "cograph-threshold": (is_cograph, _threshold),
     "cograph": (is_cograph,),
-    "threshold": (_threshold,),
-    "wrapped-cograph-threshold": (lambda h: is_cograph(h), _threshold),
 }
 
 
@@ -245,7 +255,7 @@ def test_switch_scan_equals_the_per_set_oracle_up_to_n7(chain):
     accepts = CHAINS[chain]
     for n in range(1, 8):
         for g in all_graphs(EnumerationConfig(n)):
-            assert brute_switch_scan(g, accepts) == oracle_switch_scan(g, accepts), g
+            assert brute_switch_scan(g)[:len(accepts)] == oracle_switch_scan(g, accepts), g
 
 
 @settings(max_examples=60, deadline=None)
@@ -256,7 +266,7 @@ def test_switch_scan_equals_the_per_set_oracle_up_to_n7(chain):
 ), st.sampled_from(sorted(CHAINS)))
 def test_switch_scan_equals_the_per_set_oracle_on_larger_graphs(g, chain):
     accepts = CHAINS[chain]
-    assert brute_switch_scan(g, accepts) == oracle_switch_scan(g, accepts)
+    assert brute_switch_scan(g)[:len(accepts)] == oracle_switch_scan(g, accepts)
 
 
 def test_switch_scan_skips_only_sets_whose_switch_repeats_a_p4(monkeypatch):
@@ -267,22 +277,8 @@ def test_switch_scan_skips_only_sets_whose_switch_repeats_a_p4(monkeypatch):
     rows_of = switching._switched_rows
     monkeypatch.setattr(switching, "_switched_rows",
                         lambda rows, full, s: switched.append(s) or rows_of(rows, full, s))
-    assert brute_switch_scan(cycle_graph(5), (is_cograph,)) == (None,)
+    assert brute_switch_scan(cycle_graph(5)) == (None, None)
     assert switched == [0, 2, 4, 6, 10, 12, 16, 20, 24, 30]
-
-
-def test_switch_scan_offers_a_switch_only_past_every_earlier_predicate():
-    """The chain contract: a predicate sees a switch only when every earlier
-    one accepted it, and the scan stops at the last predicate's first hit."""
-    offered = []
-    never = lambda h: offered.append("never") or False
-    always = lambda h: offered.append("always") or True
-    g = path_graph(3)
-    assert brute_switch_scan(g, (never, always)) == (None, None)
-    assert offered == ["never"] * 4
-    offered.clear()
-    assert brute_switch_scan(g, (always, always)) == (SwitchCertificate(0, g),) * 2
-    assert offered == ["always"] * 2
 
 
 def test_switch_scan_budget_precedes_the_first_switch(monkeypatch):
@@ -291,8 +287,8 @@ def test_switch_scan_budget_precedes_the_first_switch(monkeypatch):
     monkeypatch.setattr(switching, "_switched_rows",
                         lambda rows, full, s: switched.append(s) or rows_of(rows, full, s))
     with pytest.raises(CapacityError):
-        brute_switch_scan(matching(3), (is_cograph, _threshold), Limits(coloring_budget=2))
+        brute_switch_scan(matching(3), Limits(coloring_budget=2))
     assert switched == []
     # within the budget every set up to the last first hit is switched once
-    assert brute_switch_scan(path_graph(3), (is_cograph, _threshold), Limits(coloring_budget=4))
+    assert brute_switch_scan(path_graph(3), Limits(coloring_budget=4))
     assert switched == [0]

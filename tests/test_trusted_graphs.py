@@ -129,9 +129,10 @@ def numbered_by_first_use(coloring):
 
 
 def candidates(g, dialect):
-    """The colorings the two-color search walks, from its white sets."""
-    return [tuple(white >> v & 1 for v in range(g.n))
-            for white in kthreshold._candidate_white_sets(g, dialect)]
+    """The colorings the two-color search walks, from its white sets, in
+    product order."""
+    return sorted(tuple(white >> v & 1 for v in range(g.n))
+                  for white in kthreshold._candidate_white_sets(g, dialect))
 
 
 # (search, its dialect, the full colorings it walks in order, whether it

@@ -79,7 +79,7 @@ def other_switch_certificate(monkeypatch):
 
 def flip_switch_sides(monkeypatch):
     _wrap(monkeypatch, verify, "brute_switch_scan",
-          lambda hits, g, accepts, limits: (None, hits[1]) if _picked(g) else hits)
+          lambda hits, g, limits: (None, hits[1]) if _picked(g) else hits)
     _wrap(monkeypatch, verify, "is_restricted", lambda cert, g: None if g.n == 5 else cert)
     _wrap(monkeypatch, verify, "is_switch_cograph", lambda ok, g: ok != _picked(g))
 
