@@ -82,7 +82,9 @@ def _coloring_and_sequence(result) -> Optional[list[str]]:
     if result is None:
         return None
     coloring, seq = result
-    return [f"coloring {color_string(coloring)}"] + _sequence_lines(seq)
+    # one digit per vertex reads only up to ten colors
+    text = color_string(coloring) if max(coloring) <= 9 else ",".join(map(str, coloring))
+    return [f"coloring {text}"] + _sequence_lines(seq)
 
 
 def _switch_cert_lines(cert) -> Optional[list[str]]:
@@ -183,7 +185,7 @@ ROWS = (
     ),
     GraphClass(
         "switch-cograph",
-        recognize=lambda g, k, limits: _switch_cert_lines(has_cograph_switch(g, limits)),
+        recognize=lambda g, k, limits: _switch_cert_lines(has_cograph_switch(g)),
         fis=lambda g: recognize_switch_cograph_fis(g),
         family="switch-cograph",
         member=lambda g: is_switch_cograph(g),

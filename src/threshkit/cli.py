@@ -73,7 +73,7 @@ def cmd_recognize(args, limits: Limits) -> int:
             member = res.accepted
             detail = _fis_lines(res)
         else:
-            # the constructive side first, so a capacity error precedes the FIS scan
+            # the constructive side first; only kthreshold with k >= 3 is budgeted, and has no FIS
             certificate = row.recognize(g, args.k, limits)
             member, detail = certificate is not None, certificate or []
             if method == "both":

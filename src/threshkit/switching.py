@@ -6,13 +6,13 @@ threshold switch in one walk. It skips, without switching, every set
 whose switch repeats an induced P4 it has already found: whether a pair
 inside a vertex set Q toggles depends on the switch set's restriction to
 Q alone. switch_to_threshold and has_cograph_switch return the oracle's
-certificates without walking every set: the first from the at most
-n + 1 candidate sets of the restricted coloring search (the restricted
+certificates in polynomial time: the first from the at most n + 1
+candidate sets of the restricted coloring search (the restricted
 2-threshold graphs are the switching class of the threshold graphs), the
-second depth first, dropping partial sets that already induce a P4.
-Every walk over up to 2^(n-1) switch sets (the scan, the cograph
-certificate search and the switching class) is guarded by the coloring
-budget before its first switch.
+second greedily, deciding vertices from n - 1 down and keeping each out of
+the set while the partial set still extends to a cograph switch. The
+walks over all 2^(n-1) switch sets (the scan and the switching class) are
+guarded by the coloring budget before their first switch.
 """
 
 from __future__ import annotations
@@ -180,62 +180,57 @@ def is_switch_cograph(g: Graph) -> bool:
     return is_cograph(switch(g, g.rows[0]))
 
 
-def _has_p4_through(adj: list[int], j: int) -> bool:
-    """Whether the graph with rows adj has an induced P4 through vertex j.
-
-    Up to reversal, j is an end j-a-b-c or an inner vertex x-j-a-b; both
-    go through a neighbour a of j and a neighbour b of a outside N[j].
+def _adds_p4(adj: list[int], nb: int) -> bool:
+    """Whether a vertex u joined to nb, a vertex set of the graph with rows
+    adj, lies on an induced P4: u-a-b-r or r-u-a-b up to reversal, with a
+    in nb, b in N(a) outside nb, and r outside N[a] in just one of nb and
+    N(b). With nb = adj[j] it tests the P4s through j, which is no b or r.
     """
-    closed_j = adj[j] | 1 << j
-    for a in bits(adj[j]):
-        closed_a = adj[a] | 1 << a
-        side = adj[j] & ~closed_a  # candidates for x
-        for b in bits(adj[a] & ~closed_j):
-            if adj[b] & ~closed_j & ~closed_a or side & ~adj[b]:
+    for a in bits(nb):
+        for b in bits(adj[a] & ~nb):
+            if (adj[b] ^ nb) & ~adj[a]:
                 return True
     return False
 
 
-def _least_cograph_switch(g: Graph) -> int | None:
-    """The least switch set without vertex 0 whose switch of g is a
-    cograph, or None.
-
-    Depth first, vertex n - 1 decided first and vertex 1 last, each left
-    out of the set before it is put in, so complete sets come in ascending
-    order. Every completion of a partial set induces the same graph on the
-    decided vertices and vertex 0; cographs are hereditary, so a partial
-    set whose induced graph has a P4 is dropped, and only the P4s through
-    the vertex just decided are new.
+def _extends(rows: Sequence[int], decided: int, t: int, j: int) -> bool:
+    """The extension rule: whether t, a switch set on the decided vertices
+    0 and j..n-1 that induces no P4 on those other than j, extends to a
+    cograph switch. On the decided vertices the switch by t has rows adj,
+    and an undecided vertex u has two sides: its trace adj[u] (u outside
+    the set) and the rest (u inside). The rule: no P4 goes through j, and
+    every undecided vertex has a side that adds none.
     """
-    rows = g.rows
-
-    def extend(j: int, decided: int, s: int) -> int | None:
-        if j == 0:
-            return s
-        decided |= 1 << j
-        for t in (s, s | 1 << j):
-            # the switch by t induced on the decided vertices
-            adj = [row & decided for row in _switched_rows(rows, decided, t)]
-            if not _has_p4_through(adj, j):
-                hit = extend(j - 1, decided, t)
-                if hit is not None:
-                    return hit
-        return None
-
-    return extend(g.n - 1, 1, 0)
+    adj = [row & decided for row in _switched_rows(rows, decided, t)]
+    return not _adds_p4(adj, adj[j]) and all(
+        not _adds_p4(adj, adj[u]) or not _adds_p4(adj, decided ^ adj[u]) for u in range(1, j)
+    )
 
 
-def has_cograph_switch(g: Graph, limits: Limits = DEFAULT_LIMITS) -> SwitchCertificate | None:
+def has_cograph_switch(g: Graph) -> SwitchCertificate | None:
     """First switch of g that is a cograph, if any: the cograph
-    certificate brute_switch_scan finds.
+    certificate brute_switch_scan finds, in polynomial time.
 
-    Non-members are rejected in polynomial time. A member's certificate
-    comes from the depth-first search of _least_cograph_switch, guarded
-    up front by the budget, like the brute-force search, against its worst
-    case of 2^(n-1) switch sets.
+    A non-member costs one switch and one P4 test. A member's set is
+    decided greedily, vertex n - 1 first and vertex 1 last, each left out
+    unless the extension rule then fails. Proved: the rule is necessary, so
+    a vertex goes in only when no cograph switch that agrees on the decided
+    vertices leaves it out, and each step keeps the decided vertices
+    P4-free, so a returned set is the least cograph switch. Checked, not
+    proved: the rule is sufficient, so one choice always passes; it agrees
+    with brute-force completion on every state of every switch-cograph
+    graph with n <= 9 (check_extension_rule in tests/test_switching.py). A
+    step where neither choice passes raises RuntimeError.
     """
     if not is_switch_cograph(g):
         return None
-    _require_switch_sets(g, limits)
-    s = _least_cograph_switch(g)
+    s, decided = 0, 1
+    for j in range(g.n - 1, 0, -1):
+        decided |= 1 << j
+        for t in (s, s | 1 << j):
+            if _extends(g.rows, decided, t, j):
+                s = t
+                break
+        else:
+            raise RuntimeError(f"the extension rule admits no choice for vertex {j} after set {s}")
     return SwitchCertificate(s, switch(g, s))

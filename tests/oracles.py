@@ -1,6 +1,7 @@
 """Trivially correct versions of production searches that the tests check
-them against: generators for the enumeration, the per-set switch scan and
-the tuple candidate colorings of the two-color search."""
+them against: generators for the enumeration, the per-set switch scan, the
+depth-first least cograph switch and the tuple candidate colorings of the
+two-color search."""
 
 from itertools import combinations, product
 
@@ -11,7 +12,7 @@ from threshkit.graphs import Graph, bits
 from threshkit.kthreshold import Dialect
 from threshkit.limits import DEFAULT_LIMITS, Limits
 from threshkit.sequences import BLACK, WHITE
-from threshkit.switching import SwitchCertificate, switch
+from threshkit.switching import SwitchCertificate, _switched_rows, switch
 
 
 def baseline_graphs(n: int, limits: Limits = DEFAULT_LIMITS) -> tuple[Graph, ...]:
@@ -58,6 +59,51 @@ def oracle_switch_scan(g: Graph, accepts) -> tuple:
         else:
             break
     return tuple(hits)
+
+
+def _has_p4_through(adj: list[int], j: int) -> bool:
+    """Whether the graph with rows adj has an induced P4 through vertex j.
+
+    Up to reversal, j is an end j-a-b-c or an inner vertex x-j-a-b; both
+    go through a neighbour a of j and a neighbour b of a outside N[j].
+    """
+    closed_j = adj[j] | 1 << j
+    for a in bits(adj[j]):
+        closed_a = adj[a] | 1 << a
+        side = adj[j] & ~closed_a  # candidates for x
+        for b in bits(adj[a] & ~closed_j):
+            if adj[b] & ~closed_j & ~closed_a or side & ~adj[b]:
+                return True
+    return False
+
+
+def oracle_least_cograph_switch(g: Graph) -> int | None:
+    """The least switch set without vertex 0 whose switch of g is a
+    cograph, or None.
+
+    Depth first, vertex n - 1 decided first and vertex 1 last, each left
+    out of the set before it is put in, so complete sets come in ascending
+    order. Every completion of a partial set induces the same graph on the
+    decided vertices and vertex 0; cographs are hereditary, so a partial
+    set whose induced graph has a P4 is dropped, and only the P4s through
+    the vertex just decided are new. Exponential in the worst case.
+    """
+    rows = g.rows
+
+    def extend(j: int, decided: int, s: int) -> int | None:
+        if j == 0:
+            return s
+        decided |= 1 << j
+        for t in (s, s | 1 << j):
+            # the switch by t induced on the decided vertices
+            adj = [row & decided for row in _switched_rows(rows, decided, t)]
+            if not _has_p4_through(adj, j):
+                hit = extend(j - 1, decided, t)
+                if hit is not None:
+                    return hit
+        return None
+
+    return extend(g.n - 1, 1, 0)
 
 
 def oracle_candidate_colorings(g: Graph, dialect: Dialect) -> list[tuple[int, ...]]:

@@ -55,6 +55,20 @@ def random_member(rnd, dialect, n):
     return evaluate(BuildSequence(dialect.k, tuple(steps)))
 
 
+def random_switch_cograph(rnd, n):
+    """A random cograph on n vertices, built by unions and joins, relabeled
+    and switched by a random set: a switch-cograph member."""
+    parts = [Graph(1, (0,))] * n
+    while len(parts) > 1:
+        i = rnd.randrange(len(parts) - 1)
+        combine = join if rnd.random() < 0.5 else disjoint_union
+        parts[i : i + 2] = [combine(parts[i], parts[i + 1])]
+    order = list(range(n))
+    rnd.shuffle(order)
+    g = parts[0].relabel(order)
+    return switch(g, rnd.getrandbits(n) & g.full_mask)
+
+
 @st.composite
 def cographs_with_a_flip(draw, min_n=1, max_n=14):
     """A random cograph built by unions and joins, relabeled, then with

@@ -2,6 +2,7 @@
 
 import io
 import random
+import time
 
 import pytest
 
@@ -23,7 +24,7 @@ from threshkit.named import (
 from threshkit.obstructions import FisResult
 from threshkit.verify import VerificationReport, Witness
 
-from strategies import random_member
+from strategies import random_member, random_switch_cograph
 
 
 def _input_file(tmp_path, *lines):
@@ -163,6 +164,18 @@ def test_kthreshold_with_many_colors_answers_on_five_vertices(tmp_path, capsys):
     assert capsys.readouterr().out == out
 
 
+def test_kthreshold_coloring_past_ten_colors_is_comma_separated(tmp_path, monkeypatch, capsys):
+    """11K2 needs 11 colors, one more than a digit per vertex can show."""
+    monkeypatch.setenv("THRESHKIT_COLORING_BUDGET", str(10 ** 20))
+    path = _input_file(tmp_path, encode_graph6(matching(11)))
+    args = ["recognize", "--class", "kthreshold", "--k", "11", "--input", path]
+    assert cli.main(args) == cli.OK
+    out = capsys.readouterr().out
+    assert ": member (kthreshold)" in out
+    (coloring,) = [line.split()[1] for line in out.splitlines() if line.startswith("  coloring ")]
+    assert sorted(set(map(int, coloring.split(",")))) == list(range(11))
+
+
 @pytest.mark.parametrize("raw", ["many", "1.5", "-1", ""])
 def test_bad_env_limit_exits_two_naming_the_variable(tmp_path, monkeypatch, capsys, raw):
     monkeypatch.setenv("THRESHKIT_COLORING_BUDGET", raw)
@@ -204,29 +217,32 @@ def test_obstructions_empty_range_exits_two(capsys, nmax):
     assert "at least 1" in capsys.readouterr().err
 
 
-def test_capacity_exit_precedes_fis_under_both(tmp_path, monkeypatch, capsys):
-    # 3K2 is a member, so the budgeted certificate search runs
-    scanned = []
-    monkeypatch.setattr(classes, "recognize_switch_cograph_fis", lambda g: scanned.append(g))
-    monkeypatch.setenv("THRESHKIT_COLORING_BUDGET", "1")
-    path = _input_file(tmp_path, encode_graph6(matching(3)))
-    args = ["recognize", "--class", "switch-cograph", "--method", "both", "--input", path]
-    assert cli.main(args) == cli.CAPACITY
-    assert scanned == []
-
-
-@pytest.mark.parametrize("cls, dialect", [
-    ("special", SPECIAL),
-    ("restricted", RESTRICTED),
-    ("extended", EXTENDED),
-    ("kthreshold", general_dialect(2)),
-], ids=["special", "restricted", "extended", "kthreshold"])
-def test_polynomial_searches_take_64_vertex_graphs(tmp_path, capsys, cls, dialect):
-    g = random_member(random.Random(f"{cls}:64"), dialect, 64).graph
+@pytest.mark.parametrize("cls", ["special", "restricted", "extended", "kthreshold", "switch-cograph"])
+def test_polynomial_searches_take_64_vertex_graphs(tmp_path, capsys, cls):
+    rnd = random.Random(f"{cls}:64")
+    if cls == "switch-cograph":
+        g = random_switch_cograph(rnd, 64)
+    else:
+        dialect = {"special": SPECIAL, "restricted": RESTRICTED,
+                   "extended": EXTENDED, "kthreshold": general_dialect(2)}[cls]
+        g = random_member(rnd, dialect, 64).graph
     path = _input_file(tmp_path, encode_graph6(g))
     args = ["recognize", "--class", cls, "--method", "elimination", "--input", path]
     assert cli.main(args + (["--k", "2"] if cls == "kthreshold" else [])) == cli.OK
     assert f": member ({cls})" in capsys.readouterr().out
+
+
+def test_switch_cograph_member_on_38_vertices_answers_at_default_limits(tmp_path, monkeypatch, capsys):
+    """The depth-first oracle_least_cograph_switch visits 544,943 partial
+    sets on this member, about 30 s."""
+    monkeypatch.delenv("THRESHKIT_COLORING_BUDGET", raising=False)
+    line = (r"eU^HmUaH]SXQqcLZEluSbgkZIRdTbUSdBIQdKYf}Sf@xAKAqcWCL^fzelr|uSB?bLZfzct}^mUOb?bXJ{~[ct}"
+            r"^mQVRdZceSB?bZxYKALmqcWCZ\L^fzcb_")
+    path = _input_file(tmp_path, line)
+    start = time.perf_counter()
+    assert cli.main(["recognize", "--class", "switch-cograph", "--input", path]) == cli.OK
+    assert time.perf_counter() - start < 1.0
+    assert "  switch set 2,3,5,6,8,10,11,13,16,18,27,34\n" in capsys.readouterr().out
 
 
 def test_verify_capacity_exit_via_env(monkeypatch, capsys):

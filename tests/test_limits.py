@@ -27,9 +27,9 @@ from threshkit.enumeration import EnumerationConfig, all_colored_graphs, all_gra
 from threshkit.graphs import ColoredGraph
 from threshkit.kthreshold import SPECIAL, brute_coloring_search, is_k_threshold
 from threshkit.limits import DEFAULT_LIMITS, ENV_VARS, CapacityError, Limits
-from threshkit.named import cycle_graph, matching, path_graph
+from threshkit.named import cycle_graph, path_graph
 from threshkit.obstructions import find_minimal_obstructions
-from threshkit.switching import brute_switch_scan, has_cograph_switch, switching_class
+from threshkit.switching import brute_switch_scan, switching_class
 from threshkit.verify import run_suite
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -169,9 +169,6 @@ GUARDED = {
                           Limits(coloring_budget=2 ** 3 - 1), [(switching, "_switched_rows")]),
     "switching_class": (lambda limits: switching_class(cycle_graph(5), limits),
                         Limits(coloring_budget=2 ** 4 - 1), [(switching, "_switched_rows")]),
-    # 3K2 is a switch-cograph member, so its certificate search would run
-    "has_cograph_switch": (lambda limits: has_cograph_switch(matching(3), limits),
-                           Limits(coloring_budget=2 ** 5 - 1), [(switching, "_least_cograph_switch")]),
 }
 
 

@@ -53,7 +53,7 @@ SEARCHES = {
         lambda g, lim: brute_switch_scan(g, lim)[1],
     ),
     "has_cograph_switch": (
-        has_cograph_switch,
+        lambda g, lim: has_cograph_switch(g),
         lambda g, lim: brute_switch_scan(g, lim)[0],
     ),
 }

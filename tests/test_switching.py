@@ -11,7 +11,7 @@ from threshkit.canonical import canonical_form
 from threshkit.embed import PatternList, find_first_embedding
 from threshkit.enumeration import EnumerationConfig, all_graphs
 from threshkit.kthreshold import is_threshold
-from threshkit.limits import CapacityError, Limits
+from threshkit.limits import DEFAULT_LIMITS, CapacityError, Limits
 from threshkit.named import (
     complete_graph,
     cycle_graph,
@@ -34,8 +34,14 @@ from threshkit.switching import (
     switching_class_graphs,
 )
 
-from oracles import oracle_switch_scan
-from strategies import cographs_with_a_flip, gnp_graphs, graphs, switched_threshold_graphs
+from oracles import oracle_least_cograph_switch, oracle_switch_scan
+from strategies import (
+    cographs_with_a_flip,
+    gnp_graphs,
+    graphs,
+    random_switch_cograph,
+    switched_threshold_graphs,
+)
 
 
 def test_switch_definition_on_an_edge():
@@ -193,13 +199,44 @@ def test_cograph_switch_certificates_verify():
                 assert is_cograph(cert.target)
 
 
+def check_extension_rule(n, limits=DEFAULT_LIMITS):
+    """The extension rule against brute-force completion on every state of
+    every switch-cograph class on n vertices: the decided vertices 0 and
+    j..n-1, for each j, with each switch set t on them. The rule assumes
+    that t induces no P4 on the decided vertices other than j, so the state
+    extends exactly when that holds and the rule passes. Returns the number
+    of states."""
+    states = 0
+    for g in all_graphs(EnumerationConfig(n), limits):
+        if not is_switch_cograph(g):
+            continue
+        cograph_sets = [s for s in range(0, 1 << n, 2) if is_cograph(switch(g, s))]
+        for j in range(1, n):
+            decided = g.full_mask >> j << j | 1
+            completed = {s & decided for s in cograph_sets}
+            for t in range(0, decided, 1 << j):
+                rule = (is_cograph(switch(g, t).induced(decided ^ 1 << j))
+                        and switching._extends(g.rows, decided, t, j))
+                assert rule == (t in completed), (g, j, t)
+                states += 1
+    return states
+
+
+def test_extension_rule_equals_brute_force_completion_up_to_n7():
+    assert sum(check_extension_rule(n) for n in range(1, 8)) == 55534
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(15, 26))
+def test_greedy_cograph_switch_equals_depth_first_search(rnd, n):
+    """Sizes where brute_switch_scan is too slow to be the oracle."""
+    g = random_switch_cograph(rnd, n)
+    assert has_cograph_switch(g).set == oracle_least_cograph_switch(g)
+
+
 def test_search_budget_enforced():
-    tight = Limits(coloring_budget=2)
     with pytest.raises(CapacityError):
-        brute_switch_scan(matching(3), tight)
-    # 3K2 is a cograph, so the certificate search runs and is guarded
-    with pytest.raises(CapacityError):
-        has_cograph_switch(matching(3), tight)
+        brute_switch_scan(matching(3), Limits(coloring_budget=2))
 
 
 def oracle_switch_search(g, accept):
