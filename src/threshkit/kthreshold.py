@@ -22,6 +22,11 @@ k != 2) colors vertices 0, 1, ... depth first in product order and runs
 the kernel on each prefix: every dialect's class is hereditary, so a
 prefix that does not eliminate is never extended. Both return the
 coloring the plain product-order walk would find first.
+
+extend_white_sets is the brute-force oracle carried from graph to graph,
+for two colors: given the valid white classes of g less its last vertex,
+in product order, it returns what brute_coloring_search returns for g,
+with g's own valid white classes for the next graph that extends g.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ __all__ = [
     "eliminate",
     "elimination_picks",
     "brute_coloring_search",
+    "extend_white_sets",
     "is_k_threshold",
     "is_special",
     "is_restricted",
@@ -244,6 +250,42 @@ def brute_coloring_search(
     tries far fewer."""
     limits.require("coloring_budget", dialect.k ** g.n, f"{dialect.k}^{g.n} colorings exceed")
     return _pruned_search(g, dialect, False)
+
+
+def extend_white_sets(
+    g: Graph, dialect: Dialect, whites: list[int], whole: bool = True
+) -> tuple[tuple[tuple[int, ...], BuildSequence] | None, list[int]]:
+    """Oracle by prefix extension: what brute_coloring_search returns for
+    g and a two-color dialect, from whites, the white classes of the valid
+    colorings of g less its last vertex v, in product order. Also returns
+    the white classes of g's valid colorings in product order, or, without
+    whole, up to the first only.
+
+    Every dialect's class is hereditary, so a valid coloring of g is a
+    valid coloring of the prefix with a color for v. The candidates, each
+    prefix class with v black, then with v white, come in product order,
+    and each goes to the kernel on the whole graph, so the first valid one
+    and its sequence are the brute-force search's. The work is at most two
+    kernel calls per prefix class, so no limit applies.
+    """
+    if dialect.k != 2:
+        raise ValueError(f"extend_white_sets takes a two-color dialect, not {dialect.k} colors")
+    n, rows, full = g.n, g.rows, g.full_mask
+    bit = 1 << n - 1
+    first, found = None, []
+    for prefix in whites:
+        for white in (prefix, prefix | bit):
+            # the color classes, BLACK (0) then WHITE (1)
+            picks = elimination_picks(rows, full, _class_masks(dialect, [full ^ white, white], full))
+            if picks is None:
+                continue
+            found.append(white)
+            if first is None:
+                coloring = tuple(white >> v & 1 for v in range(n))
+                first = coloring, _sequence(dialect, coloring, full, picks)
+                if not whole:
+                    return first, found
+    return first, found
 
 
 def _candidate_white_sets(g: Graph, dialect: Dialect) -> set[int]:

@@ -32,9 +32,11 @@ class Limits:
     coloring_budget: maximum number of colorings or switch sets an
         exponential search may enumerate in the worst case, checked before
         it starts (k-threshold for k >= 3, the brute-force oracles, the
-        walk over a switching class); the pruned coloring search usually
-        stops far below it, and the polynomial searches, 2-colored ones
-        and both switch searches included, need no bound
+        walk over a switching class, the special and switching suites,
+        whose oracles may keep every coloring or switch set of a class);
+        the pruned coloring search usually stops far below it, and the
+        polynomial searches, 2-colored ones and both switch searches
+        included, need no bound
     enumeration_max_n: largest size the isomorph-free generator will produce
     """
 

@@ -5,7 +5,10 @@ vertex 0 in ascending order, for the first cograph switch and the first
 threshold switch in one walk. It skips, without switching, every set
 whose switch repeats an induced P4 it has already found: whether a pair
 inside a vertex set Q toggles depends on the switch set's restriction to
-Q alone. switch_to_threshold and has_cograph_switch return the oracle's
+Q alone. extend_switch_sets returns the same from the cograph and
+threshold switch sets of g less its last vertex, with g's own, so that a
+walk over graphs that extend one another carries them.
+switch_to_threshold and has_cograph_switch return the oracle's
 certificates in polynomial time: the first from the at most n + 1
 candidate sets of the restricted coloring search (the restricted
 2-threshold graphs are the switching class of the threshold graphs), the
@@ -32,6 +35,7 @@ __all__ = [
     "switching_class_graphs",
     "SwitchCertificate",
     "brute_switch_scan",
+    "extend_switch_sets",
     "switch_to_threshold",
     "is_cograph",
     "is_switch_cograph",
@@ -105,6 +109,49 @@ def brute_switch_scan(
         if elimination_picks(switched, full, (0, full)) is not None:
             return cograph, SwitchCertificate(s, target)
     return cograph, None
+
+
+def extend_switch_sets(
+    g: Graph, cographs: list[int], thresholds: list[int], whole: bool = True
+) -> tuple[tuple[SwitchCertificate | None, SwitchCertificate | None], list[int], list[int]]:
+    """Oracle by prefix extension: what brute_switch_scan returns for g,
+    from cographs and thresholds, the cograph and the threshold switch sets
+    of g less its last vertex v, vertex 0 excluded, in ascending masks.
+    Also returns g's two families in ascending masks, or, without whole,
+    only as far as the walk goes before both answers are settled.
+
+    The switch of g by a set S induces on the prefix its switch by S less
+    v, and the cograph and threshold graphs are hereditary, so S is a
+    cograph switch exactly when S less v is one and no induced P4 passes
+    through v, and a threshold switch exactly when, besides, S less v is
+    one and the threshold kernel accepts the switch. The candidates, each
+    prefix cograph set with v outside, then each with v inside, come in
+    ascending masks. The work is at most two switches per prefix set, so no
+    limit applies.
+    """
+    n, rows, full = g.n, g.rows, g.full_mask
+    v = n - 1
+    below = set(thresholds)
+    cograph = threshold = None
+    found_cographs, found_thresholds = [], []
+    for side in (0, 1 << v) if v else (0,):
+        for prefix in cographs:
+            s = prefix | side
+            switched = _switched_rows(rows, full, s)
+            if _adds_p4(switched, switched[v]):
+                continue
+            found_cographs.append(s)
+            if cograph is None:
+                cograph = SwitchCertificate(s, _unchecked_graph(n, switched))
+            if prefix in below and elimination_picks(switched, full, (0, full)) is not None:
+                found_thresholds.append(s)
+                if threshold is None:
+                    threshold = SwitchCertificate(s, _unchecked_graph(n, switched))
+            # the scan stops at its first threshold switch, and after its
+            # first cograph switch none can follow when the prefix has none
+            if not whole and (threshold is not None or not below):
+                return (cograph, threshold), found_cographs, found_thresholds
+    return (cograph, threshold), found_cographs, found_thresholds
 
 
 def switch_to_threshold(g: Graph) -> SwitchCertificate | None:

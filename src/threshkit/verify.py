@@ -15,17 +15,32 @@ agreement suite is a check and a _SUITES entry.
 Each piece of work is done once per suite. A suite that rediscovers walks
 the levels through discovery itself: its counted check is discovery's
 membership predicate, so each graph is built and checked once, in the
-order of the plain walk. The switching check
-runs its two brute-force switch oracles as one walk, brute_switch_scan:
-every switch goes to the P4 test (cographs are exactly the P4-free
-graphs), except a switch that repeats a P4 the walk found before, and
-only the P4-free switches go on to the threshold kernel, since every
-threshold graph is a cograph.
+order of the plain walk.
+
+The special and switching checks take their brute-force answers from
+oracles by prefix extension, which carry work from graph to graph. The
+walk checks each level in sorted order, and the first n - 1 vertices of a
+canonical (minimal graph6) graph induce the canonical graph of their
+class one level below: the prefix property of orderly generation (Read,
+"Every one a winner", 1978), which discovery also relies on. Every class
+checked is hereditary, so each valid coloring, or switch set, of a class
+extends one of its prefix class's by the last vertex. The run keeps, by
+class rows and for the level below only, the SPECIAL-valid white classes
+in product order (extend_white_sets) and the cograph and threshold switch
+sets without vertex 0 in ascending masks (extend_switch_sets); a
+candidate switch set is a cograph switch when no induced P4 passes
+through the last vertex. On the run's top level the oracles stop at their
+first hits and keep nothing. They return what brute_coloring_search and
+brute_switch_scan return, certificates included, and those per-graph
+oracles stay as the references the tests compare against.
+
 Canonical forms are computed under the run's limits; suite_bound checks,
 before any work, the largest graph a suite labels beyond its enumerated
 range: the largest catalog entry in catalogs, and the threshold graphs
 that counts generates on one vertex more; for catalogs it also checks
-the switch sets of its largest switching class.
+the switch sets of its largest switching class, and for special and
+switching the 2^n_max colorings and 2^(n_max - 1) switch sets an oracle
+may keep for one class.
 
 The FIS scans read their patterns from the shipped catalogs. The catalogs
 suite derives the switch-threshold catalog independently, as the
@@ -49,7 +64,7 @@ from .graph6 import encode_graph6, format_graph_line
 from .graphs import ColoredGraph, Graph
 from .kthreshold import (
     SPECIAL,
-    brute_coloring_search,
+    extend_white_sets,
     is_good,
     is_restricted,
     is_special,
@@ -62,7 +77,7 @@ from .records import frozen
 from .sequences import ADD, JOIN_ALL, BuildSequence, Step, evaluate
 from .switching import (
     _require_switch_sets,
-    brute_switch_scan,
+    extend_switch_sets,
     is_switch_cograph,
     switch_to_threshold,
     switching_class_graphs,
@@ -165,6 +180,11 @@ class _Run:
         self.limits = limits
         self.counts: dict[str, int] = {}
         self.witnesses: list[tuple[str, Witness]] = []
+        # an oracle's families by the rows of their classes, for the level
+        # below the one being checked and for that level
+        self._below: dict[tuple[int, ...], object] = {}
+        self._level: dict[tuple[int, ...], object] = {}
+        self._level_n = 0
         self.started = time.perf_counter()
 
     def bump(self, key: str, by: int = 1) -> None:
@@ -181,6 +201,27 @@ class _Run:
         g6, _, colors = format_graph_line(graph).partition(" ")
         g = graph if isinstance(graph, Graph) else graph.graph
         self.witnesses.append((canonical_form(g, self.limits), Witness(g6, colors or "-", detail)))
+
+    def extend(self, g: Graph, extension, empty):
+        """The answer of an oracle by prefix extension for g, a class of the
+        walk, from extension(g, family, whole) -> (answer, family of g).
+
+        The walk goes through the levels in order. The first n - 1 vertices
+        of a canonical graph on n vertices induce the canonical graph of
+        their class (the prefix property of orderly generation), whose
+        family was kept on the level below; for n = 1 it is empty, the
+        family of the graph on no vertices. On the run's top level the
+        oracle stops at its answer and nothing is kept.
+        """
+        if g.n != self._level_n:
+            self._below, self._level, self._level_n = self._level, {}, g.n
+        low = (1 << g.n - 1) - 1
+        family = self._below[tuple(r & low for r in g.rows[:-1])] if g.n > 1 else empty
+        whole = g.n < self.n_max
+        answer, family = extension(g, family, whole)
+        if whole:
+            self._level[g.rows] = family
+        return answer
 
     def report(self) -> VerificationReport:
         witnesses = tuple(w for _, w in sorted(self.witnesses, key=lambda p: (p[0], p[1].detail)))
@@ -268,9 +309,21 @@ def _check_thresholds(run: _Run, g: Graph) -> bool:
     return seq is not None
 
 
+def _special_colorings(g: Graph, whites: list[int], whole: bool):
+    """extend_white_sets for SPECIAL, as _Run.extend calls it."""
+    return extend_white_sets(g, SPECIAL, whites, whole)
+
+
+def _switch_sets(g: Graph, family: tuple[list[int], list[int]], whole: bool):
+    """extend_switch_sets on a family of (cograph sets, threshold sets), as
+    _Run.extend calls it."""
+    hits, cographs, thresholds = extend_switch_sets(g, *family, whole)
+    return hits, (cographs, thresholds)
+
+
 def _check_special(run: _Run, g: Graph) -> bool:
     """Brute coloring search vs the fast search vs the eight-pattern FIS."""
-    oracle, fast = brute_coloring_search(g, SPECIAL, run.limits), is_special(g)
+    oracle, fast = run.extend(g, _special_colorings, [0]), is_special(g)
     _agree(run, "special", g, {
         "brute": oracle is not None,
         "elimination": fast is not None,
@@ -296,10 +349,11 @@ def _check_partitioned(run: _Run, cg: ColoredGraph) -> bool:
 
 def _check_switching(run: _Run, g: Graph) -> bool:
     """Brute and fast switch search vs restricted elimination vs FIS, and the
-    cograph analog, from one brute-force scan for both switch classes. The
-    fast switch search tries the restricted search's candidate sets, so the
-    brute scan and the FIS scan are the checks independent of both."""
-    cograph_oracle, oracle = brute_switch_scan(g, run.limits)
+    cograph analog, from one brute-force oracle for both switch classes,
+    by prefix extension. The fast switch search tries the restricted
+    search's candidate sets, so the brute oracle and the FIS scan are the
+    checks independent of both."""
+    cograph_oracle, oracle = run.extend(g, _switch_sets, ([0], [0]))
     fast = switch_to_threshold(g)
     _agree(run, "switch_threshold", g, {
         "brute": oracle is not None,
@@ -395,8 +449,9 @@ def suite_bound(name: str, n_max: int | None = None, limits: Limits = DEFAULT_LI
     """The bound a run of the named suite uses, n_max or, for None, the
     suite's default, after the checks run_suite makes before any work:
     ValueError for an unknown suite or an empty range, CapacityError for a
-    bound above the limit or a graph the suite labels above the canonical
-    bound."""
+    bound above the limit, a graph the suite labels above the canonical
+    bound, or colorings or switch sets an oracle walks above the coloring
+    budget."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     default_n = _SUITES[name][1]
@@ -415,6 +470,12 @@ def suite_bound(name: str, n_max: int | None = None, limits: Limits = DEFAULT_LI
     elif name == "counts":
         n = _generated_max(n_max)
         limits.require("canonical_max_n", n, f"canonical form on {n} vertices exceeds")
+    # the oracles by prefix extension keep, for each class, up to all its
+    # 2-colorings or all its switch sets without vertex 0
+    elif name == "special":
+        limits.require("coloring_budget", 1 << n_max, f"2^{n_max} colorings exceed")
+    elif name == "switching":
+        limits.require("coloring_budget", 1 << n_max - 1, f"2^{n_max - 1} switch sets exceed")
     return n_max
 
 

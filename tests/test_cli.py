@@ -341,6 +341,24 @@ def test_coloring_budget_refusal_leaves_an_existing_out_file_as_it_was(
     assert out_file.read_bytes() == b"an earlier report\n"
 
 
+@pytest.mark.parametrize("suite, budget, refused", [
+    ("special", 127, "2^7 colorings"),
+    ("switching", 63, "2^6 switch sets"),
+])
+def test_suite_budget_refusal_leaves_an_existing_out_file_as_it_was(
+        tmp_path, monkeypatch, capsys, suite, budget, refused):
+    """special keeps up to all 2^7 colorings of a class at its default bound
+    and switching up to all 2^6 switch sets without vertex 0, so a smaller
+    budget refuses the run before the report file is opened."""
+    monkeypatch.setenv("THRESHKIT_COLORING_BUDGET", str(budget))
+    out_file = tmp_path / "r.txt"
+    out_file.write_bytes(b"an earlier report\n")
+    assert cli.main(["verify", "--suite", suite, "--out", str(out_file)]) == cli.CAPACITY
+    assert capsys.readouterr().err == (
+        f"capacity: {refused} exceed coloring_budget {budget} (set THRESHKIT_COLORING_BUDGET)\n")
+    assert out_file.read_bytes() == b"an earlier report\n"
+
+
 def test_obstructions_threshold(capsys):
     assert cli.main(["obstructions", "--family", "threshold", "--nmax", "4"]) == cli.OK
     out = capsys.readouterr().out.splitlines()

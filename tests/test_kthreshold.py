@@ -21,6 +21,7 @@ from threshkit.kthreshold import (
     SPECIAL,
     brute_coloring_search,
     eliminate,
+    extend_white_sets,
     general_dialect,
     is_extended,
     is_good,
@@ -128,6 +129,31 @@ def test_brute_coloring_search_equals_per_graph_loop(dialect):
     for n in range(1, 8):
         for g in all_graphs(EnumerationConfig(n)):
             assert brute_coloring_search(g, dialect) == oracle_coloring_search(g, dialect), g
+
+
+@pytest.mark.parametrize("dialect", [SPECIAL, RESTRICTED, EXTENDED, general_dialect(2)],
+                         ids=lambda d: d.name)
+def test_extend_white_sets_equals_every_coloring_walk(dialect):
+    """From its prefix class's family, each class on up to 6 vertices gets
+    the white classes of all its valid colorings in product order, and
+    the certificate brute_coloring_search returns, with whole or not."""
+    families = {(): [0]}
+    for n in range(1, 7):
+        low = (1 << n - 1) - 1
+        for g in all_graphs(EnumerationConfig(n)):
+            prefix = families[tuple(r & low for r in g.rows[:-1])]
+            cert, found = extend_white_sets(g, dialect, prefix)
+            colorings = [c for c in product((0, 1), repeat=n)
+                         if eliminate(ColoredGraph(g, c), dialect) is not None]
+            assert found == [sum(c << v for v, c in enumerate(colors)) for colors in colorings]
+            assert cert == extend_white_sets(g, dialect, prefix, False)[0]
+            assert cert == brute_coloring_search(g, dialect), g
+            families[g.rows] = found
+
+
+def test_extend_white_sets_takes_two_colors_only():
+    with pytest.raises(ValueError, match="two-color"):
+        extend_white_sets(path_graph(2), general_dialect(3), [0])
 
 
 def oracle_prefix_search(g, k):

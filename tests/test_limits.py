@@ -160,6 +160,12 @@ GUARDED = {
     # catalogs walks the 2^5 switch sets of its largest seed, 3K2
     "suite_bound_catalogs": (lambda limits: run_suite("catalogs", None, limits),
                              Limits(coloring_budget=2 ** 5 - 1), [(switching, "_switched_rows")]),
+    # special extends up to all 2^4 colorings of each class, switching up
+    # to all 2^3 switch sets without vertex 0
+    "suite_bound_special": (lambda limits: run_suite("special", 4, limits),
+                            Limits(coloring_budget=2 ** 4 - 1), [(kthreshold, "elimination_picks")]),
+    "suite_bound_switching": (lambda limits: run_suite("switching", 4, limits),
+                              Limits(coloring_budget=2 ** 3 - 1), [(switching, "_switched_rows")]),
     "brute_coloring_search": (lambda limits: brute_coloring_search(path_graph(4), SPECIAL, limits),
                               Limits(coloring_budget=2 ** 4 - 1), [(kthreshold, "elimination_picks")]),
     # 14 colorings of 4 vertices in at most 3 colors are numbered by first use

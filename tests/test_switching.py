@@ -25,6 +25,7 @@ from threshkit.obstructions import recognize_switch_cograph_fis
 from threshkit.switching import (
     SwitchCertificate,
     brute_switch_scan,
+    extend_switch_sets,
     has_cograph_switch,
     is_cograph,
     is_switch_cograph,
@@ -197,6 +198,25 @@ def test_cograph_switch_certificates_verify():
             if cert is not None:
                 assert switch(g, cert.set) == cert.target
                 assert is_cograph(cert.target)
+
+
+def test_extend_switch_sets_equals_every_switch_walk():
+    """From its prefix class's families, each class on up to 6 vertices gets
+    all its cograph and threshold switch sets without vertex 0 in
+    ascending masks, and the certificates brute_switch_scan returns, with
+    whole or not."""
+    families = {(): ([0], [0])}
+    for n in range(1, 7):
+        low = (1 << n - 1) - 1
+        for g in all_graphs(EnumerationConfig(n)):
+            prefix = families[tuple(r & low for r in g.rows[:-1])]
+            hits, cographs, thresholds = extend_switch_sets(g, *prefix)
+            sets = range(0, 1 << n, 2)
+            assert cographs == [s for s in sets if is_cograph(switch(g, s))]
+            assert thresholds == [s for s in sets if is_threshold(switch(g, s)) is not None]
+            assert hits == extend_switch_sets(g, *prefix, False)[0]
+            assert hits == brute_switch_scan(g), g
+            families[g.rows] = cographs, thresholds
 
 
 def check_extension_rule(n, limits=DEFAULT_LIMITS):

@@ -10,10 +10,13 @@ import threshkit.obstructions as obstructions
 import threshkit.switching as switching
 import threshkit.verify as verify
 from threshkit.catalogs import load_catalog
+from threshkit.enumeration import EnumerationConfig, all_graphs
 from threshkit.graph6 import encode_graph6
-from threshkit.limits import CapacityError, Limits
+from threshkit.kthreshold import SPECIAL, brute_coloring_search
+from threshkit.limits import DEFAULT_LIMITS, CapacityError, Limits
 from threshkit.named import complete_graph, empty_graph, path_graph
 from threshkit.graphs import ColoredGraph
+from threshkit.switching import brute_switch_scan
 from threshkit.verify import (
     SCHEMA,
     SUITE_NAMES,
@@ -157,7 +160,8 @@ def test_suites_pass_at_reduced_scale(name, n_max):
 
 
 @pytest.mark.parametrize("name, n_max, kernel_calls, scans", [
-    ("special", 5, 793, 52),
+    ("special", 5, 473, 52),
+    ("special", 7, 18092, 1252),
     ("partitioned", 4, 118, 118),
 ])
 def test_suite_work_goes_through_the_traced_functions(monkeypatch, name, n_max, kernel_calls, scans):
@@ -165,7 +169,11 @@ def test_suite_work_goes_through_the_traced_functions(monkeypatch, name, n_max, 
     the elimination kernel kthreshold.elimination_picks and every FIS scan
     one call of find_first_embedding, through the module globals a tracer
     replaces. Rediscovery reads the suite's verdicts and classifies no graph
-    again. A change that moves work off those calls changes these counts."""
+    again. A change that moves work off those calls changes these counts.
+    The special suite's oracle extends the valid colorings of each class's
+    prefix: 365 kernel calls at n <= 5 and 11,411 at n <= 7, where the
+    per-graph brute-force search, pruned depth first, made 685 and 82,599
+    (the suite then made 793 and 89,280)."""
     calls = {"kernel": 0, "scan": 0}
 
     def counted(key, fn):
@@ -196,18 +204,24 @@ def test_partitioned_scans_search_few_patterns(monkeypatch):
 
 
 def test_switching_suite_runs_the_kernel_on_p4_free_switches_only(monkeypatch):
-    """A work-count gate for the switching suite at n <= 6: its brute scan
-    runs the P4 test on each switch it does not skip and offers only the
-    P4-free ones to the threshold kernel, so the kernel runs 1,585 times.
-    It ran 1,688 times while the switch search tried the empty set first on
-    every graph, not only where it is a restricted candidate (717 of the
-    switch search's calls then, 614 now), 1,995 while the restricted search
-    also tried the colorings with vertex 0 white, and 4,234 when the scan
-    offered every switch to both predicates, which made 2,208 is_cograph
-    calls. The full P4 test, _p4, runs 1,516 times, is_switch_cograph's
-    included; it ran 2,812 times, as is_cograph, before the scan skipped
-    the sets whose switch repeats a P4 it had found. Counted through every
-    module global that names the two functions, as a tracer replaces them."""
+    """A work-count gate for the switching suite at n <= 6: its oracle
+    extends the switch sets of each class's prefix, tests each candidate
+    for a P4 through the new vertex only, and offers the threshold kernel
+    only the P4-free ones whose prefix set is a threshold switch, so the
+    kernel runs 1,768 times and the full P4 test, _p4, 208 times, once per
+    class in is_switch_cograph. Below each level's top, the oracle finds
+    every switch set, not only the first, so the kernel ran fewer times,
+    1,585, when the per-graph brute scan, brute_switch_scan, was the
+    oracle; that scan made 1,516 _p4 calls, is_switch_cograph's included.
+    The kernel ran 1,688 times while the switch search tried the empty set
+    first on every graph, not only where it is a restricted candidate (717
+    of the switch search's calls then, 614 now), 1,995 while the restricted
+    search also tried the colorings with vertex 0 white, and 4,234 when the
+    scan offered every switch to both predicates, which made 2,208
+    is_cograph calls; _p4 ran 2,812 times, as is_cograph, before the scan
+    skipped the sets whose switch repeats a P4 it had found. Counted
+    through every module global that names the two functions, as a tracer
+    replaces them."""
     calls = {"kernel": 0, "p4": 0}
 
     def count(key, modules, name):
@@ -223,7 +237,29 @@ def test_switching_suite_runs_the_kernel_on_p4_free_switches_only(monkeypatch):
     count("kernel", (kthreshold, switching, classes), "elimination_picks")
     count("p4", (switching,), "_p4")
     assert run_suite("switching", 6).ok
-    assert calls == {"kernel": 1585, "p4": 1516}
+    assert calls == {"kernel": 1768, "p4": 208}
+
+
+def check_prefix_oracles(n_max, limits=DEFAULT_LIMITS):
+    """The special and switching suites' oracles by prefix extension
+    against the per-graph oracles, brute_coloring_search for SPECIAL and
+    brute_switch_scan, certificates included, on every class with
+    n <= n_max, walked in level order as the suites walk them: full
+    families below n_max, first hits on it. Returns the number of classes."""
+    special, switch_sets = _Run("special", n_max, limits), _Run("switching", n_max, limits)
+    classes = 0
+    for n in range(1, n_max + 1):
+        for g in all_graphs(EnumerationConfig(n), limits):
+            assert (special.extend(g, verify._special_colorings, [0])
+                    == brute_coloring_search(g, SPECIAL, limits)), g
+            assert (switch_sets.extend(g, verify._switch_sets, ([0], [0]))
+                    == brute_switch_scan(g, limits)), g
+            classes += 1
+    return classes
+
+
+def test_prefix_oracles_equal_the_per_graph_oracles_up_to_n7():
+    assert check_prefix_oracles(7) == 1252
 
 
 @pytest.mark.parametrize("name, n_max, lists", [

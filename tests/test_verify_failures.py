@@ -59,8 +59,9 @@ def other_special_certificate(monkeypatch):
 def flip_special(monkeypatch):
     _wrap(monkeypatch, verify, "is_special",
           lambda cert, g: None if cert is not None and _picked(g) else cert)
-    _wrap(monkeypatch, verify, "brute_coloring_search",
-          lambda cert, g, dialect, limits: None if g.n == 2 else cert)
+    # the verdict changes, never the family kept for the next level
+    _wrap(monkeypatch, verify, "extend_white_sets",
+          lambda found, g, dialect, whites, whole: (None, found[1]) if g.n == 2 else found)
 
 
 def flip_good(monkeypatch):
@@ -78,8 +79,9 @@ def other_switch_certificate(monkeypatch):
 
 
 def flip_switch_sides(monkeypatch):
-    _wrap(monkeypatch, verify, "brute_switch_scan",
-          lambda hits, g, limits: (None, hits[1]) if _picked(g) else hits)
+    _wrap(monkeypatch, verify, "extend_switch_sets",
+          lambda found, g, cographs, thresholds, whole:
+          ((None, found[0][1]),) + found[1:] if _picked(g) else found)
     _wrap(monkeypatch, verify, "is_restricted", lambda cert, g: None if g.n == 5 else cert)
     _wrap(monkeypatch, verify, "is_switch_cograph", lambda ok, g: ok != _picked(g))
 
