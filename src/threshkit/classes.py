@@ -82,9 +82,7 @@ def _coloring_and_sequence(result) -> Optional[list[str]]:
     if result is None:
         return None
     coloring, seq = result
-    # one digit per vertex reads only up to ten colors
-    text = color_string(coloring) if max(coloring) <= 9 else ",".join(map(str, coloring))
-    return [f"coloring {text}"] + _sequence_lines(seq)
+    return [f"coloring {color_string(coloring)}"] + _sequence_lines(seq)
 
 
 def _switch_cert_lines(cert) -> Optional[list[str]]:

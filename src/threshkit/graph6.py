@@ -96,15 +96,21 @@ def decode_graph6(text: str) -> Graph:
 
 
 def color_string(colors: tuple[int, ...]) -> str:
-    """'b'/'w' for two colors, digits otherwise."""
+    """'b'/'w' for two colors, one digit per vertex for up to ten, and
+    comma-separated numbers past ten."""
     if all(c <= 1 for c in colors):
         return "".join("bw"[c] for c in colors)
-    if any(c > 9 for c in colors):
-        raise ValueError("color strings support at most 10 colors")
-    return "".join(str(c) for c in colors)
+    return ("" if max(colors) <= 9 else ",").join(str(c) for c in colors)
 
 
 def parse_color_string(text: str, offset: int = 0) -> tuple[int, ...]:
+    """The colors color_string spells: comma-separated numbers if the text
+    has a comma, otherwise one 'b', 'w' or digit per vertex."""
+    if "," in text:
+        if not re.fullmatch(r"[0-9]+(,[0-9]+)*", text):
+            at = re.match(r"([0-9]+,)*", text).end()
+            raise GraphParseError(f"bad color number {text[at:].split(',')[0]!r}", offset + at)
+        return tuple(map(int, text.split(",")))
     colors = []
     for i, ch in enumerate(text):
         if ch == "b":

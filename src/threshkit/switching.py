@@ -1,29 +1,23 @@
-"""Seidel switching, switching classes, switch-to-threshold search.
+"""Seidel switching, switching classes, threshold and cograph switch search.
 
-The brute-force oracle, brute_switch_scan, tries every switch set without
-vertex 0 in ascending order, for the first cograph switch and the first
-threshold switch in one walk. It skips, without switching, every set
-whose switch repeats an induced P4 it has already found: whether a pair
-inside a vertex set Q toggles depends on the switch set's restriction to
-Q alone. extend_switch_sets returns the same from the cograph and
-threshold switch sets of g less its last vertex, with g's own, so that a
-walk over graphs that extend one another carries them.
-switch_to_threshold and has_cograph_switch return the oracle's
-certificates in polynomial time: the first from the at most n + 1
-candidate sets of the restricted coloring search (the restricted
-2-threshold graphs are the switching class of the threshold graphs), the
-second greedily, deciding vertices from n - 1 down and keeping each out of
-the set while the partial set still extends to a cograph switch. The
-walks over all 2^(n-1) switch sets (the scan and the switching class) are
-guarded by the coloring budget before their first switch.
+Switching by a vertex set toggles every pair with one end in the set
+(Seidel, "A survey of two-graphs", 1976); a set and its complement give
+the same graph, so the switch sets here leave vertex 0 out. Cographs are
+the P4-free graphs (Seinsche, 1974). switch_to_threshold, which rests on
+the restricted 2-threshold graphs being the switching class of the
+threshold graphs, and has_cograph_switch find the first threshold and
+the first cograph switch in ascending masks in polynomial time.
+extend_switch_sets, the switching suite's brute-force oracle, finds both
+from the switch sets of g less its last vertex; the tests check all three
+against a scan of every switch set. Only the walk over the switching
+class, all 2^(n-1) switch sets, is guarded by the coloring budget.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .canonical import canonical_graph
-from .graph6 import encode_graph6
+from .canonical import canonical_form
 from .graphs import Graph, _unchecked_graph, bits
 from .kthreshold import RESTRICTED, _candidate_white_sets, elimination_picks
 from .limits import DEFAULT_LIMITS, Limits
@@ -32,9 +26,7 @@ from .records import frozen
 __all__ = [
     "switch",
     "switching_class",
-    "switching_class_graphs",
     "SwitchCertificate",
-    "brute_switch_scan",
     "extend_switch_sets",
     "switch_to_threshold",
     "is_cograph",
@@ -69,54 +61,13 @@ class SwitchCertificate:
     target: Graph
 
 
-def brute_switch_scan(
-    g: Graph, limits: Limits = DEFAULT_LIMITS
-) -> tuple[SwitchCertificate | None, SwitchCertificate | None]:
-    """Oracle: the first switch set (ascending masks, vertex 0 excluded)
-    whose switch is a cograph, and the first whose switch is threshold.
-
-    One walk finds both. Each switch that is not skipped goes to the P4
-    test on its rows; only a P4-free one becomes a graph and goes to the
-    threshold kernel, since every threshold graph is a cograph, and the
-    walk stops at the first threshold switch.
-
-    The scan remembers the vertex mask Q of each induced P4 it finds with
-    the restriction S & Q of its set S. The switch by a later set T induces
-    on Q the switch of g[Q] by T & Q, and switching g[Q] by a subset of Q
-    or by its complement in Q gives the same graph, so when T & Q is S & Q
-    or Q ^ (S & Q) the switch by T has that P4 too and T is skipped
-    unswitched. The remembered P4s are tried newest first, which tries
-    fewer of them.
-    """
-    _require_switch_sets(g, limits)
-    n, rows, full = g.n, g.rows, g.full_mask
-    cograph = None
-    found: list[tuple[int, int, int]] = []  # (Q, S & Q, Q ^ (S & Q)) per P4 found
-    for s in range(0, 1 << n, 2):
-        for q, inside, outside in found:
-            if s & q == inside or s & q == outside:
-                break  # the switch by s has this P4
-        else:
-            switched = _switched_rows(rows, full, s)
-            q = _p4(switched)
-            if q:
-                found.insert(0, (q, s & q, q ^ s & q))
-        if q:
-            continue
-        target = _unchecked_graph(n, switched)
-        if cograph is None:
-            cograph = SwitchCertificate(s, target)
-        if elimination_picks(switched, full, (0, full)) is not None:
-            return cograph, SwitchCertificate(s, target)
-    return cograph, None
-
-
 def extend_switch_sets(
     g: Graph, cographs: list[int], thresholds: list[int], whole: bool = True
 ) -> tuple[tuple[SwitchCertificate | None, SwitchCertificate | None], list[int], list[int]]:
-    """Oracle by prefix extension: what brute_switch_scan returns for g,
-    from cographs and thresholds, the cograph and the threshold switch sets
-    of g less its last vertex v, vertex 0 excluded, in ascending masks.
+    """Oracle by prefix extension: the first cograph switch and the first
+    threshold switch of g (ascending masks, vertex 0 excluded), from
+    cographs and thresholds, the cograph and the threshold switch sets of
+    g less its last vertex v, vertex 0 excluded, in ascending masks.
     Also returns g's two families in ascending masks, or, without whole,
     only as far as the walk goes before both answers are settled.
 
@@ -147,8 +98,8 @@ def extend_switch_sets(
                 found_thresholds.append(s)
                 if threshold is None:
                     threshold = SwitchCertificate(s, _unchecked_graph(n, switched))
-            # the scan stops at its first threshold switch, and after its
-            # first cograph switch none can follow when the prefix has none
+            # both answers are settled at the first threshold switch, or at
+            # the first cograph switch when the prefix has no threshold one
             if not whole and (threshold is not None or not below):
                 return (cograph, threshold), found_cographs, found_thresholds
     return (cograph, threshold), found_cographs, found_thresholds
@@ -157,11 +108,10 @@ def extend_switch_sets(
 def switch_to_threshold(g: Graph) -> SwitchCertificate | None:
     """First switch set (ascending masks, vertex 0 excluded) giving a threshold graph.
 
-    Same result as brute_switch_scan's threshold switch, from at most n + 1
-    switches instead of 2^(n-1): the sets are the white classes of the
-    restricted coloring search's candidates, tried in ascending order (see
-    kthreshold._candidate_white_sets). The search is polynomial, so no
-    limit applies.
+    At most n + 1 switches instead of 2^(n-1): the sets are the white
+    classes of the restricted coloring search's candidates, tried in
+    ascending order (see kthreshold._candidate_white_sets). The search is
+    polynomial, so no limit applies.
     """
     for s in sorted(_candidate_white_sets(g, RESTRICTED)):
         target = switch(g, s)
@@ -172,19 +122,10 @@ def switch_to_threshold(g: Graph) -> SwitchCertificate | None:
 
 
 def switching_class(g: Graph, limits: Limits = DEFAULT_LIMITS) -> tuple[str, ...]:
-    """Sorted canonical forms of all switches of g (vertex 0 kept outside s)."""
-    return tuple(encode_graph6(h) for h in switching_class_graphs(g, limits))
-
-
-def switching_class_graphs(g: Graph, limits: Limits = DEFAULT_LIMITS) -> tuple[Graph, ...]:
-    """Canonical representative graphs of the switching class, sorted by
-    form, from all 2^(n-1) switches, which the budget guards up front."""
+    """Sorted canonical forms of all switches of g (vertex 0 kept outside
+    s), from all 2^(n-1) switches, which the budget guards up front."""
     _require_switch_sets(g, limits)
-    reps: dict[str, Graph] = {}
-    for s in range(0, 1 << g.n, 2):
-        canon = canonical_graph(switch(g, s), limits)
-        reps.setdefault(encode_graph6(canon), canon)
-    return tuple(reps[form] for form in sorted(reps))
+    return tuple(sorted({canonical_form(switch(g, s), limits) for s in range(0, 1 << g.n, 2)}))
 
 
 def is_cograph(g: Graph) -> bool:
@@ -255,8 +196,8 @@ def _extends(rows: Sequence[int], decided: int, t: int, j: int) -> bool:
 
 
 def has_cograph_switch(g: Graph) -> SwitchCertificate | None:
-    """First switch of g that is a cograph, if any: the cograph
-    certificate brute_switch_scan finds, in polynomial time.
+    """First switch of g that is a cograph, if any, in ascending masks
+    (vertex 0 excluded), in polynomial time.
 
     A non-member costs one switch and one P4 test. A member's set is
     decided greedily, vertex n - 1 first and vertex 1 last, each left out

@@ -30,9 +30,11 @@ in product order (extend_white_sets) and the cograph and threshold switch
 sets without vertex 0 in ascending masks (extend_switch_sets); a
 candidate switch set is a cograph switch when no induced P4 passes
 through the last vertex. On the run's top level the oracles stop at their
-first hits and keep nothing. They return what brute_coloring_search and
-brute_switch_scan return, certificates included, and those per-graph
-oracles stay as the references the tests compare against.
+first hits and keep nothing. They return what brute_coloring_search
+and a scan of every switch set return, certificates included, and the
+tests compare them with those per-graph oracles. Both fast switch
+searches, switch_to_threshold and has_cograph_switch, must return the
+switch oracle's certificates.
 
 Canonical forms are computed under the run's limits; suite_bound checks,
 before any work, the largest graph a suite labels beyond its enumerated
@@ -60,7 +62,7 @@ from .canonical import canonical_form
 from .catalogs import load_catalog, validate_catalog
 from .classes import BY_CATALOG, BY_NAME
 from .enumeration import EnumerationConfig, all_colored_graphs, all_graphs, check_range
-from .graph6 import encode_graph6, format_graph_line
+from .graph6 import format_graph_line
 from .graphs import ColoredGraph, Graph
 from .kthreshold import (
     SPECIAL,
@@ -78,9 +80,9 @@ from .sequences import ADD, JOIN_ALL, BuildSequence, Step, evaluate
 from .switching import (
     _require_switch_sets,
     extend_switch_sets,
-    is_switch_cograph,
+    has_cograph_switch,
     switch_to_threshold,
-    switching_class_graphs,
+    switching_class,
 )
 
 __all__ = [
@@ -350,11 +352,12 @@ def _check_partitioned(run: _Run, cg: ColoredGraph) -> bool:
 def _check_switching(run: _Run, g: Graph) -> bool:
     """Brute and fast switch search vs restricted elimination vs FIS, and the
     cograph analog, from one brute-force oracle for both switch classes,
-    by prefix extension. The fast switch search tries the restricted
-    search's candidate sets, so the brute oracle and the FIS scan are the
-    checks independent of both."""
+    by prefix extension, with each fast search's certificate against the
+    oracle's. The fast switch search tries the restricted search's
+    candidate sets, so the brute oracle and the FIS scan are the checks
+    independent of both."""
     cograph_oracle, oracle = run.extend(g, _switch_sets, ([0], [0]))
-    fast = switch_to_threshold(g)
+    fast, cograph_fast = switch_to_threshold(g), has_cograph_switch(g)
     _agree(run, "switch_threshold", g, {
         "brute": oracle is not None,
         "switch_search": fast is not None,
@@ -363,9 +366,9 @@ def _check_switching(run: _Run, g: Graph) -> bool:
     }, oracle, fast)
     _agree(run, "switch_cograph", g, {
         "brute": cograph_oracle is not None,
-        "switch_search": is_switch_cograph(g),
+        "switch_search": cograph_fast is not None,
         "fis": BY_NAME["switch-cograph"].fis(g).accepted,
-    })
+    }, cograph_oracle, cograph_fast)
     return fast is not None
 
 
@@ -389,9 +392,8 @@ def suite_catalogs(run: _Run) -> None:
             run.witness(cat.lookup(p.entry).obstruction,
                         f"catalog.{family}: {p.entry} {p.condition}: {p.detail}")
     # The switch-threshold catalog is also computable from first principles:
-    # the switching classes of its seeds, as canonical representatives.
-    computed = {encode_graph6(h) for seed in _switch_threshold_seeds()
-                for h in switching_class_graphs(seed, limits)}
+    # the switching classes of its seeds, as canonical forms.
+    computed = {form for seed in _switch_threshold_seeds() for form in switching_class(seed, limits)}
     catalogued = {canonical_form(e.graph, limits) for e in load_catalog("switch_threshold").entries}
     run.set("catalog.switch_threshold.computed", len(computed))
     if computed != catalogued:

@@ -1,7 +1,8 @@
 """Trivially correct versions of production searches that the tests check
-them against: generators for the enumeration, the per-set switch scan, the
-depth-first least cograph switch and the tuple candidate colorings of the
-two-color search."""
+them against: generators for the enumeration, the per-set switch scan
+(the reference of every switch-set search), the depth-first least
+cograph switch and the tuple candidate colorings of the two-color
+search."""
 
 from itertools import combinations, product
 
@@ -9,7 +10,7 @@ from threshkit.canonical import canonical_graph
 from threshkit.enumeration import _extend, _representatives, check_range
 from threshkit.graph6 import encode_graph6
 from threshkit.graphs import Graph, bits
-from threshkit.kthreshold import Dialect
+from threshkit.kthreshold import Dialect, is_threshold
 from threshkit.limits import DEFAULT_LIMITS, Limits
 from threshkit.sequences import BLACK, WHITE
 from threshkit.switching import SwitchCertificate, _switched_rows, switch
@@ -43,11 +44,16 @@ def raw_extensions(n: int, limits: Limits = DEFAULT_LIMITS) -> list[Graph]:
     return out
 
 
+def is_threshold_graph(g: Graph) -> bool:
+    return is_threshold(g) is not None
+
+
 def oracle_switch_scan(g: Graph, accepts) -> tuple:
     """The per-set switch scan: every switch set without vertex 0 in
     ascending order, each switched and offered to the chain of predicates,
-    widest first, until the narrowest accepts. For the chain (cograph,
-    threshold) it returns what brute_switch_scan returns."""
+    widest first, until the narrowest accepts. Returns the first
+    certificate of each predicate, or None. A one-element chain is the
+    one-predicate search."""
     hits = [None] * len(accepts)
     for s in range(0, 1 << g.n, 2):
         target = switch(g, s)

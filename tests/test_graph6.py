@@ -82,6 +82,21 @@ def test_color_string_many_colors():
         parse_color_string("bx")
 
 
+def test_graph_line_roundtrip_past_ten_colors():
+    """Eleven colors need a number above 9, spelled comma-separated."""
+    cg = ColoredGraph(path_graph(11), tuple(range(10, -1, -1)))
+    line = format_graph_line(cg)
+    assert line.split()[1] == "10,9,8,7,6,5,4,3,2,1,0"
+    assert parse_graph_line(line) == cg
+
+
+@pytest.mark.parametrize("text, offset", [("1,,2", 12), ("1,x", 12), ("1,2,", 14), ("b,1", 10)])
+def test_comma_separated_colors_reject_bad_numbers(text, offset):
+    with pytest.raises(GraphParseError) as info:
+        parse_color_string(text, 10)
+    assert info.value.offset == offset
+
+
 def test_graph_line_roundtrip_uncolored():
     g = path_graph(4)
     assert parse_graph_line(format_graph_line(g)) == g

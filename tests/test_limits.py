@@ -29,7 +29,7 @@ from threshkit.kthreshold import SPECIAL, brute_coloring_search, is_k_threshold
 from threshkit.limits import DEFAULT_LIMITS, ENV_VARS, CapacityError, Limits
 from threshkit.named import cycle_graph, path_graph
 from threshkit.obstructions import find_minimal_obstructions
-from threshkit.switching import brute_switch_scan, switching_class
+from threshkit.switching import switching_class
 from threshkit.verify import run_suite
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -171,8 +171,6 @@ GUARDED = {
     # 14 colorings of 4 vertices in at most 3 colors are numbered by first use
     "is_k_threshold": (lambda limits: is_k_threshold(path_graph(4), 3, limits),
                        Limits(coloring_budget=13), [(kthreshold, "elimination_picks")]),
-    "brute_switch_scan": (lambda limits: brute_switch_scan(path_graph(4), limits),
-                          Limits(coloring_budget=2 ** 3 - 1), [(switching, "_switched_rows")]),
     "switching_class": (lambda limits: switching_class(cycle_graph(5), limits),
                         Limits(coloring_budget=2 ** 4 - 1), [(switching, "_switched_rows")]),
 }

@@ -14,7 +14,7 @@ from threshkit.catalogs import load_catalog
 from threshkit.embed import PatternList, find_first_embedding
 from threshkit.classes import ROWS
 from threshkit.enumeration import EnumerationConfig, all_colored_graphs, all_graphs
-from threshkit.graph6 import encode_graph6, format_graph_line
+from threshkit.graph6 import decode_graph6, encode_graph6, format_graph_line
 from threshkit.graphs import ColoredGraph, disjoint_union, join
 from threshkit.kthreshold import (
     THRESHOLD,
@@ -48,7 +48,7 @@ from threshkit.obstructions import (
     recognize_switch_threshold_fis,
     recognize_threshold_fis,
 )
-from threshkit.switching import switch, switch_to_threshold, switching_class, switching_class_graphs
+from threshkit.switching import switch, switch_to_threshold, switching_class
 
 from strategies import (
     cographs_with_a_flip,
@@ -70,8 +70,8 @@ def switch_threshold_patterns():
     reg = named_graphs()
     by_form = {}
     for seed in ("3k2", "c5", "c4-2k1"):
-        for h in switching_class_graphs(reg[seed]):
-            by_form.setdefault(encode_graph6(h), h)
+        for form in switching_class(reg[seed]):
+            by_form.setdefault(form, decode_graph6(form))
     names = {canonical_form(e.graph): e.name
              for e in load_catalog("switch_threshold").entries}
     pats = [(names.get(form, form), by_form[form]) for form in sorted(by_form)]

@@ -23,21 +23,19 @@ from threshkit.kthreshold import (
     is_k_threshold,
     is_restricted,
     is_special,
-    is_threshold,
 )
 from threshkit.limits import DEFAULT_LIMITS, Limits
 from threshkit.sequences import ADD, JOIN_ALL, BuildSequence, Step, evaluate
 from threshkit.switching import (
-    brute_switch_scan,
     has_cograph_switch,
+    is_cograph,
     is_switch_cograph,
     switch,
     switch_to_threshold,
 )
 
+from oracles import is_threshold_graph, oracle_switch_scan
 from strategies import graph_from_mask
-
-_threshold = lambda h: is_threshold(h) is not None
 
 # name -> (fast search, oracle), both taking (graph, limits)
 SEARCHES = {
@@ -50,11 +48,11 @@ SEARCHES = {
     ),
     "switch_to_threshold": (
         lambda g, lim: switch_to_threshold(g),
-        lambda g, lim: brute_switch_scan(g, lim)[1],
+        lambda g, lim: oracle_switch_scan(g, (is_cograph, is_threshold_graph))[1],
     ),
     "has_cograph_switch": (
         lambda g, lim: has_cograph_switch(g),
-        lambda g, lim: brute_switch_scan(g, lim)[0],
+        lambda g, lim: oracle_switch_scan(g, (is_cograph, is_threshold_graph))[0],
     ),
 }
 
@@ -124,7 +122,7 @@ def test_fast_searches_answer_at_twenty_vertices():
                 assert evaluate(seq) == ColoredGraph(g, coloring)
         cert = switch_to_threshold(g)
         if cert is not None:
-            assert switch(g, cert.set) == cert.target and _threshold(cert.target)
+            assert switch(g, cert.set) == cert.target and is_threshold_graph(cert.target)
         assert isinstance(is_switch_cograph(g), bool)
     # the generated members are accepted by their own class
     assert is_special(graphs[2]) is not None

@@ -1,6 +1,5 @@
 """Seidel switching: algebra, classes, threshold and cograph switch search,
-and brute_switch_scan against one-predicate loops and against the per-set
-scan it replaces."""
+and the switch-set oracle by prefix extension against the per-set scan."""
 
 import pytest
 from hypothesis import given, settings
@@ -10,21 +9,19 @@ import threshkit.switching as switching
 from threshkit.canonical import canonical_form
 from threshkit.embed import PatternList, find_first_embedding
 from threshkit.enumeration import EnumerationConfig, all_graphs
+from threshkit.graph6 import decode_graph6
 from threshkit.kthreshold import is_threshold
-from threshkit.limits import DEFAULT_LIMITS, CapacityError, Limits
+from threshkit.limits import DEFAULT_LIMITS
 from threshkit.named import (
     complete_graph,
     cycle_graph,
     empty_graph,
     gem,
-    matching,
     path_graph,
 )
 from threshkit.graphs import Graph, disjoint_union
 from threshkit.obstructions import recognize_switch_cograph_fis
 from threshkit.switching import (
-    SwitchCertificate,
-    brute_switch_scan,
     extend_switch_sets,
     has_cograph_switch,
     is_cograph,
@@ -32,10 +29,9 @@ from threshkit.switching import (
     switch,
     switch_to_threshold,
     switching_class,
-    switching_class_graphs,
 )
 
-from oracles import oracle_least_cograph_switch, oracle_switch_scan
+from oracles import is_threshold_graph, oracle_least_cograph_switch, oracle_switch_scan
 from strategies import (
     cographs_with_a_flip,
     gnp_graphs,
@@ -81,13 +77,13 @@ def test_switching_class_is_switch_invariant(g, raw):
 
 def test_switching_class_contains_the_graph():
     g = path_graph(4)
-    assert canonical_form(g) in switching_class(g)
-    reps = switching_class_graphs(g)
-    assert tuple(canonical_form(h) for h in reps) == switching_class(g)
+    forms = switching_class(g)
+    assert canonical_form(g) in forms
+    assert forms == tuple(sorted({canonical_form(decode_graph6(form)) for form in forms}))
 
 
 def test_switching_class_of_c5():
-    forms = {canonical_form(h) for h in switching_class_graphs(cycle_graph(5))}
+    forms = set(switching_class(cycle_graph(5)))
     from threshkit.named import bull, cogem
 
     expected = {canonical_form(h) for h in (cycle_graph(5), gem(), cogem(), bull())}
@@ -187,7 +183,7 @@ def test_p4_masks_are_induced_p4s_on_larger_graphs(g):
 def test_cograph_switch_search_agrees_with_fis():
     for n in range(1, 7):
         for g in all_graphs(EnumerationConfig(n)):
-            brute = brute_switch_scan(g)[0] is not None
+            brute = oracle_switch_scan(g, (is_cograph,))[0] is not None
             assert brute == is_switch_cograph(g) == recognize_switch_cograph_fis(g).accepted
 
 
@@ -203,8 +199,8 @@ def test_cograph_switch_certificates_verify():
 def test_extend_switch_sets_equals_every_switch_walk():
     """From its prefix class's families, each class on up to 6 vertices gets
     all its cograph and threshold switch sets without vertex 0 in
-    ascending masks, and the certificates brute_switch_scan returns, with
-    whole or not."""
+    ascending masks, and the certificates of the per-set scan, with whole
+    or not."""
     families = {(): ([0], [0])}
     for n in range(1, 7):
         low = (1 << n - 1) - 1
@@ -215,7 +211,7 @@ def test_extend_switch_sets_equals_every_switch_walk():
             assert cographs == [s for s in sets if is_cograph(switch(g, s))]
             assert thresholds == [s for s in sets if is_threshold(switch(g, s)) is not None]
             assert hits == extend_switch_sets(g, *prefix, False)[0]
-            assert hits == brute_switch_scan(g), g
+            assert hits == oracle_switch_scan(g, (is_cograph, is_threshold_graph)), g
             families[g.rows] = cographs, thresholds
 
 
@@ -249,33 +245,19 @@ def test_extension_rule_equals_brute_force_completion_up_to_n7():
 @settings(max_examples=100, deadline=None)
 @given(st.randoms(use_true_random=False), st.integers(15, 26))
 def test_greedy_cograph_switch_equals_depth_first_search(rnd, n):
-    """Sizes where brute_switch_scan is too slow to be the oracle."""
+    """Sizes where the per-set scan is too slow to be the oracle."""
     g = random_switch_cograph(rnd, n)
     assert has_cograph_switch(g).set == oracle_least_cograph_switch(g)
 
 
-def test_search_budget_enforced():
-    with pytest.raises(CapacityError):
-        brute_switch_scan(matching(3), Limits(coloring_budget=2))
-
-
-def oracle_switch_search(g, accept):
-    """The earlier one-predicate brute search: one switch per set."""
-    for s in range(0, 1 << g.n, 2):
-        target = switch(g, s)
-        if accept(target):
-            return SwitchCertificate(s, target)
-    return None
-
-
-_threshold = lambda h: is_threshold(h) is not None
-
-
 def test_switch_scan_equals_separate_searches_exhaustively():
+    """The per-set scan offers each switch to the cograph test, then to the
+    threshold test: its two hits are those of the one-predicate scans."""
     for n in range(1, 8):
         for g in all_graphs(EnumerationConfig(n)):
-            assert brute_switch_scan(g) == (
-                oracle_switch_search(g, is_cograph), oracle_switch_search(g, _threshold)), g
+            assert oracle_switch_scan(g, (is_cograph, is_threshold_graph)) == (
+                oracle_switch_scan(g, (is_cograph,))[0],
+                oracle_switch_scan(g, (is_threshold_graph,))[0]), g
 
 
 @settings(max_examples=60, deadline=None)
@@ -285,24 +267,36 @@ def test_switch_scan_equals_separate_searches_exhaustively():
     switched_threshold_graphs(min_n=8, max_n=12),
 ))
 def test_switch_scan_equals_separate_searches_on_larger_graphs(g):
-    assert brute_switch_scan(g) == (
-        oracle_switch_search(g, is_cograph), oracle_switch_search(g, _threshold))
+    assert oracle_switch_scan(g, (is_cograph, is_threshold_graph)) == (
+        oracle_switch_scan(g, (is_cograph,))[0], oracle_switch_scan(g, (is_threshold_graph,))[0])
 
 
 @settings(max_examples=20, deadline=None)
 @given(switched_threshold_graphs(min_n=8, max_n=12))
 def test_switched_threshold_hosts_hit_both_predicates(g):
-    """Switched threshold hosts give each predicate a hit, so the test above
-    compares certificates, not only None."""
-    cograph_hit, threshold_hit = brute_switch_scan(g)
+    """Switched threshold hosts give each predicate a hit, so the tests
+    here compare certificates, not only None."""
+    cograph_hit, threshold_hit = oracle_switch_scan(g, (is_cograph, is_threshold_graph))
     assert threshold_hit is not None and cograph_hit.set <= threshold_hit.set
+
+
+def prefix_walk(g):
+    """extend_switch_sets on each prefix of g in turn, from the graph on
+    vertex 0 up to g, with whole families below g: the hits for g, first
+    cograph and first threshold switch."""
+    family = ([0], [0])
+    for k in range(1, g.n + 1):
+        low = (1 << k) - 1
+        prefix = Graph(k, tuple(r & low for r in g.rows[:k]))
+        hits, *family = extend_switch_sets(prefix, *family, k < g.n)
+    return hits
 
 
 # chains the per-set oracle walks: it offers each switch to the cograph
 # test, then to the threshold test, until the last predicate accepts. The
-# scan's hits are the oracle's for the full chain and for its prefix
+# prefix walk's hits are the oracle's for the full chain and for its prefix
 CHAINS = {
-    "cograph-threshold": (is_cograph, _threshold),
+    "cograph-threshold": (is_cograph, is_threshold_graph),
     "cograph": (is_cograph,),
 }
 
@@ -312,7 +306,7 @@ def test_switch_scan_equals_the_per_set_oracle_up_to_n7(chain):
     accepts = CHAINS[chain]
     for n in range(1, 8):
         for g in all_graphs(EnumerationConfig(n)):
-            assert brute_switch_scan(g)[:len(accepts)] == oracle_switch_scan(g, accepts), g
+            assert prefix_walk(g)[:len(accepts)] == oracle_switch_scan(g, accepts), g
 
 
 @settings(max_examples=60, deadline=None)
@@ -323,29 +317,4 @@ def test_switch_scan_equals_the_per_set_oracle_up_to_n7(chain):
 ), st.sampled_from(sorted(CHAINS)))
 def test_switch_scan_equals_the_per_set_oracle_on_larger_graphs(g, chain):
     accepts = CHAINS[chain]
-    assert brute_switch_scan(g)[:len(accepts)] == oracle_switch_scan(g, accepts)
-
-
-def test_switch_scan_skips_only_sets_whose_switch_repeats_a_p4(monkeypatch):
-    """C5 has no cograph switch, so the scan tries all 16 sets and switches
-    10. Set 8, for one, is skipped: set 0 found a P4 on {0, 1, 2, 4}, and
-    set 8 = {3} meets it in the same, empty, restriction."""
-    switched = []
-    rows_of = switching._switched_rows
-    monkeypatch.setattr(switching, "_switched_rows",
-                        lambda rows, full, s: switched.append(s) or rows_of(rows, full, s))
-    assert brute_switch_scan(cycle_graph(5)) == (None, None)
-    assert switched == [0, 2, 4, 6, 10, 12, 16, 20, 24, 30]
-
-
-def test_switch_scan_budget_precedes_the_first_switch(monkeypatch):
-    switched = []
-    rows_of = switching._switched_rows
-    monkeypatch.setattr(switching, "_switched_rows",
-                        lambda rows, full, s: switched.append(s) or rows_of(rows, full, s))
-    with pytest.raises(CapacityError):
-        brute_switch_scan(matching(3), Limits(coloring_budget=2))
-    assert switched == []
-    # within the budget every set up to the last first hit is switched once
-    assert brute_switch_scan(path_graph(3), Limits(coloring_budget=4))
-    assert switched == [0]
+    assert prefix_walk(g)[:len(accepts)] == oracle_switch_scan(g, accepts)

@@ -16,7 +16,7 @@ from threshkit.kthreshold import SPECIAL, brute_coloring_search
 from threshkit.limits import DEFAULT_LIMITS, CapacityError, Limits
 from threshkit.named import complete_graph, empty_graph, path_graph
 from threshkit.graphs import ColoredGraph
-from threshkit.switching import brute_switch_scan
+from threshkit.switching import is_cograph
 from threshkit.verify import (
     SCHEMA,
     SUITE_NAMES,
@@ -26,6 +26,8 @@ from threshkit.verify import (
     suite_bound,
 )
 from threshkit.verify import _agree, _Run
+
+from oracles import is_threshold_graph, oracle_switch_scan
 
 
 def _sample_report():
@@ -209,10 +211,11 @@ def test_switching_suite_runs_the_kernel_on_p4_free_switches_only(monkeypatch):
     for a P4 through the new vertex only, and offers the threshold kernel
     only the P4-free ones whose prefix set is a threshold switch, so the
     kernel runs 1,768 times and the full P4 test, _p4, 208 times, once per
-    class in is_switch_cograph. Below each level's top, the oracle finds
-    every switch set, not only the first, so the kernel ran fewer times,
-    1,585, when the per-graph brute scan, brute_switch_scan, was the
-    oracle; that scan made 1,516 _p4 calls, is_switch_cograph's included.
+    class in is_switch_cograph, which has_cograph_switch calls first.
+    Below each level's top, the oracle finds every switch set, not only
+    the first, so the kernel ran fewer times, 1,585, when a per-graph brute
+    scan was the oracle; that scan made 1,516 _p4 calls, is_switch_cograph's
+    included.
     The kernel ran 1,688 times while the switch search tried the empty set
     first on every graph, not only where it is a restricted candidate (717
     of the switch search's calls then, 614 now), 1,995 while the restricted
@@ -243,7 +246,7 @@ def test_switching_suite_runs_the_kernel_on_p4_free_switches_only(monkeypatch):
 def check_prefix_oracles(n_max, limits=DEFAULT_LIMITS):
     """The special and switching suites' oracles by prefix extension
     against the per-graph oracles, brute_coloring_search for SPECIAL and
-    brute_switch_scan, certificates included, on every class with
+    the per-set switch scan, certificates included, on every class with
     n <= n_max, walked in level order as the suites walk them: full
     families below n_max, first hits on it. Returns the number of classes."""
     special, switch_sets = _Run("special", n_max, limits), _Run("switching", n_max, limits)
@@ -253,7 +256,7 @@ def check_prefix_oracles(n_max, limits=DEFAULT_LIMITS):
             assert (special.extend(g, verify._special_colorings, [0])
                     == brute_coloring_search(g, SPECIAL, limits)), g
             assert (switch_sets.extend(g, verify._switch_sets, ([0], [0]))
-                    == brute_switch_scan(g, limits)), g
+                    == oracle_switch_scan(g, (is_cograph, is_threshold_graph))), g
             classes += 1
     return classes
 

@@ -78,12 +78,20 @@ def other_switch_certificate(monkeypatch):
           lambda cert, g: cert if cert is None or g.n != 4 else SwitchCertificate(cert.set | 1, cert.target))
 
 
+def other_cograph_switch_certificate(monkeypatch):
+    _wrap(monkeypatch, verify, "has_cograph_switch",
+          lambda cert, g: cert if cert is None or g.n != 4 else SwitchCertificate(cert.set | 1, cert.target))
+
+
 def flip_switch_sides(monkeypatch):
     _wrap(monkeypatch, verify, "extend_switch_sets",
           lambda found, g, cographs, thresholds, whole:
           ((None, found[0][1]),) + found[1:] if _picked(g) else found)
     _wrap(monkeypatch, verify, "is_restricted", lambda cert, g: None if g.n == 5 else cert)
-    _wrap(monkeypatch, verify, "is_switch_cograph", lambda ok, g: ok != _picked(g))
+    # the oracle's cograph hit is None on a picked graph, so the stand-in
+    # certificate of a flipped non-member is compared with nothing
+    _wrap(monkeypatch, verify, "has_cograph_switch",
+          lambda cert, g: cert if not _picked(g) else None if cert else SwitchCertificate(0, g))
 
 
 # case -> (suite, n_max, sabotage, a count key the sabotage must raise)
@@ -101,6 +109,8 @@ CASES = {
     "switching-certificate": ("switching", 5, other_switch_certificate,
                               "switch_threshold.certificate.disagree"),
     "switching-sides": ("switching", 5, flip_switch_sides, "switch_threshold.disagree"),
+    "switching-cograph-certificate": ("switching", 5, other_cograph_switch_certificate,
+                                      "switch_cograph.certificate.disagree"),
 }
 
 GOLDEN = {
@@ -116,6 +126,7 @@ GOLDEN = {
     "switching-scans": "1559847e3d8ea156c07ac3abc2b04864dc9a0b3ab4bfea90dbd0605435063fc7",
     "switching-certificate": "75475e48f7ecc28b04d40b8b637f36f3631bcbe631673349ea69163be0105972",
     "switching-sides": "4edfbb9d89f9360b2358f239f4343fcc244c692572e35ccbdea5ff8d3a2a0cf4",
+    "switching-cograph-certificate": "16b4745c95cf4b9833aafa671f6772aea17493b4a4d45e939dd38c0f53a74c65",
 }
 
 
