@@ -17,16 +17,18 @@ Two searches cover the colorings. The polynomial one (two colors: the
 special, restricted and extended dialects and is_k_threshold for k = 2)
 tries at most 2n candidate colorings, each an int, its white class, from
 which the kernel's masks come directly; only the hit becomes a coloring
-tuple. The pruned one (the brute-force oracle and is_k_threshold for
-k != 2) colors vertices 0, 1, ... depth first in product order and runs
-the kernel on each prefix: every dialect's class is hereditary, so a
-prefix that does not eliminate is never extended. Both return the
-coloring the plain product-order walk would find first.
+tuple. The pruned one (is_k_threshold for k != 2) colors vertices 0, 1,
+... depth first, numbering the colors by first use, and runs the kernel
+on each prefix: every dialect's class is hereditary, so a prefix that
+does not eliminate is never extended. Both return the least valid
+coloring in product order.
 
-extend_white_sets is the brute-force oracle carried from graph to graph,
-for two colors: given the valid white classes of g less its last vertex,
-in product order, it returns what brute_coloring_search returns for g,
-with g's own valid white classes for the next graph that extends g.
+extend_white_sets is the package's brute-force coloring oracle, carried
+from graph to graph, for two colors: given the valid white classes of g
+less its last vertex, in product order, it returns the first valid
+coloring of g in product order, with g's own valid white classes for the
+next graph that extends g. It and the polynomial search share one white
+class trial, _white_hits. The tests check it against a per-coloring walk.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ __all__ = [
     "THRESHOLD",
     "eliminate",
     "elimination_picks",
-    "brute_coloring_search",
     "extend_white_sets",
     "is_k_threshold",
     "is_special",
@@ -205,86 +206,51 @@ def _first_use_colorings(n: int, k: int) -> int:
     return sum(ways)
 
 
-def _pruned_search(g: Graph, dialect: Dialect, prefix_order: bool):
-    """The first coloring, in product order, that eliminates, with its
-    sequence. With prefix_order, only colorings in which vertex 0 has color
-    0 and each later vertex a color at most one above the highest before it.
-
-    Colors go to vertices 0, 1, ... depth first, each vertex trying its
-    colors in increasing order. After each vertex the kernel runs with the
-    prefix as alive; it reads no bit outside alive, so this eliminates the
-    colored subgraph induced on the prefix. Every dialect's class is
-    hereditary, so no extension of a prefix that does not eliminate
-    eliminates, and such a prefix is never extended. The full colorings
-    reached come in product order, so the first that eliminates is the
-    first of product order.
-    """
-    rows, n, k, full = g.rows, g.n, dialect.k, g.full_mask
-    coloring = [0] * n
-    by_color = [0] * k
-
-    def extend(v: int, top: int):
-        bit = 1 << v
-        for c in range(min(top + 2, k) if prefix_order else k):
-            coloring[v] = c
-            by_color[c] |= bit
-            picks = elimination_picks(rows, (bit << 1) - 1, _class_masks(dialect, by_color, full))
-            if picks is not None:
-                if v + 1 == n:
-                    return tuple(coloring), _sequence(dialect, coloring, full, picks)
-                found = extend(v + 1, max(top, c))
-                if found is not None:
-                    return found
-            by_color[c] ^= bit
-        return None
-
-    return extend(0, -1)
+def _white_hits(g: Graph, dialect: Dialect, whites):
+    """The white classes in whites, in order, whose 2-colorings of g the
+    two-color dialect eliminates, each with the kernel's picks. Each
+    candidate goes to the kernel as masks; no coloring is built."""
+    rows, full = g.rows, g.full_mask
+    for white in whites:
+        # the color classes, BLACK (0) then WHITE (1)
+        picks = elimination_picks(rows, full, _class_masks(dialect, [full ^ white, white], full))
+        if picks is not None:
+            yield white, picks
 
 
-def brute_coloring_search(
-    g: Graph, dialect: Dialect, limits: Limits = DEFAULT_LIMITS
-) -> tuple[tuple[int, ...], BuildSequence] | None:
-    """Oracle: the first of all k^n colorings, in product order, that
-    eliminates. The budget guards the k^n colorings up front; the search
-    itself never extends a prefix that does not eliminate, so it usually
-    tries far fewer."""
-    limits.require("coloring_budget", dialect.k ** g.n, f"{dialect.k}^{g.n} colorings exceed")
-    return _pruned_search(g, dialect, False)
+def _white_certificate(g: Graph, dialect: Dialect, white: int, picks):
+    """A hit of _white_hits as a coloring and its sequence."""
+    coloring = tuple(white >> v & 1 for v in range(g.n))
+    return coloring, _sequence(dialect, coloring, g.full_mask, picks)
 
 
 def extend_white_sets(
     g: Graph, dialect: Dialect, whites: list[int], whole: bool = True
 ) -> tuple[tuple[tuple[int, ...], BuildSequence] | None, list[int]]:
-    """Oracle by prefix extension: what brute_coloring_search returns for
-    g and a two-color dialect, from whites, the white classes of the valid
-    colorings of g less its last vertex v, in product order. Also returns
-    the white classes of g's valid colorings in product order, or, without
-    whole, up to the first only.
+    """Oracle by prefix extension: the first coloring of g, in product
+    order, that a two-color dialect eliminates, with its sequence, from
+    whites, the white classes of the valid colorings of g less its last
+    vertex v, in product order. Also returns the white classes of g's valid
+    colorings in product order, or, without whole, up to the first only.
 
     Every dialect's class is hereditary, so a valid coloring of g is a
     valid coloring of the prefix with a color for v. The candidates, each
     prefix class with v black, then with v white, come in product order,
     and each goes to the kernel on the whole graph, so the first valid one
-    and its sequence are the brute-force search's. The work is at most two
+    is the first valid coloring of product order. The work is at most two
     kernel calls per prefix class, so no limit applies.
     """
     if dialect.k != 2:
         raise ValueError(f"extend_white_sets takes a two-color dialect, not {dialect.k} colors")
-    n, rows, full = g.n, g.rows, g.full_mask
-    bit = 1 << n - 1
+    bit = 1 << g.n - 1
+    candidates = (white for prefix in whites for white in (prefix, prefix | bit))
     first, found = None, []
-    for prefix in whites:
-        for white in (prefix, prefix | bit):
-            # the color classes, BLACK (0) then WHITE (1)
-            picks = elimination_picks(rows, full, _class_masks(dialect, [full ^ white, white], full))
-            if picks is None:
-                continue
-            found.append(white)
-            if first is None:
-                coloring = tuple(white >> v & 1 for v in range(n))
-                first = coloring, _sequence(dialect, coloring, full, picks)
-                if not whole:
-                    return first, found
+    for white, picks in _white_hits(g, dialect, candidates):
+        found.append(white)
+        if first is None:
+            first = _white_certificate(g, dialect, white, picks)
+            if not whole:
+                break
     return first, found
 
 
@@ -343,18 +309,12 @@ def _candidate_white_sets(g: Graph, dialect: Dialect) -> set[int]:
 
 
 def _search_two_colored(g: Graph, dialect: Dialect) -> tuple[tuple[int, ...], BuildSequence] | None:
-    """Same result as brute_coloring_search from at most 2n eliminations,
-    so no limit applies. Each candidate goes to the kernel as masks; only
-    the hit becomes a coloring and a BuildSequence."""
-    n, rows, full = g.n, g.rows, g.full_mask
+    """The least valid coloring in product order from at most 2n
+    eliminations, so no limit applies."""
     # product order reads vertex 0 first: the bits of a white set reversed
-    whites = sorted(_candidate_white_sets(g, dialect), key=lambda white: f"{white:0{n}b}"[::-1])
-    for white in whites:
-        # the color classes, BLACK (0) then WHITE (1)
-        picks = elimination_picks(rows, full, _class_masks(dialect, [full ^ white, white], full))
-        if picks is not None:
-            coloring = tuple(white >> v & 1 for v in range(n))
-            return coloring, _sequence(dialect, coloring, full, picks)
+    whites = sorted(_candidate_white_sets(g, dialect), key=lambda white: f"{white:0{g.n}b}"[::-1])
+    for white, picks in _white_hits(g, dialect, whites):
+        return _white_certificate(g, dialect, white, picks)
     return None
 
 
@@ -368,16 +328,46 @@ def is_k_threshold(
     colors by first use turns a valid coloring into a valid one that is no
     greater: the least valid coloring gives vertex 0 color 0 and each later
     vertex a color at most one above the highest before it. For k = 2 the
-    polynomial two-color search finds it. For other k the pruned depth-first
-    search tries only colorings numbered that way; the budget guards their
-    number up front, and the search usually stops far below it.
+    polynomial two-color search finds it. For other k a pruned search
+    tries only colorings numbered that way; the budget guards their number
+    up front, and the search usually stops far below it.
+
+    The search colors vertices 0, 1, ... depth first, each vertex trying
+    its colors in increasing order, and runs the kernel with the prefix as
+    alive after each vertex; it reads no bit outside alive, so this
+    eliminates the colored subgraph induced on the prefix. Every dialect's
+    class is hereditary, so a prefix that does not eliminate is never
+    extended, and the full colorings reached come in product order. Colors
+    numbered by first use stay below n, so the join of a color n or above,
+    whose class is empty and whose mask equals add's, is left out: the work
+    grows with n, not with k, and the sequence still has k colors.
     """
-    dialect = general_dialect(k)
     if k == 2:
-        return _search_two_colored(g, dialect)
-    count = _first_use_colorings(g.n, k)
+        return _search_two_colored(g, GENERAL2)
+    rows, n, full = g.rows, g.n, g.full_mask
+    used = min(k, n)
+    dialect = Dialect("general", k, general_dialect(used).ops)
+    count = _first_use_colorings(n, k)
     limits.require("coloring_budget", count, f"{count} colorings exceed")
-    return _pruned_search(g, dialect, True)
+    coloring = [0] * n
+    by_color = [0] * used
+
+    def extend(v: int, top: int):
+        bit = 1 << v
+        for c in range(min(top + 2, k)):
+            coloring[v] = c
+            by_color[c] |= bit
+            picks = elimination_picks(rows, (bit << 1) - 1, _class_masks(dialect, by_color, full))
+            if picks is not None:
+                if v + 1 == n:
+                    return tuple(coloring), _sequence(dialect, coloring, full, picks)
+                found = extend(v + 1, max(top, c))
+                if found is not None:
+                    return found
+            by_color[c] ^= bit
+        return None
+
+    return extend(0, -1)
 
 
 def is_special(g: Graph):

@@ -31,9 +31,9 @@ class Limits:
     canonical_max_n: largest graph the canonical-form search will accept
     coloring_budget: maximum number of colorings or switch sets an
         exponential search may enumerate in the worst case, checked before
-        it starts (k-threshold for k >= 3, brute_coloring_search, the
-        walk over a switching class, the special and switching suites,
-        whose oracles may keep every coloring or switch set of a class);
+        it starts (k-threshold for k >= 3, the walk over a switching
+        class, the special and switching suites, whose oracles may keep
+        every coloring or switch set of a class);
         the pruned coloring search usually stops far below it, and the
         polynomial searches, 2-colored ones and both switch searches
         included, need no bound

@@ -62,14 +62,14 @@ class SwitchCertificate:
 
 
 def extend_switch_sets(
-    g: Graph, cographs: list[int], thresholds: list[int], whole: bool = True
-) -> tuple[tuple[SwitchCertificate | None, SwitchCertificate | None], list[int], list[int]]:
+    g: Graph, family: tuple[list[int], list[int]], whole: bool = True
+) -> tuple[tuple[SwitchCertificate | None, SwitchCertificate | None], tuple[list[int], list[int]]]:
     """Oracle by prefix extension: the first cograph switch and the first
     threshold switch of g (ascending masks, vertex 0 excluded), from
-    cographs and thresholds, the cograph and the threshold switch sets of
-    g less its last vertex v, vertex 0 excluded, in ascending masks.
-    Also returns g's two families in ascending masks, or, without whole,
-    only as far as the walk goes before both answers are settled.
+    family, the cograph and the threshold switch sets of g less its last
+    vertex v, vertex 0 excluded, in ascending masks. Also returns g's
+    family in ascending masks, or, without whole, only as far as the walk
+    goes before both answers are settled.
 
     The switch of g by a set S induces on the prefix its switch by S less
     v, and the cograph and threshold graphs are hereditary, so S is a
@@ -82,6 +82,7 @@ def extend_switch_sets(
     """
     n, rows, full = g.n, g.rows, g.full_mask
     v = n - 1
+    cographs, thresholds = family
     below = set(thresholds)
     cograph = threshold = None
     found_cographs, found_thresholds = [], []
@@ -101,8 +102,8 @@ def extend_switch_sets(
             # both answers are settled at the first threshold switch, or at
             # the first cograph switch when the prefix has no threshold one
             if not whole and (threshold is not None or not below):
-                return (cograph, threshold), found_cographs, found_thresholds
-    return (cograph, threshold), found_cographs, found_thresholds
+                return (cograph, threshold), (found_cographs, found_thresholds)
+    return (cograph, threshold), (found_cographs, found_thresholds)
 
 
 def switch_to_threshold(g: Graph) -> SwitchCertificate | None:

@@ -30,11 +30,12 @@ in product order (extend_white_sets) and the cograph and threshold switch
 sets without vertex 0 in ascending masks (extend_switch_sets); a
 candidate switch set is a cograph switch when no induced P4 passes
 through the last vertex. On the run's top level the oracles stop at their
-first hits and keep nothing. They return what brute_coloring_search
-and a scan of every switch set return, certificates included, and the
-tests compare them with those per-graph oracles. Both fast switch
-searches, switch_to_threshold and has_cograph_switch, must return the
-switch oracle's certificates.
+first hits and keep nothing. _Run.extend calls both oracles as they
+are. They return the first valid coloring in product order and the first
+switch sets in ascending masks, certificates included, and the tests
+compare them with a walk over every coloring and a scan of every switch
+set (tests/oracles.py). Both fast switch searches, switch_to_threshold
+and has_cograph_switch, must return the switch oracle's certificates.
 
 Canonical forms are computed under the run's limits; suite_bound checks,
 before any work, the largest graph a suite labels beyond its enumerated
@@ -204,9 +205,9 @@ class _Run:
         g = graph if isinstance(graph, Graph) else graph.graph
         self.witnesses.append((canonical_form(g, self.limits), Witness(g6, colors or "-", detail)))
 
-    def extend(self, g: Graph, extension, empty):
+    def extend(self, g: Graph, oracle, *args, empty):
         """The answer of an oracle by prefix extension for g, a class of the
-        walk, from extension(g, family, whole) -> (answer, family of g).
+        walk, from oracle(g, *args, family, whole) -> (answer, family of g).
 
         The walk goes through the levels in order. The first n - 1 vertices
         of a canonical graph on n vertices induce the canonical graph of
@@ -220,7 +221,7 @@ class _Run:
         low = (1 << g.n - 1) - 1
         family = self._below[tuple(r & low for r in g.rows[:-1])] if g.n > 1 else empty
         whole = g.n < self.n_max
-        answer, family = extension(g, family, whole)
+        answer, family = oracle(g, *args, family, whole)
         if whole:
             self._level[g.rows] = family
         return answer
@@ -311,21 +312,9 @@ def _check_thresholds(run: _Run, g: Graph) -> bool:
     return seq is not None
 
 
-def _special_colorings(g: Graph, whites: list[int], whole: bool):
-    """extend_white_sets for SPECIAL, as _Run.extend calls it."""
-    return extend_white_sets(g, SPECIAL, whites, whole)
-
-
-def _switch_sets(g: Graph, family: tuple[list[int], list[int]], whole: bool):
-    """extend_switch_sets on a family of (cograph sets, threshold sets), as
-    _Run.extend calls it."""
-    hits, cographs, thresholds = extend_switch_sets(g, *family, whole)
-    return hits, (cographs, thresholds)
-
-
 def _check_special(run: _Run, g: Graph) -> bool:
     """Brute coloring search vs the fast search vs the eight-pattern FIS."""
-    oracle, fast = run.extend(g, _special_colorings, [0]), is_special(g)
+    oracle, fast = run.extend(g, extend_white_sets, SPECIAL, empty=[0]), is_special(g)
     _agree(run, "special", g, {
         "brute": oracle is not None,
         "elimination": fast is not None,
@@ -356,7 +345,7 @@ def _check_switching(run: _Run, g: Graph) -> bool:
     oracle's. The fast switch search tries the restricted search's
     candidate sets, so the brute oracle and the FIS scan are the checks
     independent of both."""
-    cograph_oracle, oracle = run.extend(g, _switch_sets, ([0], [0]))
+    cograph_oracle, oracle = run.extend(g, extend_switch_sets, empty=([0], [0]))
     fast, cograph_fast = switch_to_threshold(g), has_cograph_switch(g)
     _agree(run, "switch_threshold", g, {
         "brute": oracle is not None,

@@ -1,7 +1,8 @@
 """Trivially correct versions of production searches that the tests check
-them against: generators for the enumeration, the per-set switch scan
-(the reference of every switch-set search), the depth-first least
-cograph switch and the tuple candidate colorings of the two-color
+them against: generators for the enumeration, the pruned product-order
+coloring walk (the reference of every coloring search), the per-set
+switch scan (the reference of every switch-set search), the depth-first
+least cograph switch and the tuple candidate colorings of the two-color
 search."""
 
 from itertools import combinations, product
@@ -10,7 +11,7 @@ from threshkit.canonical import canonical_graph
 from threshkit.enumeration import _extend, _representatives, check_range
 from threshkit.graph6 import encode_graph6
 from threshkit.graphs import Graph, bits
-from threshkit.kthreshold import Dialect, is_threshold
+from threshkit.kthreshold import Dialect, _class_masks, _sequence, elimination_picks, is_threshold
 from threshkit.limits import DEFAULT_LIMITS, Limits
 from threshkit.sequences import BLACK, WHITE
 from threshkit.switching import SwitchCertificate, _switched_rows, switch
@@ -46,6 +47,40 @@ def raw_extensions(n: int, limits: Limits = DEFAULT_LIMITS) -> list[Graph]:
 
 def is_threshold_graph(g: Graph) -> bool:
     return is_threshold(g) is not None
+
+
+def oracle_pruned_coloring_search(g: Graph, dialect: Dialect):
+    """The first of all k^n colorings, in product order, that the dialect
+    eliminates, with its sequence, or None.
+
+    Colors go to vertices 0, 1, ... depth first, each vertex trying its
+    colors in increasing order. After each vertex the kernel runs with the
+    prefix as alive; it reads no bit outside alive, so this eliminates the
+    colored subgraph induced on the prefix. Every dialect's class is
+    hereditary, so no extension of a prefix that does not eliminate
+    eliminates, and such a prefix is never extended. The full colorings
+    reached come in product order. Exponential in the worst case.
+    """
+    rows, n, k, full = g.rows, g.n, dialect.k, g.full_mask
+    coloring = [0] * n
+    by_color = [0] * k
+
+    def extend(v: int):
+        bit = 1 << v
+        for c in range(k):
+            coloring[v] = c
+            by_color[c] |= bit
+            picks = elimination_picks(rows, (bit << 1) - 1, _class_masks(dialect, by_color, full))
+            if picks is not None:
+                if v + 1 == n:
+                    return tuple(coloring), _sequence(dialect, coloring, full, picks)
+                found = extend(v + 1)
+                if found is not None:
+                    return found
+            by_color[c] ^= bit
+        return None
+
+    return extend(0)
 
 
 def oracle_switch_scan(g: Graph, accepts) -> tuple:

@@ -8,6 +8,7 @@ import pytest
 
 import threshkit.classes as classes
 import threshkit.cli as cli
+import threshkit.kthreshold as kthreshold
 from threshkit.canonical import canonical_form
 from threshkit.enumeration import EnumerationConfig, all_graphs
 from threshkit.graph6 import encode_graph6
@@ -162,6 +163,27 @@ def test_kthreshold_with_many_colors_answers_on_five_vertices(tmp_path, capsys):
     assert code in (cli.OK, cli.NON_MEMBER) and err == ""
     assert cli.main(args + ["5"]) == code
     assert capsys.readouterr().out == out
+
+
+def test_kthreshold_work_grows_with_the_graph_not_with_k(tmp_path, monkeypatch, capsys):
+    """Colors numbered by first use stay below n, so a huge --k hands the
+    kernel no more masks than --k n does: at most n + 1 on C5, a 3-threshold
+    member, and the same output as --k 5."""
+    path = _input_file(tmp_path, encode_graph6(cycle_graph(5)))
+    args = ["recognize", "--class", "kthreshold", "--input", path, "--k"]
+    assert cli.main(args + ["5"]) == cli.OK
+    expected = capsys.readouterr().out
+    masks = []
+    kernel = kthreshold.elimination_picks
+    monkeypatch.setattr(kthreshold, "elimination_picks",
+                        lambda rows, alive, ops: masks.append(len(ops)) or kernel(rows, alive, ops))
+    assert cli.main(args + ["1000000"]) == cli.OK
+    assert capsys.readouterr().out == expected
+    assert masks and max(masks) <= 6
+    start = time.perf_counter()
+    assert cli.main(args + [str(10 ** 18)]) == cli.OK
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().out == expected
 
 
 def test_kthreshold_coloring_past_ten_colors_is_comma_separated(tmp_path, monkeypatch, capsys):

@@ -1,8 +1,9 @@
 """Colored elimination dialects: roundtrips, closures, neighborhood shapes,
 and eliminate (the kernel elimination_picks plus the certificate builder),
-brute_coloring_search and is_k_threshold for k != 2 against the loops they
-replaced, and the two-color search's white-set candidates against the
-coloring tuples they replaced."""
+the pruned coloring oracle of tests/oracles.py and is_k_threshold for
+k != 2 against per-coloring loops, extend_white_sets against a walk over
+every coloring, and the two-color search's white-set candidates against
+the coloring tuples they replaced."""
 
 import random
 from itertools import product
@@ -19,7 +20,6 @@ from threshkit.kthreshold import (
     Dialect,
     RESTRICTED,
     SPECIAL,
-    brute_coloring_search,
     eliminate,
     extend_white_sets,
     general_dialect,
@@ -43,7 +43,7 @@ from threshkit.named import (
 )
 from threshkit.sequences import ADD, BLACK, BuildSequence, Step, evaluate, join_color
 
-from oracles import oracle_candidate_colorings
+from oracles import oracle_candidate_colorings, oracle_pruned_coloring_search
 from strategies import (
     cographs_with_a_flip,
     colored_graphs,
@@ -115,8 +115,8 @@ def test_eliminate_equals_oracle_on_every_small_coloring(dialect):
 
 
 def oracle_coloring_search(g, dialect):
-    """The earlier brute_coloring_search: one ColoredGraph and one full
-    elimination per coloring, in product order."""
+    """The per-coloring loop: one ColoredGraph and one full elimination per
+    coloring, in product order."""
     for coloring in product(range(dialect.k), repeat=g.n):
         seq = oracle_eliminate(ColoredGraph(g, coloring), dialect)
         if seq is not None:
@@ -126,9 +126,11 @@ def oracle_coloring_search(g, dialect):
 
 @pytest.mark.parametrize("dialect", DIALECTS, ids=lambda d: f"{d.name}{d.k}")
 def test_brute_coloring_search_equals_per_graph_loop(dialect):
+    """The tests' brute-force coloring search, the pruned walk of
+    oracles.py, against the per-coloring loop."""
     for n in range(1, 8):
         for g in all_graphs(EnumerationConfig(n)):
-            assert brute_coloring_search(g, dialect) == oracle_coloring_search(g, dialect), g
+            assert oracle_pruned_coloring_search(g, dialect) == oracle_coloring_search(g, dialect), g
 
 
 @pytest.mark.parametrize("dialect", [SPECIAL, RESTRICTED, EXTENDED, general_dialect(2)],
@@ -136,7 +138,7 @@ def test_brute_coloring_search_equals_per_graph_loop(dialect):
 def test_extend_white_sets_equals_every_coloring_walk(dialect):
     """From its prefix class's family, each class on up to 6 vertices gets
     the white classes of all its valid colorings in product order, and
-    the certificate brute_coloring_search returns, with whole or not."""
+    the certificate the pruned coloring oracle returns, with whole or not."""
     families = {(): [0]}
     for n in range(1, 7):
         low = (1 << n - 1) - 1
@@ -147,7 +149,7 @@ def test_extend_white_sets_equals_every_coloring_walk(dialect):
                          if eliminate(ColoredGraph(g, c), dialect) is not None]
             assert found == [sum(c << v for v, c in enumerate(colors)) for colors in colorings]
             assert cert == extend_white_sets(g, dialect, prefix, False)[0]
-            assert cert == brute_coloring_search(g, dialect), g
+            assert cert == oracle_pruned_coloring_search(g, dialect), g
             families[g.rows] = found
 
 
@@ -340,8 +342,6 @@ def test_coloring_budget_enforced(monkeypatch):
     calls = []
     monkeypatch.setattr(kthreshold, "elimination_picks", lambda *args: calls.append(args))
     tight = Limits(coloring_budget=4)
-    with pytest.raises(CapacityError):
-        brute_coloring_search(path_graph(5), SPECIAL, tight)
     with pytest.raises(CapacityError):
         is_k_threshold(path_graph(5), 3, tight)
     assert calls == []

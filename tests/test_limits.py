@@ -25,7 +25,7 @@ import threshkit.switching as switching
 from threshkit.canonical import canonical_colored_graph, canonical_graph
 from threshkit.enumeration import EnumerationConfig, all_colored_graphs, all_graphs
 from threshkit.graphs import ColoredGraph
-from threshkit.kthreshold import SPECIAL, brute_coloring_search, is_k_threshold
+from threshkit.kthreshold import is_k_threshold
 from threshkit.limits import DEFAULT_LIMITS, ENV_VARS, CapacityError, Limits
 from threshkit.named import cycle_graph, path_graph
 from threshkit.obstructions import find_minimal_obstructions
@@ -166,8 +166,6 @@ GUARDED = {
                             Limits(coloring_budget=2 ** 4 - 1), [(kthreshold, "elimination_picks")]),
     "suite_bound_switching": (lambda limits: run_suite("switching", 4, limits),
                               Limits(coloring_budget=2 ** 3 - 1), [(switching, "_switched_rows")]),
-    "brute_coloring_search": (lambda limits: brute_coloring_search(path_graph(4), SPECIAL, limits),
-                              Limits(coloring_budget=2 ** 4 - 1), [(kthreshold, "elimination_picks")]),
     # 14 colorings of 4 vertices in at most 3 colors are numbered by first use
     "is_k_threshold": (lambda limits: is_k_threshold(path_graph(4), 3, limits),
                        Limits(coloring_budget=13), [(kthreshold, "elimination_picks")]),

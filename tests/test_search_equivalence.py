@@ -17,14 +17,12 @@ from threshkit.kthreshold import (
     EXTENDED,
     RESTRICTED,
     SPECIAL,
-    brute_coloring_search,
     general_dialect,
     is_extended,
     is_k_threshold,
     is_restricted,
     is_special,
 )
-from threshkit.limits import DEFAULT_LIMITS, Limits
 from threshkit.sequences import ADD, JOIN_ALL, BuildSequence, Step, evaluate
 from threshkit.switching import (
     has_cograph_switch,
@@ -34,26 +32,20 @@ from threshkit.switching import (
     switch_to_threshold,
 )
 
-from oracles import is_threshold_graph, oracle_switch_scan
+from oracles import is_threshold_graph, oracle_pruned_coloring_search, oracle_switch_scan
 from strategies import graph_from_mask
 
-# name -> (fast search, oracle), both taking (graph, limits)
+# name -> (fast search, oracle)
 SEARCHES = {
-    "special": (lambda g, lim: is_special(g), lambda g, lim: brute_coloring_search(g, SPECIAL, lim)),
-    "restricted": (lambda g, lim: is_restricted(g), lambda g, lim: brute_coloring_search(g, RESTRICTED, lim)),
-    "extended": (lambda g, lim: is_extended(g), lambda g, lim: brute_coloring_search(g, EXTENDED, lim)),
-    "kthreshold2": (
-        lambda g, lim: is_k_threshold(g, 2, lim),
-        lambda g, lim: brute_coloring_search(g, general_dialect(2), lim),
-    ),
-    "switch_to_threshold": (
-        lambda g, lim: switch_to_threshold(g),
-        lambda g, lim: oracle_switch_scan(g, (is_cograph, is_threshold_graph))[1],
-    ),
-    "has_cograph_switch": (
-        lambda g, lim: has_cograph_switch(g),
-        lambda g, lim: oracle_switch_scan(g, (is_cograph, is_threshold_graph))[0],
-    ),
+    "special": (is_special, lambda g: oracle_pruned_coloring_search(g, SPECIAL)),
+    "restricted": (is_restricted, lambda g: oracle_pruned_coloring_search(g, RESTRICTED)),
+    "extended": (is_extended, lambda g: oracle_pruned_coloring_search(g, EXTENDED)),
+    "kthreshold2": (lambda g: is_k_threshold(g, 2),
+                    lambda g: oracle_pruned_coloring_search(g, general_dialect(2))),
+    "switch_to_threshold": (switch_to_threshold,
+                            lambda g: oracle_switch_scan(g, (is_cograph, is_threshold_graph))[1]),
+    "has_cograph_switch": (has_cograph_switch,
+                           lambda g: oracle_switch_scan(g, (is_cograph, is_threshold_graph))[0]),
 }
 
 
@@ -67,7 +59,7 @@ def test_fast_search_equals_oracle_exhaustively(name):
     for n in range(1, 8):
         for canonical in all_graphs(EnumerationConfig(n)):
             for g in (canonical, _reversed(canonical)):
-                assert fast(g, DEFAULT_LIMITS) == oracle(g, DEFAULT_LIMITS), g
+                assert fast(g) == oracle(g), g
 
 
 def _built(rnd: random.Random, n: int, k: int, ops) -> Graph:
@@ -94,9 +86,6 @@ def _shuffled(rnd: random.Random, g: Graph) -> Graph:
     return g.relabel(order)
 
 
-RAISED = Limits(coloring_budget=1 << 14)
-
-
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     st.randoms(use_true_random=False),
@@ -106,7 +95,7 @@ RAISED = Limits(coloring_budget=1 << 14)
 def test_fast_search_equals_oracle_on_larger_graphs(rnd, n, source):
     g = _shuffled(rnd, _sample(rnd, n, source))
     for name, (fast, oracle) in SEARCHES.items():
-        assert fast(g, RAISED) == oracle(g, RAISED), name
+        assert fast(g) == oracle(g), name
 
 
 def test_fast_searches_answer_at_twenty_vertices():
@@ -114,8 +103,7 @@ def test_fast_searches_answer_at_twenty_vertices():
     graphs = [_shuffled(rnd, _sample(rnd, 20, source))
               for source in ("random", "threshold-switch", "special", "restricted", "extended", "general")]
     for g in graphs:
-        for search in (is_special, is_restricted, is_extended,
-                       lambda h: is_k_threshold(h, 2, DEFAULT_LIMITS)):
+        for search in (is_special, is_restricted, is_extended, lambda h: is_k_threshold(h, 2)):
             res = search(g)
             if res is not None:
                 coloring, seq = res

@@ -206,11 +206,11 @@ def test_extend_switch_sets_equals_every_switch_walk():
         low = (1 << n - 1) - 1
         for g in all_graphs(EnumerationConfig(n)):
             prefix = families[tuple(r & low for r in g.rows[:-1])]
-            hits, cographs, thresholds = extend_switch_sets(g, *prefix)
+            hits, (cographs, thresholds) = extend_switch_sets(g, prefix)
             sets = range(0, 1 << n, 2)
             assert cographs == [s for s in sets if is_cograph(switch(g, s))]
             assert thresholds == [s for s in sets if is_threshold(switch(g, s)) is not None]
-            assert hits == extend_switch_sets(g, *prefix, False)[0]
+            assert hits == extend_switch_sets(g, prefix, False)[0]
             assert hits == oracle_switch_scan(g, (is_cograph, is_threshold_graph)), g
             families[g.rows] = cographs, thresholds
 
@@ -288,7 +288,7 @@ def prefix_walk(g):
     for k in range(1, g.n + 1):
         low = (1 << k) - 1
         prefix = Graph(k, tuple(r & low for r in g.rows[:k]))
-        hits, *family = extend_switch_sets(prefix, *family, k < g.n)
+        hits, family = extend_switch_sets(prefix, family, k < g.n)
     return hits
 
 

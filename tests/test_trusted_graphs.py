@@ -7,12 +7,14 @@ from the same rows; the public constructors must still reject bad rows.
 The same holds for colored graphs: canonical_colored_graph, delete_vertex,
 swapped and the colored enumeration derive theirs unchecked, and
 ColoredGraph(...) and colored graph6 lines still validate. The coloring
-searches build no colored graph: they hand the elimination kernel the masks
-that eliminate derives from the validated ColoredGraph, and the pruned ones
-hand it, for each coloring prefix they try, what eliminate hands it for the
-colored subgraph induced on the prefix.
+searches, extend_white_sets among them, build no colored graph: they hand
+the elimination kernel the masks that eliminate derives from the validated
+ColoredGraph, and the pruned one hands it, for each coloring prefix it
+tries, what eliminate hands it for the colored subgraph induced on the
+prefix.
 """
 
+from functools import cache
 from itertools import permutations, product
 
 import pytest
@@ -26,8 +28,8 @@ from threshkit.kthreshold import (
     EXTENDED,
     RESTRICTED,
     SPECIAL,
-    brute_coloring_search,
     eliminate,
+    extend_white_sets,
     general_dialect,
     is_extended,
     is_k_threshold,
@@ -79,6 +81,7 @@ def test_derived_colored_graphs_equal_validated_ones(n, monkeypatch):
     for g in all_graphs(EnumerationConfig(n)):
         for colors in product((0, 1), repeat=n):
             assert_valid_colored(canonical_colored_graph(ColoredGraph(g, colors)))
+        whites_below(g)  # the prefix family, found before the kernel is watched
     # what the coloring searches hand the elimination kernel, call for
     # call: what eliminate hands it for the validated ColoredGraph of each
     # coloring, or coloring prefix, that the search tries
@@ -94,7 +97,7 @@ def test_derived_colored_graphs_equal_validated_ones(n, monkeypatch):
             for args in tried:
                 assert kernel(*kernel_view(*args)) == kernel(*args)
             handed.clear()
-            replay(g, dialect, colorings(g), pruned)
+            replay(g, dialect(g), colorings(g), pruned)
             assert [kernel_view(*args) for args in tried] == [kernel_view(*args) for args in handed]
 
 
@@ -135,19 +138,43 @@ def candidates(g, dialect):
                   for white in kthreshold._candidate_white_sets(g, dialect))
 
 
-# (search, its dialect, the full colorings it walks in order, whether it
-# prunes by prefix)
+@cache
+def special_whites(g):
+    """The white classes of the SPECIAL-valid colorings of g, in product
+    order, from one elimination per coloring."""
+    return [sum(c << v for v, c in enumerate(colors)) for colors in product((0, 1), repeat=g.n)
+            if eliminate(ColoredGraph(g, colors), SPECIAL) is not None]
+
+
+def whites_below(g):
+    """The family extend_white_sets takes for g: special_whites of g less
+    its last vertex, or [0] for the graph on no vertices."""
+    return special_whites(g.induced((1 << g.n - 1) - 1)) if g.n > 1 else [0]
+
+
+def extensions(g):
+    """The colorings extend_white_sets tries: each of whites_below(g), as a
+    coloring of g with its last vertex black, then white."""
+    bit = 1 << g.n - 1
+    return [tuple(white >> v & 1 for v in range(g.n))
+            for prefix in whites_below(g) for white in (prefix, prefix | bit)]
+
+
+# (search, the dialect it eliminates with on g, the full colorings it walks
+# in order, whether it prunes by prefix)
 COLORING_SEARCHES = (
-    (lambda g: brute_coloring_search(g, SPECIAL), SPECIAL,
-     lambda g: product((0, 1), repeat=g.n), True),
-    (is_special, SPECIAL, lambda g: candidates(g, SPECIAL), False),
-    (is_restricted, RESTRICTED, lambda g: candidates(g, RESTRICTED), False),
-    (is_extended, EXTENDED, lambda g: candidates(g, EXTENDED), False),
-    (lambda g: is_k_threshold(g, 2), general_dialect(2),
+    # up to the first hit; a whole walk makes the same calls for the rest
+    (lambda g: extend_white_sets(g, SPECIAL, whites_below(g), False), lambda g: SPECIAL,
+     extensions, False),
+    (is_special, lambda g: SPECIAL, lambda g: candidates(g, SPECIAL), False),
+    (is_restricted, lambda g: RESTRICTED, lambda g: candidates(g, RESTRICTED), False),
+    (is_extended, lambda g: EXTENDED, lambda g: candidates(g, EXTENDED), False),
+    (lambda g: is_k_threshold(g, 2), lambda g: general_dialect(2),
      lambda g: candidates(g, general_dialect(2)), False),
     # the prefix order, less the colorings not numbered by first use, none
-    # of which can come before the least valid one
-    (lambda g: is_k_threshold(g, 3), general_dialect(3),
+    # of which can come before the least valid one; those use no color n
+    # or above, so the search leaves out the joins to those colors
+    (lambda g: is_k_threshold(g, 3), lambda g: general_dialect(min(3, g.n)),
      lambda g: filter(numbered_by_first_use, prefix_colorings(g.n, 3)), True),
 )
 

@@ -12,11 +12,11 @@ import threshkit.verify as verify
 from threshkit.catalogs import load_catalog
 from threshkit.enumeration import EnumerationConfig, all_graphs
 from threshkit.graph6 import encode_graph6
-from threshkit.kthreshold import SPECIAL, brute_coloring_search
+from threshkit.kthreshold import SPECIAL, extend_white_sets
 from threshkit.limits import DEFAULT_LIMITS, CapacityError, Limits
 from threshkit.named import complete_graph, empty_graph, path_graph
 from threshkit.graphs import ColoredGraph
-from threshkit.switching import is_cograph
+from threshkit.switching import extend_switch_sets, is_cograph
 from threshkit.verify import (
     SCHEMA,
     SUITE_NAMES,
@@ -27,7 +27,7 @@ from threshkit.verify import (
 )
 from threshkit.verify import _agree, _Run
 
-from oracles import is_threshold_graph, oracle_switch_scan
+from oracles import is_threshold_graph, oracle_pruned_coloring_search, oracle_switch_scan
 
 
 def _sample_report():
@@ -245,17 +245,18 @@ def test_switching_suite_runs_the_kernel_on_p4_free_switches_only(monkeypatch):
 
 def check_prefix_oracles(n_max, limits=DEFAULT_LIMITS):
     """The special and switching suites' oracles by prefix extension
-    against the per-graph oracles, brute_coloring_search for SPECIAL and
-    the per-set switch scan, certificates included, on every class with
+    against the per-graph oracles of tests/oracles.py, the pruned coloring
+    walk for SPECIAL and the per-set switch scan, certificates included,
+    on every class with
     n <= n_max, walked in level order as the suites walk them: full
     families below n_max, first hits on it. Returns the number of classes."""
     special, switch_sets = _Run("special", n_max, limits), _Run("switching", n_max, limits)
     classes = 0
     for n in range(1, n_max + 1):
         for g in all_graphs(EnumerationConfig(n), limits):
-            assert (special.extend(g, verify._special_colorings, [0])
-                    == brute_coloring_search(g, SPECIAL, limits)), g
-            assert (switch_sets.extend(g, verify._switch_sets, ([0], [0]))
+            assert (special.extend(g, extend_white_sets, SPECIAL, empty=[0])
+                    == oracle_pruned_coloring_search(g, SPECIAL)), g
+            assert (switch_sets.extend(g, extend_switch_sets, empty=([0], [0]))
                     == oracle_switch_scan(g, (is_cograph, is_threshold_graph))), g
             classes += 1
     return classes

@@ -85,8 +85,7 @@ def other_cograph_switch_certificate(monkeypatch):
 
 def flip_switch_sides(monkeypatch):
     _wrap(monkeypatch, verify, "extend_switch_sets",
-          lambda found, g, cographs, thresholds, whole:
-          ((None, found[0][1]),) + found[1:] if _picked(g) else found)
+          lambda found, g, family, whole: ((None, found[0][1]), found[1]) if _picked(g) else found)
     _wrap(monkeypatch, verify, "is_restricted", lambda cert, g: None if g.n == 5 else cert)
     # the oracle's cograph hit is None on a picked graph, so the stand-in
     # certificate of a flipped non-member is compared with nothing
