@@ -10,7 +10,6 @@ from .kthreshold import (
     is_restricted,
     is_special,
     is_threshold,
-    threshold_order,
 )
 from .limits import DEFAULT_LIMITS, CapacityError, Limits
 from .sequences import BuildSequence, evaluate
@@ -32,7 +31,6 @@ __all__ = [
     "join",
     "is_distance_hereditary",
     "is_threshold",
-    "threshold_order",
     "evaluate",
     "is_k_threshold",
     "is_special",

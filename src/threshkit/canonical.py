@@ -20,6 +20,14 @@ Piperno, "Practical graph isomorphism, II", 2014) without refinement to an
 equitable partition, which the minimal-string definition does not allow;
 the search stays exponential on highly symmetric graphs, hence the
 canonical_max_n bound.
+
+The search yields the packed form as well as the order: the minimal
+profile it picks at level L is column L of the graph6 body, earliest
+placed vertex in the top bit, so it packs the columns as it goes, then the
+sorted colors of a colored graph. That is enumeration's code, and the
+enumeration and discovery walks read it without relabeling a graph or
+packing one. Twin masks depend on the edges alone, so a caller that labels
+every coloring of one graph computes them once and passes them in.
 """
 
 from __future__ import annotations
@@ -50,9 +58,12 @@ def _twin_masks(n: int, rows: tuple[int, ...]) -> list[int]:
     return twins
 
 
-def _min_order(n: int, rows: tuple[int, ...], colors: tuple[int, ...] | None) -> tuple[int, ...]:
-    if n == 1:
-        return (0,)
+def _min_order(n: int, rows: tuple[int, ...], colors: tuple[int, ...] | None,
+               twins: list[int] | None = None) -> tuple[tuple[int, ...], int]:
+    """(order, code): the order that relabels the graph to its canonical
+    form, and that form packed as enumeration._code packs it (colors must
+    then be 0 or 1). twins, if given, is _twin_masks(n, rows); it depends
+    on the rows alone, so all colorings of one graph share it."""
     full = (1 << n) - 1
     if colors is None:
         want = [0] * n
@@ -63,13 +74,17 @@ def _min_order(n: int, rows: tuple[int, ...], colors: tuple[int, ...] | None) ->
         for v, c in enumerate(colors):
             color_masks[c] = color_masks.get(c, 0) | 1 << v
     # only the lowest candidate of each twin class is tried
-    twins = _twin_masks(n, rows)
+    if twins is None:
+        twins = _twin_masks(n, rows)
     # states maps cells to the order that reached them first. Cells
     # partition the unplaced vertices by profile, ascending, where a profile
     # packs adjacency to the placed vertices, earliest placed in the most
     # significant bit. All live states realize the same minimal
     # (colors, columns) prefix.
     states: dict[tuple[tuple[int, int], ...], tuple[int, ...]] = {((0, full),): ()}
+    # the minimal profile of each level is the next column of the graph6
+    # body, pair (0, level) in its top bit
+    code = 1
     for level in range(n):
         target = color_masks[want[level]]
         best = -1
@@ -85,6 +100,7 @@ def _min_order(n: int, rows: tuple[int, ...], colors: tuple[int, ...] | None) ->
             elif p > best:
                 continue
             live.append((cells, order, mask & target))
+        code = code << level | best
         merged: dict[tuple[tuple[int, int], ...], tuple[int, ...]] = {}
         for cells, order, cand in live:
             rest = cand
@@ -106,12 +122,15 @@ def _min_order(n: int, rows: tuple[int, ...], colors: tuple[int, ...] | None) ->
                 if key not in merged:
                     merged[key] = order + (u,)
         states = merged
-    return states[()]
+    if colors is not None:
+        for c in want:
+            code = code << 1 | c
+    return states[()], code
 
 
 def canonical_graph(g: Graph, limits: Limits = DEFAULT_LIMITS) -> Graph:
     limits.require("canonical_max_n", g.n, f"canonical form on {g.n} vertices exceeds")
-    return g.relabel(_min_order(g.n, g.rows, None))
+    return g.relabel(_min_order(g.n, g.rows, None)[0])
 
 
 def canonical_form(g: Graph | ColoredGraph, limits: Limits = DEFAULT_LIMITS) -> str:
@@ -124,6 +143,6 @@ def canonical_form(g: Graph | ColoredGraph, limits: Limits = DEFAULT_LIMITS) -> 
 
 def canonical_colored_graph(cg: ColoredGraph, limits: Limits = DEFAULT_LIMITS) -> ColoredGraph:
     limits.require("canonical_max_n", cg.n, f"canonical form on {cg.n} vertices exceeds")
-    order = _min_order(cg.n, cg.graph.rows, cg.colors)
+    order = _min_order(cg.n, cg.graph.rows, cg.colors)[0]
     return _unchecked_colored(cg.graph.relabel(order), tuple(cg.colors[v] for v in order))
 

@@ -21,10 +21,14 @@ graph6 body (the upper triangle column by column, pair (0, j) first in
 column j), then for a 2-colored class one bit per vertex, vertex 0 first.
 Every code of a level has the same length, so integer order is the order of
 the printed forms, and the leading 1 keeps the codes of different sizes
-apart. Generation packs each canonical graph as soon as it is labeled, so a
-level never exists as objects: all_graphs and all_colored_graphs return a
-re-iterable sequence that builds each Graph or ColoredGraph as it is read.
-A class costs 8 bytes, where a cached Graph took 220 to 405.
+apart. The labeling search returns each child's code directly
+(canonical._min_order packs the columns it picks), so generation labels the
+rows of an extension without building it as a graph, relabeling it or
+packing it, and a level never exists as objects: all_graphs and
+all_colored_graphs return a re-iterable sequence that builds each Graph or
+ColoredGraph as it is read. A class costs 8 bytes, where a cached Graph took
+220 to 405. The twin masks of a class serve its orbit test and the labeling
+of every one of its colorings, so they are computed once per class.
 """
 
 from __future__ import annotations
@@ -36,9 +40,12 @@ from collections.abc import Sequence
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
-from .canonical import _twin_masks, canonical_colored_graph, canonical_graph
+# the labeling search is read from its module at each call, so that a
+# wrapper put there, such as a call counter, sees every labeling
+from . import canonical
+from .canonical import _twin_masks
 from .embed import _automorphisms
-from .graphs import MAX_VERTICES, ColoredGraph, Graph, _unchecked_colored, _unchecked_graph, bits
+from .graphs import ColoredGraph, Graph, _unchecked_colored, _unchecked_graph, bits
 from .limits import DEFAULT_LIMITS, Limits
 from .records import frozen
 
@@ -59,11 +66,6 @@ class EnumerationConfig:
             raise ValueError("n must be positive")
 
 
-# The cached builders label at this bound: the callers' limits are checked
-# before the cache, which is keyed by n alone.
-_LABELING = Limits(canonical_max_n=MAX_VERTICES)
-
-
 def check_range(what: str, n_max: int, limits: Limits = DEFAULT_LIMITS) -> None:
     """Reject the sizes 1..n_max before any work: an empty range proves
     nothing, and a size above a bound raises CapacityError. The
@@ -75,21 +77,18 @@ def check_range(what: str, n_max: int, limits: Limits = DEFAULT_LIMITS) -> None:
     limits.require("canonical_max_n", n, f"canonical form on {n} vertices exceeds")
 
 
-def _extend(g: Graph, mask: int) -> Graph:
-    """g plus one new highest-index vertex adjacent to mask."""
-    rows = list(g.rows)
-    for v in bits(mask):
-        rows[v] |= 1 << g.n
-    rows.append(mask)
-    return _unchecked_graph(g.n + 1, tuple(rows))
+def _extended_rows(rows: tuple[int, ...], mask: int) -> tuple[int, ...]:
+    """The rows of a graph plus one new highest-index vertex adjacent to mask."""
+    new = 1 << len(rows)
+    return tuple(row | new if mask >> v & 1 else row for v, row in enumerate(rows)) + (mask,)
 
 
-def _twin_quotient(g: Graph) -> tuple[list[int], list[tuple[int, ...]]]:
-    """(classes, automorphisms): the twin classes of g as vertex masks,
-    ordered by lowest vertex, and the automorphisms of the quotient graph
-    on the classes that keep each class's size and kind (clique or
-    independent set), other than the identity, as permutations of class
-    indices.
+def _twin_quotient(g: Graph, twins: list[int]) -> tuple[list[int], list[tuple[int, ...]]]:
+    """(classes, automorphisms): the twin classes of g, read from its twin
+    masks twins, as vertex masks, ordered by lowest vertex, and the
+    automorphisms of the quotient graph on the classes that keep each
+    class's size and kind (clique or independent set), other than the
+    identity, as permutations of class indices.
 
     Every automorphism of g maps twin classes to twin classes, and any
     permutation within a class is one, so Aut(g) is the product of the
@@ -98,7 +97,7 @@ def _twin_quotient(g: Graph) -> tuple[list[int], list[tuple[int, ...]]]:
     owes most of it to twins (K8 bar has 40,320 automorphisms and one
     class).
     """
-    classes = [t | 1 << u for u, t in enumerate(_twin_masks(g.n, g.rows)) if not t & ((1 << u) - 1)]
+    classes = [t | 1 << u for u, t in enumerate(twins) if not t & ((1 << u) - 1)]
     rows = [g.rows[(cls & -cls).bit_length() - 1] for cls in classes]
     qrows = tuple(sum(1 << j for j, other in enumerate(classes) if other != cls and row & other)
                   for cls, row in zip(classes, rows))
@@ -108,12 +107,12 @@ def _twin_quotient(g: Graph) -> tuple[list[int], list[tuple[int, ...]]]:
     return classes, _automorphisms(qrows, degrees, kinds)[1:]
 
 
-def _orbit_test(g: Graph) -> Callable[[int], bool]:
+def _orbit_test(g: Graph, twins: list[int]) -> Callable[[int], bool]:
     """A test that accepts exactly one vertex set of each Aut(g)-orbit:
     the one that holds the lowest vertices of each twin class and whose
     vector of counts per class is the least of its orbit under the
     quotient automorphisms."""
-    classes, automorphisms = _twin_quotient(g)
+    classes, automorphisms = _twin_quotient(g, twins)
     shared = [cls for cls in classes if cls & (cls - 1)]
 
     def test(mask: int) -> bool:
@@ -156,7 +155,7 @@ def _extension_masks(h: Graph) -> list[int]:
     vertex in the same place, so these rules keep or drop whole orbits,
     and _orbit_test keeps one mask of each.
     """
-    represents_orbit = _orbit_test(h)
+    represents_orbit = _orbit_test(h, _twin_masks(h.n, h.rows))
     top = max(h.degrees)
     of_degree = [0] * (h.n + 1)
     for v, d in enumerate(h.degrees):
@@ -197,6 +196,14 @@ def _code(g: Graph | ColoredGraph) -> int:
     for j, below, reverse in _packing(g.n):
         code = code << j | reverse[rows[j] & below]
     return code
+
+
+def _prefix_code(code: int, n: int, colored: bool) -> int:
+    """The code of what the first n - 1 vertices of an n-vertex code
+    induce: the code less column n - 1 and, colored, less the last color."""
+    if colored:
+        return code >> 2 * n - 1 << n - 1 | (code & (1 << n) - 1) >> 1
+    return code >> n - 1
 
 
 @lru_cache(maxsize=None)
@@ -270,8 +277,9 @@ class _Level(Sequence):
 def _representatives(n: int) -> _Level:
     if n == 1:
         return _Level(1, False, [_code(Graph(1, (0,)))])
+    min_order = canonical._min_order
     codes = {
-        _code(canonical_graph(_extend(h, mask), _LABELING))
+        min_order(n, _extended_rows(h.rows, mask), None)[1]
         for h in _representatives(n - 1)
         for mask in _extension_masks(h)
     }
@@ -291,12 +299,14 @@ def _colored_representatives(n: int) -> _Level:
     # The 2-colored classes over one class g are the Aut(g)-orbits of its
     # colorings, so one white set per orbit labels each class exactly once.
     found = []
+    min_order = canonical._min_order
     for g in _representatives(n):
-        represents_orbit = _orbit_test(g)
+        twins = _twin_masks(n, g.rows)
+        represents_orbit = _orbit_test(g, twins)
         for white in range(1 << n):
             if represents_orbit(white):
                 colors = tuple(white >> v & 1 for v in range(n))
-                found.append(_code(canonical_colored_graph(_unchecked_colored(g, colors), _LABELING)))
+                found.append(min_order(n, g.rows, colors, twins)[1])
     found.sort()
     return _Level(n, True, found)
 

@@ -104,11 +104,6 @@ class Graph:
     def delete_vertex(self, v: int) -> Graph:
         return self.induced(self.full_mask ^ (1 << v))
 
-    def complement(self) -> Graph:
-        full = self.full_mask
-        rows = tuple(full ^ row ^ (1 << v) for v, row in enumerate(self.rows))
-        return _unchecked_graph(self.n, rows)
-
     def components(self) -> list[int]:
         """Connected components as vertex masks, ordered by lowest vertex."""
         return _components(self.rows, self.full_mask)

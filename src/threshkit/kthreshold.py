@@ -56,7 +56,6 @@ __all__ = [
     "is_restricted",
     "is_extended",
     "is_threshold",
-    "threshold_order",
     "neighborhood_shape",
     "is_good",
 ]
@@ -180,19 +179,6 @@ def is_threshold(g: Graph) -> BuildSequence | None:
     full = g.full_mask
     picks = elimination_picks(g.rows, full, (0, full))
     return None if picks is None else _sequence(THRESHOLD, (0,) * g.n, full, picks)
-
-
-def threshold_order(g: Graph) -> tuple[int, ...] | None:
-    """Vertices by ascending degree (ties by index); None if not threshold.
-
-    For threshold graphs this order linearizes the neighborhood preorder:
-    N(v_i) within N(v_j) for nonadjacent pairs i < j, closed neighborhoods
-    for adjacent pairs.
-    """
-    full = g.full_mask
-    if elimination_picks(g.rows, full, (0, full)) is None:
-        return None
-    return tuple(sorted(range(g.n), key=lambda v: (g.degrees[v], v)))
 
 
 def _first_use_colorings(n: int, k: int) -> int:

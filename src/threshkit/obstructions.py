@@ -47,16 +47,20 @@ the characterizations at small n.
 Discovery keeps one verdict byte per class, by its position in the sorted
 level, and finds a canonical graph's position by its packed code. A
 non-member is minimal when the canonical graph of each one-vertex deletion
-is a member. Distinct graphs on one level often share a labeled deletion
-(two colorings that differ only at the deleted vertex, say), so a memo of
-the level's deletions, keyed by their codes, labels each distinct one once.
+is a member. It walks the level's codes beside its graphs and builds no
+deletion as a graph. The deletion of the last vertex needs no labeling at
+all: the minimal string of a canonical graph on n vertices starts with the
+string of its first n - 1 vertices, which is therefore minimal too, so
+they induce a canonical graph, whose code is the class's code less its
+last column (a shift). A colored canonical graph lists its colors sorted,
+so deleting its last vertex keeps them sorted and the same holds, less the
+last color bit as well. Any other deletion's rows come from a bit squeeze
+of the class's rows, and the labeling search turns them into a code.
+Distinct graphs on one level often share a labeled deletion (two colorings
+that differ only at the deleted vertex, say), so a memo of the level's
+deletions, keyed by their rows and colors, labels each distinct one once.
 The memo lasts one level, since a deletion on the next level has one more
-vertex and can never match. The deletion of the last vertex needs no
-labeling at all: the minimal string of a canonical graph on n vertices
-starts with the string of its first n - 1 vertices, which is therefore
-minimal too, so they induce a canonical graph. A colored canonical graph
-lists its colors sorted, so deleting its last vertex keeps them sorted and
-the same holds.
+vertex and can never match.
 """
 
 from __future__ import annotations
@@ -64,11 +68,12 @@ from __future__ import annotations
 from functools import lru_cache, partial
 from typing import Callable, Optional
 
-from .canonical import canonical_colored_graph, canonical_form, canonical_graph
+from . import canonical
+from .canonical import canonical_form
 from .catalogs import load_catalog
 from .embed import Pattern, PatternList, _first_embedding, find_first_embedding
 from .graphs import ColoredGraph, Graph, _unchecked_graph
-from .enumeration import EnumerationConfig, _code, all_colored_graphs, all_graphs, check_range
+from .enumeration import EnumerationConfig, _prefix_code, all_colored_graphs, all_graphs, check_range
 from .limits import DEFAULT_LIMITS, Limits
 from .records import frozen
 from .switching import _switched_rows
@@ -197,37 +202,45 @@ def recognize_partitioned_fis(cg: ColoredGraph) -> FisResult:
     return _scan(cg.graph, _catalog_patterns("partitioned2t"), cg.colors)
 
 
-def _find_minimal(member: Callable, n_max: int, limits: Limits,
-                  levels: Callable, label: Callable) -> list:
-    """The discovery body; levels(n) is the sorted level of canonical graphs
-    on n vertices, and label(g, limits) is the canonical graph of g."""
+def _deleted_rows(rows: tuple[int, ...], v: int) -> tuple[int, ...]:
+    """The rows of a graph less vertex v: the bits above v move down one."""
+    low = (1 << v) - 1
+    return tuple(r & low | r >> 1 & ~low for r in rows[:v] + rows[v + 1:])
+
+
+def _find_minimal(member: Callable, n_max: int, limits: Limits, levels: Callable) -> list:
+    """The discovery body; levels(n) is the sorted level of canonical graphs,
+    plain or 2-colored, on n vertices."""
     check_range("obstruction search", n_max, limits)
+    min_order = canonical._min_order
     out = []
     below = verdicts_below = None
 
-    def member_below(g) -> int:
-        """The verdict on a canonical graph of the level below."""
-        return verdicts_below[below.position(_code(g))]
+    def member_below(code: int) -> int:
+        """The verdict on the class of the level below that code packs."""
+        return verdicts_below[below.position(code)]
 
     for n in range(1, n_max + 1):
         level = levels(n)
+        colored = level.colored
         verdicts = bytearray()  # by position in the level
-        # labeled deletion's code -> membership of its class, for this level only
-        deletions: dict[int, int] = {}
-        for g in level:
+        # labeled deletion -> membership of its class, for this level only
+        deletions: dict[tuple, int] = {}
+        for g, code in zip(level, level.codes):
             ok = bool(member(g))
             verdicts.append(ok)
             if ok or n == 1:
                 continue
             # the last deletion is canonical as it stands
-            if not member_below(g.delete_vertex(n - 1)):
+            if not member_below(_prefix_code(code, n, colored)):
                 continue
+            rows, colors = (g.graph.rows, g.colors) if colored else (g.rows, None)
             for v in range(n - 1):
-                d = g.delete_vertex(v)
-                key = _code(d)
+                d = _deleted_rows(rows, v)
+                key = (d, colors[:v] + colors[v + 1:]) if colored else (d, None)
                 in_class = deletions.get(key)
                 if in_class is None:
-                    in_class = deletions[key] = member_below(label(d, limits))
+                    in_class = deletions[key] = member_below(min_order(n - 1, *key)[1])
                 if not in_class:
                     break
             else:
@@ -243,8 +256,7 @@ def find_minimal_obstructions(
 ) -> list[Graph]:
     """All canonical non-members with <= n_max vertices whose every
     one-vertex deletion is a member. Sorted by canonical form per level."""
-    return _find_minimal(member, n_max, limits, lambda n: all_graphs(EnumerationConfig(n), limits),
-                         canonical_graph)
+    return _find_minimal(member, n_max, limits, lambda n: all_graphs(EnumerationConfig(n), limits))
 
 
 def find_minimal_colored_obstructions(
@@ -253,5 +265,4 @@ def find_minimal_colored_obstructions(
     limits: Limits = DEFAULT_LIMITS,
 ) -> list[ColoredGraph]:
     """find_minimal_obstructions over 2-colored graphs, color-preserving dedup."""
-    return _find_minimal(member, n_max, limits, lambda n: all_colored_graphs(n, limits),
-                         canonical_colored_graph)
+    return _find_minimal(member, n_max, limits, lambda n: all_colored_graphs(n, limits))

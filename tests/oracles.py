@@ -8,9 +8,9 @@ search."""
 from itertools import combinations, product
 
 from threshkit.canonical import canonical_graph
-from threshkit.enumeration import _extend, _representatives, check_range
+from threshkit.enumeration import _extended_rows, _representatives, check_range
 from threshkit.graph6 import encode_graph6
-from threshkit.graphs import Graph, bits
+from threshkit.graphs import Graph, _unchecked_graph, bits
 from threshkit.kthreshold import Dialect, _class_masks, _sequence, elimination_picks, is_threshold
 from threshkit.limits import DEFAULT_LIMITS, Limits
 from threshkit.sequences import BLACK, WHITE
@@ -41,7 +41,7 @@ def raw_extensions(n: int, limits: Limits = DEFAULT_LIMITS) -> list[Graph]:
     out = []
     for h in _representatives(n - 1):
         for mask in range(1 << h.n):
-            out.append(_extend(h, mask))
+            out.append(_unchecked_graph(n, _extended_rows(h.rows, mask)))
     return out
 
 

@@ -12,6 +12,12 @@ from threshkit.sequences import ADD, BuildSequence, Step, evaluate
 from threshkit.switching import switch
 
 
+def complement(g: Graph) -> Graph:
+    """The graph on g's vertices whose edges are the non-edges of g."""
+    full = g.full_mask
+    return Graph(g.n, tuple(full ^ row ^ 1 << v for v, row in enumerate(g.rows)))
+
+
 def graph_from_mask(n: int, mask: int) -> Graph:
     """Edge-subset encoding: bit (i,j), i < j, in column-major pair order."""
     edges = []

@@ -9,7 +9,7 @@ import random
 import time
 
 from oracles import raw_extensions
-from strategies import cutrank_profile, distance_hereditary_oracle
+from strategies import complement, cutrank_profile, distance_hereditary_oracle
 
 from threshkit.canonical import canonical_form
 from threshkit.catalogs import Catalog, CatalogEntry, validate_catalog
@@ -136,7 +136,7 @@ def test_08_structural_invariants():
 
     # (c) restricted and extended memberships are complement-closed, n <= 7
     for g in _graphs_upto(7):
-        co = g.complement()
+        co = complement(g)
         assert (is_restricted(g) is None) == (is_restricted(co) is None), g
         assert (is_extended(g) is None) == (is_extended(co) is None), g
 

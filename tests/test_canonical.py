@@ -1,19 +1,26 @@
-"""Canonical forms: label invariance, color sensitivity, capacity."""
+"""Canonical forms: label invariance, color sensitivity, capacity, and the
+packed code the labeling search returns against packing its canonical
+graph."""
+
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from threshkit import canonical
 from threshkit.canonical import (
+    _twin_masks,
     canonical_colored_graph,
     canonical_form,
     canonical_graph,
 )
-from threshkit.enumeration import EnumerationConfig, all_colored_graphs, all_graphs
+from threshkit.enumeration import EnumerationConfig, _code, all_colored_graphs, all_graphs
 from threshkit.graphs import ColoredGraph, Graph
 from threshkit.limits import CapacityError, Limits
 from threshkit.named import path_graph
 
+from oracles import raw_extensions
 from strategies import colored_graphs, graph_from_mask, graphs
 
 
@@ -84,3 +91,40 @@ def test_capacity_bound_enforced():
     tight = Limits(canonical_max_n=4)
     with pytest.raises(CapacityError):
         canonical_form(path_graph(5), tight)
+
+
+def searched_code(g) -> int:
+    """The code that the labeling search returns for a graph or a colored graph."""
+    if isinstance(g, ColoredGraph):
+        return canonical._min_order(g.n, g.graph.rows, g.colors)[1]
+    return canonical._min_order(g.n, g.rows, None)[1]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_searched_code_packs_the_canonical_graph_of_every_raw_extension(n):
+    for g in raw_extensions(n):
+        assert searched_code(g) == _code(canonical_graph(g)), g
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_searched_code_packs_the_canonical_graph_of_every_coloring(n):
+    for g in all_graphs(EnumerationConfig(n)):
+        twins = _twin_masks(n, g.rows)
+        for colors in product((0, 1), repeat=n):
+            cg = ColoredGraph(g, colors)
+            assert searched_code(cg) == _code(canonical_colored_graph(cg)), cg
+            # twin masks passed in change nothing
+            searched = canonical._min_order(n, g.rows, colors)
+            assert canonical._min_order(n, g.rows, colors, twins) == searched
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(max_n=10))
+def test_searched_code_packs_the_canonical_graph(g):
+    assert searched_code(g) == _code(canonical_graph(g))
+
+
+@settings(max_examples=200, deadline=None)
+@given(colored_graphs(max_n=10))
+def test_searched_code_packs_the_canonical_colored_graph(cg):
+    assert searched_code(cg) == _code(canonical_colored_graph(cg))

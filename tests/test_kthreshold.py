@@ -47,6 +47,7 @@ from oracles import oracle_candidate_colorings, oracle_pruned_coloring_search
 from strategies import (
     cographs_with_a_flip,
     colored_graphs,
+    complement,
     cutrank_profile,
     gnp_graphs,
     graph_from_mask,
@@ -306,7 +307,7 @@ def test_hereditary_two_threshold():
 def test_complement_closure_restricted_extended():
     for n in range(1, 7):
         for g in all_graphs(EnumerationConfig(n)):
-            c = g.complement()
+            c = complement(g)
             assert (is_restricted(g) is not None) == (is_restricted(c) is not None)
             assert (is_extended(g) is not None) == (is_extended(c) is not None)
 
@@ -397,8 +398,8 @@ def test_neighborhood_shapes():
 
 
 def oracle_neighborhood_shape(g, x):
-    """The earlier neighborhood_shape, which tested graphs built with
-    induced() and complement()."""
+    """The earlier neighborhood_shape, which built an induced subgraph and
+    its complement as graphs."""
     nb = g.rows[x]
     if nb == 0:
         return "empty"
@@ -416,7 +417,7 @@ def oracle_neighborhood_shape(g, x):
 
     if two_block_split(h.components()):
         return "union_of_two_thresholds"
-    if two_block_split(h.complement().components()):
+    if two_block_split(complement(h).components()):
         return "join_of_two_thresholds"
     return "other"
 
@@ -443,7 +444,7 @@ def test_is_good_builds_no_graph(monkeypatch):
     def no_graph(*args, **kwargs):
         raise AssertionError("built a graph")
 
-    for method in ("__init__", "induced", "complement"):
+    for method in ("__init__", "induced"):
         monkeypatch.setattr(Graph, method, no_graph)
     assert [is_good(g) for g in hosts] == expected
     assert False in expected and True in expected

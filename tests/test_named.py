@@ -21,6 +21,8 @@ from threshkit.named import (
     wheel4_pendant,
 )
 
+from strategies import complement
+
 
 def test_basic_families():
     assert empty_graph(3).edge_count() == 0
@@ -42,7 +44,7 @@ def test_gem_is_cone_of_path():
 
 
 def test_cogem_is_complement_of_gem():
-    assert canonical_form(cogem()) == canonical_form(gem().complement())
+    assert canonical_form(cogem()) == canonical_form(complement(gem()))
 
 
 def test_shapes_by_degree_sequence():
@@ -57,7 +59,7 @@ def test_shapes_by_degree_sequence():
 
 
 def test_octahedron_is_complement_of_perfect_matching():
-    assert canonical_form(octahedron()) == canonical_form(matching(3).complement())
+    assert canonical_form(octahedron()) == canonical_form(complement(matching(3)))
 
 
 def test_registry_is_duplicate_free():

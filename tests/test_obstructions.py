@@ -8,12 +8,12 @@ import hypothesis.strategies as st
 import pytest
 
 import threshkit.canonical as canonical
-from threshkit import embed
+from threshkit import embed, obstructions
 from threshkit.canonical import canonical_form
 from threshkit.catalogs import load_catalog
 from threshkit.embed import PatternList, find_first_embedding
 from threshkit.classes import ROWS
-from threshkit.enumeration import EnumerationConfig, all_colored_graphs, all_graphs
+from threshkit.enumeration import EnumerationConfig, _code, _prefix_code, all_colored_graphs, all_graphs
 from threshkit.graph6 import decode_graph6, encode_graph6, format_graph_line
 from threshkit.graphs import ColoredGraph, disjoint_union, join
 from threshkit.kthreshold import (
@@ -377,6 +377,19 @@ def test_colored_discovery_labels_each_distinct_deletion_once(monkeypatch):
     calls.clear()
     oracle_find_minimal(members.__contains__, 5, all_colored_graphs)
     assert (labeled, len(calls)) == (134, 629)
+
+
+@pytest.mark.parametrize("n, colored",
+                         [(n, False) for n in range(2, 8)] + [(n, True) for n in range(2, 7)])
+def test_deletion_arithmetic_equals_deleting_the_vertex(n, colored):
+    """Discovery's deletions without graphs: the last one's code by a
+    shift, every other one's rows by a squeeze."""
+    level = all_colored_graphs(n) if colored else all_graphs(EnumerationConfig(n))
+    for g, code in zip(level, level.codes):
+        assert _prefix_code(code, n, colored) == _code(g.delete_vertex(n - 1)), g
+        plain = g.graph if colored else g
+        for v in range(n):
+            assert obstructions._deleted_rows(plain.rows, v) == plain.delete_vertex(v).rows
 
 
 SWITCHING_SCANS = (

@@ -34,6 +34,7 @@ from threshkit.switching import (
 from oracles import is_threshold_graph, oracle_least_cograph_switch, oracle_switch_scan
 from strategies import (
     cographs_with_a_flip,
+    complement,
     gnp_graphs,
     graphs,
     random_switch_cograph,
@@ -132,7 +133,7 @@ def oracle_is_cograph(g):
             continue
         parts = h.components()
         if len(parts) == 1:
-            parts = h.complement().components()
+            parts = complement(h).components()
             if len(parts) == 1:
                 return False
         stack.extend(h.induced(p) for p in parts)

@@ -1,4 +1,4 @@
-"""Threshold recognition, orders and certificates: is_threshold against
+"""Threshold recognition and certificates: is_threshold against
 the certificate pair it replaced (a list of isolated-or-universal removals
 and a builder that turned it into a sequence), and the kernel with the
 THRESHOLD masks (0, alive) against the one-color loop it replaced."""
@@ -8,7 +8,7 @@ import hypothesis.strategies as st
 
 from threshkit.enumeration import EnumerationConfig, all_graphs
 from threshkit.graphs import ColoredGraph, bits
-from threshkit.kthreshold import THRESHOLD, eliminate, elimination_picks, is_threshold, threshold_order
+from threshkit.kthreshold import THRESHOLD, eliminate, elimination_picks, is_threshold
 from threshkit.named import (
     complete_graph,
     cycle_graph,
@@ -139,7 +139,6 @@ def test_known_members():
 def test_known_non_members():
     for g in (path_graph(4), cycle_graph(4), matching(2), cycle_graph(5)):
         assert is_threshold(g) is None
-        assert threshold_order(g) is None
 
 
 def test_certificate_steps_are_valid():
@@ -176,26 +175,6 @@ def test_membership_counts_are_powers_of_two():
             1 for g in all_graphs(EnumerationConfig(n)) if is_threshold(g) is not None
         )
         assert members == 1 << (n - 1)
-
-
-def test_threshold_order_linearizes_neighborhoods():
-    # along the order: open neighborhoods nest for nonadjacent pairs,
-    # closed neighborhoods nest for adjacent pairs
-    for n in range(1, 7):
-        for g in all_graphs(EnumerationConfig(n)):
-            order = threshold_order(g)
-            if order is None:
-                continue
-            for a in range(n):
-                for b in range(a + 1, n):
-                    u, v = order[a], order[b]
-                    nu, nv = g.rows[u], g.rows[v]
-                    if g.has_edge(u, v):
-                        closed_u = nu | (1 << u)
-                        closed_v = nv | (1 << v)
-                        assert closed_u | closed_v == closed_v
-                    else:
-                        assert nu | nv == nv
 
 
 def test_build_tree_evaluates_back_exactly():

@@ -1,9 +1,10 @@
 """Unchecked construction of derived graphs, and validation at the boundary.
 
-switch, induced, delete_vertex, relabel, complement and _extend build their
-results without validation, because rows derived from a valid graph are
-valid. Each result must equal the graph the validating constructor builds
-from the same rows; the public constructors must still reject bad rows.
+switch, induced, delete_vertex and relabel build their results without
+validation, and enumeration labels the rows of each extension without
+building a graph, because rows derived from a valid graph are valid. Each
+result must equal the graph the validating constructor builds from the
+same rows; the public constructors must still reject bad rows.
 The same holds for colored graphs: canonical_colored_graph, delete_vertex,
 swapped and the colored enumeration derive theirs unchecked, and
 ColoredGraph(...) and colored graph6 lines still validate. The coloring
@@ -21,9 +22,9 @@ import pytest
 
 from threshkit import kthreshold
 from threshkit.canonical import canonical_colored_graph
-from threshkit.enumeration import EnumerationConfig, _extend, all_colored_graphs, all_graphs
+from threshkit.enumeration import EnumerationConfig, _extended_rows, all_colored_graphs, all_graphs
 from threshkit.graph6 import GraphParseError, decode_graph6, encode_graph6, parse_graph_line
-from threshkit.graphs import ColoredGraph, Graph
+from threshkit.graphs import ColoredGraph, Graph, _unchecked_graph
 from threshkit.kthreshold import (
     EXTENDED,
     RESTRICTED,
@@ -52,12 +53,11 @@ def assert_valid(h: Graph) -> None:
 @pytest.mark.parametrize("n", range(1, 7))
 def test_derived_graphs_equal_validated_graphs(n):
     for g in all_graphs(EnumerationConfig(n)):
-        assert_valid(g.complement())
         for mask in range(1, 1 << n):
             assert_valid(g.induced(mask))
         for mask in range(1 << n):
             assert_valid(switch(g, mask))
-            assert_valid(_extend(g, mask))
+            assert_valid(_unchecked_graph(n + 1, _extended_rows(g.rows, mask)))
         for v in range(n if n > 1 else 0):  # K1 has no nonempty vertex-deleted subgraph
             assert_valid(g.delete_vertex(v))
         for order in permutations(range(n)):

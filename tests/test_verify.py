@@ -5,6 +5,7 @@ import pytest
 import threshkit.canonical as canonical
 import threshkit.classes as classes
 import threshkit.embed as embed
+import threshkit.enumeration as enumeration
 import threshkit.kthreshold as kthreshold
 import threshkit.obstructions as obstructions
 import threshkit.switching as switching
@@ -346,6 +347,22 @@ def test_suite_bound_checks_before_any_work(enumerations):
 def test_enumeration_within_the_bound_still_runs(enumerations):
     assert run_suite("thresholds", 3, Limits(enumeration_max_n=3)).ok
     assert enumerations == ["all_graphs"] * 3
+
+
+def test_cold_verify_labels_a_pinned_number_of_graphs(monkeypatch):
+    """A work-count gate over discovery, catalogs and counts as well as the
+    enumeration: with the caches cleared, one run of all seven suites at
+    their default bounds makes 2,461 plain and 6,929 colored labelings."""
+    colored = []
+    min_order = canonical._min_order
+    monkeypatch.setattr(canonical, "_min_order",
+                        lambda *args: colored.append(args[2] is not None) or min_order(*args))
+    enumeration._representatives.cache_clear()
+    enumeration._colored_representatives.cache_clear()
+    obstructions._catalog_patterns.cache_clear()
+    for name in SUITE_NAMES:
+        assert run_suite(name).ok, name
+    assert (colored.count(False), colored.count(True)) == (2461, 6929)
 
 
 def test_catalogs_capacity_error_precedes_canonical_work(monkeypatch):
