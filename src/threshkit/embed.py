@@ -18,17 +18,33 @@ al., 2004, applied to the whole pattern).
 
 A forbidden-subgraph scan tries a whole pattern list against one host, so
 find_first_embedding builds the host's tables once for the list, from the
-rows and the coloring as plain ints: vertices by least degree, vertices by
-color and the tuple of color counts, and, only when some pattern reaches
-the search, non-neighbour rows. The pattern side of those tests (degrees,
-edge and non-edge counts, and a tuple of color counts compared with the
-host's color by color) depends on the pattern alone: a PatternList
-computes it once, and find_first_embedding takes nothing else. The scan
-lists of the recognizers in obstructions are PatternLists built once per
-process from the shipped catalogs; the two switching-closed ones carry a
-gate, the descent of obstructions, that decides whether any of their
-patterns embeds before the scan. A pattern with a vertex whose starting
-candidate mask is empty cannot embed and is skipped without a search.
+rows and the coloring as plain ints: vertices by least degree, edge and
+non-edge counts, vertices by color and the tuple of color counts. It
+builds them at the first pattern no larger than the host, so a host
+smaller than every pattern costs nothing. The scan lists of the
+recognizers in obstructions are PatternLists built once per process from
+the shipped catalogs; the two switching-closed ones carry a gate, the
+descent of obstructions, that decides whether any of their patterns
+embeds before the scan.
+
+Each pattern's search is Python source generated from the pattern alone
+and compiled the first time a scan reaches the pattern on a host at least
+as large as it, so once per pattern per PatternList, about 0.3 ms each; a
+list that never meets a large enough host compiles nothing. The source
+holds the pattern's count tests and the degree window of each vertex as
+integer literals, then one nested loop per pattern vertex, whose
+candidate mask is a single expression: the vertex's starting mask ANDed
+with the row of each earlier image it is adjacent to and the non-row (the
+complement of the row, less the image itself) of each it is not. The
+last vertex needs no loop, since its lowest candidate completes the first
+embedding. Python allows 20 statically nested loops, so a pattern on more
+than 21 vertices is split into chained functions: at the deepest loop of
+one, the starting masks of the remaining vertices are narrowed by every
+image placed so far and passed to the next. A generated search returns
+False when the counts or an empty starting mask rule the pattern out, so
+without a search; None when the search finds no embedding; else the
+embedding. Only integers enter the source: names, colorings and host
+tables are values.
 
 On a host the pattern does not embed in, the search runs to the end, and a
 symmetric pattern would reach each partial embedding once per automorphism
@@ -36,22 +52,22 @@ symmetric pattern would reach each partial embedding once per automorphism
 (Grochow & Kellis, "Network motif discovery using subgraph enumeration and
 symmetry-breaking", RECOMB 2007). A PatternList finds each pattern's
 automorphisms, color-preserving for a colored pattern, as the pattern's
-embeddings into itself with the same search. Along the stabilizer chain
-with base 0, 1, ..., p - 1, each u in the orbit of i under the
-automorphisms fixing 0..i-1 gets the condition f(i) < f(u). When u has
-several, the one with the largest i implies the others (that i is itself
-in the orbits of the smaller ones), so each pattern vertex needs at most
-one mask AND. If the lexicographically least embedding of an automorphism
-class broke a condition f(i) < f(u), composing it with the automorphism
-that fixes 0..i-1 and moves i to u would give a smaller one. So the least
-of each class meets every condition, the first embedding found is the
-same, and only the other members of each class go unvisited.
+embeddings into itself with _search, the interpreted form of the same
+search, which yields every embedding. Along the stabilizer chain with base
+0, 1, ..., p - 1, each u in the orbit of i under the automorphisms fixing
+0..i-1 gets the condition f(i) < f(u). When u has several, the one with
+the largest i implies the others (that i is itself in the orbits of the
+smaller ones), so each pattern vertex needs at most one mask AND. If the
+lexicographically least embedding of an automorphism class broke a
+condition f(i) < f(u), composing it with the automorphism that fixes
+0..i-1 and moves i to u would give a smaller one. So the least of each
+class meets every condition, the first embedding found is the same, and
+only the other members of each class go unvisited.
 """
 
 from __future__ import annotations
 
-from operator import gt
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .graphs import Graph
 
@@ -59,6 +75,9 @@ __all__ = ["PatternList", "find_first_embedding"]
 
 # (name, pattern graph, pattern colors or None)
 Pattern = tuple[Optional[str], Graph, Optional[tuple[int, ...]]]
+
+# CPython's limit on statically nested blocks, each loop being one
+_MAX_LOOPS = 20
 
 
 def _automorphisms(
@@ -71,10 +90,8 @@ def _automorphisms(
     full = (1 << p) - 1
     keys = list(zip(pdegrees, colors or (0,) * p))
     base = [sum(1 << u for u in range(p) if keys[u] == key) for key in keys]
-    found: list[tuple[int, ...]] = []
-    _search(prows, [full ^ row ^ (1 << v) for v, row in enumerate(prows)], prows, base,
-            (-1,) * p, found)
-    return found
+    return list(_search(prows, [full ^ row ^ (1 << v) for v, row in enumerate(prows)], prows,
+                        base, (-1,) * p))
 
 
 def _conditions(automorphisms: list[tuple[int, ...]], p: int) -> tuple[int, ...]:
@@ -115,14 +132,21 @@ def _constants(patterns: Sequence[Pattern]) -> tuple:
 
 
 class PatternList(tuple):
-    """A tuple of patterns that carries their constants, computed once, and
-    optionally a gate: a test of a host that is false only when no pattern
-    embeds in it."""
+    """A tuple of patterns, all colored or all uncolored, that carries their
+    constants, computed once, their generated searches, each compiled when
+    a scan first needs it, and optionally a gate: a test of a host that is
+    false only when no pattern embeds in it."""
 
     def __new__(cls, patterns: Sequence[Pattern],
                 gate: Optional[Callable[[Graph], bool]] = None) -> PatternList:
         self = super().__new__(cls, patterns)
+        kinds = {colors is not None for _, _, colors in self}
+        if len(kinds) > 1:
+            raise ValueError("a pattern list is all colored or all uncolored")
+        self.colored = kinds.pop() if kinds else None
         self.constants = _constants(self)
+        self.sizes = tuple(pattern.n for _, pattern, _ in self)
+        self.searches: list[Optional[Callable]] = [None] * len(self)
         self.gate = gate
         return self
 
@@ -142,11 +166,33 @@ def find_first_embedding(
     """
     if patterns.gate is not None and not patterns.gate(host):
         return None
-    return _first_embedding(host, patterns.constants, host_coloring)
+    return _first_embedding(host, patterns, host_coloring)
 
 
-def _first_embedding(host: Graph, constants: tuple, host_coloring: tuple[int, ...] | None):
-    """find_first_embedding over the patterns with these constants."""
+def _first_embedding(host: Graph, patterns: PatternList, host_coloring: tuple[int, ...] | None):
+    """find_first_embedding past the list's gate."""
+    if patterns.colored not in (None, host_coloring is not None):
+        raise ValueError("supply both colorings or neither")
+    h = host.n
+    tables = None
+    searches = patterns.searches
+    for i, p in enumerate(patterns.sizes):
+        if p > h:
+            continue
+        if tables is None:
+            tables = _host_tables(host, host_coloring)
+        search = searches[i]
+        if search is None:
+            search = searches[i] = _generate(patterns.constants[i])
+        embedding = search(*tables)
+        if embedding:
+            return patterns[i][0], embedding
+    return None
+
+
+def _host_tables(host: Graph, host_coloring: tuple[int, ...] | None) -> tuple:
+    """The arguments of a generated search: (h, rows, at_least, edges,
+    non-edges, by_color, color counts)."""
     h = host.n
     hrows = host.rows
     # at_least[k]: the host vertices of degree >= k; at_least[h] is empty
@@ -159,49 +205,111 @@ def _first_embedding(host: Graph, constants: tuple, host_coloring: tuple[int, ..
     for k in range(h - 1, -1, -1):
         at_least[k] |= at_least[k + 1]
     edges >>= 1
-    non_edges = h * (h - 1) // 2 - edges
     # by_color[c]: the host vertices of color c; color_counts their sizes
     by_color = []
     if host_coloring is not None:
         by_color = [0] * (max(host_coloring) + 1)
         for v, c in enumerate(host_coloring):
             by_color[c] |= 1 << v
-    color_counts = tuple(m.bit_count() for m in by_color)
-    non_rows = None  # built for the first pattern that reaches the search
-    for name, prows, p, pedges, pnon, pdegrees, colors, counts, after in constants:
-        if (colors is None) != (host_coloring is None):
-            raise ValueError("supply both colorings or neither")
-        if p > h or pedges > edges or pnon > non_edges:
-            continue
-        # at_least[k] ^ at_least[k + top] is at_least[k] & at_most[k + h - p]
-        top = h - p + 1
-        if counts is None:
-            base = [at_least[k] ^ at_least[k + top] for k in pdegrees]
-        else:
-            if len(counts) > len(color_counts) or any(map(gt, counts, color_counts)):
-                continue
-            base = [(at_least[k] ^ at_least[k + top]) & by_color[c]
-                    for k, c in zip(pdegrees, colors)]
-        if not all(base):
-            continue
-        if non_rows is None:
-            # non_rows[v]: the host vertices other than v that v is not adjacent to
-            full = (1 << h) - 1
-            non_rows = [full ^ row ^ (1 << v) for v, row in enumerate(hrows)]
-        embedding = _search(hrows, non_rows, prows, base, after)
-        if embedding is not None:
-            return name, embedding
-    return None
+    return (h, hrows, at_least, edges, h * (h - 1) // 2 - edges, by_color,
+            tuple(m.bit_count() for m in by_color))
+
+
+def _generate(constants: tuple) -> Callable:
+    """The compiled search of the pattern with these constants."""
+    namespace: dict = {}
+    exec(compile(_source(constants), "<generated search>", "exec"), namespace)
+    return namespace["search"]
+
+
+def _source(constants: tuple) -> str:
+    """The source of a pattern's search: a function search of the host
+    tables, and one chained function per 20 vertices past the first 21."""
+    _, prows, p, pedges, pnon, pdegrees, colors, counts, after = constants
+    lines = ["def search(h, hrows, at_least, edges, non_edges, by_color, color_counts):",
+             f"    if edges < {pedges} or non_edges < {pnon}:",
+             "        return False"]
+    if counts is not None:
+        tests = [f"len(color_counts) < {len(counts)}"]
+        tests += [f"color_counts[{c}] < {k}" for c, k in enumerate(counts) if k]
+        lines += [f"    if {' or '.join(tests)}:", "        return False"]
+    # at_least[k] ^ at_least[k + top] is at_least[k] & at_most[k + h - p];
+    # vertices of one degree and color share their starting mask
+    lines.append(f"    top = h - {p - 1}")
+    keys = list(zip(pdegrees, colors or (None,) * p))
+    first: dict[tuple, int] = {}
+    for d, key in enumerate(keys):
+        if first.setdefault(key, d) == d:
+            mask = f"at_least[{key[0]}] ^ at_least[{key[0]} + top]"
+            if colors is not None:
+                mask = f"({mask}) & by_color[{key[1]}]"
+            lines += [f"    b{d} = {mask}", f"    if not b{d}:", "        return False"]
+    start = [f"b{first[key]}" for key in keys]
+    lo = 0
+    while True:
+        hi = p if p - lo <= _MAX_LOOPS + 1 else lo + _MAX_LOOPS
+        lines += _segment(prows, after, start, lo, hi)
+        if hi == p:
+            return "\n".join(lines) + "\n"
+        start = [f"b{d}" for d in range(p)]
+        lines += ["", f"def search{hi}(hrows, {', '.join(start[hi:])}):"]
+        lo = hi
+
+
+def _segment(prows: tuple[int, ...], after: tuple[int, ...], start: list[str], lo: int,
+             hi: int) -> list[str]:
+    """The loops over pattern vertices lo..hi-1, each vertex d starting
+    from the mask named start[d], already narrowed by the images of the
+    vertices below lo. They return the tuple of the images of lo..p-1;
+    with hi < p, the deepest loop narrows the starting masks of hi..p-1
+    and hands them to search{hi}."""
+    p = len(prows)
+
+    def mask(d: int) -> str:
+        terms = [start[d]] + [f"r{j}" if prows[d] >> j & 1 else f"x{j}"
+                              for j in range(lo, min(d, hi))]
+        if lo <= after[d] < hi:
+            terms.append(f"-(l{after[d]} << 1)")  # the vertices above the image of after[d]
+        return " & ".join(terms)
+
+    loops = range(lo, hi if hi < p else p - 1)
+    images = [f"l{j}.bit_length() - 1" for j in loops]
+    lines = [f"    c{lo} = {start[lo]}"]
+    pad = "    "
+    for j in loops:
+        lines += [f"{pad}while c{j}:",
+                  f"{pad}    l{j} = c{j} & -c{j}",
+                  f"{pad}    c{j} ^= l{j}"]
+        pad += "    "
+        # the row and non-row of this image, as far as later masks read them
+        row = f"hrows[{images[j - lo]}]"
+        adjacent = [prows[d] >> j & 1 for d in range(j + 1, p)]
+        if any(adjacent):
+            lines.append(f"{pad}r{j} = {row}")
+            row = f"r{j}"
+        if not all(adjacent):
+            lines.append(f"{pad}x{j} = ~{row} ^ l{j}")
+        if j + 1 < hi:
+            lines.append(f"{pad}c{j + 1} = {mask(j + 1)}")
+    if hi < p:
+        lines += [f"{pad}t = search{hi}(hrows, {', '.join(mask(d) for d in range(hi, p))})",
+                  f"{pad}if t is not None:",
+                  f"{pad}    return ({', '.join(images)},) + t"]
+    else:
+        images.append(f"(c{p - 1} & -c{p - 1}).bit_length() - 1")
+        lines += [f"{pad}if c{p - 1}:",
+                  f"{pad}    return ({', '.join(images)}{',' if p - lo == 1 else ''})"]
+    lines.append("    return None")
+    return lines
 
 
 def _search(
     hrows: tuple[int, ...], non_rows: list[int], prows: tuple[int, ...], base: list[int],
-    after: tuple[int, ...], found: list | None = None,
-) -> tuple[int, ...] | None:
-    """The lowest-first search of one pattern, from its starting masks,
-    mapping each vertex u with after[u] >= 0 above the image of after[u].
-    Returns the first embedding; given a list found, appends every
-    embedding to it instead and returns None."""
+    after: tuple[int, ...],
+) -> Iterator[tuple[int, ...]]:
+    """Every embedding of one pattern from its starting masks, mapping each
+    vertex u with after[u] >= 0 above the image of after[u], in
+    lexicographic order: the interpreted form of the generated searches."""
     p = len(prows)
     mapping = [0] * p
     left = [0] * p  # the candidates of each depth not tried yet
@@ -216,9 +324,7 @@ def _search(
         left[depth] = cand ^ low
         mapping[depth] = low.bit_length() - 1
         if depth == p - 1:
-            if found is None:
-                return tuple(mapping)
-            found.append(tuple(mapping))
+            yield tuple(mapping)
             continue
         depth += 1
         prow = prows[depth]
@@ -229,4 +335,3 @@ def _search(
         if i >= 0:
             mask &= ~((2 << mapping[i]) - 1)
         left[depth] = mask
-    return None

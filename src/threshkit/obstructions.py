@@ -65,7 +65,7 @@ vertex and can never match.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable, Optional
 
 from . import canonical
@@ -110,38 +110,47 @@ def _scan(host: Graph, patterns: PatternList,
     return FisResult(False, *hit)
 
 
-def _descendants(family: str) -> tuple[PatternList, bool]:
-    """The descendants of a switching-closed catalog, and whether every
-    entry holds one. The descendants are each entry that has an isolated
-    vertex, less that vertex, in (n, name) order; entries are pairwise
-    non-isomorphic, so their descendants are too."""
-    pats = []
-    entries = load_catalog(family).entries
-    for e in entries:
-        g = e.graph
-        if 0 in g.rows:
-            pats.append((e.name, g.delete_vertex(g.rows.index(0)), None))
-    descendants = PatternList(sorted(pats, key=lambda p: (p[1].n, p[0])))
-    held = all(_first_embedding(e.graph, descendants.constants, None) is not None
-               for e in entries)
-    return descendants, held
+class _Descent:
+    """The gate of a switching-closed scan list: whether, for some v, the
+    switch of host that isolates v induces a descendant on the vertices
+    above v; for v = 0 only when every entry holds a descendant.
 
+    The descendants are each entry that has an isolated vertex, less that
+    vertex, in (n, name) order; entries are pairwise non-isomorphic, so
+    their descendants are too. Whether every entry holds one is decided at
+    the first host with a vertex that has a descendant's worth of vertices
+    above it, so building the gate, or asking it about a smaller host,
+    searches nothing."""
 
-def _has_descendant(descendants: PatternList, held: bool, host: Graph) -> bool:
-    """Whether, for some v, the switch of host that isolates v induces a
-    descendant on the vertices above v; for v = 0 only when held. This is
-    the gate of a switching-closed scan list."""
-    n, rows, full = host.n, host.rows, host.full_mask
-    # the vertices above v must hold the smallest descendant
-    stop = n - descendants[0][1].n
-    for v in range(min(stop, 1) if held else stop):
-        shift = v + 1
-        suffix = _switched_rows([row >> shift for row in rows[shift:]], full >> shift,
-                                rows[v] >> shift)
-        if _first_embedding(_unchecked_graph(n - shift, suffix), descendants.constants,
-                            None) is not None:
-            return True
-    return False
+    def __init__(self, family: str):
+        entries = load_catalog(family).entries
+        self.entries = [e.graph for e in entries]
+        pats = [(e.name, e.graph.delete_vertex(e.graph.rows.index(0)), None)
+                for e in entries if 0 in e.graph.rows]
+        self.descendants = PatternList(sorted(pats, key=lambda p: (p[1].n, p[0])))
+        self._held: Optional[bool] = None
+
+    def held(self) -> bool:
+        """Whether every entry holds a descendant."""
+        if self._held is None:
+            self._held = all(_first_embedding(g, self.descendants, None) is not None
+                             for g in self.entries)
+        return self._held
+
+    def __call__(self, host: Graph) -> bool:
+        n, rows, full = host.n, host.rows, host.full_mask
+        # the vertices above v must hold the smallest descendant
+        stop = n - self.descendants[0][1].n
+        if stop <= 0:
+            return False
+        for v in range(1 if self.held() else stop):
+            shift = v + 1
+            suffix = _switched_rows([row >> shift for row in rows[shift:]], full >> shift,
+                                    rows[v] >> shift)
+            if _first_embedding(_unchecked_graph(n - shift, suffix), self.descendants,
+                                None) is not None:
+                return True
+        return False
 
 
 @lru_cache(maxsize=None)
@@ -172,9 +181,7 @@ def _catalog_patterns(family: str) -> PatternList:
         else:
             pattern = (name, obj, None)
         kept.setdefault(canonical_form(obj), pattern)
-    gate = None
-    if family in _SWITCHING_CLOSED:
-        gate = partial(_has_descendant, *_descendants(family))
+    gate = _Descent(family) if family in _SWITCHING_CLOSED else None
     return PatternList(kept.values(), gate)
 
 

@@ -30,3 +30,30 @@ def default_run():
         return runs[name]
 
     return get
+
+
+@pytest.fixture
+def searched(monkeypatch):
+    """The rows of each pattern whose generated search a scan runs, in
+    order; a pattern that its counts or an empty starting mask rule out is
+    not searched. Counts the patterns compiled while the fixture is active,
+    so the catalog scan lists start cold, and are dropped again after."""
+    from threshkit import embed, obstructions
+
+    found = []
+    generate = embed._generate
+
+    def counting(constants):
+        search = generate(constants)
+
+        def counted(*tables):
+            embedding = search(*tables)
+            if embedding is not False:
+                found.append(constants[1])
+            return embedding
+        return counted
+
+    obstructions._catalog_patterns.cache_clear()
+    monkeypatch.setattr(embed, "_generate", counting)
+    yield found
+    obstructions._catalog_patterns.cache_clear()

@@ -1,11 +1,15 @@
 """Induced-subgraph search against a brute-force permutation oracle, and
-against the vertex-by-vertex scan it replaced; the symmetry-broken search
-against the unbroken one, and the automorphisms it breaks against
-networkx; the whole-list scan against a loop of single-pattern searches;
-the degree-window and count filters where they cut hardest: three colors,
-and hosts no larger than the pattern."""
+against the vertex-by-vertex scan it replaced; each generated search
+against the interpreted one, past Python's nesting limit too; the
+symmetry-broken search against the unbroken one, and the automorphisms it
+breaks against networkx; the whole-list scan against a loop of
+single-pattern searches; the degree-window and count filters where they
+cut hardest: three colors, and hosts no larger than the pattern; and when
+searches are generated."""
 
+from functools import lru_cache
 from itertools import combinations, permutations
+import random
 
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -17,8 +21,9 @@ from threshkit import embed
 from threshkit.classes import BY_CATALOG, ROWS
 from threshkit.embed import PatternList, find_first_embedding
 from threshkit.enumeration import EnumerationConfig, all_colored_graphs, all_graphs
-from threshkit.graphs import ColoredGraph, Graph
+from threshkit.graphs import ColoredGraph, Graph, disjoint_union
 from threshkit.kthreshold import GENERAL2, THRESHOLD
+from threshkit.limits import DEFAULT_LIMITS
 from threshkit.named import complete_graph, cycle_graph, empty_graph, matching, path_graph
 from threshkit.obstructions import _catalog_patterns
 
@@ -202,14 +207,32 @@ UNCOLORED_SCANS = [_catalog_patterns(family) for family in
                    sorted({row.catalog for row in ROWS if row.fis is not None and not row.colored})]
 
 
+# the generator itself, which some tests replace by one of the two below
+GENERATE = embed._generate
+
+
+@lru_cache(maxsize=None)
+def generated_search(constants):
+    """The generated search of the pattern with these constants."""
+    return GENERATE(constants)
+
+
+def unbroken_search(constants):
+    """The generated search of the pattern with these constants, less its
+    symmetry-breaking conditions."""
+    return generated_search(constants[:-1] + ((-1,) * constants[2],))
+
+
 def oracle_first_embedding(host, patterns, host_coloring=None):
     """The scan as a loop of single-pattern searches, each building its own
     host tables and searching whatever the candidate masks hold."""
     for name, pattern, colors in patterns:
+        if pattern.n > host.n:
+            continue
         constants = embed._pattern_constants(name, pattern, colors, (-1,) * pattern.n)
-        hit = embed._first_embedding(host, (constants,), host_coloring)
-        if hit is not None:
-            return hit
+        hit = unbroken_search(constants)(*embed._host_tables(host, host_coloring))
+        if hit:
+            return name, hit
     return None
 
 
@@ -241,19 +264,15 @@ def test_scan_equals_pattern_loop_on_larger_hosts(host, rnd):
     )
 
 
-def test_scan_skips_patterns_that_cannot_embed(monkeypatch):
+def test_scan_skips_patterns_that_cannot_embed(searched):
     # the claw needs a vertex of degree 3 and P2 a white vertex: neither is
-    # searched. The list is built before counting, since its automorphisms
-    # come from searches too
+    # searched
     host = ColoredGraph(path_graph(4), (0, 0, 0, 0))
     patterns = PatternList([
         ("claw", Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)]), (0, 0, 0, 0)),
         ("bw", path_graph(2), (0, 1)),
         ("p3", path_graph(3), (0, 0, 0)),
     ])
-    searched = []
-    search = embed._search
-    monkeypatch.setattr(embed, "_search", lambda *args: searched.append(args[2]) or search(*args))
     assert find_first_embedding(host.graph, patterns, host.colors) == ("p3", (0, 1, 2))
     assert searched == [path_graph(3).rows]
 
@@ -315,11 +334,10 @@ def test_colored_equals_oracle_on_every_same_size_host():
                 assert embedding(host.graph, patterns, host.colors) == oracle_colored(host, pattern)
 
 
-def test_scan_skips_patterns_by_counts_and_degree_window(monkeypatch):
+def test_scan_skips_patterns_by_counts_and_degree_window(searched):
     # P4 has 3 edges, 3 non-edges and degrees 1, 2, 2, 1. K4 minus an edge
     # has 5 edges, 4K1 has 6 non-edges, and the isolated vertex of K3+K1
-    # needs an image of degree 0 in a host of its own size. The lists are
-    # built before counting, since their automorphisms come from searches too
+    # needs an image of degree 0 in a host of its own size
     k3_k1 = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2)])
     patterns = PatternList([
         ("k4-e", Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]), None),
@@ -328,9 +346,6 @@ def test_scan_skips_patterns_by_counts_and_degree_window(monkeypatch):
         ("p4", path_graph(4), None),
     ])
     colored = PatternList([("11", path_graph(2), (1, 1)), ("01", path_graph(2), (0, 1))])
-    searched = []
-    search = embed._search
-    monkeypatch.setattr(embed, "_search", lambda *args: searched.append(args[2]) or search(*args))
     assert find_first_embedding(path_graph(4), patterns) == ("p4", (0, 1, 2, 3))
     assert searched == [path_graph(4).rows]
     # every vertex of the host has each color, but only one has color 1
@@ -382,22 +397,20 @@ SINGLES = [PatternList([pattern]) for family in SCAN_FAMILIES if family != "part
 COLORED_SINGLES = [PatternList([pattern]) for pattern in _catalog_patterns("partitioned2t")]
 
 
-def _first_embeddings(hosts, singles, search=None):
-    """Each host's first embedding of each single-pattern list, with
-    search, if given, in place of the embedding search."""
+def _first_embeddings(hosts, singles, unbroken=False):
+    """Each host's first embedding of each single-pattern list; if
+    unbroken, from copies of the lists whose generated searches lack the
+    symmetry-breaking conditions."""
     with pytest.MonkeyPatch.context() as patch:
-        if search is not None:
-            patch.setattr(embed, "_search", search)
+        if unbroken:
+            patch.setattr(embed, "_generate", unbroken_search)
+            singles = [PatternList(single) for single in singles]
         return [find_first_embedding(host, single, coloring)
                 for host, coloring in hosts for single in singles]
 
 
-def _unbroken(hrows, non_rows, prows, base, after):
-    return oracle_search(hrows, non_rows, prows, base)
-
-
 def _assert_unbroken_agrees(hosts, singles):
-    assert _first_embeddings(hosts, singles) == _first_embeddings(hosts, singles, _unbroken)
+    assert _first_embeddings(hosts, singles) == _first_embeddings(hosts, singles, unbroken=True)
 
 
 def test_scan_lists_are_the_six_catalogs():
@@ -440,6 +453,175 @@ def large_hosts(draw):
 @given(large_hosts())
 def test_symmetry_breaking_keeps_every_first_embedding_on_large_hosts(host):
     _assert_unbroken_agrees([host], SINGLES if host[1] is None else COLORED_SINGLES)
+
+
+# the scan lists: the six catalogs', and the descendants of the two
+# switching-closed ones, which their gates scan
+SCAN_LISTS = [_catalog_patterns(family) for family in SCAN_FAMILIES]
+DESCENDANT_LISTS = [patterns.gate.descendants for patterns in SCAN_LISTS
+                    if patterns.gate is not None]
+
+
+def starting_masks(host, coloring, pdegrees, colors):
+    """Each pattern vertex's host candidates before any image is placed:
+    the host vertices of its color whose degree leaves room for its
+    neighbours and its non-neighbours."""
+    h, p = host.n, len(pdegrees)
+    return [sum(1 << v for v, degree in enumerate(host.degrees)
+                if k <= degree <= k + h - p and (colors is None or coloring[v] == colors[d]))
+            for d, k in enumerate(pdegrees)]
+
+
+def interpreted_search(constants, host, coloring=None):
+    """What the generated search of a pattern no larger than host returns,
+    found by the interpreted search from the same starting masks: False
+    when the counts or an empty starting mask rule the pattern out, else
+    the first embedding or None."""
+    _, prows, p, pedges, pnon, pdegrees, colors, counts, after = constants
+    h, edges = host.n, host.edge_count()
+    if edges < pedges or h * (h - 1) // 2 - edges < pnon:
+        return False
+    if counts is not None and any(coloring.count(c) < k for c, k in enumerate(counts)):
+        return False
+    base = starting_masks(host, coloring, pdegrees, colors)
+    if not all(base):
+        return False
+    non_rows = [host.full_mask ^ row ^ (1 << v) for v, row in enumerate(host.rows)]
+    return next(embed._search(host.rows, non_rows, prows, base, after), None)
+
+
+def check_generated_searches(hosts, lists=SCAN_LISTS + DESCENDANT_LISTS):
+    """Each pattern's generated search, with and without its
+    symmetry-breaking conditions, returns what the interpreted search
+    returns on each host, colored or not as the pattern is, that is no
+    smaller than it. Returns the number of comparisons."""
+    compared = 0
+    for host, coloring in hosts:
+        tables = embed._host_tables(host, coloring)
+        for patterns in lists:
+            if patterns.colored != (coloring is not None):
+                continue
+            for constants in patterns.constants:
+                if constants[2] > host.n:
+                    continue
+                unbroken = constants[:-1] + ((-1,) * constants[2],)
+                for c in (constants, unbroken):
+                    assert generated_search(c)(*tables) == interpreted_search(c, host, coloring), (
+                        host, coloring, c[0])
+                    compared += 1
+    return compared
+
+
+def check_generated_on_every_small_host(n_max, colored_n_max, limits=DEFAULT_LIMITS):
+    """check_generated_searches on every graph with n <= n_max and every
+    2-colored graph with n <= colored_n_max."""
+    hosts = [(g, None) for n in range(1, n_max + 1)
+             for g in all_graphs(EnumerationConfig(n), limits)]
+    hosts += [(cg.graph, cg.colors) for n in range(1, colored_n_max + 1)
+              for cg in all_colored_graphs(n, limits)]
+    return check_generated_searches(hosts)
+
+
+def test_generated_searches_equal_the_interpreted_search_on_every_small_host():
+    assert check_generated_on_every_small_host(7, 6) > 10 ** 5
+
+
+@settings(max_examples=40, deadline=None)
+@given(large_hosts())
+def test_generated_searches_equal_the_interpreted_search_on_large_hosts(host):
+    assert check_generated_searches([host])
+
+
+def _random_graph(rnd, n):
+    return Graph.from_edges(n, [(u, v) for v in range(n) for u in range(v) if rnd.random() < 0.5])
+
+
+def _shuffled(rnd, g):
+    order = list(range(g.n))
+    rnd.shuffle(order)
+    return g.relabel(order)
+
+
+def _past_the_nesting_limit():
+    """(pattern, hosts) on 21, 22 and 30 vertices: a path and a cycle, whose
+    symmetries give conditions, and G(p, 1/2), each with hosts on 30 to 64
+    vertices that hold it and hosts that do not."""
+    rnd = random.Random(32)
+    cases = []
+    for p in (21, 22, 30):
+        rest = 64 - p
+        path, cycle, dense = path_graph(p), cycle_graph(p), _random_graph(rnd, p)
+        cases += [
+            # a path lies in a longer path or cycle, not in a cycle on p
+            # vertices or a shorter path
+            (path, [path_graph(64), cycle_graph(max(30, p + 2)),
+                    disjoint_union(cycle_graph(p), path_graph(p - 1)),
+                    disjoint_union(path_graph(p - 1), cycle_graph(max(3, 31 - p)))]),
+            (cycle, [disjoint_union(path_graph(rest), cycle), cycle_graph(64),
+                     disjoint_union(cycle_graph(p + 1), path_graph(max(1, 29 - p)))]),
+            # G(p, 1/2) beside a matching its degree windows exclude, and
+            # a host of its own kind it almost surely does not lie in
+            (dense, [disjoint_union(dense, matching(rest // 2)),
+                     disjoint_union(matching(5), dense), _random_graph(rnd, 30)]),
+        ]
+    return [(pattern, [_shuffled(rnd, host) for host in hosts]) for pattern, hosts in cases]
+
+
+def test_generated_search_past_the_nesting_limit_equals_oracle_search():
+    hits = misses = 0
+    for pattern, hosts in _past_the_nesting_limit():
+        patterns = single(pattern)
+        source = embed._source(patterns.constants[0])
+        assert ("def search20(" in source) == (pattern.n > 21)
+        assert source.count("\ndef ") == (pattern.n - 2) // 20
+        for host in hosts:
+            assert 30 <= host.n <= 64
+            base = starting_masks(host, None, pattern.degrees, None)
+            non_rows = [host.full_mask ^ row ^ (1 << v) for v, row in enumerate(host.rows)]
+            expected = oracle_search(host.rows, non_rows, pattern.rows, base)
+            found = embedding(host, patterns)
+            assert found == expected, (pattern.n, host.n)
+            unbroken = unbroken_search(patterns.constants[0])(*embed._host_tables(host, None))
+            assert (unbroken or None) == expected
+            hits += found is not None
+            misses += found is None
+    assert (hits, misses) == (15, 15)
+
+
+def test_searches_are_generated_once_per_pattern_for_hosts_they_fit(monkeypatch):
+    """Building a scan list generates nothing, and neither does scanning a
+    host smaller than every pattern, as a worker's warm-up scans K1. A scan
+    generates the search of a pattern when it reaches it on a host the
+    pattern fits, once per list."""
+    generated = []
+    generate = embed._generate
+    monkeypatch.setattr(embed, "_generate", lambda c: generated.append(c) or generate(c))
+    _catalog_patterns.cache_clear()
+    lists = [_catalog_patterns(family) for family in SCAN_FAMILIES]
+    assert generated == []
+    k1 = complete_graph(1)
+    for patterns in lists:
+        assert find_first_embedding(k1, patterns, (0,) if patterns.colored else None) is None
+    assert generated == []
+    for h in (4, 6, 5, 8, 7, 8):
+        # a complete graph, white when colored, is in every class, so each
+        # scan reaches every pattern that fits it, or its gate rejects it
+        kh = complete_graph(h)
+        before = len(generated)
+        for patterns in lists:
+            assert find_first_embedding(kh, patterns, (0,) * h if patterns.colored else None) is None
+        assert all(c[2] <= h for c in generated[before:])
+        for patterns in lists:
+            if patterns.gate is None:
+                fits = {id(c) for c in patterns.constants if c[2] <= h}
+                assert fits <= {id(c) for c in generated}
+    # each once: every pattern of the ungated lists and every descendant;
+    # no pattern of a gated list, since its gate rejects every host here
+    assert len(generated) == len({id(c) for c in generated}) == 45
+    assert {id(c) for c in generated} == {
+        id(c) for patterns in lists
+        for c in (patterns.constants if patterns.gate is None else patterns.gate.descendants.constants)}
+    _catalog_patterns.cache_clear()
 
 
 def _networkx_automorphisms(pattern, colors):
@@ -496,19 +678,12 @@ def test_conditions_follow_the_stabilizer_chain():
         -1, -1, -1, -1)
 
 
-def _counting_searches(monkeypatch):
-    calls = []
-    search = embed._search
-    monkeypatch.setattr(embed, "_search", lambda *args: calls.append(1) or search(*args))
-    return calls
-
-
-def test_one_pattern_search_makes_one_search_call(monkeypatch):
+def test_one_pattern_search_makes_one_search_call(searched):
     """A one-pattern list searches a host once: the automorphisms behind
-    its symmetry-breaking conditions, found by searches of their own, come
-    with the list, so the list is built before counting."""
+    its symmetry-breaking conditions, found by interpreted searches of
+    their own, come with the list."""
+    calls = searched
     three_k2, two_k2 = single(matching(3)), single(matching(2))
-    calls = _counting_searches(monkeypatch)
     assert embedding(path_graph(8), three_k2) == (0, 1, 3, 4, 6, 7)
     assert len(calls) == 1
     calls.clear()
@@ -516,17 +691,21 @@ def test_one_pattern_search_makes_one_search_call(monkeypatch):
     assert len(calls) == 1
 
 
-def test_one_pattern_search_equals_oracle_with_at_most_one_search_call(monkeypatch):
-    calls = _counting_searches(monkeypatch)
+def test_one_pattern_search_equals_oracle_with_at_most_one_search_call(searched):
+    # fresh lists, so that their searches are generated while counting
+    calls = searched
+    catalog = [(pattern, single(pattern)) for pattern, _ in CATALOG]
+    colored_catalog = [(pattern, single(pattern.graph, pattern.colors))
+                       for pattern, _ in COLORED_CATALOG]
     for n in range(1, 7):
         for host in all_graphs(EnumerationConfig(n)):
-            for pattern, patterns in CATALOG:
+            for pattern, patterns in catalog:
                 calls.clear()
                 assert embedding(host, patterns) == oracle_embedding(host, pattern)
                 assert len(calls) <= 1
     for n in range(1, 6):
         for host in all_colored_graphs(n):
-            for pattern, patterns in COLORED_CATALOG:
+            for pattern, patterns in colored_catalog:
                 calls.clear()
                 assert embedding(host.graph, patterns, host.colors) == oracle_colored(host, pattern)
                 assert len(calls) <= 1

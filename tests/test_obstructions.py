@@ -8,7 +8,7 @@ import hypothesis.strategies as st
 import pytest
 
 import threshkit.canonical as canonical
-from threshkit import embed, obstructions
+from threshkit import obstructions
 from threshkit.canonical import canonical_form
 from threshkit.catalogs import load_catalog
 from threshkit.embed import PatternList, find_first_embedding
@@ -36,8 +36,8 @@ from threshkit.named import (
     path_graph,
 )
 from threshkit.obstructions import (
+    _Descent,
     _catalog_patterns,
-    _descendants,
     _scan,
     find_minimal_colored_obstructions,
     find_minimal_obstructions,
@@ -412,8 +412,8 @@ def test_descendants_are_the_isolated_vertex_entries_less_that_vertex():
     c4_k1 = canonical_form(disjoint_union(cycle_graph(4), complete_graph(1)))
     found = {}
     for family, _ in SWITCHING_SCANS:
-        descendants, held = _descendants(family)
-        found[family] = [(name, canonical_form(h)) for name, h, _ in descendants], held
+        gate = _Descent(family)
+        found[family] = [(name, canonical_form(h)) for name, h, _ in gate.descendants], gate.held()
     # 3K2 holds none of the three; every entry of the C5 class holds P4
     assert found == {
         "switch_threshold": ([("cogem", p4), ("c4-2k1", c4_k1), ("fig6-02", bowtie)], False),
@@ -446,18 +446,17 @@ def test_descent_equals_the_plain_scan_on_larger_hosts(g):
         assert descent == plain
 
 
-def test_descent_search_count_on_a_twelve_vertex_member(monkeypatch):
+def test_descent_search_count_on_a_twelve_vertex_member(searched):
     """A work-count gate: on this switch of a threshold graph the descent
     makes 18 small searches, each of a 4- or 5-vertex descendant in the
     vertices above one host vertex, and no scan; the plain scan makes 16
     searches of the catalog's 5- and 6-vertex patterns in all 12 vertices,
-    each run to the end."""
+    each run to the end. Whether every entry holds a descendant is decided
+    once per process, by searches of its own, before counting."""
     g = random_member(random.Random(1), THRESHOLD, 12).graph
     g = switch(g.relabel([5, 11, 0, 7, 2, 9, 4, 1, 10, 3, 8, 6]), 0b101100110010)
     assert switch_to_threshold(g) is not None
-    _catalog_patterns("switch_threshold")
-    searched = []
-    search = embed._search
-    monkeypatch.setattr(embed, "_search", lambda *args: searched.append(1) or search(*args))
+    assert not _catalog_patterns("switch_threshold").gate.held()
+    searched.clear()
     assert recognize_switch_threshold_fis(g).accepted
     assert len(searched) == 18

@@ -1,6 +1,7 @@
-"""Every source file parses with the grammar of the lowest Python version
-that pyproject.toml's requires-python admits, and names none of a denylist
-of standard-library names added after 3.10. The grammar check is best
+"""Every source file, and the source generated for every scan pattern's
+search, parses with the grammar of the lowest Python version that
+pyproject.toml's requires-python admits, and names none of a denylist of
+standard-library names added after 3.10. The grammar check is best
 effort (ast's feature_version), and the denylist holds only the newer
 names most likely to slip in, so a library call newer than the floor that
 is not on it still passes."""
@@ -10,6 +11,12 @@ import re
 from pathlib import Path
 
 import pytest
+
+from threshkit import embed
+from threshkit.classes import ROWS
+from threshkit.embed import PatternList
+from threshkit.named import path_graph
+from threshkit.obstructions import _catalog_patterns
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted(path for top in ("src", "tests") for path in (ROOT / top).rglob("*.py"))
@@ -102,3 +109,21 @@ raise ExceptionGroup("e", [])
 def test_source_names_nothing_newer_than_the_floor(path):
     assert _floor() == (3, 10), "the denylist lists names newer than 3.10"
     assert newer_names(path.read_text()) == []
+
+
+def _generated_sources() -> list[str]:
+    """The generated search of every pattern of the six catalog scan lists
+    and of the descendants their gates scan, and of a 30-vertex path,
+    which is split into chained functions."""
+    lists = [_catalog_patterns(family) for family in sorted({row.catalog for row in ROWS if row.fis})]
+    lists += [patterns.gate.descendants for patterns in lists if patterns.gate is not None]
+    lists.append(PatternList([("p30", path_graph(30), None)]))
+    return [embed._source(constants) for patterns in lists for constants in patterns.constants]
+
+
+def test_generated_searches_parse_and_name_nothing_newer_than_the_floor():
+    sources = _generated_sources()
+    assert len(sources) == 36 + 25 + 4 + 1
+    for source in sources:
+        ast.parse(source, "<generated search>", feature_version=_floor())
+        assert newer_names(source) == []
