@@ -37,14 +37,14 @@ candidate mask is a single expression: the vertex's starting mask ANDed
 with the row of each earlier image it is adjacent to and the non-row (the
 complement of the row, less the image itself) of each it is not. The
 last vertex needs no loop, since its lowest candidate completes the first
-embedding. Python allows 20 statically nested loops, so a pattern on more
-than 21 vertices is split into chained functions: at the deepest loop of
-one, the starting masks of the remaining vertices are narrowed by every
-image placed so far and passed to the next. A generated search returns
-False when the counts or an empty starting mask rule the pattern out, so
-without a search; None when the search finds no embedding; else the
-embedding. Only integers enter the source: names, colorings and host
-tables are values.
+embedding. Python allows 20 statically nested loops, so a PatternList
+refuses a pattern on more than 21 vertices. That bound is far from
+reached: the paper's obstructions are small, the scan lists' patterns
+have at most 7 vertices and the largest shipped catalog entry has 8. A
+generated search returns False when the counts or an empty starting mask
+rule the pattern out, so without a search; None when the search finds no
+embedding; else the embedding. Only integers enter the source: names,
+colorings and host tables are values.
 
 On a host the pattern does not embed in, the search runs to the end, and a
 symmetric pattern would reach each partial embedding once per automorphism
@@ -144,6 +144,9 @@ class PatternList(tuple):
         if len(kinds) > 1:
             raise ValueError("a pattern list is all colored or all uncolored")
         self.colored = kinds.pop() if kinds else None
+        if any(pattern.n > _MAX_LOOPS + 1 for _, pattern, _ in self):
+            raise ValueError(f"a pattern has more than {_MAX_LOOPS + 1} vertices, "
+                             f"so its search would nest more than {_MAX_LOOPS} loops")
         self.constants = _constants(self)
         self.sizes = tuple(pattern.n for _, pattern, _ in self)
         self.searches: list[Optional[Callable]] = [None] * len(self)
@@ -224,7 +227,8 @@ def _generate(constants: tuple) -> Callable:
 
 def _source(constants: tuple) -> str:
     """The source of a pattern's search: a function search of the host
-    tables, and one chained function per 20 vertices past the first 21."""
+    tables, with one nested loop per pattern vertex but the last, so at
+    most _MAX_LOOPS for the at most 21 vertices a PatternList admits."""
     _, prows, p, pedges, pnon, pdegrees, colors, counts, after = constants
     lines = ["def search(h, hrows, at_least, edges, non_edges, by_color, color_counts):",
              f"    if edges < {pedges} or non_edges < {pnon}:",
@@ -245,62 +249,35 @@ def _source(constants: tuple) -> str:
                 mask = f"({mask}) & by_color[{key[1]}]"
             lines += [f"    b{d} = {mask}", f"    if not b{d}:", "        return False"]
     start = [f"b{first[key]}" for key in keys]
-    lo = 0
-    while True:
-        hi = p if p - lo <= _MAX_LOOPS + 1 else lo + _MAX_LOOPS
-        lines += _segment(prows, after, start, lo, hi)
-        if hi == p:
-            return "\n".join(lines) + "\n"
-        start = [f"b{d}" for d in range(p)]
-        lines += ["", f"def search{hi}(hrows, {', '.join(start[hi:])}):"]
-        lo = hi
-
-
-def _segment(prows: tuple[int, ...], after: tuple[int, ...], start: list[str], lo: int,
-             hi: int) -> list[str]:
-    """The loops over pattern vertices lo..hi-1, each vertex d starting
-    from the mask named start[d], already narrowed by the images of the
-    vertices below lo. They return the tuple of the images of lo..p-1;
-    with hi < p, the deepest loop narrows the starting masks of hi..p-1
-    and hands them to search{hi}."""
-    p = len(prows)
 
     def mask(d: int) -> str:
-        terms = [start[d]] + [f"r{j}" if prows[d] >> j & 1 else f"x{j}"
-                              for j in range(lo, min(d, hi))]
-        if lo <= after[d] < hi:
+        terms = [start[d]] + [f"r{j}" if prows[d] >> j & 1 else f"x{j}" for j in range(d)]
+        if after[d] >= 0:
             terms.append(f"-(l{after[d]} << 1)")  # the vertices above the image of after[d]
         return " & ".join(terms)
 
-    loops = range(lo, hi if hi < p else p - 1)
-    images = [f"l{j}.bit_length() - 1" for j in loops]
-    lines = [f"    c{lo} = {start[lo]}"]
+    images = [f"l{j}.bit_length() - 1" for j in range(p - 1)]
+    lines.append(f"    c0 = {start[0]}")
     pad = "    "
-    for j in loops:
+    for j in range(p - 1):
         lines += [f"{pad}while c{j}:",
                   f"{pad}    l{j} = c{j} & -c{j}",
                   f"{pad}    c{j} ^= l{j}"]
         pad += "    "
         # the row and non-row of this image, as far as later masks read them
-        row = f"hrows[{images[j - lo]}]"
+        row = f"hrows[{images[j]}]"
         adjacent = [prows[d] >> j & 1 for d in range(j + 1, p)]
         if any(adjacent):
             lines.append(f"{pad}r{j} = {row}")
             row = f"r{j}"
         if not all(adjacent):
             lines.append(f"{pad}x{j} = ~{row} ^ l{j}")
-        if j + 1 < hi:
-            lines.append(f"{pad}c{j + 1} = {mask(j + 1)}")
-    if hi < p:
-        lines += [f"{pad}t = search{hi}(hrows, {', '.join(mask(d) for d in range(hi, p))})",
-                  f"{pad}if t is not None:",
-                  f"{pad}    return ({', '.join(images)},) + t"]
-    else:
-        images.append(f"(c{p - 1} & -c{p - 1}).bit_length() - 1")
-        lines += [f"{pad}if c{p - 1}:",
-                  f"{pad}    return ({', '.join(images)}{',' if p - lo == 1 else ''})"]
-    lines.append("    return None")
-    return lines
+        lines.append(f"{pad}c{j + 1} = {mask(j + 1)}")
+    images.append(f"(c{p - 1} & -c{p - 1}).bit_length() - 1")
+    lines += [f"{pad}if c{p - 1}:",
+              f"{pad}    return ({', '.join(images)}{',' if p == 1 else ''})",
+              "    return None"]
+    return "\n".join(lines) + "\n"
 
 
 def _search(

@@ -9,6 +9,7 @@ from threshkit.catalogs import (
     validate_catalog,
 )
 from threshkit.classes import BY_CATALOG
+from threshkit.embed import PatternList
 from threshkit.graphs import ColoredGraph, Graph
 from threshkit.kthreshold import is_threshold
 from threshkit.named import complete_graph, cycle_graph, path_graph
@@ -31,6 +32,12 @@ def test_every_family_loads():
         assert cat.family == family
         assert len(cat.entries) == EXPECTED_SIZES[family]
         assert len({e.name for e in cat.entries}) == len(cat.entries)
+        # every entry, and the color swap of a colored one, is small enough
+        # for the generated search of a scan list
+        patterns = [(e.name, e.graph, e.coloring) for e in cat.entries]
+        patterns += [(e.name, e.graph, e.obstruction.swapped().colors)
+                     for e in cat.entries if e.coloring is not None]
+        assert len(PatternList(patterns)) == len(patterns)
 
 
 def test_unknown_family_rejected():

@@ -1,6 +1,6 @@
 """Induced-subgraph search against a brute-force permutation oracle, and
 against the vertex-by-vertex scan it replaced; each generated search
-against the interpreted one, past Python's nesting limit too; the
+against the interpreted one, up to Python's nesting limit; the
 symmetry-broken search against the unbroken one, and the automorphisms it
 breaks against networkx; the whole-list scan against a loop of
 single-pattern searches; the degree-window and count filters where they
@@ -542,50 +542,50 @@ def _shuffled(rnd, g):
     return g.relabel(order)
 
 
-def _past_the_nesting_limit():
-    """(pattern, hosts) on 21, 22 and 30 vertices: a path and a cycle, whose
-    symmetries give conditions, and G(p, 1/2), each with hosts on 30 to 64
-    vertices that hold it and hosts that do not."""
+def _twenty_one_vertex_cases():
+    """(pattern, hosts) on 21 vertices, the most a PatternList admits, whose
+    search nests the 20 loops Python allows: a path and a cycle, whose
+    symmetries give conditions, and G(21, 1/2), each with hosts on 30 to
+    64 vertices that hold it and hosts that do not."""
     rnd = random.Random(32)
-    cases = []
-    for p in (21, 22, 30):
-        rest = 64 - p
-        path, cycle, dense = path_graph(p), cycle_graph(p), _random_graph(rnd, p)
-        cases += [
-            # a path lies in a longer path or cycle, not in a cycle on p
-            # vertices or a shorter path
-            (path, [path_graph(64), cycle_graph(max(30, p + 2)),
-                    disjoint_union(cycle_graph(p), path_graph(p - 1)),
-                    disjoint_union(path_graph(p - 1), cycle_graph(max(3, 31 - p)))]),
-            (cycle, [disjoint_union(path_graph(rest), cycle), cycle_graph(64),
-                     disjoint_union(cycle_graph(p + 1), path_graph(max(1, 29 - p)))]),
-            # G(p, 1/2) beside a matching its degree windows exclude, and
-            # a host of its own kind it almost surely does not lie in
-            (dense, [disjoint_union(dense, matching(rest // 2)),
-                     disjoint_union(matching(5), dense), _random_graph(rnd, 30)]),
-        ]
+    p, rest = 21, 43
+    path, cycle, dense = path_graph(p), cycle_graph(p), _random_graph(rnd, p)
+    cases = [
+        # a path lies in a longer path or cycle, not in a cycle on p
+        # vertices or a shorter path
+        (path, [path_graph(64), cycle_graph(30), disjoint_union(cycle_graph(p), path_graph(p - 1)),
+                disjoint_union(path_graph(p - 1), cycle_graph(10))]),
+        (cycle, [disjoint_union(path_graph(rest), cycle), cycle_graph(64),
+                 disjoint_union(cycle_graph(p + 1), path_graph(8))]),
+        # G(p, 1/2) beside a matching its degree windows exclude, and a
+        # host of its own kind it almost surely does not lie in
+        (dense, [disjoint_union(dense, matching(rest // 2)),
+                 disjoint_union(matching(5), dense), _random_graph(rnd, 30)]),
+    ]
     return [(pattern, [_shuffled(rnd, host) for host in hosts]) for pattern, hosts in cases]
 
 
 def test_generated_search_past_the_nesting_limit_equals_oracle_search():
+    """The deepest generated searches equal the oracle, and a pattern one
+    vertex larger is refused where its list is built."""
     hits = misses = 0
-    for pattern, hosts in _past_the_nesting_limit():
+    for pattern, hosts in _twenty_one_vertex_cases():
         patterns = single(pattern)
-        source = embed._source(patterns.constants[0])
-        assert ("def search20(" in source) == (pattern.n > 21)
-        assert source.count("\ndef ") == (pattern.n - 2) // 20
+        assert embed._source(patterns.constants[0]).count("while ") == embed._MAX_LOOPS
         for host in hosts:
             assert 30 <= host.n <= 64
             base = starting_masks(host, None, pattern.degrees, None)
             non_rows = [host.full_mask ^ row ^ (1 << v) for v, row in enumerate(host.rows)]
             expected = oracle_search(host.rows, non_rows, pattern.rows, base)
             found = embedding(host, patterns)
-            assert found == expected, (pattern.n, host.n)
+            assert found == expected, host.n
             unbroken = unbroken_search(patterns.constants[0])(*embed._host_tables(host, None))
             assert (unbroken or None) == expected
             hits += found is not None
             misses += found is None
-    assert (hits, misses) == (15, 15)
+    assert (hits, misses) == (5, 5)
+    with pytest.raises(ValueError, match="more than 21 vertices"):
+        single(path_graph(22))
 
 
 def test_searches_are_generated_once_per_pattern_for_hosts_they_fit(monkeypatch):

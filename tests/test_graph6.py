@@ -83,11 +83,20 @@ def test_color_string_many_colors():
 
 
 def test_graph_line_roundtrip_past_ten_colors():
-    """Eleven colors need a number above 9, spelled comma-separated."""
+    """Eleven colors need a number above 9, spelled comma-separated; one
+    vertex of such a color is its number and a comma."""
     cg = ColoredGraph(path_graph(11), tuple(range(10, -1, -1)))
     line = format_graph_line(cg)
     assert line.split()[1] == "10,9,8,7,6,5,4,3,2,1,0"
     assert parse_graph_line(line) == cg
+    lone = ColoredGraph(Graph(1, (0,)), (10,))
+    assert format_graph_line(lone) == "@ 10,"
+    assert parse_graph_line("@ 10,") == lone
+
+
+@given(st.lists(st.integers(0, 12), min_size=1, max_size=6))
+def test_color_string_roundtrip(colors):
+    assert parse_color_string(color_string(tuple(colors))) == tuple(colors)
 
 
 @pytest.mark.parametrize("text, offset", [("1,,2", 12), ("1,x", 12), ("1,2,", 14), ("b,1", 10)])

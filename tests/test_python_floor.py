@@ -113,11 +113,11 @@ def test_source_names_nothing_newer_than_the_floor(path):
 
 def _generated_sources() -> list[str]:
     """The generated search of every pattern of the six catalog scan lists
-    and of the descendants their gates scan, and of a 30-vertex path,
-    which is split into chained functions."""
+    and of the descendants their gates scan, and of a 21-vertex path,
+    whose 20 nested loops are the deepest a PatternList admits."""
     lists = [_catalog_patterns(family) for family in sorted({row.catalog for row in ROWS if row.fis})]
     lists += [patterns.gate.descendants for patterns in lists if patterns.gate is not None]
-    lists.append(PatternList([("p30", path_graph(30), None)]))
+    lists.append(PatternList([("p21", path_graph(21), None)]))
     return [embed._source(constants) for patterns in lists for constants in patterns.constants]
 
 
