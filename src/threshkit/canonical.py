@@ -6,20 +6,26 @@ graphs the sorted color sequence comes first, so equal forms mean
 color-preserving isomorphism, not isomorphism up to color renaming.
 
 The search places one vertex per level and keeps every partial order whose
-columns so far are minimal. A state is an ordered partition of the
-unplaced vertices: cells of vertices with equal profiles (adjacency to the
-placed vertices, earliest placed in the most significant bit), sorted by
-ascending profile. The next column is the profile of the vertex placed
-next, so the candidates are the vertices of the wanted color in the first
-cell that has any. Placing u splits every cell into its non-neighbors
-(profile p << 1) and its neighbors (p << 1 | 1) of u, which keeps the cells
-sorted. States with equal cells have equal futures and merge, and of twin
-candidates (whose transposition is an automorphism) only the lowest is
-tried. This is the ordered-partition view of individualization (McKay and
-Piperno, "Practical graph isomorphism, II", 2014) without refinement to an
-equitable partition, which the minimal-string definition does not allow;
-the search stays exponential on highly symmetric graphs, hence the
-canonical_max_n bound.
+columns so far are minimal. A vertex's profile is its adjacency to the
+placed vertices, earliest placed in the most significant bit; the next
+column is the profile of the vertex placed next. A state holds its order,
+its unplaced vertices and its candidates, the unplaced vertices of the
+wanted color whose profile is least, and all live states share that least
+profile p. Placing candidate u makes p into p << 1 for its non-neighbors
+and p << 1 | 1 for its neighbors, so while other candidates remain and the
+color stays, the child's candidates follow from the parent's in a few mask
+operations; otherwise the vertices of the wanted color are filtered
+through the rows of the order. Of twin candidates (whose transposition is
+an automorphism) only the lowest is tried. A state whose unplaced vertices
+are all candidates is determined by that set, so only the first order to
+reach it is kept: this joins the orders of a module placed whole, such as
+one side of a join. This is the ordered-partition view of
+individualization (McKay and Piperno, "Practical graph isomorphism, II",
+2014) with neither refinement to an equitable partition, which the
+minimal-string definition does not allow, nor the partition itself: a
+state keeps only the first cell that has the wanted color. The search
+stays exponential on highly symmetric graphs, hence the canonical_max_n
+bound.
 
 The search yields the packed form as well as the order: the minimal
 profile it picks at level L is column L of the graph6 body, earliest
@@ -76,33 +82,25 @@ def _min_order(n: int, rows: tuple[int, ...], colors: tuple[int, ...] | None,
     # only the lowest candidate of each twin class is tried
     if twins is None:
         twins = _twin_masks(n, rows)
-    # states maps cells to the order that reached them first. Cells
-    # partition the unplaced vertices by profile, ascending, where a profile
-    # packs adjacency to the placed vertices, earliest placed in the most
-    # significant bit. All live states realize the same minimal
-    # (colors, columns) prefix.
-    states: dict[tuple[tuple[int, int], ...], tuple[int, ...]] = {((0, full),): ()}
-    # the minimal profile of each level is the next column of the graph6
-    # body, pair (0, level) in its top bit
+    # A state is (order, unplaced, cand). All live states realize the same
+    # minimal (colors, columns) prefix and share p, the least profile of an
+    # unplaced vertex of the wanted color; cand holds the vertices that
+    # have it.
+    states = [((), full, color_masks[want[0]])]
+    p = 0
     code = 1
-    for level in range(n):
-        target = color_masks[want[level]]
+    for level in range(n - 1):
+        # p is column level of the graph6 body, pair (0, level) in its top bit
+        code = code << level | p
+        target = color_masks[want[level + 1]]
+        same = want[level + 1] == want[level]
         best = -1
-        live: list[tuple[tuple[tuple[int, int], ...], tuple[int, ...], int]] = []
-        for cells, order in states.items():
-            # the next column is the first profile that has the wanted color
-            for p, mask in cells:
-                if mask & target:
-                    break
-            if best < 0 or p < best:
-                best = p
-                live = []
-            elif p > best:
-                continue
-            live.append((cells, order, mask & target))
-        code = code << level | best
-        merged: dict[tuple[tuple[int, int], ...], tuple[int, ...]] = {}
-        for cells, order, cand in live:
+        live: list[tuple[tuple[int, ...], int, int]] = []
+        # the unplaced sets of the live states whose unplaced vertices are
+        # all candidates: such a state's future depends on that set alone,
+        # so the first order to reach it stands for all
+        single: set[int] = set()
+        for order, unplaced, cand in states:
             rest = cand
             while rest:
                 low = rest & -rest
@@ -111,21 +109,47 @@ def _min_order(n: int, rows: tuple[int, ...], colors: tuple[int, ...] | None,
                 if twins[u] & cand & (low - 1):
                     continue
                 row = rows[u]
-                other = ~(row | low)  # u itself leaves its cell
-                split: list[tuple[int, int]] = []
-                for p, mask in cells:
-                    if mask & other:
-                        split.append((p << 1, mask & other))
-                    if mask & row:
-                        split.append((p << 1 | 1, mask & row))
-                key = tuple(split)
-                if key not in merged:
-                    merged[key] = order + (u,)
-        states = merged
+                left = unplaced ^ low
+                others = cand ^ low
+                if same and others:
+                    # the other candidates get p << 1 or p << 1 | 1, and
+                    # every other vertex of the color stays above both
+                    c = others & ~row
+                    if c:
+                        q = p << 1
+                    else:
+                        q = p << 1 | 1
+                        c = others
+                else:
+                    # filter the unplaced vertices of the color through the
+                    # rows of the child's order: non-neighbors while any remain
+                    q = 0
+                    c = left & target
+                    for w in order + (u,):
+                        if m := c & ~rows[w]:
+                            q <<= 1
+                            c = m
+                        else:
+                            q = q << 1 | 1
+                if q != best:
+                    if best >= 0 and q > best:
+                        continue
+                    best = q
+                    live = []
+                    single = set()
+                if c == left:
+                    if left in single:
+                        continue
+                    single.add(left)
+                live.append((order + (u,), left, c))
+        states = live
+        p = best
+    code = code << n - 1 | p
+    order, _, last = states[0]
     if colors is not None:
         for c in want:
             code = code << 1 | c
-    return states[()], code
+    return order + (last.bit_length() - 1,), code
 
 
 def canonical_graph(g: Graph, limits: Limits = DEFAULT_LIMITS) -> Graph:

@@ -1,5 +1,6 @@
 """Trivially correct versions of production searches that the tests check
-them against: generators for the enumeration, the pruned product-order
+them against: generators for the enumeration, the cell-partition labeling
+search (the reference of canonical._min_order), the pruned product-order
 coloring walk (the reference of every coloring search), the per-set
 switch scan (the reference of every switch-set search), the depth-first
 least cograph switch and the tuple candidate colorings of the two-color
@@ -7,7 +8,7 @@ search."""
 
 from itertools import combinations, product
 
-from threshkit.canonical import canonical_graph
+from threshkit.canonical import _twin_masks, canonical_graph
 from threshkit.enumeration import _extended_rows, _representatives, check_range
 from threshkit.graph6 import encode_graph6
 from threshkit.graphs import Graph, _unchecked_graph, bits
@@ -43,6 +44,73 @@ def raw_extensions(n: int, limits: Limits = DEFAULT_LIMITS) -> list[Graph]:
         for mask in range(1 << h.n):
             out.append(_unchecked_graph(n, _extended_rows(h.rows, mask)))
     return out
+
+
+def oracle_cell_min_order(n: int, rows: tuple[int, ...],
+                          colors: tuple[int, ...] | None) -> tuple[tuple[int, ...], int]:
+    """canonical._min_order as an ordered-partition search: (order, code).
+
+    A state is an ordered partition of the unplaced vertices: cells of
+    vertices with equal profiles (adjacency to the placed vertices,
+    earliest placed in the most significant bit), sorted by ascending
+    profile. The next column is the profile of the vertex placed next, so
+    the candidates are the vertices of the wanted color in the first cell
+    that has any. Placing u splits every cell into its non-neighbors
+    (profile p << 1) and its neighbors (p << 1 | 1) of u, which keeps the
+    cells sorted. States with equal cells have equal futures and merge, and
+    of twin candidates only the lowest is tried.
+    """
+    full = (1 << n) - 1
+    if colors is None:
+        want = [0] * n
+        color_masks = {0: full}
+    else:
+        want = sorted(colors)
+        color_masks = {}
+        for v, c in enumerate(colors):
+            color_masks[c] = color_masks.get(c, 0) | 1 << v
+    twins = _twin_masks(n, rows)
+    # cells -> the order that reached them first
+    states = {((0, full),): ()}
+    code = 1
+    for level in range(n):
+        target = color_masks[want[level]]
+        best = -1
+        live = []
+        for cells, order in states.items():
+            for p, mask in cells:
+                if mask & target:
+                    break
+            if best < 0 or p < best:
+                best = p
+                live = []
+            elif p > best:
+                continue
+            live.append((cells, order, mask & target))
+        code = code << level | best
+        merged = {}
+        for cells, order, cand in live:
+            rest = cand
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                u = low.bit_length() - 1
+                if twins[u] & cand & (low - 1):
+                    continue
+                row = rows[u]
+                other = ~(row | low)  # u itself leaves its cell
+                split = []
+                for p, mask in cells:
+                    if mask & other:
+                        split.append((p << 1, mask & other))
+                    if mask & row:
+                        split.append((p << 1 | 1, mask & row))
+                merged.setdefault(tuple(split), order + (u,))
+        states = merged
+    if colors is not None:
+        for c in want:
+            code = code << 1 | c
+    return states[()], code
 
 
 def is_threshold_graph(g: Graph) -> bool:

@@ -1,7 +1,8 @@
-"""Canonical forms: label invariance, color sensitivity, capacity, and the
+"""Canonical forms: label invariance, color sensitivity, capacity, the
 packed code the labeling search returns against packing its canonical
-graph."""
+graph, and the search against the cell-partition search it replaced."""
 
+import random
 from itertools import product
 
 import pytest
@@ -16,12 +17,12 @@ from threshkit.canonical import (
     canonical_graph,
 )
 from threshkit.enumeration import EnumerationConfig, _code, all_colored_graphs, all_graphs
-from threshkit.graphs import ColoredGraph, Graph
+from threshkit.graphs import ColoredGraph, Graph, disjoint_union
 from threshkit.limits import CapacityError, Limits
-from threshkit.named import path_graph
+from threshkit.named import cycle_graph, matching, path_graph
 
-from oracles import raw_extensions
-from strategies import colored_graphs, graph_from_mask, graphs
+from oracles import oracle_cell_min_order, raw_extensions
+from strategies import colored_graphs, complement, graph_from_mask, graphs
 
 
 @given(graphs(max_n=7), st.randoms())
@@ -128,3 +129,90 @@ def test_searched_code_packs_the_canonical_graph(g):
 @given(colored_graphs(max_n=10))
 def test_searched_code_packs_the_canonical_colored_graph(cg):
     assert searched_code(cg) == _code(canonical_colored_graph(cg))
+
+
+def assert_labels_as_oracle(g, colors=None, twins=None) -> None:
+    """The search and the cell-partition oracle give the same code, and
+    their orders relabel g, and its colors, to the same graph."""
+    order, code = canonical._min_order(g.n, g.rows, colors, twins)
+    oracle_order, oracle_code = oracle_cell_min_order(g.n, g.rows, colors)
+    assert code == oracle_code, (g, colors)
+    assert g.relabel(order) == g.relabel(oracle_order), (g, colors)
+    if colors is not None:
+        assert [colors[v] for v in order] == [colors[v] for v in oracle_order]
+
+
+def check_labeling_on_every_small_graph(n_plain: int, n_colored: int) -> int:
+    """The search against the cell-partition oracle on every class with
+    n <= n_plain under a seeded random relabeling, and on every 2-coloring
+    of every class with n <= n_colored, twin masks passed in. Returns the
+    number of labelings compared."""
+    rnd = random.Random(1)
+    compared = 0
+    for n in range(1, n_plain + 1):
+        for g in all_graphs(EnumerationConfig(n)):
+            order = list(range(n))
+            rnd.shuffle(order)
+            assert_labels_as_oracle(g.relabel(order))
+            compared += 1
+    for n in range(1, n_colored + 1):
+        for g in all_graphs(EnumerationConfig(n)):
+            twins = _twin_masks(n, g.rows)
+            for colors in product((0, 1), repeat=n):
+                assert_labels_as_oracle(g, colors, twins)
+                compared += 1
+    return compared
+
+
+def test_labeling_check_covers_every_small_class_and_coloring():
+    # 1 + 2 + 4 + 11 + 34 + 156 classes, and 2 + 8 + 32 + 176 colorings
+    assert check_labeling_on_every_small_graph(6, 4) == 208 + 218
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_labels_as_oracle_on_every_raw_extension(n):
+    for g in raw_extensions(n):
+        assert_labels_as_oracle(g)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_labels_as_oracle_on_every_two_coloring(n):
+    for g in all_graphs(EnumerationConfig(n)):
+        twins = _twin_masks(n, g.rows)
+        for colors in product((0, 1), repeat=n):
+            assert_labels_as_oracle(g, colors)
+            assert_labels_as_oracle(g, colors, twins)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(min_n=8, max_n=10), st.randoms(use_true_random=False), st.integers(1, 4))
+def test_labels_as_oracle_on_larger_graphs(g, rnd, k):
+    order = list(range(g.n))
+    rnd.shuffle(order)
+    relabeled = g.relabel(order)
+    assert_labels_as_oracle(relabeled)
+    assert_labels_as_oracle(relabeled, tuple(rnd.randrange(k) for _ in range(g.n)))
+
+
+def petersen() -> Graph:
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph.from_edges(10, outer + spokes + inner)
+
+
+C5 = cycle_graph(5)
+
+
+@pytest.mark.parametrize("g", [
+    cycle_graph(14),
+    matching(8),
+    # complements of disjoint unions: each side of the join is a module
+    # that the search places whole
+    complement(disjoint_union(C5, C5)),
+    complement(petersen()),
+    complement(matching(5)),
+    complement(disjoint_union(disjoint_union(C5, C5), C5)),
+], ids=["C14", "8K2", "co-2C5", "co-Petersen", "co-5K2", "co-3C5"])
+def test_labels_as_oracle_on_symmetric_graphs(g):
+    assert_labels_as_oracle(g)

@@ -13,10 +13,12 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from threshkit import kthreshold
+from threshkit.canonical import canonical_form
 from threshkit.enumeration import EnumerationConfig, all_graphs
 from threshkit.graphs import ColoredGraph, Graph, bits
 from threshkit.kthreshold import (
     EXTENDED,
+    GENERAL2,
     Dialect,
     RESTRICTED,
     SPECIAL,
@@ -504,3 +506,22 @@ def test_white_set_candidates_equal_tuple_candidates_up_to_n7(dialect):
        st.sampled_from(TWO_COLOR_DIALECTS))
 def test_white_set_candidates_equal_tuple_candidates_on_larger_graphs(g, dialect):
     assert_white_sets_equal_tuple_candidates(g, dialect)
+
+
+def multithreshold_graph(weights, low, high) -> Graph:
+    """Jamison and Sprague's multithreshold graph with two thresholds: uv
+    is an edge iff low <= w(u) + w(v) < high."""
+    n = len(weights)
+    return Graph.from_edges(n, [(u, v) for v in range(n) for u in range(v)
+                                if low <= weights[u] + weights[v] < high])
+
+
+def test_kthreshold_is_not_the_multithreshold_class():
+    """The class is defined by the paper's build sequences, not by
+    Jamison and Sprague's thresholds ("Multithreshold graphs", J. Graph
+    Theory, 2020): weights 0, 1, 2, 2, 3, 4 with thresholds (4, 5) give
+    3K2, which no 2-colored build sequence makes."""
+    g = multithreshold_graph((0, 1, 2, 2, 3, 4), 4, 5)
+    assert canonical_form(g) == canonical_form(matching(3)) == "E@Q?"
+    assert is_k_threshold(g, 2) is None
+    assert oracle_pruned_coloring_search(g, GENERAL2) is None
