@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .graphs import ColoredGraph, Graph, _components, bits
+from .graphs import ColoredGraph, Graph, _components
 from .limits import DEFAULT_LIMITS, Limits
 from .records import frozen
 from .sequences import ADD, BLACK, JOIN_ALL, WHITE, BuildSequence, Op, Step, join_color
@@ -80,6 +80,16 @@ class Dialect:
         return tuple(ADD_CODE if op.kind == "add" else JOIN_ALL_CODE if op.kind == "join_all"
                      else op.color for op in self.ops)
 
+    @cached_property
+    def candidate_shape(self) -> tuple[bool, bool, tuple[int, ...], bool]:
+        """What the two-color search's candidates read of the ops: whether
+        add and join_all are allowed, the join colors in order, and whether
+        those are both colors, which makes the dialect closed under
+        swapping them."""
+        joins = tuple(code for code in self.codes if code >= 0)
+        return (ADD_CODE in self.codes, JOIN_ALL_CODE in self.codes, joins,
+                set(joins) == {BLACK, WHITE})
+
 
 def general_dialect(k: int) -> Dialect:
     if k < 1:
@@ -101,17 +111,38 @@ def elimination_picks(rows: tuple[int, ...], alive: int, masks) -> list[tuple[in
     rows are the adjacency rows of the graph. Op i removes x when the alive
     neighbours of x are exactly the alive vertices of masks[i] other than x.
     Each step removes the lowest-index vertex some op removes, preferring
-    earlier ops.
+    earlier ops. The loop over the masks is written out for two masks (the
+    THRESHOLD masks (0, alive), SPECIAL and RESTRICTED); other mask counts
+    take the plain loop.
     """
     picks: list[tuple[int, int]] = []
+    # row has no bit of its own vertex, so each test below is
+    # row & alive == mask & rest
+    if len(masks) == 2:
+        m0, m1 = masks
+        while alive & (alive - 1):
+            left = alive
+            while left:
+                low = left & -left
+                rest = alive ^ low
+                row = rows[low.bit_length() - 1]
+                if not (row ^ m0) & rest:
+                    picks.append((low.bit_length() - 1, 0))
+                    break
+                if not (row ^ m1) & rest:
+                    picks.append((low.bit_length() - 1, 1))
+                    break
+                left ^= low
+            else:
+                return None
+            alive ^= low
+        return picks
     while alive & (alive - 1):
         left = alive
         while left:
             low = left & -left
             rest = alive ^ low
             row = rows[low.bit_length() - 1]
-            # row has no bit of its own vertex, so this is
-            # row & alive == mask & rest
             i = 0
             for mask in masks:
                 if not (row ^ mask) & rest:
@@ -269,24 +300,28 @@ def _candidate_white_sets(g: Graph, dialect: Dialect) -> set[int]:
     an isolated one otherwise. So the least threshold switch set without
     vertex 0 is the least RESTRICTED candidate in ascending masks.
     """
-    kinds = {op.kind for op in dialect.ops}
-    alive = g.full_mask
+    adds, joins_all, joins, swap_closed = dialect.candidate_shape
+    rows, alive = g.rows, g.full_mask
     dropped = True
-    while dropped and alive.bit_count() > 1:
+    while dropped and alive & (alive - 1):
         dropped = False
-        for v in bits(alive):
-            nb = g.rows[v] & alive
-            if ("add" in kinds and nb == 0) or ("join_all" in kinds and nb == alive ^ (1 << v)):
-                alive ^= 1 << v
+        left = alive
+        while left:
+            low = left & -left
+            left ^= low
+            nb = rows[low.bit_length() - 1] & alive
+            if (adds and nb == 0) or (joins_all and nb == alive ^ low):
+                alive ^= low
                 dropped = True
-    if alive.bit_count() <= 1:
+    if not alive & (alive - 1):
         return {0}
-    joins = [op.color for op in dialect.ops if op.kind == "join_color"]
-    swap_closed = set(joins) == {BLACK, WHITE}
     candidates = set()
-    for x in bits(alive):
-        rest = alive ^ (1 << x)
-        nb = g.rows[x] & rest
+    left = alive
+    while left:
+        low = left & -left
+        left ^= low
+        rest = alive ^ low
+        nb = rows[low.bit_length() - 1] & rest
         for c in joins:
             white = nb if c == WHITE else rest ^ nb
             if not (swap_closed and white & 1):
@@ -294,11 +329,26 @@ def _candidate_white_sets(g: Graph, dialect: Dialect) -> set[int]:
     return candidates
 
 
+def _product_key(n: int):
+    """The sort key of product order on the white sets of n vertices:
+    product order reads vertex 0 first, so the key is the set's n bits
+    reversed, vertex 0 in the top bit."""
+    def key(white: int) -> int:
+        reversed_bits = 0
+        while white:
+            low = white & -white
+            white ^= low
+            # vertex v, low.bit_length() - 1, goes to bit n - 1 - v
+            reversed_bits |= 1 << n - low.bit_length()
+        return reversed_bits
+
+    return key
+
+
 def _search_two_colored(g: Graph, dialect: Dialect) -> tuple[tuple[int, ...], BuildSequence] | None:
     """The least valid coloring in product order from at most 2n
     eliminations, so no limit applies."""
-    # product order reads vertex 0 first: the bits of a white set reversed
-    whites = sorted(_candidate_white_sets(g, dialect), key=lambda white: f"{white:0{g.n}b}"[::-1])
+    whites = sorted(_candidate_white_sets(g, dialect), key=_product_key(g.n))
     for white, picks in _white_hits(g, dialect, whites):
         return _white_certificate(g, dialect, white, picks)
     return None

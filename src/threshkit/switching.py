@@ -5,12 +5,15 @@ Switching by a vertex set toggles every pair with one end in the set
 the same graph, so the switch sets here leave vertex 0 out. Cographs are
 the P4-free graphs (Seinsche, 1974). switch_to_threshold, which rests on
 the restricted 2-threshold graphs being the switching class of the
-threshold graphs, and has_cograph_switch find the first threshold and
-the first cograph switch in ascending masks in polynomial time.
-extend_switch_sets, the switching suite's brute-force oracle, finds both
-from the switch sets of g less its last vertex; the tests check all three
-against a scan of every switch set. Only the walk over the switching
-class, all 2^(n-1) switch sets, is guarded by the coloring budget.
+threshold graphs, and has_cograph_switch, which keeps its extension rule
+incrementally, find the first threshold and the first cograph switch in
+ascending masks in polynomial time. extend_switch_sets, the switching
+suite's brute-force oracle, finds both from the switch sets of g less its
+last vertex; the tests check all three against a scan of every switch
+set. Every switch set is tested on switched rows and vertex masks, and a
+Graph is built only for a certificate that is returned. Only the walk
+over the switching class, all 2^(n-1) switch sets, is guarded by the
+coloring budget.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .canonical import canonical_form
-from .graphs import Graph, _unchecked_graph, bits
+from .graphs import Graph, _unchecked_graph
 from .kthreshold import RESTRICTED, _candidate_white_sets, elimination_picks
 from .limits import DEFAULT_LIMITS, Limits
 from .records import frozen
@@ -46,8 +49,12 @@ def _switched_rows(rows: Sequence[int], full: int, s: int) -> tuple[int, ...]:
     """The rows of the switch by s, a subset of full: a vertex in s toggles
     its pairs with full ^ s, one outside toggles its pairs with s, and
     neither set holds the vertex itself."""
-    out = full ^ s
-    return tuple(row ^ (out if s >> v & 1 else s) for v, row in enumerate(rows))
+    out = [row ^ s for row in rows]
+    while s:
+        low = s & -s
+        s ^= low
+        out[low.bit_length() - 1] ^= full
+    return tuple(out)
 
 
 def _require_switch_sets(g: Graph, limits: Limits) -> None:
@@ -111,14 +118,15 @@ def switch_to_threshold(g: Graph) -> SwitchCertificate | None:
 
     At most n + 1 switches instead of 2^(n-1): the sets are the white
     classes of the restricted coloring search's candidates, tried in
-    ascending order (see kthreshold._candidate_white_sets). The search is
-    polynomial, so no limit applies.
+    ascending order (see kthreshold._candidate_white_sets). Each goes to
+    the threshold kernel as switched rows; only the hit becomes a Graph.
+    The search is polynomial, so no limit applies.
     """
+    rows, full = g.rows, g.full_mask
     for s in sorted(_candidate_white_sets(g, RESTRICTED)):
-        target = switch(g, s)
-        full = target.full_mask
-        if elimination_picks(target.rows, full, (0, full)) is not None:
-            return SwitchCertificate(s, target)
+        switched = _switched_rows(rows, full, s)
+        if elimination_picks(switched, full, (0, full)) is not None:
+            return SwitchCertificate(s, _unchecked_graph(g.n, switched))
     return None
 
 
@@ -166,7 +174,7 @@ def is_switch_cograph(g: Graph) -> bool:
     switch rules out the cogem (P4 + K1) throughout the switching class, so
     the switch in which vertex 0 is isolated has no P4 either.
     """
-    return is_cograph(switch(g, g.rows[0]))
+    return not _p4(_switched_rows(g.rows, g.full_mask, g.rows[0]))
 
 
 def _adds_p4(adj: list[int], nb: int) -> bool:
@@ -175,25 +183,56 @@ def _adds_p4(adj: list[int], nb: int) -> bool:
     in nb, b in N(a) outside nb, and r outside N[a] in just one of nb and
     N(b). With nb = adj[j] it tests the P4s through j, which is no b or r.
     """
-    for a in bits(nb):
-        for b in bits(adj[a] & ~nb):
-            if (adj[b] ^ nb) & ~adj[a]:
+    left = nb
+    while left:
+        a = left & -left
+        left ^= a
+        row = adj[a.bit_length() - 1]
+        far = row & ~nb
+        while far:
+            b = far & -far
+            far ^= b
+            if (adj[b.bit_length() - 1] ^ nb) & ~row:
                 return True
     return False
 
 
-def _extends(rows: Sequence[int], decided: int, t: int, j: int) -> bool:
-    """The extension rule: whether t, a switch set on the decided vertices
-    0 and j..n-1 that induces no P4 on those other than j, extends to a
-    cograph switch. On the decided vertices the switch by t has rows adj,
-    and an undecided vertex u has two sides: its trace adj[u] (u outside
-    the set) and the rest (u inside). The rule: no P4 goes through j, and
-    every undecided vertex has a side that adds none.
+def _p4_through_both(adj: list[int], decided: int, nu: int, nj: int, joined: bool) -> bool:
+    """Whether a P4 passes through both of two vertices u and j added to
+    the graph with rows adj on the vertex set decided: u joined to nu and j
+    to nj, both subsets of decided, and u to j when joined. With the
+    neighbours of u only, of j only and of both as A, B and C, and the
+    vertices of decided next to neither as R, up to reversal the P4 is
+    a-u-j-d (a in A, d in B, a and d apart), u-j-c-d or j-u-c-d (c in B or
+    A, d in R) when u and j are joined, and u-c-j-d or j-c-u-d (c in C, d
+    in A or B apart from c) or u-a-d-j (a in A, d in B, a and d joined)
+    when they are not.
     """
-    adj = [row & decided for row in _switched_rows(rows, decided, t)]
-    return not _adds_p4(adj, adj[j]) and all(
-        not _adds_p4(adj, adj[u]) or not _adds_p4(adj, decided ^ adj[u]) for u in range(1, j)
-    )
+    only_u, only_j = nu & ~nj, nj & ~nu
+    if joined:
+        apart = decided & ~(nu | nj)
+        left = only_u | only_j
+        while left:
+            c = left & -left
+            left ^= c
+            row = adj[c.bit_length() - 1]
+            if row & apart or c & only_u and only_j & ~row:
+                return True
+        return False
+    ends = only_u | only_j
+    left = nu & nj
+    while left:
+        c = left & -left
+        left ^= c
+        if ends & ~adj[c.bit_length() - 1]:
+            return True
+    left = only_u
+    while left:
+        a = left & -left
+        left ^= a
+        if adj[a.bit_length() - 1] & only_j:
+            return True
+    return False
 
 
 def has_cograph_switch(g: Graph) -> SwitchCertificate | None:
@@ -202,24 +241,71 @@ def has_cograph_switch(g: Graph) -> SwitchCertificate | None:
 
     A non-member costs one switch and one P4 test. A member's set is
     decided greedily, vertex n - 1 first and vertex 1 last, each left out
-    unless the extension rule then fails. Proved: the rule is necessary, so
-    a vertex goes in only when no cograph switch that agrees on the decided
-    vertices leaves it out, and each step keeps the decided vertices
-    P4-free, so a returned set is the least cograph switch. Checked, not
-    proved: the rule is sufficient, so one choice always passes; it agrees
-    with brute-force completion on every state of every switch-cograph
-    graph with n <= 9 (check_extension_rule in tests/test_switching.py). A
-    step where neither choice passes raises RuntimeError.
+    unless the extension rule then fails. The rule, for a set t on the
+    decided vertices D that induces no P4 on D less the vertex j just
+    decided: no P4 goes through j, and every undecided vertex u has a side
+    that adds none, where the sides are u joined to its trace on D (u
+    outside the set) or to the rest of D (u inside).
+
+    The rule is kept incrementally. Each undecided vertex keeps its trace
+    under the set so far and which of its two sides survive, that is add
+    no P4. A side that adds a P4 keeps adding it as D grows, since the
+    switch on D stays the same. So j's own surviving side for t is the
+    test of the P4s through j, and when it passes, a surviving side of u
+    gains a P4 only through both u and j: O(n) bit operations a side, and
+    O(n^3) in all.
+
+    Proved: the rule is necessary, so a vertex goes in only when no cograph
+    switch that agrees on the decided vertices leaves it out, and each step
+    keeps the decided vertices P4-free, so a returned set is the least
+    cograph switch. Checked, not proved: the rule is sufficient, so one
+    choice always passes; it agrees with brute-force completion on every
+    state of every switch-cograph graph with n <= 9 (check_extension_rule
+    in tests/test_switching.py). A step where neither choice passes raises
+    RuntimeError.
     """
     if not is_switch_cograph(g):
         return None
+    rows = g.rows
+    # the switch by s on D, as rows of the decided vertices; for each
+    # undecided vertex its trace on D and its surviving sides, bit 0 for
+    # outside the set and bit 1 for inside
+    adj = [0] * g.n
+    trace = [row & 1 for row in rows]
+    sides = [3] * g.n
     s, decided = 0, 1
     for j in range(g.n - 1, 0, -1):
-        decided |= 1 << j
-        for t in (s, s | 1 << j):
-            if _extends(g.rows, decided, t, j):
-                s = t
+        for inside in (0, 1):
+            if not sides[j] >> inside & 1:
+                continue
+            nj = decided ^ trace[j] if inside else trace[j]
+            kept = []
+            for u in range(1, j):
+                # whether u outside the set is joined to j
+                joined = (rows[u] >> j ^ inside) & 1
+                out = trace[u]
+                alive = sides[u]
+                if alive & 1 and _p4_through_both(adj, decided, out, nj, joined):
+                    alive ^= 1
+                if alive & 2 and _p4_through_both(adj, decided, decided ^ out, nj, not joined):
+                    alive ^= 2
+                if not alive:
+                    break
+                kept.append((alive, out | joined << j))
+            else:
                 break
         else:
             raise RuntimeError(f"the extension rule admits no choice for vertex {j} after set {s}")
+        bit = 1 << j
+        if inside:
+            s |= bit
+        for u, (alive, side) in enumerate(kept, 1):
+            sides[u], trace[u] = alive, side
+        adj[j] = nj
+        left = nj
+        while left:
+            low = left & -left
+            left ^= low
+            adj[low.bit_length() - 1] |= bit
+        decided |= bit
     return SwitchCertificate(s, switch(g, s))

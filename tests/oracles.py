@@ -1,8 +1,10 @@
 """Trivially correct versions of production searches that the tests check
 them against: generators for the enumeration, the cell-partition labeling
-search (the reference of canonical._min_order), the pruned product-order
-coloring walk (the reference of every coloring search), the per-set
-switch scan (the reference of every switch-set search), the depth-first
+search (the reference of canonical._min_order), the elimination kernel as
+one plain loop over its masks, the pruned product-order coloring walk
+(the reference of every coloring search), the per-set switch scan (the
+reference of every switch-set search), the least cograph switch's
+extension rule recomputed from scratch at every step, the depth-first
 least cograph switch and the tuple candidate colorings of the two-color
 search."""
 
@@ -15,7 +17,7 @@ from threshkit.graphs import Graph, _unchecked_graph, bits
 from threshkit.kthreshold import Dialect, _class_masks, _sequence, elimination_picks, is_threshold
 from threshkit.limits import DEFAULT_LIMITS, Limits
 from threshkit.sequences import BLACK, WHITE
-from threshkit.switching import SwitchCertificate, _switched_rows, switch
+from threshkit.switching import SwitchCertificate, _adds_p4, _switched_rows, switch
 
 
 def baseline_graphs(n: int, limits: Limits = DEFAULT_LIMITS) -> tuple[Graph, ...]:
@@ -113,6 +115,31 @@ def oracle_cell_min_order(n: int, rows: tuple[int, ...],
     return states[()], code
 
 
+def oracle_elimination_picks(rows, alive: int, masks) -> list[tuple[int, int]] | None:
+    """kthreshold.elimination_picks as one plain loop over the masks, for
+    any number of them: each step removes the lowest-index alive vertex x
+    whose alive neighbours are the alive vertices of some masks[i] other
+    than x, with the least such i, until one vertex is left."""
+    picks = []
+    while alive & (alive - 1):
+        for x in range(alive.bit_length()):
+            if not alive >> x & 1:
+                continue
+            rest = alive & ~(1 << x)
+            nb = rows[x] & rest
+            for i, mask in enumerate(masks):
+                if nb == mask & rest:
+                    break
+            else:
+                continue
+            picks.append((x, i))
+            alive = rest
+            break
+        else:
+            return None
+    return picks
+
+
 def is_threshold_graph(g: Graph) -> bool:
     return is_threshold(g) is not None
 
@@ -184,6 +211,38 @@ def _has_p4_through(adj: list[int], j: int) -> bool:
             if adj[b] & ~closed_j & ~closed_a or side & ~adj[b]:
                 return True
     return False
+
+
+def oracle_extends(rows, decided: int, t: int, j: int) -> bool:
+    """The extension rule of switching.has_cograph_switch, from scratch:
+    whether t, a switch set on the decided vertices 0 and j..n-1 that
+    induces no P4 on those other than j, extends to a cograph switch. On
+    the decided vertices the switch by t has rows adj, and an undecided
+    vertex u has two sides: its trace adj[u] (u outside the set) and the
+    rest (u inside). The rule: no P4 goes through j, and every undecided
+    vertex has a side that adds none.
+    """
+    adj = [row & decided for row in _switched_rows(rows, decided, t)]
+    return not _adds_p4(adj, adj[j]) and all(
+        not _adds_p4(adj, adj[u]) or not _adds_p4(adj, decided ^ adj[u]) for u in range(1, j)
+    )
+
+
+def oracle_greedy_cograph_switch(g: Graph) -> int:
+    """The set has_cograph_switch decides greedily, with the extension
+    rule recomputed from scratch at every step: vertex n - 1 first and
+    vertex 1 last, each left out unless oracle_extends then fails. Bit j of
+    the set is the choice made for vertex j. g must be switch-cograph."""
+    s, decided = 0, 1
+    for j in range(g.n - 1, 0, -1):
+        decided |= 1 << j
+        for t in (s, s | 1 << j):
+            if oracle_extends(g.rows, decided, t, j):
+                s = t
+                break
+        else:
+            raise RuntimeError(f"the extension rule admits no choice for vertex {j} after set {s}")
+    return s
 
 
 def oracle_least_cograph_switch(g: Graph) -> int | None:

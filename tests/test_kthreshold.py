@@ -45,7 +45,11 @@ from threshkit.named import (
 )
 from threshkit.sequences import ADD, BLACK, BuildSequence, Step, evaluate, join_color
 
-from oracles import oracle_candidate_colorings, oracle_pruned_coloring_search
+from oracles import (
+    oracle_candidate_colorings,
+    oracle_elimination_picks,
+    oracle_pruned_coloring_search,
+)
 from strategies import (
     cographs_with_a_flip,
     colored_graphs,
@@ -115,6 +119,26 @@ def test_eliminate_equals_oracle_on_every_small_coloring(dialect):
             for colors in product(range(dialect.k), repeat=n):
                 cg = ColoredGraph(g, colors)
                 assert eliminate(cg, dialect) == oracle_eliminate(cg, dialect)
+
+
+# the kernel writes out its mask loop for two masks (RESTRICTED, as SPECIAL
+# and THRESHOLD); GENERAL2's three and EXTENDED's four take the plain loop
+KERNEL_DIALECTS = (RESTRICTED, GENERAL2, EXTENDED)
+
+
+def test_kernel_equals_plain_mask_loop_on_every_small_coloring():
+    """The kernel against the plain loop over the masks of
+    tests/oracles.py, on every 2-coloring of every class with n <= 7, for
+    two, three and four masks."""
+    for n in range(1, 8):
+        for g in all_graphs(EnumerationConfig(n)):
+            rows, full = g.rows, g.full_mask
+            for white in range(1 << n):
+                by_color = [full ^ white, white]
+                for dialect in KERNEL_DIALECTS:
+                    masks = kthreshold._class_masks(dialect, by_color, full)
+                    assert (kthreshold.elimination_picks(rows, full, masks)
+                            == oracle_elimination_picks(rows, full, masks)), (g, white, dialect)
 
 
 def oracle_coloring_search(g, dialect):
@@ -491,6 +515,19 @@ def assert_white_sets_equal_tuple_candidates(g, dialect):
     whites = kthreshold._candidate_white_sets(g, dialect)
     colorings = sorted(tuple(white >> v & 1 for v in range(g.n)) for white in whites)
     assert colorings == oracle_candidate_colorings(g, dialect), g
+
+
+def test_product_key_orders_candidates_as_the_reversed_bit_string():
+    """The two-color search sorts its candidates by an integer key; the
+    string of each white set's bits read from vertex 0 gives the same
+    order on every candidate set of every class with n <= 8."""
+    for n in range(1, 9):
+        key = kthreshold._product_key(n)
+        for g in all_graphs(EnumerationConfig(n)):
+            for dialect in TWO_COLOR_DIALECTS:
+                whites = kthreshold._candidate_white_sets(g, dialect)
+                assert (sorted(whites, key=key)
+                        == sorted(whites, key=lambda white: f"{white:0{n}b}"[::-1])), (g, dialect)
 
 
 @pytest.mark.parametrize("dialect", TWO_COLOR_DIALECTS, ids=lambda d: d.name)

@@ -1,6 +1,8 @@
 """Seidel switching: algebra, classes, threshold and cograph switch search,
 and the switch-set oracle by prefix extension against the per-set scan."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -31,7 +33,14 @@ from threshkit.switching import (
     switching_class,
 )
 
-from oracles import is_threshold_graph, oracle_least_cograph_switch, oracle_switch_scan
+from oracles import (
+    _has_p4_through,
+    is_threshold_graph,
+    oracle_extends,
+    oracle_greedy_cograph_switch,
+    oracle_least_cograph_switch,
+    oracle_switch_scan,
+)
 from strategies import (
     cographs_with_a_flip,
     complement,
@@ -112,15 +121,74 @@ def test_switch_certificates_verify():
 
 def test_switch_search_makes_at_most_n_plus_one_switches(monkeypatch):
     """The switch search tries only the restricted search's candidate
-    sets: one for each vertex other than 0, and two for vertex 0."""
+    sets: one for each vertex other than 0, and two for vertex 0. Each
+    candidate's switch is built as rows by _switched_rows."""
     switched = []
-    switch_of = switching.switch
-    monkeypatch.setattr(switching, "switch", lambda g, s: switched.append(s) or switch_of(g, s))
+    rows_of = switching._switched_rows
+    monkeypatch.setattr(switching, "_switched_rows",
+                        lambda rows, full, s: switched.append(s) or rows_of(rows, full, s))
     for n in range(1, 8):
         for g in all_graphs(EnumerationConfig(n)):
             switched.clear()
             switch_to_threshold(g)
             assert len(switched) <= n + 1, g
+
+
+def test_switched_rows_follow_the_definition_up_to_n7():
+    """_switched_rows(rows, full, s) toggles exactly the pairs with one end
+    in s, for every set s of every class with n <= 7."""
+    for n in range(1, 8):
+        pairs = [(u, v) for v in range(n) for u in range(v)]
+        for g in all_graphs(EnumerationConfig(n)):
+            edges = {(u, v) for u, v in pairs if g.rows[v] >> u & 1}
+            for s in range(1 << n):
+                expected = [0] * n
+                for u, v in pairs:
+                    if ((u, v) in edges) != ((s >> u & 1) != (s >> v & 1)):
+                        expected[u] |= 1 << v
+                        expected[v] |= 1 << u
+                assert switching._switched_rows(g.rows, g.full_mask, s) == tuple(expected), (g, s)
+
+
+def test_adds_p4_equals_p4_through_the_new_vertex_up_to_n7():
+    """_adds_p4(rows, nb) against _has_p4_through on the graph with a new
+    vertex joined to nb, for every nb of every class with n <= 6: every
+    grown graph up to 7 vertices."""
+    for n in range(1, 7):
+        for g in all_graphs(EnumerationConfig(n)):
+            for nb in range(1 << n):
+                grown = [row | (nb >> v & 1) << n for v, row in enumerate(g.rows)] + [nb]
+                assert switching._adds_p4(g.rows, nb) == _has_p4_through(grown, n), (g, nb)
+
+
+def has_p4_through_both(rows, u, j):
+    """Whether some four vertices with u and j among them induce a P4,
+    the only 4-vertex graph with degrees 1, 1, 2, 2."""
+    others = [v for v in range(len(rows)) if v not in (u, j)]
+    for a, b in combinations(others, 2):
+        quad = 1 << u | 1 << j | 1 << a | 1 << b
+        if sorted((rows[v] & quad).bit_count() for v in (u, j, a, b)) == [1, 1, 2, 2]:
+            return True
+    return False
+
+
+def test_p4_through_both_equals_every_four_vertex_check_up_to_n7():
+    """_p4_through_both against a check of every four vertices through
+    both new vertices u and j, for every pair of neighbour sets of them,
+    joined or not, on every class with n <= 5: every grown graph up to 7
+    vertices."""
+    for n in range(1, 6):
+        full = (1 << n) - 1
+        u, j = n, n + 1
+        for g in all_graphs(EnumerationConfig(n)):
+            for nu in range(1 << n):
+                for nj in range(1 << n):
+                    for joined in (False, True):
+                        grown = [row | (nu >> v & 1) << u | (nj >> v & 1) << j
+                                 for v, row in enumerate(g.rows)]
+                        grown += [nu | joined << j, nj | joined << u]
+                        assert (switching._p4_through_both(g.rows, full, nu, nj, joined)
+                                == has_p4_through_both(grown, u, j)), (g, nu, nj, joined)
 
 
 def oracle_is_cograph(g):
@@ -217,12 +285,15 @@ def test_extend_switch_sets_equals_every_switch_walk():
 
 
 def check_extension_rule(n, limits=DEFAULT_LIMITS):
-    """The extension rule against brute-force completion on every state of
-    every switch-cograph class on n vertices: the decided vertices 0 and
-    j..n-1, for each j, with each switch set t on them. The rule assumes
-    that t induces no P4 on the decided vertices other than j, so the state
-    extends exactly when that holds and the rule passes. Returns the number
-    of states."""
+    """The extension rule, recomputed from scratch by oracle_extends,
+    against brute-force completion on every state of every switch-cograph
+    class on n vertices: the decided vertices 0 and j..n-1, for each j,
+    with each switch set t on them. The rule assumes that t induces no P4
+    on the decided vertices other than j, so the state extends exactly when
+    that holds and the rule passes. Also, has_cograph_switch, which keeps
+    the rule incrementally, makes the rule's choice at every step: bit j of
+    its set is the choice for vertex j, so its set is the greedy set of
+    oracle_extends. Returns the number of states."""
     states = 0
     for g in all_graphs(EnumerationConfig(n), limits):
         if not is_switch_cograph(g):
@@ -233,9 +304,10 @@ def check_extension_rule(n, limits=DEFAULT_LIMITS):
             completed = {s & decided for s in cograph_sets}
             for t in range(0, decided, 1 << j):
                 rule = (is_cograph(switch(g, t).induced(decided ^ 1 << j))
-                        and switching._extends(g.rows, decided, t, j))
+                        and oracle_extends(g.rows, decided, t, j))
                 assert rule == (t in completed), (g, j, t)
                 states += 1
+        assert has_cograph_switch(g).set == oracle_greedy_cograph_switch(g), g
     return states
 
 
